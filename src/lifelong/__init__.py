@@ -11,8 +11,7 @@ from .engine import (EngineState, HyperParams, TaskOutcome, init_state,
                      reconstruct_model, reconstructed_weights, save_state)
 from .experiment import ExperimentConfig, run_experiment
 from .libraries import (FeatureLibrary, ModelLibrary, admit_representative,
-                        init_libraries, load_libraries, save_libraries,
-                        update_decoder, update_encoder)
+                        init_libraries, update_decoder, update_encoder)
 from .metrics import (MetricReport, accuracy, auc, model_correlation_matrix,
                       representative_timeline, rmse)
 from .sparse_code import (CodeProblem, Representative, composite_objective,

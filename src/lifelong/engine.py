@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,7 +80,8 @@ class PerTaskRecord:
     code: np.ndarray
     assignment: Assignment
     single: SingleTaskModel
-    data: TaskData
+    loss_kind: str
+    data: Optional[TaskData]   # None for a task restored from a checkpoint
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,12 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     phi, phi_inv = activation_pair(hp.phi)
 
     if data.task_id in state.per_task:
-        data = _merge_task_data(state.per_task[data.task_id].data, data)
+        seen = state.per_task[data.task_id].data
+        if seen is None:
+            # learn_task prefixes the task id
+            raise ValueError("restored from a checkpoint, which carries no raw task "
+                             "data, so it cannot be relearned with appended data")
+        data = _merge_task_data(seen, data)
 
     flib = state.flib
     if flib is None:
@@ -211,7 +219,8 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
 
     per_task = dict(state.per_task)
     per_task[data.task_id] = PerTaskRecord(code=code, assignment=assignment,
-                                           single=single, data=data)
+                                           single=single, loss_kind=data.loss_kind,
+                                           data=data)
     outcome = TaskOutcome(
         task_id=data.task_id,
         objective_trace=tuple(trace),
@@ -322,7 +331,7 @@ def predict(state: EngineState, task_id: str, X: np.ndarray) -> np.ndarray:
 def predict_labels(state: EngineState, task_id: str, X: np.ndarray) -> np.ndarray:
     """Sign predictions at threshold 0 (ties go to +1); classification tasks only."""
     rec = _record(state, task_id)
-    if rec.data.loss_kind != "logistic":
+    if rec.loss_kind != "logistic":
         raise ValueError(f"task {task_id!r} is not a classification task")
     scores = predict(state, task_id, X)
     return np.where(scores >= 0.0, 1.0, -1.0)
@@ -337,14 +346,7 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
     return ids, cols
 
 
-def save_state(state: EngineState, path) -> None:
-    """Checkpoint: both libraries plus the per-task code/assignment table.
-
-    Raw task data is not checkpointed; a loaded state supports prediction
-    and inspection but not relearning with appended data.
-    """
-    if state.flib is None:
-        raise ValueError("cannot checkpoint an engine that has seen no tasks")
+def _checkpoint_payload(state: EngineState) -> dict:
     payload = library_to_dict(state.flib, state.mlib)
     payload["seed"] = state.seed
     payload["hyper"] = dataclasses.asdict(state.hyper)
@@ -353,12 +355,62 @@ def save_state(state: EngineState, path) -> None:
             "code": rec.code.tolist(),
             "z": rec.assignment.z.tolist(),
             "w": rec.single.w.tolist(),
-            "loss_kind": rec.data.loss_kind,
+            "loss_kind": rec.loss_kind,
         }
         for tid, rec in state.per_task.items()
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    return payload
+
+
+def _json_pieces(value):
+    """The text `json.dump(value, fh)` writes, in pieces: dicts key by key
+    and lists of lists or dicts item by item, every other value in one
+    `json.dumps` call.  `json.dumps` uses the C encoder, which the streaming
+    `json.dump` never does; emitting a matrix row by row keeps the encoded
+    text from being held whole in memory beside the payload."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_pieces(item)
+        yield "}"
+    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _json_pieces(item)
+        yield "]"
+    else:
+        yield json.dumps(value)
+
+
+def save_state(state: EngineState, path) -> None:
+    """Checkpoint: both libraries plus the per-task code/assignment table.
+
+    The file holds the same bytes `json.dump` writes, encoded piecewise by
+    the C encoder (`_json_pieces`), written to a dot-prefixed temp file
+    beside `path`, synced to disk and moved into place with `os.replace`,
+    so a write that fails part-way leaves any previous checkpoint at
+    `path` intact.  Raw task data is not checkpointed: a loaded state
+    supports prediction, inspection and learning new tasks, but refuses
+    to relearn a restored task.
+    """
+    if state.flib is None:
+        raise ValueError("cannot checkpoint an engine that has seen no tasks")
+    payload = _checkpoint_payload(state)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for piece in _json_pieces(payload):
+                fh.write(piece)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_state(path) -> EngineState:
@@ -368,20 +420,15 @@ def load_state(path) -> EngineState:
     hyper = HyperParams(**payload["hyper"])
     per_task = {}
     for tid, rec in payload["per_task"].items():
-        w = np.array(rec["w"], dtype=float)
-        code = np.array(rec["code"], dtype=float)
-        kind = rec["loss_kind"]
-        # minimal stand-in task so prediction paths know the loss kind
-        stub_target = np.array([1.0]) if kind == "logistic" else np.zeros(1)
-        stub = TaskData(features=np.zeros((flib.d, 1)), targets=stub_target,
-                        loss_kind=kind, task_id=tid)
-        single = SingleTaskModel(w=w, omega=np.zeros((flib.d, flib.d)), loss_at_w=0.0)
+        single = SingleTaskModel(w=np.array(rec["w"], dtype=float),
+                                 omega=np.zeros((flib.d, flib.d)), loss_at_w=0.0)
         per_task[tid] = PerTaskRecord(
-            code=code,
+            code=np.array(rec["code"], dtype=float),
             assignment=Assignment(z=np.array(rec["z"], dtype=float),
                                   admm_iters=0, primal_residual=0.0),
             single=single,
-            data=stub,
+            loss_kind=rec["loss_kind"],
+            data=None,
         )
     return EngineState(hyper=hyper, seed=int(payload["seed"]), flib=flib,
                        mlib=mlib, per_task=per_task)

@@ -15,7 +15,6 @@ decoder refits.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -91,16 +90,40 @@ def _clip_columns(mat: np.ndarray) -> np.ndarray:
     return mat / scale
 
 
+# rows per diagonal block of the triangular substitutions
+_SUBST_BLOCK = 64
+
+
+def _solve_triangular(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
+    """Blocked forward (lower) or back (upper) substitution for tri x = rhs.
+
+    numpy has no triangular solve, and np.linalg.solve on a triangular
+    factor runs a full LU; here only the small diagonal blocks go through
+    np.linalg.solve and everything off the diagonal is a product with the
+    part of x already solved.  `rhs` may be a vector or a matrix.
+    """
+    n = tri.shape[0]
+    x = np.array(rhs, dtype=float)
+    starts = list(range(0, n, _SUBST_BLOCK))
+    for i0 in (starts if lower else reversed(starts)):
+        blk = slice(i0, min(i0 + _SUBST_BLOCK, n))
+        done = slice(0, i0) if lower else slice(blk.stop, n)
+        x[blk] -= tri[blk, done] @ x[done]
+        x[blk] = np.linalg.solve(tri[blk, blk], x[blk])
+    return x
+
+
 def _solve_spd(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky solve for the symmetric PSD library systems; a failed
-    factorisation is the singularity signal for the mu = 0 case."""
+    """Solve the symmetric PSD library system with one Cholesky factorisation
+    and two blocked triangular substitutions; a failed factorisation is the
+    singularity signal for the mu = 0 case."""
     try:
         chol = np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(
             f"{what} system is singular; rerun with ridge_mu > 0"
         ) from None
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    return _solve_triangular(chol.T, _solve_triangular(chol, rhs, lower=True), lower=False)
 
 
 def decoder_contribution(s_t: np.ndarray, omega: np.ndarray,
@@ -110,17 +133,25 @@ def decoder_contribution(s_t: np.ndarray, omega: np.ndarray,
 
     Column-major vectorisation throughout: vec(Omega D s s') =
     (s s' (x) Omega) vec(D), so acc_A collects s s' (x) Omega plus the
-    weighted representative-difference terms; the matching acc_b
-    contribution is vec(Omega w s') = s (x) (Omega w).
+    weighted representative-difference terms
+    lambda2 z_k (s_k - s)(s_k - s)' (x) Omega_k over the representatives
+    with z_k != 0; the matching acc_b contribution is
+    vec(Omega w s') = s (x) (Omega w).  The p x p weights and the d x d
+    Hessians are stacked and the sum of Kronecker products is formed in
+    one contraction, W[k, i, j] Omega[k, a, b] -> A[(i, a), (j, b)].
     """
-    dA = np.kron(np.outer(s_t, s_t), omega)
+    weights = [np.outer(s_t, s_t)]
+    hessians = [omega]
     if lambda2 > 0:
         for s_k, omega_k, z_k in reps_used:
             if z_k == 0.0:
                 continue
             diff = s_k - s_t
-            dA += lambda2 * z_k * np.kron(np.outer(diff, diff), omega_k)
-    return dA
+            weights.append(lambda2 * z_k * np.outer(diff, diff))
+            hessians.append(omega_k)
+    p, d = s_t.shape[0], omega.shape[0]
+    return np.einsum("kij,kab->iajb", np.stack(weights), np.stack(hessians)
+                     ).reshape(d * p, d * p)
 
 
 def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
@@ -139,7 +170,8 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     acc_A = lib.acc_A + decoder_contribution(s_t, omega, reps_used, lambda2)
     acc_b = lib.acc_b + np.kron(s_t, omega @ w_t)
     T = lib.tasks_seen + 1
-    system = acc_A / T + ridge_mu * np.eye(d * p)
+    system = acc_A / T
+    system.flat[::d * p + 1] += ridge_mu
     vec_d = _solve_spd(system, acc_b / T, "decoder")
     # C-contiguous so in-memory and checkpoint-reloaded layouts match bitwise
     decoder = np.ascontiguousarray(_clip_columns(vec_d.reshape((d, p), order="F")))
@@ -168,7 +200,8 @@ def update_encoder(lib: FeatureLibrary, s_t: np.ndarray, w_t: np.ndarray,
     acc_M = lib.acc_M + np.outer(target, w_t)
     acc_C = lib.acc_C + np.outer(w_t, w_t)
     T = lib.tasks_seen + 1
-    system = acc_C / T + ridge_mu * np.eye(d)
+    system = acc_C / T
+    system.flat[::d + 1] += ridge_mu
     encoder = _clip_columns(_solve_spd(system, acc_M.T / T, "encoder").T)
     return dataclasses.replace(lib, encoder=encoder, acc_M=acc_M, acc_C=acc_C)
 
@@ -236,13 +269,3 @@ def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
         reps.append(RepresentativeRecord(code=code, source_task=item["source_task"],
                                          admitted_at=int(item["admitted_at"])))
     return flib, ModelLibrary(reps=tuple(reps))
-
-
-def save_libraries(flib: FeatureLibrary, mlib: ModelLibrary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(library_to_dict(flib, mlib), fh)
-
-
-def load_libraries(path) -> tuple[FeatureLibrary, ModelLibrary]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return library_from_dict(json.load(fh))

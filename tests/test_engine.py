@@ -1,8 +1,13 @@
+import builtins
 import dataclasses
+import errno
+import io
+import json
 
 import numpy as np
 import pytest
 
+from lifelong import engine
 from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
 from lifelong.engine import (HyperParams, activation_pair, init_state,
                              learn_task, load_state, predict, predict_labels,
@@ -205,6 +210,22 @@ class TestRelearn:
         with pytest.raises(ValueError, match=task.task_id):
             learn_task(state, bad)
 
+    def test_restored_task_refused_new_task_learned(self, tmp_path):
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        loaded = load_state(path)
+        seen = train.tasks[0]
+        with pytest.raises(ValueError, match=f"{seen.task_id}.*no raw task data"):
+            learn_task(loaded, seen)
+        new = train.tasks[3]
+        resumed, out = learn_task(loaded, new)
+        assert list(resumed.per_task)[-1] == new.task_id
+        np.testing.assert_array_equal(resumed.per_task[new.task_id].data.features,
+                                      new.features)
+        assert resumed.flib.tasks_seen == state.flib.tasks_seen + 1
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, tmp_path, rng):
@@ -218,6 +239,49 @@ class TestCheckpoint:
             np.testing.assert_array_equal(predict(state, task.task_id, X),
                                           predict(loaded, task.task_id, X))
         assert len(loaded.mlib) == len(state.mlib)
+
+    def test_bytes_match_streaming_json_dump(self, tmp_path):
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        expected = io.StringIO()
+        json.dump(engine._checkpoint_payload(state), expected)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        before = path.read_bytes()
+
+        class FillsUp:
+            # writes half of what it is given, then fails like a full disk
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        state, _ = stream(state, train.tasks[2:4])
+        with monkeypatch.context() as m:
+            m.setattr(engine, "open",
+                      lambda file, mode="r", **kw: FillsUp(builtins.open(file, mode, **kw)),
+                      raising=False)
+            with pytest.raises(OSError):
+                save_state(state, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["state.json"]
+        assert load_state(path).n_tasks == 2
 
 
 class TestHyperParams:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from lifelong.assignment import Assignment
-from lifelong.libraries import (FeatureLibrary, ModelLibrary, admit_representative,
-                                bump_tasks_seen, init_libraries, load_libraries,
-                                save_libraries, update_decoder, update_encoder)
+from lifelong.engine import EngineState, HyperParams, load_state, save_state
+from lifelong.libraries import (FeatureLibrary, ModelLibrary, _solve_triangular,
+                                admit_representative, bump_tasks_seen,
+                                decoder_contribution, init_libraries,
+                                update_decoder, update_encoder)
 
 
 identity = lambda v: v
@@ -113,6 +115,36 @@ class TestDecoderUpdate:
             assert np.linalg.norm(lib.decoder, axis=0).max() <= 1 + 1e-8
 
 
+class TestTriangularSolve:
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("n", [1, 5, 40, 63, 64, 65, 800])
+    def test_matches_dense_solve(self, rng, n, lower):
+        # block edges at 64 rows: sizes on, below and above a multiple
+        M = rng.normal(size=(n, n))
+        chol = np.linalg.cholesky(M @ M.T / n + np.eye(n))
+        tri = chol if lower else chol.T
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            got = _solve_triangular(tri, rhs, lower=lower)
+            ref = np.linalg.solve(tri, rhs)
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestDecoderContribution:
+    @pytest.mark.parametrize("lambda2", [0.3, 0.0])
+    def test_matches_kron_sum(self, rng, lambda2):
+        d, p = 40, 20
+        s, omega, reps, _ = random_update_inputs(rng, d, p, n_reps=3)
+        # distinct Hessian per representative, one of them switched off
+        reps = reps[:1] + ((reps[1][0], reps[1][1], 0.0),) + reps[2:]
+        expected = np.kron(np.outer(s, s), omega) + sum(
+            lambda2 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
+            for s_k, omega_k, z_k in reps)
+        got = decoder_contribution(s, omega, reps, lambda2)
+        assert got.shape == (d * p, d * p)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestEncoderUpdate:
     def test_basis_vector_task(self, rng):
         d, p, mu = 4, 3, 1e-8
@@ -206,9 +238,10 @@ class TestCheckpoint:
         a = Assignment(z=np.array([1.0]), admm_iters=0, primal_residual=0.0)
         mlib, _ = admit_representative(mlib, rng.normal(size=p), a, "t0", t=1)
 
-        path = tmp_path / "lib.json"
-        save_libraries(flib, mlib, path)
-        flib2, mlib2 = load_libraries(path)
+        path = tmp_path / "state.json"
+        save_state(EngineState(hyper=HyperParams(p=p), seed=9, flib=flib, mlib=mlib), path)
+        loaded = load_state(path)
+        flib2, mlib2 = loaded.flib, loaded.mlib
         for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
             np.testing.assert_array_equal(getattr(flib, name), getattr(flib2, name))
         assert flib2.tasks_seen == flib.tasks_seen
