@@ -1,9 +1,9 @@
 """Lifelong multi-task learning with a self-growing library of
 representative task models over a learned encoder/decoder pair."""
 
-from .assignment import (Assignment, outlier_weight, project_simplex,
-                         representative_distances, solve_assignment)
-from .baselines import run_dictionary_ablation, run_engine, run_stl
+from .assignment import (Assignment, outlier_weight, representative_distances,
+                         solve_assignment)
+from .baselines import run_stl
 from .datasets import (TaskCorpus, generate_disjoint, load_corpus, save_corpus,
                        split_corpus, standardize_targets)
 from .engine import (EngineState, HyperParams, TaskOutcome, init_state,

@@ -1,23 +1,19 @@
 """Soft assignment of a task to representative models plus a virtual
 outlier slot.
 
-The assignment minimises a linear cost over the probability simplex with
-an l1 shaping term, solved by ADMM: an unconstrained soft-threshold step,
-a Euclidean projection onto the simplex, and a dual ascent step.  The
-projected iterate is returned, so the output is always feasible.  The
-cost of the virtual slot is the outlier weight derived from the ratio of
-the nearest representative distance to the total distance.
+The assignment minimises a linear cost plus an l1 term over the
+probability simplex.  On the simplex ||z||_1 = 1, so the l1 term is a
+constant and the block is minimised exactly by the vertex of the cheapest
+slot.  The cost of the virtual slot is the outlier weight derived from the
+ratio of the nearest representative distance to the total distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
-
-from .sparse_code import soft_threshold
-from .tasks import ConvergenceError
 
 OUTLIER_WEIGHT_CAP = 1e6
 
@@ -27,8 +23,7 @@ class Assignment:
     """Simplex weights over the known representatives plus the outlier slot."""
 
     z: np.ndarray
-    admm_iters: int
-    primal_residual: float
+    admm_iters: ClassVar[int] = 0   # read by the benchmark tracer; see solve_assignment
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
@@ -93,55 +88,19 @@ def outlier_weight(distances: np.ndarray, gamma: float = 1.0,
     return float(-gamma * np.log(distances.min() / total))
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {z : z >= 0, sum z = 1} by sorting."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("input must be a non-empty vector")
-    if not np.isfinite(v).all():
-        raise ValueError("input has non-finite entries")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1)
-    return np.maximum(v - theta, 0.0)
-
-
 def solve_assignment(distances: np.ndarray, d0: float, lambda2: float,
-                     alpha: float, beta: float = 1.0, rho: float = 1.0,
-                     max_iter: int = 2000, tol: float = 1e-6) -> Assignment:
+                     alpha: float, max_iter: int = 1) -> Assignment:
     """Minimise lambda2 * <[distances, d0], z> + alpha * ||z||_1 over the
-    simplex by ADMM and return the projected (feasible) iterate."""
-    distances = np.asarray(distances, dtype=float)
-    if distances.min() < 0 or d0 < 0:
+    simplex exactly: all mass on the cheapest slot, ties to the lowest index.
+
+    `max_iter` is ignored; it stays for the benchmark tracer
+    (perfbench/instrument.py), which binds it and reads `admm_iters`.
+    """
+    cost = np.append(np.asarray(distances, dtype=float), d0)
+    if not (cost >= 0).all():
         raise ValueError("costs must be >= 0")
     if lambda2 < 0 or alpha < 0:
         raise ValueError("lambda2 and alpha must be >= 0")
-    if beta <= 0 or rho <= 0:
-        raise ValueError("beta and rho must be > 0")
-    cost = np.append(distances, d0)
-    n = cost.size
-    J = np.full(n, 1.0 / n)
-    U = np.zeros(n)
-    residual = 0.0
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        z = soft_threshold(J - U / beta, alpha / beta)
-        J_prev = J
-        J = project_simplex(z + (U - lambda2 * cost) / beta)
-        U = U + rho * (z - J)
-        residual = float(np.linalg.norm(z - J))
-        # the iterates can drift toward the optimum together, so a small
-        # gap alone does not certify optimality; require the dual
-        # residual (scaled step of the projected block) to settle too
-        dual_residual = beta * float(np.linalg.norm(J - J_prev))
-        if residual <= tol and dual_residual <= tol:
-            break
-    if residual > 1e-3:
-        raise ConvergenceError(
-            f"assignment ADMM stalled at primal residual {residual:.3e} after "
-            f"{max_iter} iterations; check beta/rho"
-        )
-    return Assignment(z=J, admm_iters=iters, primal_residual=residual)
+    z = np.zeros(cost.size)
+    z[np.argmin(lambda2 * cost)] = 1.0
+    return Assignment(z=z)

@@ -1,6 +1,7 @@
 """Reference models for comparisons: independent single-task fits and the
-dictionary-only ablation (representative coupling and admission switched
-off, everything else on the same code path as the full engine)."""
+configuration of the dictionary-only ablation (representative coupling and
+admission switched off, everything else on the same code path as the full
+engine)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import dataclasses
 import numpy as np
 
 from .datasets import TaskCorpus
-from .engine import EngineState, HyperParams, TaskOutcome, init_state, learn_task
+from .engine import HyperParams
 from .tasks import fit_single_task
 
 
@@ -21,26 +22,3 @@ def run_stl(corpus: TaskCorpus, ridge: float) -> dict[str, np.ndarray]:
 def ablation_hyper(hyper: HyperParams) -> HyperParams:
     """The full engine's configuration with the representative machinery off."""
     return dataclasses.replace(hyper, lambda2=0.0, admission_enabled=False)
-
-
-def run_dictionary_ablation(corpus: TaskCorpus, hyper: HyperParams,
-                            seed: int) -> tuple[EngineState, list[TaskOutcome]]:
-    """Stream the corpus through the engine with lambda2 = 0 and admission
-    disabled; only the first task seeds the model library."""
-    state = init_state(ablation_hyper(hyper), seed)
-    outcomes = []
-    for task in corpus.tasks:
-        state, outcome = learn_task(state, task)
-        outcomes.append(outcome)
-    return state, outcomes
-
-
-def run_engine(corpus: TaskCorpus, hyper: HyperParams,
-               seed: int) -> tuple[EngineState, list[TaskOutcome]]:
-    """Stream the corpus through the full engine."""
-    state = init_state(hyper, seed)
-    outcomes = []
-    for task in corpus.tasks:
-        state, outcome = learn_task(state, task)
-        outcomes.append(outcome)
-    return state, outcomes

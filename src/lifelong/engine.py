@@ -5,7 +5,10 @@ and grow the model library when the outlier slot wins.
 Per task the alternation fixes everything computed at arrival (decoder,
 representative half-Hessians, and the virtual-slot cost) and block-wise
 minimises over the code and the assignment until the objective settles.
-Block descent on a jointly convex problem makes the traced objective
+Each block is minimised exactly, the code up to its solver's tolerance:
+the code problem is strongly convex, so FISTA (to `coder_tol`) finds its
+unique minimiser, and the assignment is the closed-form vertex of its
+cheapest slot.  Block descent therefore makes the traced objective
 non-increasing.
 
 States are immutable snapshots; learning produces a new state, so reads
@@ -40,8 +43,6 @@ class HyperParams:
     lambda1: float = 0.001    # l1 weight on codes
     lambda2: float = 0.05     # representative coupling weight
     alpha: float = 0.05       # l1 weight on assignments
-    beta: float = 1.0         # ADMM penalty
-    rho: float = 1.0          # ADMM dual step
     gamma: float = 0.25       # outlier-weight scale
     mu: float = 1e-3          # ridge on both library refits
     ridge: float = 1e-4       # ridge on single-task fits
@@ -51,19 +52,28 @@ class HyperParams:
     outer_tol: float = 1e-5
     coder_tol: float = 1e-6
     coder_max_iter: int = 5000
-    admm_tol: float = 1e-6
-    admm_max_iter: int = 2000
     admission_enabled: bool = True
 
     def __post_init__(self):
         if min(self.lambda1, self.lambda2, self.alpha, self.mu, self.ridge) < 0:
             raise ValueError("regularisers must be >= 0")
-        if min(self.beta, self.rho, self.gamma) <= 0:
-            raise ValueError("beta, rho and gamma must be > 0")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be > 0")
         if self.p < 1 or self.max_outer < 1:
             raise ValueError("p and max_outer must be >= 1")
         if self.phi not in ("identity", "tanh"):
             raise ValueError(f"unknown activation {self.phi!r}")
+
+
+# settings of the iterative assignment the closed form replaced; checkpoints
+# and configs written before it still carry them
+RETIRED_HYPER_KEYS = frozenset({"beta", "rho", "admm_tol", "admm_max_iter"})
+
+
+def hyper_from_dict(values: dict) -> HyperParams:
+    """HyperParams from saved settings, dropping the retired keys; any other
+    unknown key still raises."""
+    return HyperParams(**{k: v for k, v in values.items() if k not in RETIRED_HYPER_KEYS})
 
 
 def activation_pair(name: str) -> tuple[Callable, Callable]:
@@ -179,25 +189,14 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     dists: np.ndarray = np.zeros(0)
     d0 = float("nan")
     if K == 0:
+        # an empty model library: the code solve is the whole alternation
         prob = CodeProblem(w=w, omega=omega, decoder=decoder, encoder_image=enc_image,
                            reps=(), lambda1=hp.lambda1, lambda2=hp.lambda2)
         code = encode_task(prob, tol=hp.coder_tol, max_iter=hp.coder_max_iter)
         trace = [_base_objective(prob, code)]
         rounds = 1
-        assignment = Assignment(z=np.array([1.0]), admm_iters=0, primal_residual=0.0)
+        assignment = Assignment(z=np.array([1.0]))
         reps_used: tuple = ()
-    elif hp.lambda2 == 0.0:
-        # the representative terms vanish identically, so a single code
-        # solve is the whole alternation; the assignment is a uniform
-        # placeholder (its cost vector is identically zero)
-        prob = CodeProblem(w=w, omega=omega, decoder=decoder, encoder_image=enc_image,
-                           reps=(), lambda1=hp.lambda1, lambda2=0.0)
-        code = encode_task(prob, tol=hp.coder_tol, max_iter=hp.coder_max_iter)
-        trace = [_base_objective(prob, code)]
-        rounds = 1
-        assignment = Assignment(z=np.full(K + 1, 1.0 / (K + 1)),
-                                admm_iters=0, primal_residual=0.0)
-        reps_used = ()
     else:
         code, assignment, trace, rounds, rep_hessians, dists, d0 = _alternate(
             state, data, w, omega, decoder, enc_image)
@@ -233,8 +232,8 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
         encoder_delta=encoder_delta,
         contribution=UpdateContribution(code=code, w=w, omega=omega,
                                         reps_used=reps_used, lambda2=hp.lambda2),
-        distances=tuple(float(v) for v in dists) if K > 0 and hp.lambda2 > 0 else (),
-        outlier_cost=float(d0) if K > 0 and hp.lambda2 > 0 else float("nan"),
+        distances=tuple(float(v) for v in dists),
+        outlier_cost=float(d0),
     )
     new_state = dataclasses.replace(state, flib=flib, mlib=mlib, per_task=per_task)
     return new_state, outcome
@@ -242,7 +241,10 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
 
 def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image):
     """Block-descent rounds over (code, assignment) with the arrival-time
-    decoder, representative Hessians and virtual-slot cost held fixed."""
+    decoder, representative Hessians and virtual-slot cost held fixed.
+
+    At lambda2 = 0 every slot costs nothing: the assignment is slot 0 and
+    the second round is an exact fixed point."""
     hp = state.hyper
     codes = state.mlib.codes()
     K = len(codes)
@@ -255,7 +257,7 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
     dist_pairs = list(zip(codes, rep_hessians))
 
     z = np.full(K + 1, 1.0 / (K + 1))
-    assignment = Assignment(z=z, admm_iters=0, primal_residual=0.0)
+    assignment = Assignment(z=z)
     d0 = None
     trace: list[float] = []
     code = enc_image
@@ -279,9 +281,7 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
             else:
                 d0 = outlier_weight(dists, hp.gamma)
         z_prev = z
-        assignment = solve_assignment(dists, d0, hp.lambda2, hp.alpha,
-                                      beta=hp.beta, rho=hp.rho,
-                                      max_iter=hp.admm_max_iter, tol=hp.admm_tol)
+        assignment = solve_assignment(dists, d0, hp.lambda2, hp.alpha)
         z = assignment.z
 
         base = _base_objective(prob, code)
@@ -417,15 +417,14 @@ def load_state(path) -> EngineState:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     flib, mlib = library_from_dict(payload)
-    hyper = HyperParams(**payload["hyper"])
+    hyper = hyper_from_dict(payload["hyper"])
     per_task = {}
     for tid, rec in payload["per_task"].items():
         single = SingleTaskModel(w=np.array(rec["w"], dtype=float),
                                  omega=np.zeros((flib.d, flib.d)), loss_at_w=0.0)
         per_task[tid] = PerTaskRecord(
             code=np.array(rec["code"], dtype=float),
-            assignment=Assignment(z=np.array(rec["z"], dtype=float),
-                                  admm_iters=0, primal_residual=0.0),
+            assignment=Assignment(z=np.array(rec["z"], dtype=float)),
             single=single,
             loss_kind=rec["loss_kind"],
             data=None,

@@ -18,8 +18,9 @@ from . import metrics
 from .baselines import ablation_hyper, run_stl
 from .datasets import (TaskCorpus, generate_disjoint, load_corpus, split_corpus,
                        standardize_targets)
-from .engine import (EngineState, HyperParams, init_state, learn_task, predict,
-                     predict_labels, reconstructed_weights, save_state)
+from .engine import (EngineState, HyperParams, hyper_from_dict, init_state,
+                     learn_task, predict, predict_labels, reconstructed_weights,
+                     save_state)
 
 TASK_ORDERS = ("random", "as_listed", "one_by_one_clusters")
 
@@ -58,7 +59,7 @@ class ExperimentConfig:
     def from_dict(payload: dict) -> "ExperimentConfig":
         payload = dict(payload)
         if "hyper" in payload:
-            payload["hyper"] = HyperParams(**payload["hyper"])
+            payload["hyper"] = hyper_from_dict(payload["hyper"])
         if "seeds" in payload:
             payload["seeds"] = tuple(int(s) for s in payload["seeds"])
         return ExperimentConfig(**payload)

@@ -2,16 +2,14 @@
 
 AUC is the Mann-Whitney rank statistic with tie correction; the model
 correlation matrix uses absolute cosine similarity so sign flips cannot
-hide cluster structure.  Reports serialise to CSV and to line-delimited
-JSON records.
+hide cluster structure.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +20,6 @@ ABSENT = "absent"
 class MetricReport:
     per_task: dict
     metric_kind: str                     # "rmse" | "auc" | "accuracy"
-    std_over_runs: Optional[float] = None
 
     def __post_init__(self):
         if self.metric_kind not in ("rmse", "auc", "accuracy"):
@@ -150,21 +147,3 @@ def timeline_to_csv(rows: Sequence[TimelineRow]) -> str:
         cells += [ABSENT] * (width - row.z.size)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def report_to_csv(report: MetricReport, model: str = "") -> str:
-    lines = ["model,task_id,metric,value"]
-    for task_id, value in report.per_task.items():
-        lines.append(f"{model},{task_id},{report.metric_kind},{value!r}")
-    lines.append(f"{model},__mean__,{report.metric_kind},{report.mean!r}")
-    return "\n".join(lines) + "\n"
-
-
-def report_to_jsonl(report: MetricReport, model: str = "") -> str:
-    records = []
-    for task_id, value in report.per_task.items():
-        records.append(json.dumps({"model": model, "task_id": task_id,
-                                   "metric": report.metric_kind, "value": value}))
-    records.append(json.dumps({"model": model, "task_id": "__mean__",
-                               "metric": report.metric_kind, "value": report.mean}))
-    return "\n".join(records) + "\n"

@@ -130,24 +130,6 @@ def grid_search_assignment(cost, lam2, alpha, resolution):
     return pts[j], float(vals[j])
 
 
-def kkt_simplex_projection(v, z, tol=1e-9):
-    """Check that z is the Euclidean projection of v onto the simplex:
-    there must be a theta with z_i = max(v_i - theta, 0) and sum(z) = 1."""
-    v = np.asarray(v, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if abs(z.sum() - 1.0) > 1e-8 or z.min() < -1e-12:
-        return False
-    active = z > tol
-    if not active.any():
-        return False
-    thetas = v[active] - z[active]
-    theta = thetas.mean()
-    if np.abs(thetas - theta).max() > 1e-7:
-        return False
-    # inactive coordinates must sit at or below the threshold
-    return bool(np.all(v[~active] - theta <= 1e-7))
-
-
 def random_task(rng, d=6, n=12, kind="squared"):
     """Seeded random task for property tests (import-cycle-free helper)."""
     from lifelong.tasks import TaskData

@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lifelong.baselines import (ablation_hyper, run_dictionary_ablation,
-                                run_engine, run_stl)
+from lifelong.baselines import ablation_hyper, run_stl
 from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
 from lifelong.engine import HyperParams, init_state, learn_task
 from lifelong.libraries import init_libraries
@@ -38,13 +37,6 @@ class TestStl:
 
 
 class TestAblation:
-    def test_no_representatives_beyond_first(self):
-        train, _ = corpus_pair(clusters=3, d=12)
-        hyper = HyperParams(p=6)
-        state, outcomes = run_dictionary_ablation(train, hyper, seed=0)
-        assert len(state.mlib) == 1
-        assert [o.admitted for o in outcomes] == [True] + [False] * (len(outcomes) - 1)
-
     def test_hyper_is_degenerate_config_of_engine(self):
         hyper = HyperParams(p=6, lambda2=0.7)
         abl = ablation_hyper(hyper)
@@ -74,6 +66,10 @@ class TestAblation:
 class TestFullEngineRun:
     def test_runs_and_orders_preserved(self):
         train, _ = corpus_pair()
-        state, outcomes = run_engine(train, HyperParams(p=5), seed=0)
+        state = init_state(HyperParams(p=5), seed=0)
+        outcomes = []
+        for task in train.tasks:
+            state, outcome = learn_task(state, task)
+            outcomes.append(outcome)
         assert [o.task_id for o in outcomes] == [t.task_id for t in train.tasks]
         assert state.n_tasks == len(train.tasks)

@@ -13,6 +13,7 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              learn_task, load_state, predict, predict_labels,
                              reconstruct_model, reconstructed_weights,
                              save_state)
+from lifelong.experiment import ExperimentConfig
 from lifelong.libraries import init_libraries
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import TaskData, fit_single_task, loss_value
@@ -182,6 +183,17 @@ class TestAblationPath:
             assert np.abs(out.code - expected).max() <= 1e-6
         assert len(state.mlib) == 1
 
+    def test_alternation_settles_on_slot_zero(self):
+        # with lambda2 = 0 every slot costs nothing, so the assignment is the
+        # lowest-index vertex and the second round is an exact fixed point
+        train, _ = small_corpus()
+        hp = small_hyper(lambda2=0.0, admission_enabled=False)
+        state, outcomes = stream(init_state(hp, seed=0), train.tasks)
+        for out in outcomes[1:]:
+            np.testing.assert_array_equal(out.assignment.z, [1.0, 0.0])
+            assert out.rounds == 2
+            assert len(out.distances) == 1 and np.isfinite(out.outlier_cost)
+
     def test_no_admissions_beyond_first(self):
         train, _ = small_corpus(clusters=3, tasks_per_cluster=3, d=12)
         hp = small_hyper(lambda2=0.0, admission_enabled=False)
@@ -282,6 +294,39 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["state.json"]
         assert load_state(path).n_tasks == 2
+
+
+    def test_retired_hyper_keys_still_load(self, tmp_path, rng):
+        # checkpoints and configs written with the iterative assignment
+        # carry its four settings; they are dropped, any other unknown key
+        # still raises
+        retired = {"beta": 1.0, "rho": 1.0, "admm_tol": 1e-6, "admm_max_iter": 2000}
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        payload["hyper"].update(retired)
+        path.write_text(json.dumps(payload))
+        loaded = load_state(path)
+        assert loaded.hyper == state.hyper
+        X = rng.normal(size=(10, 6))
+        for task in train.tasks[:3]:
+            np.testing.assert_array_equal(predict(state, task.task_id, X),
+                                          predict(loaded, task.task_id, X))
+
+        config = ExperimentConfig(hyper=small_hyper(), seeds=(0,))
+        values = config.to_dict()
+        values["hyper"].update(retired)
+        assert ExperimentConfig.from_dict(values) == config
+
+        payload["hyper"]["betta"] = 1.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TypeError, match="betta"):
+            load_state(path)
+        values["hyper"]["betta"] = 1.0
+        with pytest.raises(TypeError, match="betta"):
+            ExperimentConfig.from_dict(values)
 
 
 class TestHyperParams:

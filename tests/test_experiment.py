@@ -194,7 +194,6 @@ class TestClassificationPipeline:
 
 class TestRepresentativeSnapshots:
     def test_codes_never_mutate_during_run(self, tmp_path):
-        from lifelong.baselines import run_engine
         from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
         from lifelong.engine import init_state, learn_task
 

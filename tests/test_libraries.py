@@ -190,7 +190,7 @@ class TestEncoderUpdate:
 class TestAdmission:
     def test_outlier_argmax_admits(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([0.1, 0.2, 0.7]), admm_iters=1, primal_residual=0.0)
+        a = Assignment(z=np.array([0.1, 0.2, 0.7]))
         new, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=5)
         assert admitted and len(new) == 1
         assert new.reps[0].source_task == "t1"
@@ -198,25 +198,25 @@ class TestAdmission:
 
     def test_non_outlier_argmax_skips(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([0.6, 0.1, 0.3]), admm_iters=1, primal_residual=0.0)
+        a = Assignment(z=np.array([0.6, 0.1, 0.3]))
         new, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=5)
         assert not admitted and len(new) == 0
 
     def test_first_task_always_admits(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([1.0]), admm_iters=0, primal_residual=0.0)
+        a = Assignment(z=np.array([1.0]))
         new, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=1)
         assert admitted and len(new) == 1
 
     def test_tie_breaks_toward_not_admitting(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([0.5, 0.5]), admm_iters=1, primal_residual=0.0)
+        a = Assignment(z=np.array([0.5, 0.5]))
         _, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=3)
         assert not admitted
 
     def test_codes_are_frozen(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([1.0]), admm_iters=0, primal_residual=0.0)
+        a = Assignment(z=np.array([1.0]))
         src = np.array([1.0, 2.0])
         new, _ = admit_representative(mlib, src, a, "t1", t=1)
         src[0] = 99.0   # caller-side mutation must not leak in
@@ -235,7 +235,7 @@ class TestCheckpoint:
             flib = update_encoder(flib, s, w, identity, ridge_mu=1e-6)
             flib = bump_tasks_seen(flib)
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([1.0]), admm_iters=0, primal_residual=0.0)
+        a = Assignment(z=np.array([1.0]))
         mlib, _ = admit_representative(mlib, rng.normal(size=p), a, "t0", t=1)
 
         path = tmp_path / "state.json"
