@@ -37,6 +37,16 @@ class TestStl:
 
 
 class TestAblation:
+    def test_no_representatives_beyond_first(self):
+        train, _ = corpus_pair(clusters=3, d=12)
+        state = init_state(ablation_hyper(HyperParams(p=6)), seed=0)
+        outcomes = []
+        for task in train.tasks:
+            state, outcome = learn_task(state, task)
+            outcomes.append(outcome)
+        assert len(state.mlib) == 1
+        assert [o.admitted for o in outcomes] == [True] + [False] * (len(outcomes) - 1)
+
     def test_hyper_is_degenerate_config_of_engine(self):
         hyper = HyperParams(p=6, lambda2=0.7)
         abl = ablation_hyper(hyper)
