@@ -28,8 +28,9 @@ import numpy as np
 
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
-from .libraries import (FeatureLibrary, ModelLibrary, admit_representative,
-                        bump_tasks_seen, init_libraries, library_from_dict,
+from .libraries import (CHECKPOINT_VERSION, FeatureLibrary, ModelLibrary,
+                        admit_representative, bump_tasks_seen, decode_array,
+                        encode_array, init_libraries, library_from_dict,
                         library_to_dict, update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, encode_task
 from .tasks import SingleTaskModel, TaskData, fit_single_task, hessian_at
@@ -243,8 +244,9 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
     """Block-descent rounds over (code, assignment) with the arrival-time
     decoder, representative Hessians and virtual-slot cost held fixed.
 
-    At lambda2 = 0 every slot costs nothing: the assignment is slot 0 and
-    the second round is an exact fixed point."""
+    At lambda2 = 0 every slot costs nothing and the code ignores the
+    representatives: the assignment is slot 0 and round 1 already is the
+    fixed point, so the loop stops there."""
     hp = state.hyper
     codes = state.mlib.codes()
     K = len(codes)
@@ -288,7 +290,7 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
         rep_cost = hp.lambda2 * (float(dists @ z[:K]) + float(z[K]) * d0
                                  + hp.alpha * float(np.abs(z).sum()))
         trace.append(base + rep_cost)
-        if rounds > 1 and np.array_equal(z, z_prev):
+        if hp.lambda2 == 0.0 or (rounds > 1 and np.array_equal(z, z_prev)):
             # exact fixed point: the next round would reproduce this code
             # and assignment bit for bit, so the alternation is done
             break
@@ -347,14 +349,14 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 
 
 def _checkpoint_payload(state: EngineState) -> dict:
-    payload = library_to_dict(state.flib, state.mlib)
+    payload = {"version": CHECKPOINT_VERSION, **library_to_dict(state.flib, state.mlib)}
     payload["seed"] = state.seed
     payload["hyper"] = dataclasses.asdict(state.hyper)
     payload["per_task"] = {
         tid: {
-            "code": rec.code.tolist(),
-            "z": rec.assignment.z.tolist(),
-            "w": rec.single.w.tolist(),
+            "code": encode_array(rec.code),
+            "z": encode_array(rec.assignment.z),
+            "w": encode_array(rec.single.w),
             "loss_kind": rec.loss_kind,
         }
         for tid, rec in state.per_task.items()
@@ -362,39 +364,16 @@ def _checkpoint_payload(state: EngineState) -> dict:
     return payload
 
 
-def _json_pieces(value):
-    """The text `json.dump(value, fh)` writes, in pieces: dicts key by key
-    and lists of lists or dicts item by item, every other value in one
-    `json.dumps` call.  `json.dumps` uses the C encoder, which the streaming
-    `json.dump` never does; emitting a matrix row by row keeps the encoded
-    text from being held whole in memory beside the payload."""
-    if isinstance(value, dict):
-        yield "{"
-        for i, (key, item) in enumerate(value.items()):
-            yield f"{', ' if i else ''}{json.dumps(key)}: "
-            yield from _json_pieces(item)
-        yield "}"
-    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
-        yield "["
-        for i, item in enumerate(value):
-            if i:
-                yield ", "
-            yield from _json_pieces(item)
-        yield "]"
-    else:
-        yield json.dumps(value)
-
-
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table.
 
-    The file holds the same bytes `json.dump` writes, encoded piecewise by
-    the C encoder (`_json_pieces`), written to a dot-prefixed temp file
-    beside `path`, synced to disk and moved into place with `os.replace`,
-    so a write that fails part-way leaves any previous checkpoint at
-    `path` intact.  Raw task data is not checkpointed: a loaded state
-    supports prediction, inspection and learning new tasks, but refuses
-    to relearn a restored task.
+    One JSON document (format version 2: arrays as base64 of their raw
+    float64 bytes, see `libraries.encode_array`), written to a
+    dot-prefixed temp file beside `path`, synced to disk and moved into
+    place with `os.replace`, so a write that fails part-way leaves any
+    previous checkpoint at `path` intact.  Raw task data is not
+    checkpointed: a loaded state supports prediction, inspection and
+    learning new tasks, but refuses to relearn a restored task.
     """
     if state.flib is None:
         raise ValueError("cannot checkpoint an engine that has seen no tasks")
@@ -403,8 +382,7 @@ def save_state(state: EngineState, path) -> None:
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for piece in _json_pieces(payload):
-                fh.write(piece)
+            fh.write(json.dumps(payload))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -414,17 +392,23 @@ def save_state(state: EngineState, path) -> None:
 
 
 def load_state(path) -> EngineState:
+    """The state `save_state` wrote; version-1 checkpoints (nested lists,
+    no version key) load too, any other version raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    version = payload.get("version", 1)
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: unknown checkpoint version {version!r}")
     flib, mlib = library_from_dict(payload)
     hyper = hyper_from_dict(payload["hyper"])
     per_task = {}
     for tid, rec in payload["per_task"].items():
-        single = SingleTaskModel(w=np.array(rec["w"], dtype=float),
+        key = f"per_task[{tid!r}]"
+        single = SingleTaskModel(w=decode_array(rec["w"], f"{key}.w"),
                                  omega=np.zeros((flib.d, flib.d)), loss_at_w=0.0)
         per_task[tid] = PerTaskRecord(
-            code=np.array(rec["code"], dtype=float),
-            assignment=Assignment(z=np.array(rec["z"], dtype=float)),
+            code=decode_array(rec["code"], f"{key}.code"),
+            assignment=Assignment(z=decode_array(rec["z"], f"{key}.z")),
             single=single,
             loss_kind=rec["loss_kind"],
             data=None,

@@ -1,8 +1,10 @@
+import base64
 import builtins
 import dataclasses
 import errno
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -184,14 +186,15 @@ class TestAblationPath:
         assert len(state.mlib) == 1
 
     def test_alternation_settles_on_slot_zero(self):
-        # with lambda2 = 0 every slot costs nothing, so the assignment is the
-        # lowest-index vertex and the second round is an exact fixed point
+        # with lambda2 = 0 every slot costs nothing and the code ignores the
+        # representatives, so the assignment is the lowest-index vertex and
+        # round 1 is already the fixed point
         train, _ = small_corpus()
         hp = small_hyper(lambda2=0.0, admission_enabled=False)
         state, outcomes = stream(init_state(hp, seed=0), train.tasks)
         for out in outcomes[1:]:
             np.testing.assert_array_equal(out.assignment.z, [1.0, 0.0])
-            assert out.rounds == 2
+            assert out.rounds == 1
             assert len(out.distances) == 1 and np.isfinite(out.outlier_cost)
 
     def test_no_admissions_beyond_first(self):
@@ -295,6 +298,65 @@ class TestCheckpoint:
         assert [f.name for f in tmp_path.iterdir()] == ["state.json"]
         assert load_state(path).n_tasks == 2
 
+    def test_version_1_checkpoint_loads(self, tmp_path, rng):
+        # the format before version 2: no version key, arrays as nested lists
+        # of shortest-repr floats
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        flib = state.flib
+        arrays = ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C")
+        payload = {"d": flib.d, "p": flib.p, "tasks_seen": flib.tasks_seen,
+                   **{name: getattr(flib, name).tolist() for name in arrays},
+                   "representatives": [{"code": r.code.tolist(), "source_task": r.source_task,
+                                        "admitted_at": r.admitted_at}
+                                       for r in state.mlib.reps],
+                   "seed": state.seed, "hyper": dataclasses.asdict(state.hyper),
+                   "per_task": {tid: {"code": rec.code.tolist(),
+                                      "z": rec.assignment.z.tolist(),
+                                      "w": rec.single.w.tolist(),
+                                      "loss_kind": rec.loss_kind}
+                                for tid, rec in state.per_task.items()}}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        loaded = load_state(path)
+        for name in arrays:
+            np.testing.assert_array_equal(getattr(loaded.flib, name), getattr(flib, name))
+        for ours, theirs in zip(loaded.mlib.reps, state.mlib.reps):
+            np.testing.assert_array_equal(ours.code, theirs.code)
+        X = rng.normal(size=(10, 6))
+        for tid, rec in state.per_task.items():
+            np.testing.assert_array_equal(loaded.per_task[tid].assignment.z, rec.assignment.z)
+            np.testing.assert_array_equal(loaded.per_task[tid].single.w, rec.single.w)
+            np.testing.assert_array_equal(predict(loaded, tid, X), predict(state, tid, X))
+
+    def test_unknown_version_rejected(self, tmp_path):
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        payload["version"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="version 3"):
+            load_state(path)
+
+    @pytest.mark.parametrize("where", ["acc_A", "per_task"])
+    def test_array_of_wrong_size_named(self, tmp_path, where):
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        tid = train.tasks[1].task_id
+        entry = payload["acc_A"] if where == "acc_A" else payload["per_task"][tid]["code"]
+        # one float64 short of what the shape needs
+        raw = base64.b64decode(entry["data"])
+        entry["data"] = base64.b64encode(raw[:-8]).decode("ascii")
+        path.write_text(json.dumps(payload))
+        key = "acc_A" if where == "acc_A" else f"per_task['{tid}'].code"
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            load_state(path)
 
     def test_retired_hyper_keys_still_load(self, tmp_path, rng):
         # checkpoints and configs written with the iterative assignment

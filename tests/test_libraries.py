@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lifelong.assignment import Assignment
 from lifelong.engine import EngineState, HyperParams, load_state, save_state
-from lifelong.libraries import (FeatureLibrary, ModelLibrary, _solve_triangular,
+from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
+                                _cholesky_in_place, _solve_triangular,
                                 admit_representative, bump_tasks_seen,
                                 decoder_contribution, init_libraries,
                                 update_decoder, update_encoder)
@@ -128,6 +131,51 @@ class TestTriangularSolve:
             ref = np.linalg.solve(tri, rhs)
             assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestCholeskyInPlace:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 800])
+    def test_matches_lapack(self, rng, n):
+        M = rng.normal(size=(n, n))
+        system = M @ M.T / n + np.eye(n)
+        ref = np.linalg.cholesky(system)
+        _cholesky_in_place(system)
+        # the upper triangle outside the diagonal blocks is left stale
+        got = np.tril(system)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_singular_past_first_block_advises_ridge(self, rng):
+        # dp = 70 > 64: the first 64-row block is positive definite and the
+        # zero feature 66 makes the second block fail at mu = 0
+        d = 70
+        lib = init_libraries(d, 1, seed=0)
+        X = rng.normal(size=(d, 100))
+        X[66] = 0.0
+        omega = X @ X.T / 100
+        np.linalg.cholesky(omega[:_SUBST_BLOCK, :_SUBST_BLOCK])
+        with pytest.raises(np.linalg.LinAlgError, match="ridge_mu > 0"):
+            update_decoder(lib, np.array([0.9]), omega, (), lambda2=0.0,
+                           w_t=rng.normal(size=d), ridge_mu=0.0)
+
+    def test_warm_refit_holds_two_system_sized_arrays(self, rng):
+        # the new acc_A and the system factored in place, plus the (dp) x 64
+        # panels of the blocked factorisation; a factorisation into a fresh
+        # array holds a third
+        d, p = 40, 20
+        dp = d * p
+        lib = init_libraries(d, p, seed=0)
+        for _ in range(3):
+            s, omega, reps, w = random_update_inputs(rng, d, p)
+            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
+                                                 w_t=w, ridge_mu=1e-3))
+        s, omega, reps, w = random_update_inputs(rng, d, p)
+        tracemalloc.start()
+        try:
+            update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * dp * dp + 2 * dp * _SUBST_BLOCK)
 
 
 class TestDecoderContribution:
