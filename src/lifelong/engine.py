@@ -28,10 +28,11 @@ import numpy as np
 
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
-from .libraries import (CHECKPOINT_VERSION, FeatureLibrary, ModelLibrary,
-                        admit_representative, bump_tasks_seen, decode_array,
-                        encode_array, init_libraries, library_from_dict,
-                        library_to_dict, update_decoder, update_encoder)
+from .libraries import (CHECKPOINT_VERSION, READABLE_VERSIONS, FeatureLibrary,
+                        ModelLibrary, admit_representative, bump_tasks_seen,
+                        decode_array, encode_array, init_libraries,
+                        library_from_dict, library_to_dict, update_decoder,
+                        update_encoder)
 from .sparse_code import CodeProblem, Representative, encode_task
 from .tasks import SingleTaskModel, TaskData, fit_single_task, hessian_at
 
@@ -367,8 +368,9 @@ def _checkpoint_payload(state: EngineState) -> dict:
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table.
 
-    One JSON document (format version 2: arrays as base64 of their raw
-    float64 bytes, see `libraries.encode_array`), written to a
+    One JSON document (format version 3: arrays as base64 of their raw
+    float64 bytes, and of only the unique entries of the Kronecker-symmetric
+    accumulators, see `libraries.encode_array`), written to a
     dot-prefixed temp file beside `path`, synced to disk and moved into
     place with `os.replace`, so a write that fails part-way leaves any
     previous checkpoint at `path` intact.  Raw task data is not
@@ -392,12 +394,14 @@ def save_state(state: EngineState, path) -> None:
 
 
 def load_state(path) -> EngineState:
-    """The state `save_state` wrote; version-1 checkpoints (nested lists,
-    no version key) load too, any other version raises ValueError."""
+    """The state `save_state` wrote; version-1 (nested lists, no version
+    key) and version-2 (every array in full) checkpoints load too, any other
+    version raises ValueError, and so does an array whose shape disagrees
+    with the checkpoint's d and p."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("version", 1)
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in READABLE_VERSIONS:
         raise ValueError(f"{path}: unknown checkpoint version {version!r}")
     flib, mlib = library_from_dict(payload)
     hyper = hyper_from_dict(payload["hyper"])

@@ -244,10 +244,12 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
                          t: int) -> tuple[ModelLibrary, bool]:
     """Append s_t as a new representative when the outlier slot wins.
 
-    The first task always seeds the library.  Ties on the argmax break
-    toward not admitting.
+    The first task seeds the library.  Ties on the argmax break toward not
+    admitting.  A code with no nonzero entry is never admitted, not even
+    the first: the zero vector reconstructs no model, yet later arrivals
+    would sit at distance 0 from it.
     """
-    admitted = t == 1 or assignment.picks_outlier
+    admitted = (t == 1 or assignment.picks_outlier) and bool(np.any(s_t))
     if not admitted:
         return mlib, False
     code = np.array(s_t, dtype=float, copy=True)
@@ -256,19 +258,54 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
     return ModelLibrary(reps=mlib.reps + (rec,)), True
 
 
-# checkpoint i/o.  Version 2 stores each array as {"dtype": "<f8", "shape":
+# checkpoint i/o.  Version 3 stores each array as {"dtype": "<f8", "shape":
 # [...], "data": base64 of its raw little-endian float64 bytes}, which
-# round-trips bit for bit; version 1 stored nested lists of shortest-repr
-# floats, and decode_array still reads those.
+# round-trips bit for bit.  A Kronecker-symmetric accumulator, a sum of
+# kron(W, H) with every W (p x p) and H (d x d) symmetric, also carries
+# "kron": [p, d] and stores only its unique entries: the (i <= j, a <= b)
+# block of a.reshape(p, d, p, d) with the axes reordered to (i, j, a, b).
+# acc_A is one (p = 20, d = 40: 172,200 of 640,000 entries), and acc_C,
+# with p = 1, is a plain symmetric matrix.  `encode_array` checks both
+# partial transposes bit for bit on every save and stores an array that
+# fails in full, so an asymmetric accumulator is never made symmetric.
+# Version 2 had no packed entries, and version 1 stored nested lists of
+# shortest-repr floats; both still load.
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+READABLE_VERSIONS = (1, 2, CHECKPOINT_VERSION)
 _DTYPE = "<f8"
 
 
-def encode_array(a: np.ndarray) -> dict:
+def _pair_positions(n: int) -> np.ndarray:
+    """The n x n table, symmetric, of each pair's position among the pairs
+    i <= j that np.triu_indices(n) lists."""
+    i, j = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    return pos
+
+
+def _kron_symmetric(a: np.ndarray, p: int, d: int) -> bool:
+    """Whether swapping i and j, and swapping a and b, in
+    a.reshape(p, d, p, d) leaves every entry's bits unchanged."""
+    bits = a.view(np.uint64).reshape(p, d, p, d)
+    return (np.array_equal(bits, bits.transpose(2, 1, 0, 3))
+            and np.array_equal(bits, bits.transpose(0, 3, 2, 1)))
+
+
+def encode_array(a: np.ndarray, kron: tuple[int, int] | None = None) -> dict:
+    """The checkpoint entry of a float64 array; with `kron` = (p, d), a
+    (dp) x (dp) array that passes the symmetry check is stored packed."""
     a = np.ascontiguousarray(a, dtype=_DTYPE)
-    return {"dtype": _DTYPE, "shape": list(a.shape),
-            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+    entry = {"dtype": _DTYPE, "shape": list(a.shape)}
+    if kron is not None and _kron_symmetric(a, *kron):
+        p, d = kron
+        ip, jp = np.triu_indices(p)
+        ia, ja = np.triu_indices(d)
+        entry["kron"] = [p, d]
+        a = a.reshape(p, d, p, d)[ip[:, None], ia, jp[:, None], ja]
+    entry["data"] = base64.b64encode(a.tobytes()).decode("ascii")
+    return entry
 
 
 def decode_array(value, key: str) -> np.ndarray:
@@ -280,14 +317,40 @@ def decode_array(value, key: str) -> np.ndarray:
         raise ValueError(f"checkpoint array {key!r}: dtype {value.get('dtype')!r}, "
                          f"expected {_DTYPE!r}")
     shape = tuple(int(n) for n in value["shape"])
+    size = math.prod(shape)
+    kron = value.get("kron")
+    if kron is not None:
+        try:
+            p, d = (int(n) for n in kron)
+        except (TypeError, ValueError):
+            raise ValueError(f"checkpoint array {key!r}: kron factors {kron!r} "
+                             f"are not [p, d]") from None
+        if min(p, d) < 1 or shape != (p * d, p * d):
+            raise ValueError(f"checkpoint array {key!r}: kron factors [{p}, {d}] do "
+                             f"not match shape {shape}")
+        size = p * (p + 1) // 2 * (d * (d + 1) // 2)
     raw = base64.b64decode(value["data"], validate=True)
-    if min(shape, default=0) < 0 or len(raw) != 8 * math.prod(shape):
+    if min(shape, default=0) < 0 or len(raw) != 8 * size:
+        what = "the packed entries" if kron is not None else "a float64 array"
         raise ValueError(f"checkpoint array {key!r}: {len(raw)} bytes do not hold "
-                         f"a float64 array of shape {shape}")
-    return np.frombuffer(raw, dtype=_DTYPE).reshape(shape).astype(float)
+                         f"{what} of shape {shape}")
+    flat = np.frombuffer(raw, dtype=_DTYPE)
+    if kron is None:
+        return flat.reshape(shape).astype(float)
+    packed = flat.reshape(-1, d * (d + 1) // 2)
+    # entry (i, a), (j, b) of the full array is the packed entry of the
+    # pairs (min(i, j), max(i, j)) and (min(a, b), max(a, b))
+    return packed[_pair_positions(p)[:, None, :, None],
+                  _pair_positions(d)[:, None, :]].reshape(shape)
 
 
-_FLIB_ARRAYS = ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C")
+def _flib_layout(d: int, p: int) -> dict:
+    """Each library array's shape and, for the Kronecker-symmetric
+    accumulators, its (p, d) factors."""
+    dp = d * p
+    return {"decoder": ((d, p), None), "encoder": ((p, d), None),
+            "acc_A": ((dp, dp), (p, d)), "acc_b": ((dp,), None),
+            "acc_M": ((p, d), None), "acc_C": ((d, d), (1, d))}
 
 
 def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
@@ -295,7 +358,8 @@ def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
         "d": flib.d,
         "p": flib.p,
         "tasks_seen": flib.tasks_seen,
-        **{name: encode_array(getattr(flib, name)) for name in _FLIB_ARRAYS},
+        **{name: encode_array(getattr(flib, name), kron)
+           for name, (_, kron) in _flib_layout(flib.d, flib.p).items()},
         "representatives": [
             {"code": encode_array(r.code), "source_task": r.source_task,
              "admitted_at": r.admitted_at}
@@ -304,14 +368,30 @@ def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
     }
 
 
+def _decode_shaped(value, key: str, shape: tuple, kron=None) -> np.ndarray:
+    """decode_array, refusing an array whose shape, or a packed entry whose
+    [p, d], disagrees with the checkpoint's own d and p."""
+    expected = None if kron is None else list(kron)
+    if isinstance(value, dict) and "kron" in value and value["kron"] != expected:
+        raise ValueError(f"checkpoint array {key!r}: kron factors {value['kron']!r}, "
+                         f"expected {expected} from the checkpoint's d and p")
+    a = decode_array(value, key)
+    if a.shape != shape:
+        raise ValueError(f"checkpoint array {key!r}: shape {a.shape}, expected {shape} "
+                         f"from the checkpoint's d and p")
+    return a
+
+
 def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
+    d, p = int(payload["d"]), int(payload["p"])
     flib = FeatureLibrary(
-        **{name: decode_array(payload[name], name) for name in _FLIB_ARRAYS},
+        **{name: _decode_shaped(payload[name], name, shape, kron)
+           for name, (shape, kron) in _flib_layout(d, p).items()},
         tasks_seen=int(payload["tasks_seen"]),
     )
     reps = []
     for i, item in enumerate(payload["representatives"]):
-        code = decode_array(item["code"], f"representatives[{i}].code")
+        code = _decode_shaped(item["code"], f"representatives[{i}].code", (p,))
         code.setflags(write=False)
         reps.append(RepresentativeRecord(code=code, source_task=item["source_task"],
                                          admitted_at=int(item["admitted_at"])))

@@ -16,7 +16,7 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              reconstruct_model, reconstructed_weights,
                              save_state)
 from lifelong.experiment import ExperimentConfig
-from lifelong.libraries import init_libraries
+from lifelong.libraries import encode_array, init_libraries
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import TaskData, fit_single_task, loss_value
 
@@ -204,6 +204,25 @@ class TestAblationPath:
         assert [o.admitted for o in outcomes] == [True] + [False] * (len(outcomes) - 1)
 
 
+class TestZeroCode:
+    def test_zero_code_not_admitted(self):
+        # the 30-task d = 40 benchmark corpus of engine seed 40003: after one
+        # task the decoder is about rank one, and the second arrival, from
+        # another cluster, gets a code that is exactly zero while the
+        # outlier slot wins its assignment
+        seed = 40003
+        corpus = generate_disjoint(seed=seed, clusters=3, tasks_per_cluster=10, d=40,
+                                   n_per_task=50)
+        train, test = split_corpus(corpus, ExperimentConfig.train_fraction, seed)
+        train, _ = standardize_targets(train, test)
+        by_id = {t.task_id: t for t in train.tasks}
+        state, (first, second) = stream(init_state(HyperParams(p=20), seed),
+                                        [by_id["c2_t0"], by_id["c0_t9"]])
+        assert first.admitted
+        assert not second.code.any() and second.assignment.picks_outlier
+        assert not second.admitted and len(state.mlib) == 1
+
+
 class TestRelearn:
     def test_seen_task_appends_data(self):
         train, _ = small_corpus()
@@ -329,16 +348,57 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.per_task[tid].single.w, rec.single.w)
             np.testing.assert_array_equal(predict(loaded, tid, X), predict(state, tid, X))
 
+    def test_version_2_checkpoint_loads(self, tmp_path, rng):
+        # the format before version 3: every array stored in full
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 3 and "kron" in payload["acc_A"]
+        payload["version"] = 2
+        for name in ("acc_A", "acc_C"):
+            payload[name] = encode_array(getattr(state.flib, name))
+        path.write_text(json.dumps(payload))
+        loaded = load_state(path)
+        for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
+            assert getattr(loaded.flib, name).tobytes() == getattr(state.flib, name).tobytes()
+        X = rng.normal(size=(10, 6))
+        for tid in state.per_task:
+            np.testing.assert_array_equal(predict(loaded, tid, X), predict(state, tid, X))
+
     def test_unknown_version_rejected(self, tmp_path):
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
         save_state(state, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        payload["version"] = 3
+        assert payload["version"] == 3
+        payload["version"] = 4
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version 3"):
+        with pytest.raises(ValueError, match="version 4"):
+            load_state(path)
+
+    @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "representatives[0].code"])
+    def test_shape_disagreeing_with_d_and_p_named(self, tmp_path, key):
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        flib = state.flib
+        if key == "decoder":
+            payload[key] = encode_array(flib.decoder.T)
+        elif key == "acc_b":
+            payload[key] = encode_array(flib.acc_b[:-1])
+        elif key == "acc_A":
+            # the right product, d * p, from swapped factors
+            assert payload[key]["kron"] == [flib.p, flib.d]
+            payload[key]["kron"] = [flib.d, flib.p]
+        else:
+            payload["representatives"][0]["code"] = encode_array(np.zeros(flib.p + 1))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
             load_state(path)
 
     @pytest.mark.parametrize("where", ["acc_A", "per_task"])

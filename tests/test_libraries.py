@@ -1,15 +1,20 @@
+import base64
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lifelong.assignment import Assignment
 from lifelong.engine import EngineState, HyperParams, load_state, save_state
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
                                 _cholesky_in_place, _solve_triangular,
                                 admit_representative, bump_tasks_seen,
-                                decoder_contribution, init_libraries,
-                                update_decoder, update_encoder)
+                                decode_array, decoder_contribution,
+                                encode_array, init_libraries, update_decoder,
+                                update_encoder)
 
 
 identity = lambda v: v
@@ -262,6 +267,15 @@ class TestAdmission:
         _, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=3)
         assert not admitted
 
+    @pytest.mark.parametrize("t, z", [(1, [1.0]), (5, [0.1, 0.2, 0.7])])
+    def test_zero_code_never_admitted(self, t, z):
+        mlib = ModelLibrary()
+        a = Assignment(z=np.array(z))
+        new, admitted = admit_representative(mlib, np.zeros(2), a, "t1", t=t)
+        assert not admitted and len(new) == 0
+        new, admitted = admit_representative(mlib, np.array([0.0, -1e-300]), a, "t1", t=t)
+        assert admitted and len(new) == 1
+
     def test_codes_are_frozen(self):
         mlib = ModelLibrary()
         a = Assignment(z=np.array([1.0]))
@@ -295,6 +309,59 @@ class TestCheckpoint:
         assert flib2.tasks_seen == flib.tasks_seen
         np.testing.assert_array_equal(mlib2.reps[0].code, mlib.reps[0].code)
         assert mlib2.reps[0].source_task == "t0"
+
+
+def kron_sum(rng, p, d, terms=3):
+    """Sum of kron(W, H) over random W (p x p) and H (d x d), every factor
+    exactly symmetric, laid out as the decoder statistics are."""
+    total = np.zeros((p * d, p * d))
+    for _ in range(terms):
+        W = rng.normal(size=(p, p))
+        H = rng.normal(size=(d, d))
+        total = total + np.kron(W + W.T, H + H.T)
+    return total
+
+
+class TestPackedArrays:
+    @given(p=st.integers(1, 5), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           broken=st.sampled_from([None, "ij", "ab"]))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_bit_exact(self, p, d, seed, broken):
+        rng = np.random.default_rng(seed)
+        acc = kron_sum(rng, p, d)
+        if broken is not None:
+            # one ulp off in one entry whose mirror under the other partial
+            # transpose is itself, so exactly one of the two symmetries breaks
+            assume(p > 1 if broken == "ij" else d > 1)
+            i, j = (0, 1) if broken == "ij" else (0, 0)
+            a, b = (0, 0) if broken == "ij" else (0, 1)
+            acc[i * d + a, j * d + b] = np.nextafter(acc[i * d + a, j * d + b], np.inf)
+        entry = encode_array(acc, (p, d))
+        assert ("kron" in entry) == (broken is None)
+        if broken is None:
+            assert len(base64.b64decode(entry["data"])) == 8 * (p * (p + 1) // 2
+                                                               * (d * (d + 1) // 2))
+        back = decode_array(entry, "acc_A")
+        assert back.shape == acc.shape and back.tobytes() == acc.tobytes()
+
+    def test_negative_zero_mirror_stored_in_full(self):
+        acc = np.zeros((4, 4))
+        acc[0, 1] = -0.0
+        assert "kron" not in encode_array(acc, (1, 4))
+        assert decode_array(encode_array(acc, (1, 4)), "acc_C").tobytes() == acc.tobytes()
+
+    @pytest.mark.parametrize("fault", ["short", "long", "factors"])
+    def test_malformed_packed_entry_named(self, rng, fault):
+        entry = encode_array(kron_sum(rng, 3, 4), (3, 4))
+        raw = base64.b64decode(entry["data"])
+        if fault == "short":
+            entry["data"] = base64.b64encode(raw[:-8]).decode("ascii")
+        elif fault == "long":
+            entry["data"] = base64.b64encode(raw + raw[:8]).decode("ascii")
+        else:
+            entry["kron"] = [3, 5]
+        with pytest.raises(ValueError, match=re.escape(repr("acc_A"))):
+            decode_array(entry, "acc_A")
 
 
 class TestAccumulatorShape:
