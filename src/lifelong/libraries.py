@@ -7,6 +7,12 @@ system accumulated in (acc_A, acc_b), the encoder from per-row least
 squares accumulated in (acc_M, acc_C).  Columns are kept inside the unit
 l2 ball by rescaling after each solve.
 
+acc_A is a sum of kron(W, H) over symmetric p x p weights W and d x d
+Hessians H, so its d x d block (j, i) equals block (i, j).  It is held
+as `acc_A_pairs`, the p(p+1)/2 blocks i <= j, and each decoder system is
+assembled from them into one (dp) x (dp) buffer per thread that is
+reused from refit to refit and factored in place.
+
 The model library is an append-only list of representative codes; codes
 never change after admission, so reverse transfer flows only through the
 decoder refits.
@@ -17,6 +23,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,14 +34,20 @@ from .assignment import Assignment
 
 @dataclass(frozen=True)
 class FeatureLibrary:
-    """Encoder/decoder pair plus the accumulators backing their refits."""
+    """Encoder/decoder pair plus the accumulators backing their refits.
 
-    decoder: np.ndarray   # d x p
-    encoder: np.ndarray   # p x d
-    acc_A: np.ndarray     # dp x dp
-    acc_b: np.ndarray     # dp
-    acc_M: np.ndarray     # p x d
-    acc_C: np.ndarray     # d x d
+    `acc_A_pairs[k]` is the d x d block (i, j) of the decoder statistics
+    acc_A for the pair (i <= j) at position k of np.triu_indices(p), that
+    is the sum of W[i, j] H over the Kronecker terms kron(W, H); block
+    (j, i) is the same block, since every W is symmetric.
+    """
+
+    decoder: np.ndarray      # d x p
+    encoder: np.ndarray      # p x d
+    acc_A_pairs: np.ndarray  # p(p+1)/2 x d x d
+    acc_b: np.ndarray        # dp
+    acc_M: np.ndarray        # p x d
+    acc_C: np.ndarray        # d x d
     tasks_seen: int
 
     @property
@@ -44,6 +57,14 @@ class FeatureLibrary:
     @property
     def p(self) -> int:
         return self.decoder.shape[1]
+
+    @property
+    def acc_A(self) -> np.ndarray:
+        """The full (dp) x (dp) decoder statistics, a read-only copy
+        assembled from `acc_A_pairs`."""
+        full = _pairs_to_full(self.acc_A_pairs, self.p)
+        full.setflags(write=False)
+        return full
 
 
 @dataclass(frozen=True)
@@ -73,16 +94,42 @@ def init_libraries(d: int, p: int, seed: int) -> FeatureLibrary:
     decoder /= np.linalg.norm(decoder, axis=0, keepdims=True)
     encoder = rng.normal(0.0, 1.0 / np.sqrt(d), size=(p, d))
     encoder /= np.linalg.norm(encoder, axis=0, keepdims=True)
-    dp = d * p
     return FeatureLibrary(
         decoder=decoder,
         encoder=encoder,
-        acc_A=np.zeros((dp, dp)),
-        acc_b=np.zeros(dp),
+        acc_A_pairs=np.zeros((p * (p + 1) // 2, d, d)),
+        acc_b=np.zeros(d * p),
         acc_M=np.zeros((p, d)),
         acc_C=np.zeros((d, d)),
         tasks_seen=0,
     )
+
+
+def _pair_positions(n: int) -> np.ndarray:
+    """The n x n table, symmetric, of each pair's position among the pairs
+    i <= j that np.triu_indices(n) lists."""
+    i, j = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(i.size)
+    return pos
+
+
+def _pairs_to_full(blocks: np.ndarray, p: int) -> np.ndarray:
+    """The (dp) x (dp) matrix whose blocks (i, j) and (j, i) are the pair
+    block of i <= j."""
+    d = blocks.shape[-1]
+    return blocks[_pair_positions(p)].transpose(0, 2, 1, 3).reshape(p * d, p * d)
+
+
+def _full_pairs(a: np.ndarray, p: int, d: int) -> np.ndarray | None:
+    """The pair blocks of a (dp) x (dp) array, or None when some block
+    (j, i) differs from block (i, j) bit for bit."""
+    a4 = a.reshape(p, d, p, d)
+    ip, jp = np.triu_indices(p)
+    upper, lower = a4[ip, :, jp, :], a4[jp, :, ip, :]
+    if not np.array_equal(upper.view(np.uint64), lower.view(np.uint64)):
+        return None
+    return upper
 
 
 def _clip_columns(mat: np.ndarray) -> np.ndarray:
@@ -97,29 +144,10 @@ def _clip_columns(mat: np.ndarray) -> np.ndarray:
 _SUBST_BLOCK = 64
 
 
-def _solve_triangular(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
-    """Blocked forward (lower) or back (upper) substitution for tri x = rhs.
-
-    numpy has no triangular solve, and np.linalg.solve on a triangular
-    factor runs a full LU; here only the small diagonal blocks go through
-    np.linalg.solve and everything off the diagonal is a product with the
-    part of x already solved.  `rhs` may be a vector or a matrix.
-    """
-    n = tri.shape[0]
-    x = np.array(rhs, dtype=float)
-    starts = list(range(0, n, _SUBST_BLOCK))
-    for i0 in (starts if lower else reversed(starts)):
-        blk = slice(i0, min(i0 + _SUBST_BLOCK, n))
-        done = slice(0, i0) if lower else slice(blk.stop, n)
-        x[blk] -= tri[blk, done] @ x[done]
-        x[blk] = np.linalg.solve(tri[blk, blk], x[blk])
-    return x
-
-
-def _cholesky_in_place(a: np.ndarray) -> None:
+def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
     """Overwrite the lower triangle of the symmetric matrix `a` with its
-    Cholesky factor, leaving the upper triangle outside the diagonal blocks
-    stale.
+    Cholesky factor L, leaving the upper triangle outside the diagonal
+    blocks stale, and return the inverses of L's diagonal blocks in order.
 
     Blocked left-looking: each block column first subtracts the product of
     the rows already factored, then its diagonal block goes through
@@ -133,41 +161,86 @@ def _cholesky_in_place(a: np.ndarray) -> None:
     definite.
     """
     n = a.shape[0]
+    inverses = []
     for i0 in range(0, n, _SUBST_BLOCK):
         blk = slice(i0, min(i0 + _SUBST_BLOCK, n))
         a[i0:, blk] -= a[i0:, :i0] @ a[blk, :i0].T
         a[blk, blk] = np.linalg.cholesky(a[blk, blk])
-        a[blk.stop:, blk] = a[blk.stop:, blk] @ np.linalg.inv(a[blk, blk]).T
+        inverses.append(np.linalg.inv(a[blk, blk]))
+        a[blk.stop:, blk] = a[blk.stop:, blk] @ inverses[-1].T
+    return inverses
+
+
+def _substitute(factor: np.ndarray, inverses: Sequence[np.ndarray], rhs: np.ndarray,
+                lower: bool) -> np.ndarray:
+    """Blocked forward (L x = rhs, `lower`) or back (L' x = rhs)
+    substitution with the factor and diagonal-block inverses that
+    `_cholesky_in_place` left; only L's lower triangle is read.
+
+    Off the diagonal each block subtracts the product with the part of x
+    already solved, and on it multiplies by the block's inverse.  `rhs`
+    may be a vector or a matrix.
+    """
+    n = factor.shape[0]
+    x = np.array(rhs, dtype=float)
+    blocks = list(zip(range(0, n, _SUBST_BLOCK), inverses))
+    for i0, inv in (blocks if lower else reversed(blocks)):
+        blk = slice(i0, min(i0 + _SUBST_BLOCK, n))
+        if lower:
+            x[blk] -= factor[blk, :i0] @ x[:i0]
+            x[blk] = inv @ x[blk]
+        else:
+            x[blk] -= factor[blk.stop:, blk].T @ x[blk.stop:]
+            x[blk] = inv.T @ x[blk]
+    return x
 
 
 def _solve_spd(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve the symmetric PSD library system with one Cholesky factorisation
     and two blocked triangular substitutions; a failed factorisation is the
-    singularity signal for the mu = 0 case.  `system` is a temporary the
-    caller owns: it is factored in place and left holding the factor."""
+    singularity signal for the mu = 0 case.  Only the lower triangle of
+    `system` is read, and `system` is a temporary the caller owns: it is
+    factored in place and left holding the factor."""
     try:
-        _cholesky_in_place(system)
+        inverses = _cholesky_in_place(system)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(
             f"{what} system is singular; rerun with ridge_mu > 0"
         ) from None
-    return _solve_triangular(system.T, _solve_triangular(system, rhs, lower=True),
-                             lower=False)
+    return _substitute(system, inverses, _substitute(system, inverses, rhs, lower=True),
+                       lower=False)
 
 
-def decoder_contribution(s_t: np.ndarray, omega: np.ndarray,
-                         reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
-                         lambda2: float) -> np.ndarray:
-    """One task's additive contribution to acc_A.
+_workspace = threading.local()
+
+
+def _system_buffer(n: int) -> np.ndarray:
+    """This thread's n x n work matrix for assembling and factoring one
+    decoder system, allocated again only when n changes.
+
+    Every refit writes the lower triangle before reading it, so nothing
+    of one refit's system reaches the next, and a thread of its own keeps
+    concurrent refits apart.
+    """
+    buf = getattr(_workspace, "system", None)
+    if buf is None or buf.shape[0] != n:
+        buf = _workspace.system = np.zeros((n, n))
+    return buf
+
+
+def _decoder_terms(s_t: np.ndarray, omega: np.ndarray,
+                   reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
+                   lambda2: float) -> np.ndarray:
+    """One task's statistics as the sum of kron(W_k, H_k), returned as the
+    p(p+1)/2 x d x d pair blocks sum_k W_k[i, j] H_k.
 
     Column-major vectorisation throughout: vec(Omega D s s') =
-    (s s' (x) Omega) vec(D), so acc_A collects s s' (x) Omega plus the
+    (s s' (x) Omega) vec(D), so the task adds s s' (x) Omega plus the
     weighted representative-difference terms
     lambda2 z_k (s_k - s)(s_k - s)' (x) Omega_k over the representatives
     with z_k != 0; the matching acc_b contribution is
     vec(Omega w s') = s (x) (Omega w).  The p x p weights and the d x d
-    Hessians are stacked and the sum of Kronecker products is formed in
-    one contraction, W[k, i, j] Omega[k, a, b] -> A[(i, a), (j, b)].
+    Hessians are stacked and the blocks formed in one matrix product.
     """
     weights = [np.outer(s_t, s_t)]
     hessians = [omega]
@@ -179,8 +252,18 @@ def decoder_contribution(s_t: np.ndarray, omega: np.ndarray,
             weights.append(lambda2 * z_k * np.outer(diff, diff))
             hessians.append(omega_k)
     p, d = s_t.shape[0], omega.shape[0]
-    return np.einsum("kij,kab->iajb", np.stack(weights), np.stack(hessians)
-                     ).reshape(d * p, d * p)
+    iu, ju = np.triu_indices(p)
+    pair_weights = np.stack(weights)[:, iu, ju]
+    return (pair_weights.T @ np.stack(hessians).reshape(-1, d * d)).reshape(-1, d, d)
+
+
+def decoder_contribution(s_t: np.ndarray, omega: np.ndarray,
+                         reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
+                         lambda2: float) -> np.ndarray:
+    """One task's additive contribution to acc_A as the full (dp) x (dp)
+    matrix, A[(i, a), (j, b)] = sum_k W_k[i, j] H_k[a, b]; see
+    `_decoder_terms`."""
+    return _pairs_to_full(_decoder_terms(s_t, omega, reps_used, lambda2), s_t.shape[0])
 
 
 def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
@@ -190,21 +273,34 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     """Fold one task into the decoder statistics and refit the decoder.
 
     Solves (acc_A / T + mu I) vec(D) = acc_b / T with T counting this task,
-    then clips columns to the unit ball.  `tasks_seen` is left unchanged;
-    the caller bumps it once per task after both library updates.
+    then clips columns to the unit ball.  The task's pair blocks are added
+    into the one new `acc_A_pairs`; the lower triangle of the system is
+    written block column by block column, scaled by 1/T, into this
+    thread's reused (dp) x (dp) buffer, which is then factored in place.
+    `tasks_seen` is left unchanged; the caller bumps it once per task after
+    both library updates.
     """
     d, p = lib.d, lib.p
     if s_t.shape != (p,) or w_t.shape != (d,) or omega.shape != (d, d):
         raise ValueError("task quantities do not match the library dimensions")
-    acc_A = lib.acc_A + decoder_contribution(s_t, omega, reps_used, lambda2)
+    acc_A_pairs = _decoder_terms(s_t, omega, reps_used, lambda2)
+    acc_A_pairs += lib.acc_A_pairs
     acc_b = lib.acc_b + np.kron(s_t, omega @ w_t)
     T = lib.tasks_seen + 1
-    system = acc_A / T
+    system = _system_buffer(d * p)
+    # block column i below the diagonal holds the pairs (i, j >= i), which
+    # are contiguous in np.triu_indices order
+    columns = system.reshape(p, d, p, d)
+    k = 0
+    for i in range(p):
+        np.multiply(acc_A_pairs[k:k + p - i], 1.0 / T, out=columns[i:, :, i, :])
+        k += p - i
     system.flat[::d * p + 1] += ridge_mu
     vec_d = _solve_spd(system, acc_b / T, "decoder")
     # C-contiguous so in-memory and checkpoint-reloaded layouts match bitwise
     decoder = np.ascontiguousarray(_clip_columns(vec_d.reshape((d, p), order="F")))
-    return dataclasses.replace(lib, decoder=decoder, acc_A=acc_A, acc_b=acc_b)
+    return dataclasses.replace(lib, decoder=decoder, acc_A_pairs=acc_A_pairs,
+                               acc_b=acc_b)
 
 
 def update_encoder(lib: FeatureLibrary, s_t: np.ndarray, w_t: np.ndarray,
@@ -262,57 +358,58 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
 # [...], "data": base64 of its raw little-endian float64 bytes}, which
 # round-trips bit for bit.  A Kronecker-symmetric accumulator, a sum of
 # kron(W, H) with every W (p x p) and H (d x d) symmetric, also carries
-# "kron": [p, d] and stores only its unique entries: the (i <= j, a <= b)
-# block of a.reshape(p, d, p, d) with the axes reordered to (i, j, a, b).
-# acc_A is one (p = 20, d = 40: 172,200 of 640,000 entries), and acc_C,
-# with p = 1, is a plain symmetric matrix.  `encode_array` checks both
-# partial transposes bit for bit on every save and stores an array that
-# fails in full, so an asymmetric accumulator is never made symmetric.
-# Version 2 had no packed entries, and version 1 stored nested lists of
-# shortest-repr floats; both still load.
+# "kron": [p, d] and stores only its unique entries: the (a <= b) triangle
+# of each pair block i <= j, in np.triu_indices order for both.  acc_A is
+# one (p = 20, d = 40: 172,200 of 640,000 entries), written straight from
+# `acc_A_pairs`, and acc_C, with p = 1, is a plain symmetric matrix.  The
+# layout in memory already makes block (j, i) equal block (i, j); every
+# save checks each block against its transpose bit for bit and stores an
+# accumulator that fails in full, so an asymmetric one is never made
+# symmetric.  A full acc_A (versions 1 and 2, or that fallback) loads only
+# if its blocks (j, i) and (i, j) agree bit for bit.  Version 2 had no
+# packed entries, and version 1 stored nested lists of shortest-repr
+# floats; both still load.
 
 CHECKPOINT_VERSION = 3
 READABLE_VERSIONS = (1, 2, CHECKPOINT_VERSION)
 _DTYPE = "<f8"
 
 
-def _pair_positions(n: int) -> np.ndarray:
-    """The n x n table, symmetric, of each pair's position among the pairs
-    i <= j that np.triu_indices(n) lists."""
-    i, j = np.triu_indices(n)
-    pos = np.empty((n, n), dtype=np.intp)
-    pos[i, j] = pos[j, i] = np.arange(i.size)
-    return pos
+def _base64(a: np.ndarray) -> str:
+    return base64.b64encode(a.tobytes()).decode("ascii")
 
 
-def _kron_symmetric(a: np.ndarray, p: int, d: int) -> bool:
-    """Whether swapping i and j, and swapping a and b, in
-    a.reshape(p, d, p, d) leaves every entry's bits unchanged."""
-    bits = a.view(np.uint64).reshape(p, d, p, d)
-    return (np.array_equal(bits, bits.transpose(2, 1, 0, 3))
-            and np.array_equal(bits, bits.transpose(0, 3, 2, 1)))
+def _encode_pairs(blocks: np.ndarray, p: int) -> dict:
+    """The checkpoint entry of an accumulator held as its p(p+1)/2 pair
+    blocks: packed when every block equals its transpose bit for bit,
+    otherwise the full (dp) x (dp) array."""
+    blocks = np.ascontiguousarray(blocks, dtype=_DTYPE)
+    bits = blocks.view(np.uint64)
+    if not np.array_equal(bits, bits.transpose(0, 2, 1)):
+        return encode_array(_pairs_to_full(blocks, p))
+    d = blocks.shape[-1]
+    ia, ja = np.triu_indices(d)
+    return {"dtype": _DTYPE, "shape": [p * d, p * d], "kron": [p, d],
+            "data": _base64(blocks[:, ia, ja])}
 
 
 def encode_array(a: np.ndarray, kron: tuple[int, int] | None = None) -> dict:
     """The checkpoint entry of a float64 array; with `kron` = (p, d), a
-    (dp) x (dp) array that passes the symmetry check is stored packed."""
+    (dp) x (dp) array whose partial transposes both leave it unchanged bit
+    for bit is stored packed."""
     a = np.ascontiguousarray(a, dtype=_DTYPE)
-    entry = {"dtype": _DTYPE, "shape": list(a.shape)}
-    if kron is not None and _kron_symmetric(a, *kron):
-        p, d = kron
-        ip, jp = np.triu_indices(p)
-        ia, ja = np.triu_indices(d)
-        entry["kron"] = [p, d]
-        a = a.reshape(p, d, p, d)[ip[:, None], ia, jp[:, None], ja]
-    entry["data"] = base64.b64encode(a.tobytes()).decode("ascii")
-    return entry
+    blocks = None if kron is None else _full_pairs(a, *kron)
+    if blocks is not None:
+        return _encode_pairs(blocks, kron[0])
+    return {"dtype": _DTYPE, "shape": list(a.shape), "data": _base64(a)}
 
 
-def decode_array(value, key: str) -> np.ndarray:
-    """The float64 array `encode_array` wrote, or a version-1 nested list;
-    `key` names the array in errors about a malformed entry."""
+def _decode_entry(value, key: str) -> tuple[np.ndarray, int | None]:
+    """The float64 array a checkpoint entry holds with None, or for a
+    packed entry its pair blocks with p; `key` names the array in errors
+    about a malformed entry."""
     if not isinstance(value, dict):
-        return np.array(value, dtype=float)
+        return np.array(value, dtype=float), None
     if value.get("dtype") != _DTYPE:
         raise ValueError(f"checkpoint array {key!r}: dtype {value.get('dtype')!r}, "
                          f"expected {_DTYPE!r}")
@@ -336,21 +433,20 @@ def decode_array(value, key: str) -> np.ndarray:
                          f"{what} of shape {shape}")
     flat = np.frombuffer(raw, dtype=_DTYPE)
     if kron is None:
-        return flat.reshape(shape).astype(float)
-    packed = flat.reshape(-1, d * (d + 1) // 2)
-    # entry (i, a), (j, b) of the full array is the packed entry of the
-    # pairs (min(i, j), max(i, j)) and (min(a, b), max(a, b))
-    return packed[_pair_positions(p)[:, None, :, None],
-                  _pair_positions(d)[:, None, :]].reshape(shape)
+        return flat.reshape(shape).astype(float), None
+    ia, ja = np.triu_indices(d)
+    packed = flat.reshape(-1, ia.size)
+    blocks = np.empty((packed.shape[0], d, d))
+    blocks[:, ia, ja] = packed
+    blocks[:, ja, ia] = packed
+    return blocks, p
 
 
-def _flib_layout(d: int, p: int) -> dict:
-    """Each library array's shape and, for the Kronecker-symmetric
-    accumulators, its (p, d) factors."""
-    dp = d * p
-    return {"decoder": ((d, p), None), "encoder": ((p, d), None),
-            "acc_A": ((dp, dp), (p, d)), "acc_b": ((dp,), None),
-            "acc_M": ((p, d), None), "acc_C": ((d, d), (1, d))}
+def decode_array(value, key: str) -> np.ndarray:
+    """The float64 array `encode_array` wrote, or a version-1 nested list;
+    `key` names the array in errors about a malformed entry."""
+    a, p = _decode_entry(value, key)
+    return a if p is None else _pairs_to_full(a, p)
 
 
 def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
@@ -358,8 +454,12 @@ def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
         "d": flib.d,
         "p": flib.p,
         "tasks_seen": flib.tasks_seen,
-        **{name: encode_array(getattr(flib, name), kron)
-           for name, (_, kron) in _flib_layout(flib.d, flib.p).items()},
+        "decoder": encode_array(flib.decoder),
+        "encoder": encode_array(flib.encoder),
+        "acc_A": _encode_pairs(flib.acc_A_pairs, flib.p),
+        "acc_b": encode_array(flib.acc_b),
+        "acc_M": encode_array(flib.acc_M),
+        "acc_C": _encode_pairs(flib.acc_C[None], 1),
         "representatives": [
             {"code": encode_array(r.code), "source_task": r.source_task,
              "admitted_at": r.admitted_at}
@@ -369,24 +469,40 @@ def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
 
 
 def _decode_shaped(value, key: str, shape: tuple, kron=None) -> np.ndarray:
-    """decode_array, refusing an array whose shape, or a packed entry whose
-    [p, d], disagrees with the checkpoint's own d and p."""
+    """The array of a checkpoint entry or, given `kron` = (p, d), the pair
+    blocks of a (dp) x (dp) accumulator's entry.  Refuses an array whose
+    shape, or a packed entry whose [p, d], disagrees with the checkpoint's
+    own d and p, and a full accumulator whose block (j, i) differs from
+    block (i, j) bit for bit, since pair blocks cannot hold it."""
     expected = None if kron is None else list(kron)
     if isinstance(value, dict) and "kron" in value and value["kron"] != expected:
         raise ValueError(f"checkpoint array {key!r}: kron factors {value['kron']!r}, "
                          f"expected {expected} from the checkpoint's d and p")
-    a = decode_array(value, key)
+    a, packed_p = _decode_entry(value, key)
+    if packed_p is not None:
+        return a
     if a.shape != shape:
         raise ValueError(f"checkpoint array {key!r}: shape {a.shape}, expected {shape} "
                          f"from the checkpoint's d and p")
-    return a
+    if kron is None:
+        return a
+    blocks = _full_pairs(a, *kron)
+    if blocks is None:
+        raise ValueError(f"checkpoint array {key!r}: a block (j, i) differs from block "
+                         f"(i, j), so it is not a sum of symmetric Kronecker terms")
+    return blocks
 
 
 def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
     d, p = int(payload["d"]), int(payload["p"])
+    dp = d * p
     flib = FeatureLibrary(
-        **{name: _decode_shaped(payload[name], name, shape, kron)
-           for name, (shape, kron) in _flib_layout(d, p).items()},
+        decoder=_decode_shaped(payload["decoder"], "decoder", (d, p)),
+        encoder=_decode_shaped(payload["encoder"], "encoder", (p, d)),
+        acc_A_pairs=_decode_shaped(payload["acc_A"], "acc_A", (dp, dp), (p, d)),
+        acc_b=_decode_shaped(payload["acc_b"], "acc_b", (dp,)),
+        acc_M=_decode_shaped(payload["acc_M"], "acc_M", (p, d)),
+        acc_C=_decode_shaped(payload["acc_C"], "acc_C", (d, d), (1, d))[0],
         tasks_seen=int(payload["tasks_seen"]),
     )
     reps = []

@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              reconstruct_model, reconstructed_weights,
                              save_state)
 from lifelong.experiment import ExperimentConfig
-from lifelong.libraries import encode_array, init_libraries
+from lifelong.libraries import encode_array, init_libraries, library_to_dict
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import TaskData, fit_single_task, loss_value
 
@@ -366,6 +367,54 @@ class TestCheckpoint:
         X = rng.normal(size=(10, 6))
         for tid in state.per_task:
             np.testing.assert_array_equal(predict(loaded, tid, X), predict(state, tid, X))
+
+    def test_packed_acc_A_matches_full_matrix_encoding(self):
+        # written straight from the pair blocks, the entry is the one the
+        # full matrix packs to
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        flib = state.flib
+        entry = library_to_dict(flib, state.mlib)["acc_A"]
+        assert "kron" in entry
+        assert json.dumps(entry) == json.dumps(encode_array(flib.acc_A, (flib.p, flib.d)))
+
+    def test_checkpoint_from_full_matrix_layout_loads(self, tmp_path, rng):
+        # written while acc_A was held in memory as the full (dp) x (dp)
+        # matrix, by saving the first 4 tasks of small_corpus() under
+        # small_hyper() and seed 0: it loads, saves back to the same bytes,
+        # and holds the libraries that streaming those tasks gives now
+        old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
+        loaded = load_state(old)
+        path = tmp_path / "state.json"
+        save_state(loaded, path)
+        assert path.read_bytes() == old.read_bytes()
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
+            ours, theirs = getattr(state.flib, name), getattr(loaded.flib, name)
+            assert np.abs(ours - theirs).max() <= 1e-9 * max(1.0, np.abs(theirs).max())
+        X = rng.normal(size=(10, 6))
+        for tid in state.per_task:
+            np.testing.assert_allclose(predict(loaded, tid, X), predict(state, tid, X),
+                                       rtol=0, atol=1e-9)
+
+    def test_full_acc_A_with_asymmetric_blocks_refused(self, tmp_path):
+        # pair blocks cannot hold an acc_A whose block (j, i) differs from
+        # block (i, j); the program never writes one, so loading it fails
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        d = state.flib.d
+        full = np.array(state.flib.acc_A)
+        row, col = 2, d + 3     # entry (2, 3) of block (0, 1)
+        full[row, col] = np.nextafter(full[row, col], np.inf)
+        payload["acc_A"] = encode_array(full, (state.flib.p, d))
+        assert "kron" not in payload["acc_A"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(repr("acc_A"))):
+            load_state(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         train, _ = small_corpus()

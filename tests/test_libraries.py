@@ -1,5 +1,8 @@
 import base64
+import dataclasses
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,11 +13,11 @@ from hypothesis import strategies as st
 from lifelong.assignment import Assignment
 from lifelong.engine import EngineState, HyperParams, load_state, save_state
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
-                                _cholesky_in_place, _solve_triangular,
+                                _cholesky_in_place, _substitute,
                                 admit_representative, bump_tasks_seen,
                                 decode_array, decoder_contribution,
-                                encode_array, init_libraries, update_decoder,
-                                update_encoder)
+                                encode_array, init_libraries, library_from_dict,
+                                library_to_dict, update_decoder, update_encoder)
 
 
 identity = lambda v: v
@@ -106,6 +109,65 @@ class TestDecoderUpdate:
         resid = lambda M: float((M[:, 0] * s[0] - w) @ (omega @ (M[:, 0] * s[0] - w)))
         assert resid(new.decoder) <= resid(D) + 1e-8
 
+    @pytest.mark.parametrize("d, p", [(11, 7), (60, 30), (70, 1)])
+    def test_matches_dense_solve_of_full_system(self, rng, d, p):
+        # dp = 77, 1800 and 70: the 64-row blocks of the factorisation
+        # straddle the d-row blocks of the pair layout
+        lam, mu = 0.4, 1e-3
+        lib = init_libraries(d, p, seed=3)
+        A = np.zeros((d * p, d * p))
+        b = np.zeros(d * p)
+        for T in range(1, 4):
+            s, omega, reps, w = random_update_inputs(rng, d, p)
+            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=lam, w_t=w,
+                                                 ridge_mu=mu))
+            A += np.kron(np.outer(s, s), omega)
+            for s_k, omega_k, z_k in reps:
+                A += lam * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
+            b += np.kron(s, omega @ w)
+            D = np.linalg.solve(A / T + mu * np.eye(d * p), b / T).reshape((d, p), order="F")
+            norms = np.linalg.norm(D, axis=0)
+            D /= np.where(norms > 1.0, norms, 1.0)
+            assert np.abs(lib.decoder - D).max() <= 1e-10
+
+    def test_concurrent_refits_match_sequential(self):
+        # each thread assembles and factors in a buffer of its own: four
+        # libraries of one dp, refit at once from more threads than cores,
+        # give bit for bit the decoders of refitting them one after another
+        d, p, refits = 24, 8, 6
+        inputs = [[random_update_inputs(np.random.default_rng(seed), d, p)
+                   for _ in range(refits)] for seed in range(4)]
+
+        def decoders(stream):
+            lib = init_libraries(d, p, seed=0)
+            out = []
+            for s, omega, reps, w in stream:
+                lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
+                                                     w_t=w, ridge_mu=1e-3))
+                out.append(lib.decoder.tobytes())
+            return out
+
+        expected = [decoders(stream) for stream in inputs]
+        results = [None] * len(inputs)
+        barrier = threading.Barrier(len(inputs))
+
+        def worker(i):
+            barrier.wait(timeout=30)
+            results[i] = decoders(inputs[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
+
     def test_singular_at_zero_mu_advises_ridge(self, rng):
         lib = init_libraries(3, 2, seed=0)
         s, omega, _, w = random_update_inputs(rng, 3, 2, n_reps=0)
@@ -127,12 +189,17 @@ class TestTriangularSolve:
     @pytest.mark.parametrize("lower", [True, False])
     @pytest.mark.parametrize("n", [1, 5, 40, 63, 64, 65, 800])
     def test_matches_dense_solve(self, rng, n, lower):
-        # block edges at 64 rows: sizes on, below and above a multiple
+        # block edges at 64 rows: sizes on, below and above a multiple.  The
+        # factor and block inverses come from _cholesky_in_place, and the
+        # strict upper triangle is poisoned: the substitution must read only L
         M = rng.normal(size=(n, n))
-        chol = np.linalg.cholesky(M @ M.T / n + np.eye(n))
+        factor = M @ M.T / n + np.eye(n)
+        inverses = _cholesky_in_place(factor)
+        chol = np.tril(factor)
+        factor[np.triu_indices(n, 1)] = np.nan
         tri = chol if lower else chol.T
         for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
-            got = _solve_triangular(tri, rhs, lower=lower)
+            got = _substitute(factor, inverses, rhs, lower=lower)
             ref = np.linalg.solve(tri, rhs)
             assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -181,6 +248,28 @@ class TestCholeskyInPlace:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (2 * dp * dp + 2 * dp * _SUBST_BLOCK)
+
+
+    def test_warm_refit_allocates_no_system_sized_array(self, rng):
+        # the one new acc_A_pairs plus the (dp) x 64 panels of the blocked
+        # factorisation; the system is assembled and factored in the
+        # thread's buffer, which the warm-up refits allocated
+        d, p = 40, 20
+        dp = d * p
+        lib = init_libraries(d, p, seed=0)
+        for _ in range(3):
+            s, omega, reps, w = random_update_inputs(rng, d, p)
+            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
+                                                 w_t=w, ridge_mu=1e-3))
+        s, omega, reps, w = random_update_inputs(rng, d, p)
+        tracemalloc.start()
+        try:
+            update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (p * (p + 1) // 2 * d * d + 2 * _SUBST_BLOCK * dp)
+        assert peak < 8 * dp * dp
 
 
 class TestDecoderContribution:
@@ -309,6 +398,23 @@ class TestCheckpoint:
         assert flib2.tasks_seen == flib.tasks_seen
         np.testing.assert_array_equal(mlib2.reps[0].code, mlib.reps[0].code)
         assert mlib2.reps[0].source_task == "t0"
+
+
+    def test_asymmetric_block_stored_in_full(self, rng):
+        # a pair block that differs from its transpose by one ulp cannot be
+        # packed: the whole accumulator is stored in full and loads back
+        d, p = 5, 3
+        flib = init_libraries(d, p, seed=9)
+        s, omega, reps, w = random_update_inputs(rng, d, p)
+        flib = bump_tasks_seen(update_decoder(flib, s, omega, reps, lambda2=0.4, w_t=w))
+        pairs = flib.acc_A_pairs.copy()
+        pairs[1, 0, 1] = np.nextafter(pairs[1, 0, 1], np.inf)
+        flib = dataclasses.replace(flib, acc_A_pairs=pairs)
+        payload = library_to_dict(flib, ModelLibrary())
+        assert "kron" not in payload["acc_A"] and "kron" in payload["acc_C"]
+        back, _ = library_from_dict(payload)
+        assert back.acc_A_pairs.tobytes() == pairs.tobytes()
+        assert back.acc_A.tobytes() == flib.acc_A.tobytes()
 
 
 def kron_sum(rng, p, d, terms=3):
