@@ -5,11 +5,10 @@ and grow the model library when the outlier slot wins.
 Per task the alternation fixes everything computed at arrival (decoder,
 representative half-Hessians, and the virtual-slot cost) and block-wise
 minimises over the code and the assignment until the objective settles.
-Each block is minimised exactly, the code up to its solver's tolerance:
-the code problem is strongly convex, so FISTA (to `coder_tol`) finds its
-unique minimiser, and the assignment is the closed-form vertex of its
-cheapest slot.  Block descent therefore makes the traced objective
-non-increasing.
+Each block is minimised exactly: feature-sign search returns the unique
+minimiser of the strongly convex code problem to round-off, and the
+assignment is the closed-form vertex of its cheapest slot.  Block descent
+therefore makes the traced objective non-increasing.
 
 States are immutable snapshots; learning produces a new state, so reads
 of an old snapshot stay valid while the stream advances.
@@ -52,8 +51,6 @@ class HyperParams:
     phi: str = "identity"     # "identity" | "tanh"
     max_outer: int = 20
     outer_tol: float = 1e-5
-    coder_tol: float = 1e-6
-    coder_max_iter: int = 5000
     admission_enabled: bool = True
 
     def __post_init__(self):
@@ -67,9 +64,11 @@ class HyperParams:
             raise ValueError(f"unknown activation {self.phi!r}")
 
 
-# settings of the iterative assignment the closed form replaced; checkpoints
-# and configs written before it still carry them
-RETIRED_HYPER_KEYS = frozenset({"beta", "rho", "admm_tol", "admm_max_iter"})
+# settings of the iterative assignment the closed form replaced and of the
+# iterative code solver feature-sign search replaced; checkpoints and
+# configs written before them still carry them
+RETIRED_HYPER_KEYS = frozenset({"beta", "rho", "admm_tol", "admm_max_iter",
+                                "coder_tol", "coder_max_iter"})
 
 
 def hyper_from_dict(values: dict) -> HyperParams:
@@ -194,7 +193,7 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
         # an empty model library: the code solve is the whole alternation
         prob = CodeProblem(w=w, omega=omega, decoder=decoder, encoder_image=enc_image,
                            reps=(), lambda1=hp.lambda1, lambda2=hp.lambda2)
-        code = encode_task(prob, tol=hp.coder_tol, max_iter=hp.coder_max_iter)
+        code = encode_task(prob)
         trace = [_base_objective(prob, code)]
         rounds = 1
         assignment = Assignment(z=np.array([1.0]))
@@ -271,7 +270,7 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
             for k in range(K))
         prob = CodeProblem(w=w, omega=omega, decoder=decoder, encoder_image=enc_image,
                            reps=reps, lambda1=hp.lambda1, lambda2=hp.lambda2)
-        code = encode_task(prob, tol=hp.coder_tol, max_iter=hp.coder_max_iter)
+        code = encode_task(prob)
 
         dists = representative_distances(decoder, code, dist_pairs)
         if d0 is None:

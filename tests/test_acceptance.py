@@ -219,9 +219,7 @@ class TestCriterion7:
         worst = 0.0
         for _ in range(100):
             prob = random_problem(rng, lambda1=0.0)
-            # tight solver call: the criterion checks solver correctness,
-            # and the tolerance is a call parameter
-            s = encode_task(prob, tol=1e-9, max_iter=50000)
+            s = encode_task(prob)
             D, omega = prob.decoder, prob.omega
             G = D.T @ omega @ D + np.eye(prob.code_len)
             h = D.T @ (omega @ prob.w) + prob.encoder_image
@@ -234,22 +232,25 @@ class TestCriterion7:
                 f"100 instances: max coordinate error vs direct solve {worst:.2e}")
 
     def test_coder_beats_subgradient_oracle(self):
+        # 10x the longest run (56 accepted steps) of an accelerated proximal
+        # gradient coder on these instances: every instance gets an oracle
+        # at least that strong
+        budget = 560
         rng = np.random.default_rng(12)
         worst = -np.inf
         for _ in range(100):
             prob = random_problem(rng, lambda1=0.1)
-            trace: list = []
-            s = encode_task(prob, trace_out=trace)
+            s = encode_task(prob)
 
             def obj_grad(x, prob=prob):
                 return smooth_objective(prob, x), smooth_gradient(prob, x)
 
             _, oracle_val = subgradient_descent(obj_grad, prob.lambda1,
                                                 prob.encoder_image,
-                                                n_iter=10 * len(trace))
+                                                n_iter=budget)
             worst = max(worst, composite_objective(prob, s) - oracle_val)
         _report("criterion 7b", worst <= 1e-5,
-                f"100 instances: max objective excess over 10x-budget "
+                f"100 instances: max objective excess over {budget}-step "
                 f"subgradient oracle {worst:.2e}")
 
 

@@ -60,8 +60,7 @@ class TestAblation:
         train, _ = corpus_pair(clusters=1, tasks_per_cluster=1, d=6, n_per_task=30)
         task = train.tasks[0]
         d = task.dim
-        hyper = HyperParams(p=d, lambda1=0.0, lambda2=0.0, admission_enabled=False,
-                            coder_tol=1e-10, coder_max_iter=50000)
+        hyper = HyperParams(p=d, lambda1=0.0, lambda2=0.0, admission_enabled=False)
         state = init_state(hyper, seed=0)
         flib = init_libraries(d, d, seed=0)
         flib = dataclasses.replace(flib, decoder=np.eye(d), encoder=np.eye(d))

@@ -17,7 +17,8 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              reconstruct_model, reconstructed_weights,
                              save_state)
 from lifelong.experiment import ExperimentConfig
-from lifelong.libraries import encode_array, init_libraries, library_to_dict
+from lifelong.libraries import (bump_tasks_seen, encode_array, init_libraries,
+                                library_to_dict, update_decoder, update_encoder)
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import TaskData, fit_single_task, loss_value
 
@@ -181,7 +182,7 @@ class TestAblationPath:
             prob = CodeProblem(w=single.w, omega=single.omega, decoder=flib.decoder,
                                encoder_image=phi(flib.encoder @ single.w),
                                reps=(), lambda1=hp.lambda1, lambda2=0.0)
-            expected = encode_task(prob, tol=hp.coder_tol, max_iter=hp.coder_max_iter)
+            expected = encode_task(prob)
             state, out = learn_task(state, task)
             assert np.abs(out.code - expected).max() <= 1e-6
         assert len(state.mlib) == 1
@@ -380,16 +381,41 @@ class TestCheckpoint:
 
     def test_checkpoint_from_full_matrix_layout_loads(self, tmp_path, rng):
         # written while acc_A was held in memory as the full (dp) x (dp)
-        # matrix, by saving the first 4 tasks of small_corpus() under
-        # small_hyper() and seed 0: it loads, saves back to the same bytes,
-        # and holds the libraries that streaming those tasks gives now
+        # matrix and the code solver still took coder_tol and coder_max_iter,
+        # by saving the first 4 tasks of small_corpus() under small_hyper()
+        # and seed 0: it loads, saves back to the same document less those
+        # two retired settings, and holds the libraries that the current
+        # refits build from its codes and assignments
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         loaded = load_state(old)
         path = tmp_path / "state.json"
         save_state(loaded, path)
-        assert path.read_bytes() == old.read_bytes()
+        fixture, resaved = json.loads(old.read_text()), json.loads(path.read_text())
+        assert set(fixture["hyper"]) - set(resaved["hyper"]) == {"coder_tol",
+                                                                  "coder_max_iter"}
+        for key in fixture:
+            if key != "hyper":
+                # every array entry, base64 of its raw bytes, unchanged
+                assert resaved[key] == fixture[key], key
+        del fixture["hyper"]["coder_tol"], fixture["hyper"]["coder_max_iter"]
+        assert path.read_bytes() == json.dumps(fixture).encode()
+        # its codes came from an iterative solver stopped at a 1e-6 tolerance,
+        # far above this bound, so they are replayed rather than solved again
         train, _ = small_corpus()
-        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        hp = loaded.hyper
+        _, phi_inv = activation_pair(hp.phi)
+        (rep,) = loaded.mlib.reps
+        flib = init_libraries(train.tasks[0].dim, hp.p, seed=0)
+        for task in train.tasks[:4]:
+            record = loaded.per_task[task.task_id]
+            single = fit_single_task(task, hp.ridge)
+            z = record.assignment.z
+            reps_used = ((rep.code, single.omega, float(z[0])),) if z.size > 1 else ()
+            flib = update_decoder(flib, record.code, single.omega, reps_used, hp.lambda2,
+                                  single.w, hp.mu)
+            flib = bump_tasks_seen(update_encoder(flib, record.code, single.w, phi_inv,
+                                                  hp.mu))
+        state = dataclasses.replace(loaded, flib=flib)
         for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
             ours, theirs = getattr(state.flib, name), getattr(loaded.flib, name)
             assert np.abs(ours - theirs).max() <= 1e-9 * max(1.0, np.abs(theirs).max())
@@ -468,10 +494,11 @@ class TestCheckpoint:
             load_state(path)
 
     def test_retired_hyper_keys_still_load(self, tmp_path, rng):
-        # checkpoints and configs written with the iterative assignment
-        # carry its four settings; they are dropped, any other unknown key
-        # still raises
-        retired = {"beta": 1.0, "rho": 1.0, "admm_tol": 1e-6, "admm_max_iter": 2000}
+        # checkpoints and configs written with the iterative assignment or
+        # the iterative code solver carry their settings; they are dropped,
+        # any other unknown key still raises
+        retired = {"beta": 1.0, "rho": 1.0, "admm_tol": 1e-6, "admm_max_iter": 2000,
+                   "coder_tol": 1e-6, "coder_max_iter": 5000}
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
         path = tmp_path / "state.json"

@@ -1,14 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelong import engine, sparse_code
+from lifelong.datasets import load_corpus
+from lifelong.engine import HyperParams, init_state, learn_task
 from lifelong.sparse_code import (CodeProblem, Representative,
                                   composite_objective, encode_task,
                                   smooth_gradient, smooth_objective,
                                   soft_threshold)
+from lifelong.tasks import ConvergenceError
 
 from oracles import fd_gradient, subgradient_descent
+from test_experiment import make_classification_corpus
 
 
 def random_problem(rng, d=6, p=4, n_reps=2, lambda1=0.1, lambda2=0.5):
@@ -28,6 +35,22 @@ def random_problem(rng, d=6, p=4, n_reps=2, lambda1=0.1, lambda2=0.5):
         lambda1=lambda1,
         lambda2=lambda2,
     )
+
+
+def assert_kkt(prob, s):
+    """The optimality certificate of the composite code objective at s,
+    through `smooth_gradient` rather than the solver's quadratic form: on a
+    nonzero coefficient the smooth gradient is -lambda1 sign(s_i), on a zero
+    one it is at most lambda1 in magnitude.  Round-off allowance: 1e-13
+    of the gradient's scale, 1 + lambda1 + |grad(0)| + |grad(s) - grad(0)|
+    in the max norm, which is about 450 ulps of it."""
+    g = smooth_gradient(prob, s)
+    g0 = smooth_gradient(prob, np.zeros_like(s))
+    lam = prob.lambda1
+    bound = 1e-13 * (1.0 + lam + np.abs(g0).max() + np.abs(g - g0).max())
+    nonzero = s != 0
+    assert np.abs(g + lam * np.sign(s))[nonzero].max(initial=0.0) <= bound
+    assert np.abs(g[~nonzero]).max(initial=0.0) <= lam + bound
 
 
 class TestSoftThreshold:
@@ -93,7 +116,7 @@ class TestEncodeTask:
     def test_lambda1_zero_matches_linear_solve(self, rng):
         for _ in range(10):
             prob = random_problem(rng, lambda1=0.0)
-            s = encode_task(prob, tol=1e-12, max_iter=20000)
+            s = encode_task(prob)
             D, omega = prob.decoder, prob.omega
             G = D.T @ omega @ D + np.eye(prob.code_len)
             h = D.T @ (omega @ prob.w) + prob.encoder_image
@@ -109,7 +132,7 @@ class TestEncodeTask:
         w = rng.normal(size=d)
         prob = CodeProblem(w=w, omega=0.5 * np.eye(d), decoder=np.eye(d),
                            encoder_image=w.copy(), reps=(), lambda1=0.3, lambda2=0.0)
-        s = encode_task(prob, tol=1e-14, max_iter=20000)
+        s = encode_task(prob)
         np.testing.assert_allclose(s, soft_threshold(w, 0.1), atol=1e-8)
 
     def test_beats_subgradient_oracle(self, rng):
@@ -132,22 +155,70 @@ class TestEncodeTask:
             assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
     def test_sparsity_monotone_in_lambda1(self, rng):
-        import dataclasses
         base = random_problem(rng, lambda1=0.0)
         zeros = []
         for lam in (0.0, 0.05, 0.2, 0.8, 3.0):
             prob = dataclasses.replace(base, lambda1=lam)
-            s = encode_task(prob, tol=1e-10, max_iter=20000)
+            s = encode_task(prob)
             zeros.append(int(np.sum(s == 0.0)))
         assert all(a <= b for a, b in zip(zeros, zeros[1:]))
 
     def test_two_inits_reach_same_objective(self, rng):
         prob = random_problem(rng, lambda1=0.2)
-        s_a = encode_task(prob, tol=1e-12, max_iter=50000)
-        s_b = encode_task(prob, tol=1e-12, max_iter=50000,
-                          init=rng.normal(size=prob.code_len) * 3)
+        s_a = encode_task(prob)
+        s_b = encode_task(prob, init=rng.normal(size=prob.code_len) * 3)
         assert abs(composite_objective(prob, s_a)
                    - composite_objective(prob, s_b)) <= 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 4),
+           st.integers(0, 2), st.floats(0.0, 1.5))
+    def test_kkt_certificate_and_monotone_trace(self, seed, p, extra_d, n_reps, frac):
+        # lambda1 from 0 to past |2h|_inf = |grad(0)|_inf, where 0 is the code
+        rng = np.random.default_rng(seed)
+        base = random_problem(rng, d=p + extra_d, p=p, n_reps=n_reps, lambda1=0.0)
+        top = float(np.abs(smooth_gradient(base, np.zeros(p))).max())
+        prob = dataclasses.replace(base, lambda1=frac * top)
+        trace = []
+        s = encode_task(prob, trace_out=trace)
+        assert_kkt(prob, s)
+        assert np.all(np.diff(trace) <= 0.0)
+        if frac > 1.0:
+            assert not s.any() and trace == [trace[0]]
+
+    def test_step_cap_raises(self, monkeypatch):
+        # this instance takes two active-set solves: the seeded one leaves a
+        # coefficient of the wrong sign, and a second solve drops it
+        prob = random_problem(np.random.default_rng(0), lambda1=0.5)
+        monkeypatch.setattr(sparse_code, "FEATURE_SIGN_MAX_STEPS", 2)
+        assert_kkt(prob, encode_task(prob))
+        monkeypatch.setattr(sparse_code, "FEATURE_SIGN_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="1 active-set solves"):
+            encode_task(prob)
+
+    def test_logistic_stream_codes_certified(self, tmp_path, monkeypatch):
+        # logistic tasks weight each representative by the Hessian at its
+        # own reconstructed point, so the code problems of a round differ
+        # from the squared-loss ones in more than the task term
+        corpus = load_corpus(make_classification_corpus(tmp_path))
+        solved = []
+
+        def recording(prob, *args, **kwargs):
+            s = encode_task(prob, *args, **kwargs)
+            solved.append((prob, s))
+            return s
+
+        monkeypatch.setattr(engine, "encode_task", recording)
+        state = init_state(HyperParams(p=4, ridge=0.5), seed=0)
+        rounds = 0
+        for task in corpus.tasks:
+            state, out = learn_task(state, task)
+            rounds += out.rounds
+        assert len(solved) == rounds
+        assert any(not np.array_equal(rep.omega, prob.omega)
+                   for prob, _ in solved for rep in prob.reps)
+        for prob, s in solved:
+            assert_kkt(prob, s)
 
     def test_nonfinite_objective_names_term(self, rng):
         prob = random_problem(rng)
@@ -158,5 +229,4 @@ class TestEncodeTask:
 
 
 def dataclasses_replace_w(prob, w):
-    import dataclasses
     return dataclasses.replace(prob, w=w)
