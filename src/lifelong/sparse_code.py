@@ -141,6 +141,29 @@ def _name_nonfinite_term(prob: CodeProblem, s: np.ndarray) -> str:
     return "l1 term"
 
 
+def _name_nonfinite_form(prob: CodeProblem) -> str:
+    """Name the term whose share of the quadratic form is not finite.  A
+    term (D s - t)' Omega (D s - t) adds D' Omega D to G, D' Omega t to h
+    and t' Omega t to c0; the encoder coupling adds I, phi(L w) and its
+    square norm."""
+    D = prob.decoder
+
+    def finite(omega, t):
+        Ot = omega @ t
+        return (np.isfinite(D.T @ omega @ D).all() and np.isfinite(D.T @ Ot).all()
+                and np.isfinite(t @ Ot))
+
+    if not finite(prob.omega, prob.w):
+        return "decoder reconstruction term"
+    e = prob.encoder_image
+    if not np.isfinite(e @ e):
+        return "encoder coupling term"
+    for k, rep in enumerate(prob.reps):
+        if prob.lambda2 > 0 and not finite(rep.omega, D @ rep.code):
+            return f"representative term k={k}"
+    return "sum of the terms"
+
+
 def _kkt_slack(G: np.ndarray, h: np.ndarray, x: np.ndarray, lam1: float) -> np.ndarray:
     """Per-coordinate round-off allowance of the KKT test at x.
 
@@ -152,7 +175,7 @@ def _kkt_slack(G: np.ndarray, h: np.ndarray, x: np.ndarray, lam1: float) -> np.n
     return _KKT_ULPS * h.shape[0] * np.finfo(float).eps * scale
 
 
-def _feature_sign_step(G: np.ndarray, lam1: float, x: np.ndarray, g: np.ndarray,
+def _feature_sign_step(prob: CodeProblem, G: np.ndarray, x: np.ndarray, g: np.ndarray,
                        theta: np.ndarray) -> tuple[np.ndarray, float]:
     """One feature-sign step from x with the signs theta held fixed.
 
@@ -162,7 +185,9 @@ def _feature_sign_step(G: np.ndarray, lam1: float, x: np.ndarray, g: np.ndarray,
     crosses zero, which is set to exactly 0 there.  Returns the candidate
     with the lowest objective and its objective change, computed from the
     step itself (d'g + d'Gd + lam1 (|y|_1 - |x|_1) with d = y - x), which
-    resolves changes far below the round-off of the objective's value."""
+    resolves changes far below the round-off of the objective's value.
+    A non-finite change raises `FloatingPointError` naming the term."""
+    lam1 = prob.lambda1
     A = np.flatnonzero(theta)
     step = np.zeros_like(x)
     step[A] = np.linalg.solve(G[np.ix_(A, A)], -0.5 * (g[A] + lam1 * theta[A]))
@@ -175,6 +200,10 @@ def _feature_sign_step(G: np.ndarray, lam1: float, x: np.ndarray, g: np.ndarray,
     deltas = (ds @ g + np.einsum("ij,jk,ik->i", ds, G, ds)
               + lam1 * (np.abs(ys).sum(axis=1) - np.abs(x).sum()))
     best = int(np.argmin(deltas))
+    if not np.isfinite(deltas[best]):
+        raise FloatingPointError(
+            f"non-finite code objective ({_name_nonfinite_term(prob, ys[best])})"
+        )
     return ys[best], float(deltas[best])
 
 
@@ -208,24 +237,16 @@ def encode_task(prob: CodeProblem, init: np.ndarray | None = None,
     x = np.zeros(p)
     if not (np.isfinite(c0) and np.isfinite(G).all() and np.isfinite(h).all()):
         raise FloatingPointError(
-            f"non-finite code objective at the start ({_name_nonfinite_term(prob, x)})"
+            f"non-finite code objective at the start ({_name_nonfinite_form(prob)})"
         )
     F = c0
     trace = [] if trace_out is None else trace_out
     trace.append(F)
 
-    def step(x, g, theta):
-        y, delta = _feature_sign_step(G, lam1, x, g, theta)
-        if not np.isfinite(delta):
-            raise FloatingPointError(
-                f"non-finite code objective ({_name_nonfinite_term(prob, y)})"
-            )
-        return y, delta
-
     solves = 0
     seed = np.sign(np.linalg.solve(G, h) if init is None else init)
     if seed.any():
-        y, delta = step(x, -2.0 * h, seed)
+        y, delta = _feature_sign_step(prob, G, x, -2.0 * h, seed)
         solves = 1
         if delta < 0:
             x, F = y, F + delta
@@ -245,7 +266,7 @@ def encode_task(prob: CodeProblem, init: np.ndarray | None = None,
                 f"feature-sign search reached {FEATURE_SIGN_MAX_STEPS} active-set "
                 "solves without a KKT certificate"
             )
-        y, delta = step(x, g, theta)
+        y, delta = _feature_sign_step(prob, G, x, g, theta)
         solves += 1
         if not delta < 0:
             raise ConvergenceError(

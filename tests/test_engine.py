@@ -384,8 +384,9 @@ class TestCheckpoint:
         # matrix and the code solver still took coder_tol and coder_max_iter,
         # by saving the first 4 tasks of small_corpus() under small_hyper()
         # and seed 0: it loads, saves back to the same document less those
-        # two retired settings, and holds the libraries that the current
-        # refits build from its codes and assignments
+        # two retired settings, holds the libraries that the current refits
+        # build from its codes and assignments, and agrees with a fresh
+        # stream of those tasks
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         loaded = load_state(old)
         path = tmp_path / "state.json"
@@ -399,30 +400,44 @@ class TestCheckpoint:
                 assert resaved[key] == fixture[key], key
         del fixture["hyper"]["coder_tol"], fixture["hyper"]["coder_max_iter"]
         assert path.read_bytes() == json.dumps(fixture).encode()
-        # its codes came from an iterative solver stopped at a 1e-6 tolerance,
-        # far above this bound, so they are replayed rather than solved again
         train, _ = small_corpus()
+        fresh, outcomes = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        X = rng.normal(size=(10, 6))
+
+        def assert_matches(state, bound):
+            for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
+                ours, theirs = getattr(state.flib, name), getattr(loaded.flib, name)
+                assert np.abs(ours - theirs).max() <= bound * max(1.0, np.abs(theirs).max())
+            for tid in state.per_task:
+                np.testing.assert_allclose(predict(loaded, tid, X), predict(state, tid, X),
+                                           rtol=0, atol=bound)
+
+        # the fresh stream makes the same decisions; its codes are exact,
+        # while the fixture's came from FISTA stopped at a 1e-6 tolerance,
+        # which moves the libraries and predictions by up to 4.7e-6
+        assert ([(r.source_task, r.admitted_at) for r in fresh.mlib.reps]
+                == [(r.source_task, r.admitted_at) for r in loaded.mlib.reps])
+        for tid, record in loaded.per_task.items():
+            np.testing.assert_array_equal(fresh.per_task[tid].assignment.z,
+                                          record.assignment.z)
+            assert np.abs(fresh.per_task[tid].code - record.code).max() <= 1e-5
+        assert_matches(fresh, 1e-5)
+        # replaying the fixture's own codes and assignments through the
+        # refits rebuilds its libraries to round-off; the fresh stream
+        # supplies each arrival's single-task fit and representative
+        # Hessians, which squared loss makes independent of the codes
         hp = loaded.hyper
         _, phi_inv = activation_pair(hp.phi)
-        (rep,) = loaded.mlib.reps
         flib = init_libraries(train.tasks[0].dim, hp.p, seed=0)
-        for task in train.tasks[:4]:
-            record = loaded.per_task[task.task_id]
-            single = fit_single_task(task, hp.ridge)
-            z = record.assignment.z
-            reps_used = ((rep.code, single.omega, float(z[0])),) if z.size > 1 else ()
-            flib = update_decoder(flib, record.code, single.omega, reps_used, hp.lambda2,
-                                  single.w, hp.mu)
-            flib = bump_tasks_seen(update_encoder(flib, record.code, single.w, phi_inv,
-                                                  hp.mu))
-        state = dataclasses.replace(loaded, flib=flib)
-        for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
-            ours, theirs = getattr(state.flib, name), getattr(loaded.flib, name)
-            assert np.abs(ours - theirs).max() <= 1e-9 * max(1.0, np.abs(theirs).max())
-        X = rng.normal(size=(10, 6))
-        for tid in state.per_task:
-            np.testing.assert_allclose(predict(loaded, tid, X), predict(state, tid, X),
-                                       rtol=0, atol=1e-9)
+        for out in outcomes:
+            c, record = out.contribution, loaded.per_task[out.task_id]
+            assert all(H is c.omega for _, H, _ in c.reps_used)
+            reps_used = tuple((rep.code, H, float(z_k)) for rep, (_, H, _), z_k
+                              in zip(loaded.mlib.reps, c.reps_used, record.assignment.z))
+            flib = update_decoder(flib, record.code, c.omega, reps_used, c.lambda2, c.w,
+                                  hp.mu)
+            flib = bump_tasks_seen(update_encoder(flib, record.code, c.w, phi_inv, hp.mu))
+        assert_matches(dataclasses.replace(loaded, flib=flib), 1e-9)
 
     def test_full_acc_A_with_asymmetric_blocks_refused(self, tmp_path):
         # pair blocks cannot hold an acc_A whose block (j, i) differs from

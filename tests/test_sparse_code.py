@@ -226,6 +226,17 @@ class TestEncodeTask:
         with np.errstate(all="ignore"):
             with pytest.raises(FloatingPointError, match="reconstruction term"):
                 encode_task(bad)
+        # a decoder whose D' Omega D overflows while w, the encoder image and
+        # every term's value at s = 0 stay finite
+        big = dataclasses.replace(prob, decoder=prob.decoder * 1e160,
+                                  encoder_image=np.zeros(prob.code_len))
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match="reconstruction term"):
+                encode_task(big)
+        rep = dataclasses.replace(prob.reps[1], code=prob.reps[1].code * 1e200)
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match="representative term k=1"):
+                encode_task(dataclasses.replace(prob, reps=(prob.reps[0], rep)))
 
 
 def dataclasses_replace_w(prob, w):
