@@ -4,11 +4,13 @@ and grow the model library when the outlier slot wins.
 
 Per task the alternation fixes everything computed at arrival (decoder,
 representative half-Hessians, and the virtual-slot cost) and block-wise
-minimises over the code and the assignment until the objective settles.
-Each block is minimised exactly: feature-sign search returns the unique
-minimiser of the strongly convex code problem to round-off, and the
-assignment is the closed-form vertex of its cheapest slot.  Block descent
-therefore makes the traced objective non-increasing.
+minimises over the code and the assignment until it reaches its exact
+fixed point.  Each block is minimised exactly: feature-sign search returns
+the unique minimiser of the strongly convex code problem to round-off, and
+the assignment is the closed-form vertex of its cheapest slot.  Block
+descent therefore makes the traced objective non-increasing and never
+returns to a slot it left: the loop stops when the cheapest slot repeats,
+within K + 2 rounds for K representatives, with no cap or tolerance.
 
 States are immutable snapshots; learning produces a new state, so reads
 of an old snapshot stay valid while the stream advances.
@@ -29,11 +31,12 @@ from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
 from .libraries import (CHECKPOINT_VERSION, READABLE_VERSIONS, FeatureLibrary,
                         ModelLibrary, admit_representative, bump_tasks_seen,
-                        decode_array, encode_array, init_libraries,
-                        library_from_dict, library_to_dict, update_decoder,
-                        update_encoder)
+                        decode_array, decode_shaped, encode_array,
+                        init_libraries, library_from_dict, library_to_dict,
+                        update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, encode_task
-from .tasks import SingleTaskModel, TaskData, fit_single_task, hessian_at
+from .tasks import (ConvergenceError, SingleTaskModel, TaskData, fit_single_task,
+                    hessian_at)
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,6 @@ class HyperParams:
     ridge: float = 1e-4       # ridge on single-task fits
     p: int = 20               # code length
     phi: str = "identity"     # "identity" | "tanh"
-    max_outer: int = 20
-    outer_tol: float = 1e-5
     admission_enabled: bool = True
 
     def __post_init__(self):
@@ -58,17 +59,19 @@ class HyperParams:
             raise ValueError("regularisers must be >= 0")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
-        if self.p < 1 or self.max_outer < 1:
-            raise ValueError("p and max_outer must be >= 1")
+        if self.p < 1:
+            raise ValueError("p must be >= 1")
         if self.phi not in ("identity", "tanh"):
             raise ValueError(f"unknown activation {self.phi!r}")
 
 
-# settings of the iterative assignment the closed form replaced and of the
-# iterative code solver feature-sign search replaced; checkpoints and
+# settings of the iterative assignment the closed form replaced, of the
+# iterative code solver feature-sign search replaced, and of the round cap
+# and tolerance exit the exact fixed point replaced; checkpoints and
 # configs written before them still carry them
 RETIRED_HYPER_KEYS = frozenset({"beta", "rho", "admm_tol", "admm_max_iter",
-                                "coder_tol", "coder_max_iter"})
+                                "coder_tol", "coder_max_iter",
+                                "max_outer", "outer_tol"})
 
 
 def hyper_from_dict(values: dict) -> HyperParams:
@@ -185,25 +188,12 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     omega = single.omega
     decoder = flib.decoder
     enc_image = np.asarray(phi(flib.encoder @ w), dtype=float)
-    K = len(state.mlib)
 
-    dists: np.ndarray = np.zeros(0)
-    d0 = float("nan")
-    if K == 0:
-        # an empty model library: the code solve is the whole alternation
-        prob = CodeProblem(w=w, omega=omega, decoder=decoder, encoder_image=enc_image,
-                           reps=(), lambda1=hp.lambda1, lambda2=hp.lambda2)
-        code = encode_task(prob)
-        trace = [_base_objective(prob, code)]
-        rounds = 1
-        assignment = Assignment(z=np.array([1.0]))
-        reps_used: tuple = ()
-    else:
-        code, assignment, trace, rounds, rep_hessians, dists, d0 = _alternate(
-            state, data, w, omega, decoder, enc_image)
-        reps_used = tuple(
-            (state.mlib.reps[k].code, rep_hessians[k], float(assignment.z[k]))
-            for k in range(K))
+    code, assignment, trace, rounds, rep_hessians, dists, d0 = _alternate(
+        state, data, w, omega, decoder, enc_image)
+    # zip drops the outlier slot, the last entry of z
+    reps_used = tuple((rep.code, H, float(z_k)) for rep, H, z_k
+                      in zip(state.mlib.reps, rep_hessians, assignment.z))
 
     flib = update_decoder(flib, code, omega, reps_used, hp.lambda2, w, hp.mu)
     flib = update_encoder(flib, code, w, phi_inv, hp.mu)
@@ -242,11 +232,19 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
 
 def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image):
     """Block-descent rounds over (code, assignment) with the arrival-time
-    decoder, representative Hessians and virtual-slot cost held fixed.
+    decoder, representative Hessians and virtual-slot cost held fixed,
+    run to the exact fixed point.
 
-    At lambda2 = 0 every slot costs nothing and the code ignores the
+    With no representatives the code solve is the whole alternation.  At
+    lambda2 = 0 every slot costs nothing and the code ignores the
     representatives: the assignment is slot 0 and round 1 already is the
-    fixed point, so the loop stops there."""
+    fixed point.  Otherwise the loop stops when the cheapest slot repeats,
+    since the next round would reproduce this code and assignment bit for
+    bit.  Let V(z) = min_s F(s, z): a change of slot either lowers V
+    strictly or, on an exact cost tie, moves to a lower slot index, so no
+    slot the loop has left comes back and it stops within K + 2 rounds.  A
+    slot that does come back can only be round-off, and raises
+    `ConvergenceError`."""
     hp = state.hyper
     codes = state.mlib.codes()
     K = len(codes)
@@ -260,45 +258,42 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
 
     z = np.full(K + 1, 1.0 / (K + 1))
     assignment = Assignment(z=z)
-    d0 = None
+    dists: np.ndarray = np.zeros(0)
+    d0 = float("nan")
     trace: list[float] = []
-    code = enc_image
-    rounds = 0
-    for rounds in range(1, hp.max_outer + 1):
+    slots: list[int] = []
+    while True:
         reps = tuple(
             Representative(code=codes[k], omega=rep_hessians[k], weight=float(z[k]))
             for k in range(K))
         prob = CodeProblem(w=w, omega=omega, decoder=decoder, encoder_image=enc_image,
                            reps=reps, lambda1=hp.lambda1, lambda2=hp.lambda2)
         code = encode_task(prob)
+        base = _base_objective(prob, code)
+        if K == 0:
+            trace.append(base)
+            break
 
         dists = representative_distances(decoder, code, dist_pairs)
-        if d0 is None:
+        if not slots:
             # fixed per task: the virtual slot's cost is a constant of the
-            # alternation, which keeps the traced objective monotone
-            if dists.sum() == 0.0:
-                d0 = outlier_weight(dists, hp.gamma)  # returns the cap
-            elif K == 1:
-                d0 = hp.gamma * float(np.log(2.0))    # break the K=1 degeneracy
-            else:
-                d0 = outlier_weight(dists, hp.gamma)
-        z_prev = z
+            # alternation, which keeps the traced objective monotone; at
+            # K = 1 the log ratio is 0, so a fixed log 2 breaks the tie
+            d0 = (hp.gamma * float(np.log(2.0)) if K == 1 and dists.sum() != 0.0
+                  else outlier_weight(dists, hp.gamma))
         assignment = solve_assignment(dists, d0, hp.lambda2, hp.alpha)
         z = assignment.z
-
-        base = _base_objective(prob, code)
-        rep_cost = hp.lambda2 * (float(dists @ z[:K]) + float(z[K]) * d0
-                                 + hp.alpha * float(np.abs(z).sum()))
-        trace.append(base + rep_cost)
-        if hp.lambda2 == 0.0 or (rounds > 1 and np.array_equal(z, z_prev)):
-            # exact fixed point: the next round would reproduce this code
-            # and assignment bit for bit, so the alternation is done
+        trace.append(base + hp.lambda2 * (float(dists @ z[:K]) + float(z[K]) * d0
+                                          + hp.alpha * float(np.abs(z).sum())))
+        slot = assignment.argmax_slot
+        if hp.lambda2 == 0.0 or (slots and slot == slots[-1]):
             break
-        if len(trace) >= 2:
-            rel = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-12)
-            if rel < hp.outer_tol:
-                break
-    return code, assignment, trace, rounds, rep_hessians, dists, d0
+        if slot in slots:
+            raise ConvergenceError(
+                f"the alternation returned to slot {slot} after leaving it "
+                f"(slots by round: {slots + [slot]})")
+        slots.append(slot)
+    return code, assignment, trace, len(trace), rep_hessians, dists, d0
 
 
 def _base_objective(prob: CodeProblem, code: np.ndarray) -> float:
@@ -396,7 +391,8 @@ def load_state(path) -> EngineState:
     """The state `save_state` wrote; version-1 (nested lists, no version
     key) and version-2 (every array in full) checkpoints load too, any other
     version raises ValueError, and so does an array whose shape disagrees
-    with the checkpoint's d and p."""
+    with the checkpoint's d, p and representatives, or a per-task entry
+    with an unknown loss."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("version", 1)
@@ -404,14 +400,22 @@ def load_state(path) -> EngineState:
         raise ValueError(f"{path}: unknown checkpoint version {version!r}")
     flib, mlib = library_from_dict(payload)
     hyper = hyper_from_dict(payload["hyper"])
+    slots = len(mlib) + 1
     per_task = {}
     for tid, rec in payload["per_task"].items():
         key = f"per_task[{tid!r}]"
-        single = SingleTaskModel(w=decode_array(rec["w"], f"{key}.w"),
+        z = decode_array(rec["z"], f"{key}.z")
+        if z.ndim != 1 or not 1 <= z.size <= slots:
+            raise ValueError(f"checkpoint array {key + '.z'!r}: shape {z.shape}, expected "
+                             f"1 to {slots} entries from the checkpoint's representatives")
+        if rec["loss_kind"] not in ("squared", "logistic"):
+            raise ValueError(f"checkpoint entry {key + '.loss_kind'!r}: unknown loss "
+                             f"{rec['loss_kind']!r}")
+        single = SingleTaskModel(w=decode_shaped(rec["w"], f"{key}.w", (flib.d,)),
                                  omega=np.zeros((flib.d, flib.d)), loss_at_w=0.0)
         per_task[tid] = PerTaskRecord(
-            code=decode_array(rec["code"], f"{key}.code"),
-            assignment=Assignment(z=decode_array(rec["z"], f"{key}.z")),
+            code=decode_shaped(rec["code"], f"{key}.code", (flib.p,)),
+            assignment=Assignment(z=z),
             single=single,
             loss_kind=rec["loss_kind"],
             data=None,

@@ -135,32 +135,28 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
 
     reports: dict = {}
     curve_rows: list = []
-
-    state = init_state(config.hyper, seed)
-    outcomes = []
-    for step, task in enumerate(stream, start=1):
-        state, outcome = learn_task(state, task)
-        outcomes.append(outcome)
-        if config.eval_every_task:
-            learned = [test_by_id[tid] for tid in state.per_task]
-            for mk, report in _engine_reports(state, learned, kind).items():
-                curve_rows.append(("engine", step, mk, report.mean))
-        if config.checkpoint_every > 0 and step % config.checkpoint_every == 0:
-            ckpt_dir = Path(config.output_dir)
-            ckpt_dir.mkdir(parents=True, exist_ok=True)
-            save_state(state, ckpt_dir / f"checkpoint_{seed}_t{step}.json")
-    reports["engine"] = _engine_reports(state, [test_by_id[t.task_id] for t in stream], kind)
-
+    models = [("engine", config.hyper)]
     if config.with_ablation:
-        abl_state = init_state(ablation_hyper(config.hyper), seed)
+        models.append(("ablation", ablation_hyper(config.hyper)))
+    runs = {}
+    for model, hyper in models:
+        state = init_state(hyper, seed)
+        outcomes = []
         for step, task in enumerate(stream, start=1):
-            abl_state, _ = learn_task(abl_state, task)
+            state, outcome = learn_task(state, task)
+            outcomes.append(outcome)
             if config.eval_every_task:
-                learned = [test_by_id[tid] for tid in abl_state.per_task]
-                for mk, report in _engine_reports(abl_state, learned, kind).items():
-                    curve_rows.append(("ablation", step, mk, report.mean))
-        reports["ablation"] = _engine_reports(
-            abl_state, [test_by_id[t.task_id] for t in stream], kind)
+                learned = [test_by_id[tid] for tid in state.per_task]
+                for mk, report in _engine_reports(state, learned, kind).items():
+                    curve_rows.append((model, step, mk, report.mean))
+            if (model == "engine" and config.checkpoint_every > 0
+                    and step % config.checkpoint_every == 0):
+                ckpt_dir = Path(config.output_dir)
+                ckpt_dir.mkdir(parents=True, exist_ok=True)
+                save_state(state, ckpt_dir / f"checkpoint_{seed}_t{step}.json")
+        reports[model] = _engine_reports(state, [test_by_id[t.task_id] for t in stream], kind)
+        runs[model] = state, outcomes
+    state, outcomes = runs["engine"]
 
     if config.with_stl:
         weights = run_stl(train, config.stl_ridge)

@@ -468,7 +468,7 @@ def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
     }
 
 
-def _decode_shaped(value, key: str, shape: tuple, kron=None) -> np.ndarray:
+def decode_shaped(value, key: str, shape: tuple, kron=None) -> np.ndarray:
     """The array of a checkpoint entry or, given `kron` = (p, d), the pair
     blocks of a (dp) x (dp) accumulator's entry.  Refuses an array whose
     shape, or a packed entry whose [p, d], disagrees with the checkpoint's
@@ -497,17 +497,17 @@ def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
     d, p = int(payload["d"]), int(payload["p"])
     dp = d * p
     flib = FeatureLibrary(
-        decoder=_decode_shaped(payload["decoder"], "decoder", (d, p)),
-        encoder=_decode_shaped(payload["encoder"], "encoder", (p, d)),
-        acc_A_pairs=_decode_shaped(payload["acc_A"], "acc_A", (dp, dp), (p, d)),
-        acc_b=_decode_shaped(payload["acc_b"], "acc_b", (dp,)),
-        acc_M=_decode_shaped(payload["acc_M"], "acc_M", (p, d)),
-        acc_C=_decode_shaped(payload["acc_C"], "acc_C", (d, d), (1, d))[0],
+        decoder=decode_shaped(payload["decoder"], "decoder", (d, p)),
+        encoder=decode_shaped(payload["encoder"], "encoder", (p, d)),
+        acc_A_pairs=decode_shaped(payload["acc_A"], "acc_A", (dp, dp), (p, d)),
+        acc_b=decode_shaped(payload["acc_b"], "acc_b", (dp,)),
+        acc_M=decode_shaped(payload["acc_M"], "acc_M", (p, d)),
+        acc_C=decode_shaped(payload["acc_C"], "acc_C", (d, d), (1, d))[0],
         tasks_seen=int(payload["tasks_seen"]),
     )
     reps = []
     for i, item in enumerate(payload["representatives"]):
-        code = _decode_shaped(item["code"], f"representatives[{i}].code", (p,))
+        code = decode_shaped(item["code"], f"representatives[{i}].code", (p,))
         code.setflags(write=False)
         reps.append(RepresentativeRecord(code=code, source_task=item["source_task"],
                                          admitted_at=int(item["admitted_at"])))

@@ -207,16 +207,15 @@ def _feature_sign_step(prob: CodeProblem, G: np.ndarray, x: np.ndarray, g: np.nd
     return ys[best], float(deltas[best])
 
 
-def encode_task(prob: CodeProblem, init: np.ndarray | None = None,
-                trace_out: list | None = None) -> np.ndarray:
+def encode_task(prob: CodeProblem, trace_out: list | None = None) -> np.ndarray:
     """Exact minimiser of the composite code objective by feature-sign
     search (Lee, Battle, Raina & Ng, "Efficient sparse coding algorithms",
     NIPS 2007) over the quadratic form s'Gs - 2h's + c0 + lambda1 |s|_1.
 
     The search starts at s = 0.  Its first active set takes the signs of
-    G^-1 h (or of `init`) and is kept only if its step lowers the
-    objective; otherwise the search goes on from 0 by the textbook rule,
-    activating the zero coefficient with the largest gradient.  Each step
+    G^-1 h and is kept only if its step lowers the objective; otherwise
+    the search goes on from 0 by the textbook rule, activating the zero
+    coefficient with the largest gradient.  Each step
     solves the active system and line-searches the segment to its
     solution, so no step raises the objective.  The search returns only
     on the KKT certificate, to the round-off of `_kkt_slack`: on every
@@ -229,12 +228,7 @@ def encode_task(prob: CodeProblem, init: np.ndarray | None = None,
     """
     G, h, c0 = _quadratic_form(prob)
     lam1 = prob.lambda1
-    p = prob.code_len
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (p,):
-            raise ValueError("init has the wrong length")
-    x = np.zeros(p)
+    x = np.zeros(prob.code_len)
     if not (np.isfinite(c0) and np.isfinite(G).all() and np.isfinite(h).all()):
         raise FloatingPointError(
             f"non-finite code objective at the start ({_name_nonfinite_form(prob)})"
@@ -244,7 +238,7 @@ def encode_task(prob: CodeProblem, init: np.ndarray | None = None,
     trace.append(F)
 
     solves = 0
-    seed = np.sign(np.linalg.solve(G, h) if init is None else init)
+    seed = np.sign(np.linalg.solve(G, h))
     if seed.any():
         y, delta = _feature_sign_step(prob, G, x, -2.0 * h, seed)
         solves = 1

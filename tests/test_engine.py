@@ -20,7 +20,7 @@ from lifelong.experiment import ExperimentConfig
 from lifelong.libraries import (bump_tasks_seen, encode_array, init_libraries,
                                 library_to_dict, update_decoder, update_encoder)
 from lifelong.sparse_code import CodeProblem, encode_task
-from lifelong.tasks import TaskData, fit_single_task, loss_value
+from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, loss_value
 
 
 def small_corpus(seed=0, clusters=2, tasks_per_cluster=3, d=10, n=16, noise=0.05):
@@ -133,6 +133,9 @@ class TestAlternation:
             trace = np.array(out.objective_trace)
             slack = 1e-7 * np.maximum(1.0, np.abs(trace[:-1]))
             assert np.all(np.diff(trace) <= slack), out.task_id
+            # no slot is visited twice: K + 1 slots, then the repeat
+            K = out.assignment.z.size - 1
+            assert out.rounds <= K + 2, out.task_id
 
     def test_duplicate_task_converges_fast_no_new_rep(self):
         train, _ = small_corpus()
@@ -144,6 +147,33 @@ class TestAlternation:
         assert out.rounds <= 2
         assert not out.admitted
         assert len(state.mlib) == k_before
+
+    @staticmethod
+    def scripted_slots(monkeypatch, slots):
+        # the assignment block picks the given slots in turn
+        picks = iter(slots)
+
+        def solve(distances, d0, lambda2, alpha):
+            z = np.zeros(len(distances) + 1)
+            z[next(picks)] = 1.0
+            return engine.Assignment(z=z)
+
+        monkeypatch.setattr(engine, "solve_assignment", solve)
+
+    def test_returning_slot_raises(self, monkeypatch):
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:1])
+        self.scripted_slots(monkeypatch, [1, 0, 1])
+        with pytest.raises(ConvergenceError, match=r"slot 1 .*\[1, 0, 1\]"):
+            learn_task(state, train.tasks[1])
+
+    def test_changed_slot_gets_another_round(self, monkeypatch):
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:1])
+        self.scripted_slots(monkeypatch, [1, 0, 0])
+        _, out = learn_task(state, train.tasks[1])
+        assert out.rounds == 3
+        np.testing.assert_array_equal(out.assignment.z, [1.0, 0.0])
 
     def test_representative_count_non_decreasing(self):
         train, _ = small_corpus(clusters=3, tasks_per_cluster=3, d=12)
@@ -381,10 +411,11 @@ class TestCheckpoint:
 
     def test_checkpoint_from_full_matrix_layout_loads(self, tmp_path, rng):
         # written while acc_A was held in memory as the full (dp) x (dp)
-        # matrix and the code solver still took coder_tol and coder_max_iter,
-        # by saving the first 4 tasks of small_corpus() under small_hyper()
-        # and seed 0: it loads, saves back to the same document less those
-        # two retired settings, holds the libraries that the current refits
+        # matrix, the code solver still took coder_tol and coder_max_iter
+        # and the alternation max_outer and outer_tol, by saving the first 4
+        # tasks of small_corpus() under small_hyper() and seed 0: it loads,
+        # saves back to the same document less those four retired
+        # settings, holds the libraries that the current refits
         # build from its codes and assignments, and agrees with a fresh
         # stream of those tasks
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
@@ -392,13 +423,14 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         save_state(loaded, path)
         fixture, resaved = json.loads(old.read_text()), json.loads(path.read_text())
-        assert set(fixture["hyper"]) - set(resaved["hyper"]) == {"coder_tol",
-                                                                  "coder_max_iter"}
+        retired = {"coder_tol", "coder_max_iter", "max_outer", "outer_tol"}
+        assert set(fixture["hyper"]) - set(resaved["hyper"]) == retired
         for key in fixture:
             if key != "hyper":
                 # every array entry, base64 of its raw bytes, unchanged
                 assert resaved[key] == fixture[key], key
-        del fixture["hyper"]["coder_tol"], fixture["hyper"]["coder_max_iter"]
+        for name in retired:
+            del fixture["hyper"][name]
         assert path.read_bytes() == json.dumps(fixture).encode()
         train, _ = small_corpus()
         fresh, outcomes = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
@@ -469,7 +501,9 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version 4"):
             load_state(path)
 
-    @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "representatives[0].code"])
+    @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "representatives[0].code",
+                                     "per_task.w", "per_task.code", "per_task.z",
+                                     "per_task.loss_kind"])
     def test_shape_disagreeing_with_d_and_p_named(self, tmp_path, key):
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
@@ -477,6 +511,8 @@ class TestCheckpoint:
         save_state(state, path)
         payload = json.loads(path.read_text())
         flib = state.flib
+        tid = train.tasks[1].task_id
+        entry = payload["per_task"][tid]
         if key == "decoder":
             payload[key] = encode_array(flib.decoder.T)
         elif key == "acc_b":
@@ -485,8 +521,20 @@ class TestCheckpoint:
             # the right product, d * p, from swapped factors
             assert payload[key]["kron"] == [flib.p, flib.d]
             payload[key]["kron"] = [flib.d, flib.p]
-        else:
+        elif key == "representatives[0].code":
             payload["representatives"][0]["code"] = encode_array(np.zeros(flib.p + 1))
+        elif key == "per_task.w":
+            entry["w"] = encode_array(np.zeros(flib.d + 1))
+        elif key == "per_task.code":
+            entry["code"] = encode_array(np.zeros(flib.p - 1))
+        elif key == "per_task.z":
+            # a valid simplex vertex, one slot more than the library allows
+            slots = len(state.mlib) + 2
+            entry["z"] = encode_array(np.eye(slots)[0])
+        else:
+            entry["loss_kind"] = "bogus"
+        if key.startswith("per_task."):
+            key = f"per_task[{tid!r}]" + key[len("per_task"):]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             load_state(path)
@@ -509,11 +557,12 @@ class TestCheckpoint:
             load_state(path)
 
     def test_retired_hyper_keys_still_load(self, tmp_path, rng):
-        # checkpoints and configs written with the iterative assignment or
-        # the iterative code solver carry their settings; they are dropped,
-        # any other unknown key still raises
+        # checkpoints and configs written with the iterative assignment,
+        # the iterative code solver or the capped alternation carry their
+        # settings; they are dropped, any other unknown key still raises
         retired = {"beta": 1.0, "rho": 1.0, "admm_tol": 1e-6, "admm_max_iter": 2000,
-                   "coder_tol": 1e-6, "coder_max_iter": 5000}
+                   "coder_tol": 1e-6, "coder_max_iter": 5000,
+                   "max_outer": 20, "outer_tol": 1e-5}
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
         path = tmp_path / "state.json"
