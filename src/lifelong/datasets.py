@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -42,6 +43,10 @@ class TaskCorpus:
             raise ValueError(f"tasks disagree on feature dimension: {sorted(dims)}")
         if self.problem_kind not in ("regression", "classification"):
             raise ValueError(f"unknown problem kind {self.problem_kind!r}")
+        counts = Counter(t.task_id for t in self.tasks)
+        repeated = sorted(tid for tid, n in counts.items() if n > 1)
+        if repeated:
+            raise ValueError(f"task ids are not unique: {repeated}")
 
     @property
     def d(self) -> int:

@@ -49,6 +49,9 @@ class ExperimentConfig:
             raise ValueError(f"task_order must be one of {TASK_ORDERS}")
         if self.dataset.get("type") not in ("disjoint", "corpus"):
             raise ValueError("dataset type must be 'disjoint' or 'corpus'")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0 (0 turns periodic "
+                             f"checkpoints off), got {self.checkpoint_every}")
 
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)

@@ -166,6 +166,18 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match="header"):
             load_corpus(tmp_path)
 
+    def test_duplicate_task_ids_rejected(self, tmp_path):
+        # two manifest entries sharing an id would merge into one task in
+        # the engine and collapse in the held-out lookup
+        corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=3,
+                                   d=4, n_per_task=5)
+        save_corpus(corpus, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["tasks"][2]["id"] = manifest["tasks"][0]["id"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"not unique: \['c0_t0'\]"):
+            load_corpus(tmp_path)
+
     def test_classification_labels_validated(self, tmp_path):
         X = np.ones((2, 4))
         y = np.array([1.0, -1.0, 1.0, -1.0])

@@ -101,6 +101,8 @@ class TestRunExperiment:
             ExperimentConfig(task_order="sorted")
         with pytest.raises(ValueError):
             ExperimentConfig(dataset={"type": "mystery"})
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            ExperimentConfig(checkpoint_every=-1)
 
 
 class TestCli:
@@ -131,6 +133,12 @@ class TestCli:
         cfg_path.write_text(json.dumps({"task_order": "alphabetical"}))
         assert main(["--config", str(cfg_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_negative_checkpoint_every_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "cli_out"
+        assert main(["--seed", "0", "--output", str(out), "--checkpoint-every", "-5"]) == 1
+        assert "checkpoint_every" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failure_leaves_incomplete_marker(self, tmp_path):
         # corpus path that vanishes mid-setup: manifest lists a missing file

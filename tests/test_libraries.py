@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lifelong.assignment import Assignment
 from lifelong.engine import EngineState, HyperParams, load_state, save_state
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
-                                _cholesky_in_place, _substitute,
+                                _cholesky_in_place, _lower_inverse, _substitute,
                                 admit_representative, bump_tasks_seen,
                                 decode_array, decoder_contribution,
                                 encode_array, init_libraries, library_from_dict,
@@ -111,7 +111,7 @@ class TestDecoderUpdate:
 
     @pytest.mark.parametrize("d, p", [(11, 7), (60, 30), (70, 1)])
     def test_matches_dense_solve_of_full_system(self, rng, d, p):
-        # dp = 77, 1800 and 70: the 64-row blocks of the factorisation
+        # dp = 77, 1800 and 70: the 48-row blocks of the factorisation
         # straddle the d-row blocks of the pair layout
         lam, mu = 0.4, 1e-3
         lib = init_libraries(d, p, seed=3)
@@ -129,6 +129,38 @@ class TestDecoderUpdate:
             norms = np.linalg.norm(D, axis=0)
             D /= np.where(norms > 1.0, norms, 1.0)
             assert np.abs(lib.decoder - D).max() <= 1e-10
+
+    @given(p=st.integers(1, 6), extra_d=st.integers(0, 18), n_tasks=st.integers(1, 2),
+           shared=st.integers(0, 3), own=st.integers(0, 2), lam=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_dense_solve(self, p, extra_d, n_tasks, shared, own, lam,
+                                          seed):
+        # dp from 1 to 144, up to three 48-row blocks; representatives that
+        # carry the task's own Omega array (summed into one outer product)
+        # and representatives with Hessians of their own (stacked), some
+        # switched off with z = 0
+        d, mu = p + extra_d, 1e-2
+        rng = np.random.default_rng(seed)
+        lib = init_libraries(d, p, seed=0)
+        A = np.zeros((d * p, d * p))
+        b = np.zeros(d * p)
+        for T in range(1, n_tasks + 1):
+            s, omega, own_reps, w = random_update_inputs(rng, d, p, n_reps=own)
+            shared_reps = tuple((rng.normal(size=p), omega,
+                                 float(rng.choice([0.0, rng.random()])))
+                                for _ in range(shared))
+            reps = shared_reps + own_reps
+            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=lam, w_t=w,
+                                                 ridge_mu=mu))
+            A += np.kron(np.outer(s, s), omega)
+            for s_k, omega_k, z_k in reps:
+                A += lam * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
+            b += np.kron(s, omega @ w)
+        D = np.linalg.solve(A / T + mu * np.eye(d * p), b / T).reshape((d, p), order="F")
+        norms = np.linalg.norm(D, axis=0)
+        D /= np.where(norms > 1.0, norms, 1.0)
+        assert np.abs(lib.decoder - D).max() <= 1e-10 * np.abs(D).max()
 
     def test_concurrent_refits_match_sequential(self):
         # each thread assembles and factors in a buffer of its own: four
@@ -187,16 +219,16 @@ class TestDecoderUpdate:
 
 class TestTriangularSolve:
     @pytest.mark.parametrize("lower", [True, False])
-    @pytest.mark.parametrize("n", [1, 5, 40, 63, 64, 65, 800])
+    @pytest.mark.parametrize("n", [1, 5, 40, 47, 48, 49, 63, 64, 65, 800])
     def test_matches_dense_solve(self, rng, n, lower):
-        # block edges at 64 rows: sizes on, below and above a multiple.  The
+        # block edges at 48 rows: sizes on, below and above a multiple.  The
         # factor and block inverses come from _cholesky_in_place, and the
-        # strict upper triangle is poisoned: the substitution must read only L
+        # strict lower triangle is poisoned: the substitution must read only U
         M = rng.normal(size=(n, n))
         factor = M @ M.T / n + np.eye(n)
         inverses = _cholesky_in_place(factor)
-        chol = np.tril(factor)
-        factor[np.triu_indices(n, 1)] = np.nan
+        chol = np.triu(factor).T
+        factor[np.tril_indices(n, -1)] = np.nan
         tri = chol if lower else chol.T
         for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
             got = _substitute(factor, inverses, rhs, lower=lower)
@@ -205,19 +237,34 @@ class TestTriangularSolve:
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+class TestLowerInverse:
+    @pytest.mark.parametrize("n", [1, 23, 24, 25, 47, 48, 49, 97])
+    def test_matches_lapack_inverse(self, rng, n):
+        # leaves of at most 32 rows: sizes that are one leaf, split once
+        # and split twice
+        M = rng.normal(size=(n, n))
+        lower = np.linalg.cholesky(M @ M.T / n + np.eye(n))
+        ref = np.linalg.inv(lower)
+        got = _lower_inverse(lower)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestCholeskyInPlace:
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 800])
+    @pytest.mark.parametrize("n", [1, 47, 48, 49, 63, 64, 65, 800])
     def test_matches_lapack(self, rng, n):
+        # the strict lower triangle is poisoned: the factorisation must read
+        # only the upper one
         M = rng.normal(size=(n, n))
         system = M @ M.T / n + np.eye(n)
         ref = np.linalg.cholesky(system)
+        system[np.tril_indices(n, -1)] = np.nan
         _cholesky_in_place(system)
-        # the upper triangle outside the diagonal blocks is left stale
-        got = np.tril(system)
+        # the lower triangle outside the diagonal blocks is left stale
+        got = np.triu(system).T
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_singular_past_first_block_advises_ridge(self, rng):
-        # dp = 70 > 64: the first 64-row block is positive definite and the
+        # dp = 70 > 48: the first 48-row block is positive definite and the
         # zero feature 66 makes the second block fail at mu = 0
         d = 70
         lib = init_libraries(d, 1, seed=0)
@@ -230,8 +277,8 @@ class TestCholeskyInPlace:
                            w_t=rng.normal(size=d), ridge_mu=0.0)
 
     def test_warm_refit_holds_two_system_sized_arrays(self, rng):
-        # the new acc_A and the system factored in place, plus the (dp) x 64
-        # panels of the blocked factorisation; a factorisation into a fresh
+        # the new acc_A and the system factored in place, plus the 48 x (dp)
+        # strips of the blocked factorisation; a factorisation into a fresh
         # array holds a third
         d, p = 40, 20
         dp = d * p
@@ -251,7 +298,7 @@ class TestCholeskyInPlace:
 
 
     def test_warm_refit_allocates_no_system_sized_array(self, rng):
-        # the one new acc_A_pairs plus the (dp) x 64 panels of the blocked
+        # the one new acc_A_pairs plus the 48 x (dp) strips of the blocked
         # factorisation; the system is assembled and factored in the
         # thread's buffer, which the warm-up refits allocated
         d, p = 40, 20
@@ -284,6 +331,17 @@ class TestDecoderContribution:
             for s_k, omega_k, z_k in reps)
         got = decoder_contribution(s, omega, reps, lambda2)
         assert got.shape == (d * p, d * p)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_shared_hessian_matches_kron_sum(self, rng):
+        # squared loss: every representative carries the task's own Omega
+        # array, so the weights are summed into one outer product
+        d, p = 40, 20
+        s, omega, reps, _ = random_update_inputs(rng, d, p, n_reps=3)
+        reps = tuple((s_k, omega, z_k) for s_k, _, z_k in reps)
+        expected = np.kron(np.outer(s, s), omega) + sum(
+            0.3 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega) for s_k, _, z_k in reps)
+        got = decoder_contribution(s, omega, reps, 0.3)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
