@@ -29,8 +29,8 @@ import numpy as np
 
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
-from .libraries import (CHECKPOINT_VERSION, READABLE_VERSIONS, FeatureLibrary,
-                        ModelLibrary, admit_representative, bump_tasks_seen,
+from .libraries import (READABLE_VERSIONS, FeatureLibrary, ModelLibrary,
+                        admit_representative, bump_tasks_seen,
                         decode_array, decode_shaped, encode_array,
                         init_libraries, library_from_dict, library_to_dict,
                         update_decoder, update_encoder)
@@ -344,7 +344,7 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 
 
 def _checkpoint_payload(state: EngineState) -> dict:
-    payload = {"version": CHECKPOINT_VERSION, **library_to_dict(state.flib, state.mlib)}
+    payload = library_to_dict(state.flib, state.mlib)
     payload["seed"] = state.seed
     payload["hyper"] = dataclasses.asdict(state.hyper)
     payload["per_task"] = {
@@ -362,9 +362,11 @@ def _checkpoint_payload(state: EngineState) -> dict:
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table.
 
-    One JSON document (format version 3: arrays as base64 of their raw
+    One JSON document (format version 4: arrays as base64 of their raw
     float64 bytes, and of only the unique entries of the Kronecker-symmetric
-    accumulators, see `libraries.encode_array`), written to a
+    accumulators, see `libraries.encode_array`; the decoder statistics in
+    the coordinates of the library's code basis, which is stored too),
+    written to a
     dot-prefixed temp file beside `path`, synced to disk and moved into
     place with `os.replace`, so a write that fails part-way leaves any
     previous checkpoint at `path` intact.  Raw task data is not
@@ -389,10 +391,13 @@ def save_state(state: EngineState, path) -> None:
 
 def load_state(path) -> EngineState:
     """The state `save_state` wrote; version-1 (nested lists, no version
-    key) and version-2 (every array in full) checkpoints load too, any other
-    version raises ValueError, and so does an array whose shape disagrees
-    with the checkpoint's d, p and representatives, or a per-task entry
-    with an unknown loss."""
+    key), version-2 (every array in full) and version-3 (no code basis)
+    checkpoints load too, with their decoder statistics in the identity
+    basis.  Any other version raises ValueError, and so does an array whose
+    shape disagrees with the checkpoint's d, p and representatives, a
+    version-4 basis that is not p x r with r <= p or not orthonormal to
+    round-off, decoder statistics with a nonzero row past the basis, or a
+    per-task entry with an unknown loss."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("version", 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +46,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("need at least one seed")
+        repeated = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
+        if repeated:
+            # each seed writes its own files and counts once in summary.csv
+            raise ValueError(f"seeds are not unique: {repeated}")
         if self.task_order not in TASK_ORDERS:
             raise ValueError(f"task_order must be one of {TASK_ORDERS}")
         if self.dataset.get("type") not in ("disjoint", "corpus"):

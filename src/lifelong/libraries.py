@@ -7,13 +7,23 @@ system accumulated in (acc_A, acc_b), the encoder from per-row least
 squares accumulated in (acc_M, acc_C).  Columns are kept inside the unit
 l2 ball by rescaling after each solve.
 
-acc_A is a sum of kron(W, H) over symmetric p x p weights W and d x d
-Hessians H, so its d x d block (j, i) equals block (i, j).  It is held
-as `acc_A_pairs`, the p(p+1)/2 blocks i <= j, and each decoder system's
-upper triangle is assembled from them, block row by block row, into one
-(dp) x (dp) buffer per thread that is reused from refit to refit.  There
-it is factored in place as U'U, again by block rows, and only the upper
-triangle is ever read.
+Every term of the decoder statistics is kron(W, H) with W built from
+codes (s s' and the representative differences), so they live in
+span(codes) (x) R^d, and on the rest of R^(dp) the decoder system is
+mu I with a zero right-hand side.  The library therefore holds an
+orthonormal basis Q (p x r) of every code that has entered the
+statistics, grown by one Gram-Schmidt direction per new vector, and
+keeps (acc_A, acc_b) in its coordinates: a direction's rows start at
+exactly zero when it joins, and rows past r stay zero.  A refit solves
+only the leading (dr) x (dr) system for Y (d x r) and sets D = Y Q'.
+
+acc_A is a sum of kron(W, H) over symmetric W and d x d Hessians H, so
+its d x d block (j, i) equals block (i, j).  It is held as
+`acc_A_pairs`, the p(p+1)/2 blocks i <= j, and each decoder system's
+upper triangle is assembled from the leading r block rows of them into a
+contiguous prefix of one (dp) x (dp) buffer per thread that is reused
+from refit to refit.  There it is factored in place as U'U, again by
+block rows, and only the upper triangle is ever read.
 
 The model library is an append-only list of representative codes; codes
 never change after admission, so reverse transfer flows only through the
@@ -38,18 +48,24 @@ from .assignment import Assignment
 class FeatureLibrary:
     """Encoder/decoder pair plus the accumulators backing their refits.
 
-    `acc_A_pairs[k]` is the d x d block (i, j) of the decoder statistics
-    acc_A for the pair (i <= j) at position k of np.triu_indices(p), that
-    is the sum of W[i, j] H over the Kronecker terms kron(W, H); block
-    (j, i) is the same block, since every W is symmetric.
+    The decoder statistics are held in the coordinates of `basis`, an
+    orthonormal Q (p x r) whose span holds every code that entered them:
+    acc_A = (Q (x) I_d) A (Q (x) I_d)' and acc_b = (Q (x) I_d) b, where A
+    and b are `acc_A_pairs` and `acc_b_coords` restricted to their
+    leading r block rows; every row past r is exactly zero.
+    `acc_A_pairs[k]` is the d x d block (i, j) of A for the pair (i <= j)
+    at position k of np.triu_indices(p), that is the sum of W[i, j] H
+    over the Kronecker terms kron(W, H) in coordinates; block (j, i) is
+    the same block, since every W is symmetric.
     """
 
-    decoder: np.ndarray      # d x p
-    encoder: np.ndarray      # p x d
-    acc_A_pairs: np.ndarray  # p(p+1)/2 x d x d
-    acc_b: np.ndarray        # dp
-    acc_M: np.ndarray        # p x d
-    acc_C: np.ndarray        # d x d
+    decoder: np.ndarray       # d x p
+    encoder: np.ndarray       # p x d
+    basis: np.ndarray         # p x r, orthonormal columns
+    acc_A_pairs: np.ndarray   # p(p+1)/2 x d x d, in basis coordinates
+    acc_b_coords: np.ndarray  # dp, in basis coordinates
+    acc_M: np.ndarray         # p x d
+    acc_C: np.ndarray         # d x d
     tasks_seen: int
 
     @property
@@ -62,11 +78,27 @@ class FeatureLibrary:
 
     @property
     def acc_A(self) -> np.ndarray:
-        """The full (dp) x (dp) decoder statistics, a read-only copy
-        assembled from `acc_A_pairs`."""
-        full = _pairs_to_full(self.acc_A_pairs, self.p)
+        """The full (dp) x (dp) decoder statistics in the identity basis, a
+        read-only array assembled from `acc_A_pairs` and `basis`."""
+        d, p = self.d, self.p
+        q = self.basis
+        r = q.shape[1]
+        coords = _pairs_to_full(self.acc_A_pairs, p).reshape(p, d, p, d)[:r, :, :r]
+        # [i, x, y, j] is entry (x, y) of block (i, j); mirrored from the
+        # pairs i <= j, so block (j, i) equals block (i, j) bit for bit
+        rotated = np.tensordot(np.tensordot(q, coords, axes=(1, 0)), q, axes=(2, 1))
+        i, j = np.triu_indices(p)
+        full = _pairs_to_full(rotated[i, :, :, j], p)
         full.setflags(write=False)
         return full
+
+    @property
+    def acc_b(self) -> np.ndarray:
+        """The decoder right-hand side in the identity basis, read-only."""
+        r = self.basis.shape[1]
+        b = (self.basis @ self.acc_b_coords.reshape(self.p, self.d)[:r]).reshape(-1)
+        b.setflags(write=False)
+        return b
 
 
 @dataclass(frozen=True)
@@ -99,8 +131,9 @@ def init_libraries(d: int, p: int, seed: int) -> FeatureLibrary:
     return FeatureLibrary(
         decoder=decoder,
         encoder=encoder,
+        basis=np.zeros((p, 0)),
         acc_A_pairs=np.zeros((p * (p + 1) // 2, d, d)),
-        acc_b=np.zeros(d * p),
+        acc_b_coords=np.zeros(d * p),
         acc_M=np.zeros((p, d)),
         acc_C=np.zeros((d, d)),
         tasks_seen=0,
@@ -299,6 +332,35 @@ def decoder_contribution(s_t: np.ndarray, omega: np.ndarray,
     return _pairs_to_full(_decoder_terms(s_t, omega, reps_used, lambda2), s_t.shape[0])
 
 
+# residuals of at most this many machine epsilons times p times the
+# vector's norm are round-off; about 3.6e-14 relative at p = 20
+_SPAN_ROUNDOFF = 8 * np.finfo(float).eps
+
+
+def _grow_basis(basis: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """`basis` with one orthonormal column more for each of `vectors` that
+    lies outside its span, taken in order.
+
+    A vector v is orthogonalised against the columns by classical
+    Gram-Schmidt applied twice, which leaves the columns orthogonal to
+    round-off (Giraud et al., "Rounding error analysis of the classical
+    Gram-Schmidt orthogonalization process", 2005); its residual joins,
+    normalised, when it exceeds `_SPAN_ROUNDOFF` p ||v||, the round-off of
+    projecting v onto at most p directions.  A smaller residual is that
+    round-off, not a direction, and the zero vector never joins.
+    """
+    p = basis.shape[0]
+    for v in vectors:
+        if basis.shape[1] == p:
+            break
+        u = v - basis @ (basis.T @ v)
+        u -= basis @ (basis.T @ u)
+        norm = np.linalg.norm(u)
+        if norm > _SPAN_ROUNDOFF * p * np.linalg.norm(v):
+            basis = np.column_stack([basis, u / norm])
+    return basis
+
+
 def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
                    reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
                    lambda2: float, w_t: np.ndarray,
@@ -306,35 +368,57 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     """Fold one task into the decoder statistics and refit the decoder.
 
     Solves (acc_A / T + mu I) vec(D) = acc_b / T with T counting this task,
-    then clips columns to the unit ball.  The task's pair blocks are added
-    into the one new `acc_A_pairs`; the upper triangle of the system is
-    written block row by block row, scaled by 1/T, into this thread's
-    reused (dp) x (dp) buffer, which is then factored in place.
-    `tasks_seen` is left unchanged; the caller bumps it once per task after
-    both library updates.
+    then clips columns to the unit ball.  The basis first grows by the
+    task's code and each representative code whose term enters the
+    statistics (lambda2 > 0 and z_k != 0), where they lie outside it;
+    the task's terms, with every code replaced by its coordinates, are
+    added into the one new `acc_A_pairs` and `acc_b_coords`.  With r basis
+    directions, the upper triangle of the leading (dr) x (dr) system is
+    written block row by block row, scaled by 1/T, into a contiguous
+    prefix of this thread's reused (dp) x (dp) buffer and factored there
+    in place; its solution Y (d x r) gives D = Y Q'.  On the complement of
+    the basis the system is mu I with a zero right-hand side, so this is
+    the solution of the full system, and at mu = 0 with r < p the full
+    system is singular.  `tasks_seen` is left unchanged; the caller bumps
+    it once per task after both library updates.
     """
     d, p = lib.d, lib.p
     if s_t.shape != (p,) or w_t.shape != (d,) or omega.shape != (d, d):
         raise ValueError("task quantities do not match the library dimensions")
-    acc_A_pairs = _decoder_terms(s_t, omega, reps_used, lambda2)
+    reps_used = [rep for rep in reps_used if lambda2 > 0 and rep[2] != 0.0]
+    basis = _grow_basis(lib.basis, [s_t] + [s_k for s_k, _, _ in reps_used])
+    r = basis.shape[1]
+    if ridge_mu == 0.0 and r < p:
+        raise np.linalg.LinAlgError(
+            f"decoder system is singular off the {r}-dimensional span of the codes; "
+            f"rerun with ridge_mu > 0")
+
+    def coords(v):
+        c = np.zeros(p)
+        c[:r] = v @ basis
+        return c
+
+    c_t = coords(s_t)
+    acc_A_pairs = _decoder_terms(c_t, omega, [(coords(s_k), omega_k, z_k)
+                                              for s_k, omega_k, z_k in reps_used], lambda2)
     acc_A_pairs += lib.acc_A_pairs
-    acc_b = lib.acc_b + np.kron(s_t, omega @ w_t)
+    acc_b_coords = lib.acc_b_coords + np.kron(c_t, omega @ w_t)
     T = lib.tasks_seen + 1
-    system = _system_buffer(d * p)
-    # block row i right of the diagonal holds the pairs (i, j >= i), which
-    # are contiguous in np.triu_indices order
-    rows = system.reshape(p, d, p, d)
+    n = d * r
+    system = _system_buffer(d * p).reshape(-1)[:n * n].reshape(n, n)
+    # block row i right of the diagonal holds the pairs (i, j >= i), whose
+    # first r - i are contiguous in np.triu_indices(p) order
+    rows = system.reshape(r, d, r, d)
     k = 0
-    for i in range(p):
-        np.multiply(acc_A_pairs[k:k + p - i].transpose(1, 0, 2), 1.0 / T,
+    for i in range(r):
+        np.multiply(acc_A_pairs[k:k + r - i].transpose(1, 0, 2), 1.0 / T,
                     out=rows[i, :, i:, :])
         k += p - i
-    system.flat[::d * p + 1] += ridge_mu
-    vec_d = _solve_spd(system, acc_b / T, "decoder")
-    # C-contiguous so in-memory and checkpoint-reloaded layouts match bitwise
-    decoder = np.ascontiguousarray(_clip_columns(vec_d.reshape((d, p), order="F")))
-    return dataclasses.replace(lib, decoder=decoder, acc_A_pairs=acc_A_pairs,
-                               acc_b=acc_b)
+    system.flat[::n + 1] += ridge_mu
+    y = _solve_spd(system, acc_b_coords[:n] / T, "decoder")
+    decoder = _clip_columns(y.reshape(r, d).T @ basis.T)
+    return dataclasses.replace(lib, decoder=decoder, basis=basis, acc_A_pairs=acc_A_pairs,
+                               acc_b_coords=acc_b_coords)
 
 
 def update_encoder(lib: FeatureLibrary, s_t: np.ndarray, w_t: np.ndarray,
@@ -388,7 +472,7 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
     return ModelLibrary(reps=mlib.reps + (rec,)), True
 
 
-# checkpoint i/o.  Version 3 stores each array as {"dtype": "<f8", "shape":
+# checkpoint i/o.  Version 4 stores each array as {"dtype": "<f8", "shape":
 # [...], "data": base64 of its raw little-endian float64 bytes}, which
 # round-trips bit for bit.  A Kronecker-symmetric accumulator, a sum of
 # kron(W, H) with every W (p x p) and H (d x d) symmetric, also carries
@@ -400,12 +484,18 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
 # save checks each block against its transpose bit for bit and stores an
 # accumulator that fails in full, so an asymmetric one is never made
 # symmetric.  A full acc_A (versions 1 and 2, or that fallback) loads only
-# if its blocks (j, i) and (i, j) agree bit for bit.  Version 2 had no
-# packed entries, and version 1 stored nested lists of shortest-repr
-# floats; both still load.
+# if its blocks (j, i) and (i, j) agree bit for bit.  Version 4 added
+# "basis", the p x r orthonormal Q, and holds "acc_A" and "acc_b" in its
+# coordinates, as the library does in memory; a basis that is not p x r
+# with r <= p or not orthonormal to round-off, or statistics with a
+# nonzero entry in a row past r, are refused.  Versions 1 to 3 hold the
+# statistics in the identity basis and load with Q = I_p, which refits
+# correctly but solves the full system.  Version 2 had no packed
+# entries, and version 1 stored nested lists of shortest-repr floats;
+# both still load.
 
-CHECKPOINT_VERSION = 3
-READABLE_VERSIONS = (1, 2, CHECKPOINT_VERSION)
+CHECKPOINT_VERSION = 4
+READABLE_VERSIONS = (1, 2, 3, CHECKPOINT_VERSION)
 _DTYPE = "<f8"
 
 
@@ -485,13 +575,15 @@ def decode_array(value, key: str) -> np.ndarray:
 
 def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
     return {
+        "version": CHECKPOINT_VERSION,
         "d": flib.d,
         "p": flib.p,
         "tasks_seen": flib.tasks_seen,
         "decoder": encode_array(flib.decoder),
         "encoder": encode_array(flib.encoder),
+        "basis": encode_array(flib.basis),
         "acc_A": _encode_pairs(flib.acc_A_pairs, flib.p),
-        "acc_b": encode_array(flib.acc_b),
+        "acc_b": encode_array(flib.acc_b_coords),
         "acc_M": encode_array(flib.acc_M),
         "acc_C": _encode_pairs(flib.acc_C[None], 1),
         "representatives": [
@@ -527,14 +619,50 @@ def decode_shaped(value, key: str, shape: tuple, kron=None) -> np.ndarray:
     return blocks
 
 
+# a saved basis whose Q'Q departs from I by more than this many machine
+# epsilons times p is refused
+_ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
+
+
+def _decode_basis(payload: dict, p: int) -> np.ndarray:
+    """The version-4 basis entry, refused unless it is p x r with r <= p
+    and orthonormal to round-off."""
+    basis = decode_array(payload["basis"], "basis")
+    if basis.ndim != 2 or basis.shape[0] != p or basis.shape[1] > p:
+        raise ValueError(f"checkpoint array 'basis': shape {basis.shape}, expected "
+                         f"(p, r) with r <= p = {p} from the checkpoint's p")
+    gram = basis.T @ basis
+    gram.flat[::basis.shape[1] + 1] -= 1.0
+    if not np.all(np.abs(gram) <= _ORTHONORMAL_ROUNDOFF * p):
+        raise ValueError(f"checkpoint array 'basis': columns are not orthonormal (Q'Q "
+                         f"departs from I by {np.abs(gram).max():.3g})")
+    return basis
+
+
 def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
+    """The libraries `library_to_dict` wrote, or those of a version 1 to 3
+    document, whose statistics load in the identity basis."""
     d, p = int(payload["d"]), int(payload["p"])
     dp = d * p
+    if payload.get("version", 1) >= 4:
+        basis = _decode_basis(payload, p)
+    else:
+        basis = np.eye(p)
+    acc_A_pairs = decode_shaped(payload["acc_A"], "acc_A", (dp, dp), (p, d))
+    acc_b_coords = decode_shaped(payload["acc_b"], "acc_b", (dp,))
+    r = basis.shape[1]
+    if np.any(acc_A_pairs[np.triu_indices(p)[1] >= r]):
+        raise ValueError(f"checkpoint array 'acc_A': nonzero statistics past the "
+                         f"{r} basis directions")
+    if np.any(acc_b_coords[r * d:]):
+        raise ValueError(f"checkpoint array 'acc_b': nonzero statistics past the "
+                         f"{r} basis directions")
     flib = FeatureLibrary(
         decoder=decode_shaped(payload["decoder"], "decoder", (d, p)),
         encoder=decode_shaped(payload["encoder"], "encoder", (p, d)),
-        acc_A_pairs=decode_shaped(payload["acc_A"], "acc_A", (dp, dp), (p, d)),
-        acc_b=decode_shaped(payload["acc_b"], "acc_b", (dp,)),
+        basis=basis,
+        acc_A_pairs=acc_A_pairs,
+        acc_b_coords=acc_b_coords,
         acc_M=decode_shaped(payload["acc_M"], "acc_M", (p, d)),
         acc_C=decode_shaped(payload["acc_C"], "acc_C", (d, d), (1, d))[0],
         tasks_seen=int(payload["tasks_seen"]),

@@ -17,8 +17,9 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              reconstruct_model, reconstructed_weights,
                              save_state)
 from lifelong.experiment import ExperimentConfig
-from lifelong.libraries import (bump_tasks_seen, encode_array, init_libraries,
-                                library_to_dict, update_decoder, update_encoder)
+from lifelong.libraries import (CHECKPOINT_VERSION, _pairs_to_full, bump_tasks_seen,
+                                encode_array, init_libraries, library_to_dict,
+                                update_decoder, update_encoder)
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, loss_value
 
@@ -387,9 +388,11 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         save_state(state, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 3 and "kron" in payload["acc_A"]
+        assert payload["version"] == CHECKPOINT_VERSION and "kron" in payload["acc_A"]
+        # version 2 had no basis and held the statistics in the identity basis
         payload["version"] = 2
-        for name in ("acc_A", "acc_C"):
+        del payload["basis"]
+        for name in ("acc_A", "acc_b", "acc_C"):
             payload[name] = encode_array(getattr(state.flib, name))
         path.write_text(json.dumps(payload))
         loaded = load_state(path)
@@ -401,13 +404,14 @@ class TestCheckpoint:
 
     def test_packed_acc_A_matches_full_matrix_encoding(self):
         # written straight from the pair blocks, the entry is the one the
-        # full matrix packs to
+        # full matrix of basis coordinates packs to
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         flib = state.flib
         entry = library_to_dict(flib, state.mlib)["acc_A"]
         assert "kron" in entry
-        assert json.dumps(entry) == json.dumps(encode_array(flib.acc_A, (flib.p, flib.d)))
+        coords = _pairs_to_full(flib.acc_A_pairs, flib.p)
+        assert json.dumps(entry) == json.dumps(encode_array(coords, (flib.p, flib.d)))
 
     def test_checkpoint_from_full_matrix_layout_loads(self, tmp_path, rng):
         # written while acc_A was held in memory as the full (dp) x (dp)
@@ -425,13 +429,21 @@ class TestCheckpoint:
         fixture, resaved = json.loads(old.read_text()), json.loads(path.read_text())
         retired = {"coder_tol", "coder_max_iter", "max_outer", "outer_tol"}
         assert set(fixture["hyper"]) - set(resaved["hyper"]) == retired
-        for key in fixture:
+        # version 3 held the statistics in the identity basis, which
+        # version 4 stores beside them
+        expected = {}
+        for key, value in fixture.items():
+            expected[key] = value
+            if key == "encoder":
+                expected["basis"] = encode_array(np.eye(loaded.flib.p))
+        expected["version"] = CHECKPOINT_VERSION
+        for key in expected:
             if key != "hyper":
                 # every array entry, base64 of its raw bytes, unchanged
-                assert resaved[key] == fixture[key], key
+                assert resaved[key] == expected[key], key
         for name in retired:
-            del fixture["hyper"][name]
-        assert path.read_bytes() == json.dumps(fixture).encode()
+            del expected["hyper"][name]
+        assert path.read_bytes() == json.dumps(expected).encode()
         train, _ = small_corpus()
         fresh, outcomes = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         X = rng.normal(size=(10, 6))
@@ -495,10 +507,10 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         save_state(state, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 3
-        payload["version"] = 4
+        assert payload["version"] == CHECKPOINT_VERSION
+        payload["version"] = CHECKPOINT_VERSION + 1
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version 4"):
+        with pytest.raises(ValueError, match=f"version {CHECKPOINT_VERSION + 1}"):
             load_state(path)
 
     @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "representatives[0].code",
@@ -538,6 +550,68 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             load_state(path)
+
+    @pytest.mark.parametrize("key, fault", [("basis", "wider_than_p"),
+                                            ("basis", "rows_not_p"),
+                                            ("basis", "not_orthonormal"),
+                                            ("acc_A", "past_basis"),
+                                            ("acc_b", "past_basis")])
+    def test_basis_disagreeing_with_statistics_named(self, tmp_path, key, fault):
+        # after 2 tasks at p = 5 the basis spans at most 2 directions, and
+        # every statistic past them is exactly zero; a basis or statistics
+        # that break this would corrupt every later refit
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        flib = state.flib
+        d, p = flib.d, flib.p
+        q = flib.basis
+        assert 1 <= q.shape[1] < p
+        if fault == "wider_than_p":
+            payload["basis"] = encode_array(np.eye(p, p + 1))
+        elif fault == "rows_not_p":
+            payload["basis"] = encode_array(np.vstack([q, np.zeros((1, q.shape[1]))]))
+        elif fault == "not_orthonormal":
+            payload["basis"] = encode_array(q * np.r_[1.0 + 1e-10, np.ones(q.shape[1] - 1)])
+        elif key == "acc_A":
+            pairs = flib.acc_A_pairs.copy()
+            pairs[-1, 0, 0] = 1e-300    # block (p - 1, p - 1)
+            payload["acc_A"] = encode_array(_pairs_to_full(pairs, p), (p, d))
+            assert "kron" in payload["acc_A"]
+        else:
+            b = flib.acc_b_coords.copy()
+            b[-1] = 1e-300
+            payload["acc_b"] = encode_array(b)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            load_state(path)
+
+    @pytest.mark.parametrize("save_at", [3, 8])
+    def test_resume_mid_basis_is_bit_identical(self, tmp_path, rng, save_at):
+        # saved while the basis spans fewer than p = 5 directions (T = 3)
+        # and after T > p arrivals, the loaded state continues the stream
+        # exactly as the state that never stopped
+        train, _ = small_corpus(tasks_per_cluster=5)
+        tasks = train.tasks
+        whole, outcomes = stream(init_state(small_hyper(), seed=0), tasks)
+        head, _ = stream(init_state(small_hyper(), seed=0), tasks[:save_at])
+        p = head.flib.p
+        assert (head.flib.basis.shape[1] < p) == (save_at < p)
+        path = tmp_path / "state.json"
+        save_state(head, path)
+        resumed, tail = stream(load_state(path), tasks[save_at:])
+        for ours, theirs in zip(tail, outcomes[save_at:]):
+            assert ours.code.tobytes() == theirs.code.tobytes()
+            assert ours.assignment.z.tobytes() == theirs.assignment.z.tobytes()
+            assert ours.admitted == theirs.admitted
+        for name in ("decoder", "encoder", "basis", "acc_A_pairs", "acc_b_coords"):
+            assert getattr(resumed.flib, name).tobytes() == getattr(whole.flib, name).tobytes()
+        X = rng.normal(size=(10, 6))
+        for task in tasks:
+            assert (predict(resumed, task.task_id, X).tobytes()
+                    == predict(whole, task.task_id, X).tobytes())
 
     @pytest.mark.parametrize("where", ["acc_A", "per_task"])
     def test_array_of_wrong_size_named(self, tmp_path, where):

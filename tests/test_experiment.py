@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,8 @@ class TestRunExperiment:
             ExperimentConfig(dataset={"type": "mystery"})
         with pytest.raises(ValueError, match="checkpoint_every"):
             ExperimentConfig(checkpoint_every=-1)
+        with pytest.raises(ValueError, match=re.escape("[2, 5]")):
+            ExperimentConfig(seeds=(5, 1, 2, 5, 2))
 
 
 class TestCli:
@@ -138,6 +141,14 @@ class TestCli:
         out = tmp_path / "cli_out"
         assert main(["--seed", "0", "--output", str(out), "--checkpoint-every", "-5"]) == 1
         assert "checkpoint_every" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_seed_exits_nonzero(self, tmp_path, capsys):
+        # a repeated seed would write its files twice and count twice in
+        # summary.csv
+        out = tmp_path / "cli_out"
+        assert main(["--seed", "2", "--seed", "2", "--output", str(out)]) == 1
+        assert "seeds are not unique: [2]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failure_leaves_incomplete_marker(self, tmp_path):

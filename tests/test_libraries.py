@@ -14,6 +14,7 @@ from lifelong.assignment import Assignment
 from lifelong.engine import EngineState, HyperParams, load_state, save_state
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
                                 _cholesky_in_place, _lower_inverse, _substitute,
+                                _system_buffer,
                                 admit_representative, bump_tasks_seen,
                                 decode_array, decoder_contribution,
                                 encode_array, init_libraries, library_from_dict,
@@ -162,6 +163,48 @@ class TestDecoderUpdate:
         D /= np.where(norms > 1.0, norms, 1.0)
         assert np.abs(lib.decoder - D).max() <= 1e-10 * np.abs(D).max()
 
+    @given(p=st.integers(1, 6), extra_d=st.integers(0, 6), lam=st.floats(0.0, 1.0),
+           zero_at=st.integers(0, 8), combo_at=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_property_basis_tracks_code_span(self, p, extra_d, lam, zero_at, combo_at,
+                                             seed):
+        # the engine's inputs: each arrival's representatives are earlier
+        # codes, some sharing the task's Omega and some with Hessians of
+        # their own, some switched off with z = 0; one code is zero and one
+        # a combination of earlier codes, so neither widens the span
+        d, mu = p + extra_d, 1e-2
+        rng = np.random.default_rng(seed)
+        lib = init_libraries(d, p, seed=0)
+        A = np.zeros((d * p, d * p))
+        b = np.zeros(d * p)
+        codes = []
+        for T in range(1, p + 4):
+            if T - 1 == zero_at:
+                s = np.zeros(p)
+            elif T - 1 == combo_at and codes:
+                s = sum(rng.normal() * c for c in codes[-2:])
+            else:
+                s = rng.normal(size=p) * (rng.random(p) < 0.7)
+            _, omega, own, w = random_update_inputs(rng, d, p, n_reps=1)
+            reps = tuple((c, omega if rng.random() < 0.5 else own[0][1],
+                          float(rng.choice([0.0, rng.random()])))
+                         for c in codes if rng.random() < 0.6)
+            codes.append(s)
+            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=lam, w_t=w,
+                                                 ridge_mu=mu))
+            A += np.kron(np.outer(s, s), omega)
+            for s_k, omega_k, z_k in reps:
+                A += lam * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
+            b += np.kron(s, omega @ w)
+            q = lib.basis
+            assert q.shape == (p, np.linalg.matrix_rank(np.array(codes)))
+            assert np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0) <= 1e-12
+            D = np.linalg.solve(A / T + mu * np.eye(d * p), b / T).reshape((d, p), order="F")
+            norms = np.linalg.norm(D, axis=0)
+            D /= np.where(norms > 1.0, norms, 1.0)
+            assert np.abs(lib.decoder - D).max() <= 1e-10 * max(np.abs(D).max(), 1e-300)
+
     def test_concurrent_refits_match_sequential(self):
         # each thread assembles and factors in a buffer of its own: four
         # libraries of one dp, refit at once from more threads than cores,
@@ -299,8 +342,10 @@ class TestCholeskyInPlace:
 
     def test_warm_refit_allocates_no_system_sized_array(self, rng):
         # the one new acc_A_pairs plus the 48 x (dp) strips of the blocked
-        # factorisation; the system is assembled and factored in the
-        # thread's buffer, which the warm-up refits allocated
+        # factorisation; the system is assembled and factored in a prefix
+        # of the thread's buffer, which the first refit allocated, while
+        # the basis spans 12 of the 20 code directions and once it spans
+        # all of them
         d, p = 40, 20
         dp = d * p
         lib = init_libraries(d, p, seed=0)
@@ -308,15 +353,24 @@ class TestCholeskyInPlace:
             s, omega, reps, w = random_update_inputs(rng, d, p)
             lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
                                                  w_t=w, ridge_mu=1e-3))
-        s, omega, reps, w = random_update_inputs(rng, d, p)
-        tracemalloc.start()
-        try:
-            update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * (p * (p + 1) // 2 * d * d + 2 * _SUBST_BLOCK * dp)
-        assert peak < 8 * dp * dp
+        buffer = _system_buffer(dp)
+        for r in (12, p):
+            while lib.basis.shape[1] + 3 < r:
+                s, omega, reps, w = random_update_inputs(rng, d, p)
+                lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
+                                                     w_t=w, ridge_mu=1e-3))
+            s, omega, reps, w = random_update_inputs(rng, d, p)
+            tracemalloc.start()
+            try:
+                lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
+                                                     w_t=w, ridge_mu=1e-3))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert lib.basis.shape == (p, r)
+            assert peak <= 8 * (p * (p + 1) // 2 * d * d + 2 * _SUBST_BLOCK * dp)
+            assert peak < 8 * dp * dp
+            assert _system_buffer(dp) is buffer
 
 
 class TestDecoderContribution:
