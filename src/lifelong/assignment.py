@@ -1,9 +1,8 @@
 """Soft assignment of a task to representative models plus a virtual
 outlier slot.
 
-The assignment minimises a linear cost plus an l1 term over the
-probability simplex.  On the simplex ||z||_1 = 1, so the l1 term is a
-constant and the block is minimised exactly by the vertex of the cheapest
+The assignment minimises a linear cost over the probability simplex (an
+l1 term would be constant there), exactly, by the vertex of the cheapest
 slot.  The cost of the virtual slot is the outlier weight derived from the
 ratio of the nearest representative distance to the total distance.
 """
@@ -68,12 +67,11 @@ def representative_distances(decoder: np.ndarray, s_t: np.ndarray,
     return out
 
 
-def outlier_weight(distances: np.ndarray, gamma: float = 1.0,
-                   cap: float = OUTLIER_WEIGHT_CAP) -> float:
+def outlier_weight(distances: np.ndarray, gamma: float = 1.0) -> float:
     """Cost of the virtual slot: -gamma * log(min(d) / sum(d)).
 
     All-zero distances mean the task is perfectly represented already, so
-    the virtual slot gets the cap and is never selected.
+    the virtual slot gets `OUTLIER_WEIGHT_CAP` and is never selected.
     """
     distances = np.asarray(distances, dtype=float)
     if distances.size < 1:
@@ -84,14 +82,14 @@ def outlier_weight(distances: np.ndarray, gamma: float = 1.0,
         raise ValueError("distances must be >= 0")
     total = float(distances.sum())
     if total == 0.0:
-        return cap
+        return OUTLIER_WEIGHT_CAP
     return float(-gamma * np.log(distances.min() / total))
 
 
 def solve_assignment(distances: np.ndarray, d0: float, lambda2: float,
-                     alpha: float, max_iter: int = 1) -> Assignment:
-    """Minimise lambda2 * <[distances, d0], z> + alpha * ||z||_1 over the
-    simplex exactly: all mass on the cheapest slot, ties to the lowest index.
+                     max_iter: int = 1) -> Assignment:
+    """Minimise lambda2 * <[distances, d0], z> over the simplex exactly: all
+    mass on the cheapest slot, ties to the lowest index (slot 0 at lambda2 = 0).
 
     `max_iter` is ignored; it stays for the benchmark tracer
     (perfbench/instrument.py), which binds it and reads `admm_iters`.
@@ -99,8 +97,8 @@ def solve_assignment(distances: np.ndarray, d0: float, lambda2: float,
     cost = np.append(np.asarray(distances, dtype=float), d0)
     if not (cost >= 0).all():
         raise ValueError("costs must be >= 0")
-    if lambda2 < 0 or alpha < 0:
-        raise ValueError("lambda2 and alpha must be >= 0")
+    if lambda2 < 0:
+        raise ValueError("lambda2 must be >= 0")
     z = np.zeros(cost.size)
-    z[np.argmin(lambda2 * cost)] = 1.0
+    z[np.argmin(lambda2 * cost) if lambda2 > 0 else 0] = 1.0
     return Assignment(z=z)

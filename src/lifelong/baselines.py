@@ -1,7 +1,6 @@
 """Reference models for comparisons: independent single-task fits and the
-configuration of the dictionary-only ablation (representative coupling and
-admission switched off, everything else on the same code path as the full
-engine)."""
+configuration of the dictionary-only ablation (lambda2 = 0, everything else
+on the same code path as the full engine)."""
 
 from __future__ import annotations
 
@@ -20,5 +19,6 @@ def run_stl(corpus: TaskCorpus, ridge: float) -> dict[str, np.ndarray]:
 
 
 def ablation_hyper(hyper: HyperParams) -> HyperParams:
-    """The full engine's configuration with the representative machinery off."""
-    return dataclasses.replace(hyper, lambda2=0.0, admission_enabled=False)
+    """The full engine's configuration at lambda2 = 0: slot 0 wins every
+    assignment, so only a task arriving to an empty model library is admitted."""
+    return dataclasses.replace(hyper, lambda2=0.0)

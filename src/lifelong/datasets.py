@@ -144,7 +144,7 @@ def standardize_targets(train: TaskCorpus, test: TaskCorpus
     if train.problem_kind != "regression":
         raise ValueError("target standardisation applies to regression corpora only")
     train_tasks, test_tasks = [], []
-    for tr, te in zip(train.tasks, test.tasks):
+    for tr, te in zip(train.tasks, test.tasks, strict=True):
         if tr.task_id != te.task_id:
             raise ValueError("train/test task order mismatch")
         m = float(tr.targets.mean())

@@ -35,27 +35,25 @@ from .libraries import (READABLE_VERSIONS, FeatureLibrary, ModelLibrary,
                         init_libraries, library_from_dict, library_to_dict,
                         update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, encode_task
-from .tasks import (ConvergenceError, SingleTaskModel, TaskData, fit_single_task,
-                    hessian_at)
+from .tasks import ConvergenceError, TaskData, fit_single_task, hessian_at
 
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Knobs of the lifelong learner; defaults target the synthetic
-    disjoint benchmark at standardised-target scale."""
+    """Knobs of the lifelong learner; defaults target the synthetic disjoint
+    benchmark at standardised-target scale.  The assignment has no l1 weight
+    (constant on the simplex), and admission is always on."""
 
     lambda1: float = 0.001    # l1 weight on codes
     lambda2: float = 0.05     # representative coupling weight
-    alpha: float = 0.05       # l1 weight on assignments
     gamma: float = 0.25       # outlier-weight scale
     mu: float = 1e-3          # ridge on both library refits
     ridge: float = 1e-4       # ridge on single-task fits
     p: int = 20               # code length
     phi: str = "identity"     # "identity" | "tanh"
-    admission_enabled: bool = True
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.alpha, self.mu, self.ridge) < 0:
+        if min(self.lambda1, self.lambda2, self.mu, self.ridge) < 0:
             raise ValueError("regularisers must be >= 0")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
@@ -65,19 +63,28 @@ class HyperParams:
             raise ValueError(f"unknown activation {self.phi!r}")
 
 
-# settings of the iterative assignment the closed form replaced, of the
-# iterative code solver feature-sign search replaced, and of the round cap
-# and tolerance exit the exact fixed point replaced; checkpoints and
-# configs written before them still carry them
-RETIRED_HYPER_KEYS = frozenset({"beta", "rho", "admm_tol", "admm_max_iter",
-                                "coder_tol", "coder_max_iter",
-                                "max_outer", "outer_tol"})
+def drop_retired(settings: dict, retired: dict) -> dict:
+    """`settings` less the keys in `retired`; each maps to a test `(value,
+    settings) -> bool` that a saved value must pass, or ValueError is raised."""
+    for key, neutral in retired.items():
+        if key in settings and not neutral(settings[key], settings):
+            raise ValueError(f"retired setting {key!r} = {settings[key]!r} would change the run")
+    return {k: v for k, v in settings.items() if k not in retired}
+
+
+# no value of the replaced iterative solvers' settings or of alpha moves a
+# decision; a run without admission matches only at lambda2 = 0
+RETIRED_HYPER_KEYS = {
+    **dict.fromkeys(("beta", "rho", "admm_tol", "admm_max_iter", "coder_tol",
+                     "coder_max_iter", "max_outer", "outer_tol", "alpha"), lambda *_: True),
+    "admission_enabled": lambda value, settings: value is True or (
+        value is False and settings.get("lambda2", HyperParams.lambda2) == 0),
+}
 
 
 def hyper_from_dict(values: dict) -> HyperParams:
-    """HyperParams from saved settings, dropping the retired keys; any other
-    unknown key still raises."""
-    return HyperParams(**{k: v for k, v in values.items() if k not in RETIRED_HYPER_KEYS})
+    """HyperParams from saved settings less the retired keys; others raise."""
+    return HyperParams(**drop_retired(values, RETIRED_HYPER_KEYS))
 
 
 def activation_pair(name: str) -> tuple[Callable, Callable]:
@@ -93,7 +100,7 @@ def activation_pair(name: str) -> tuple[Callable, Callable]:
 class PerTaskRecord:
     code: np.ndarray
     assignment: Assignment
-    single: SingleTaskModel
+    w: np.ndarray
     loss_kind: str
     data: Optional[TaskData]   # None for a task restored from a checkpoint
 
@@ -201,16 +208,12 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     encoder_delta = float(np.linalg.norm(flib.encoder - prev_encoder))
     flib = bump_tasks_seen(flib)
 
-    t = flib.tasks_seen
-    if hp.admission_enabled or t == 1:
-        mlib, admitted = admit_representative(state.mlib, code, assignment, data.task_id, t)
-    else:
-        mlib, admitted = state.mlib, False
+    mlib, admitted = admit_representative(state.mlib, code, assignment, data.task_id,
+                                          flib.tasks_seen)
 
     per_task = dict(state.per_task)
-    per_task[data.task_id] = PerTaskRecord(code=code, assignment=assignment,
-                                           single=single, loss_kind=data.loss_kind,
-                                           data=data)
+    per_task[data.task_id] = PerTaskRecord(code=code, assignment=assignment, w=w,
+                                           loss_kind=data.loss_kind, data=data)
     outcome = TaskOutcome(
         task_id=data.task_id,
         objective_trace=tuple(trace),
@@ -281,10 +284,9 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
             # K = 1 the log ratio is 0, so a fixed log 2 breaks the tie
             d0 = (hp.gamma * float(np.log(2.0)) if K == 1 and dists.sum() != 0.0
                   else outlier_weight(dists, hp.gamma))
-        assignment = solve_assignment(dists, d0, hp.lambda2, hp.alpha)
+        assignment = solve_assignment(dists, d0, hp.lambda2)
         z = assignment.z
-        trace.append(base + hp.lambda2 * (float(dists @ z[:K]) + float(z[K]) * d0
-                                          + hp.alpha * float(np.abs(z).sum())))
+        trace.append(base + hp.lambda2 * (float(dists @ z[:K]) + float(z[K]) * d0))
         slot = assignment.argmax_slot
         if hp.lambda2 == 0.0 or (slots and slot == slots[-1]):
             break
@@ -351,7 +353,7 @@ def _checkpoint_payload(state: EngineState) -> dict:
         tid: {
             "code": encode_array(rec.code),
             "z": encode_array(rec.assignment.z),
-            "w": encode_array(rec.single.w),
+            "w": encode_array(rec.w),
             "loss_kind": rec.loss_kind,
         }
         for tid, rec in state.per_task.items()
@@ -416,12 +418,10 @@ def load_state(path) -> EngineState:
         if rec["loss_kind"] not in ("squared", "logistic"):
             raise ValueError(f"checkpoint entry {key + '.loss_kind'!r}: unknown loss "
                              f"{rec['loss_kind']!r}")
-        single = SingleTaskModel(w=decode_shaped(rec["w"], f"{key}.w", (flib.d,)),
-                                 omega=np.zeros((flib.d, flib.d)), loss_at_w=0.0)
         per_task[tid] = PerTaskRecord(
             code=decode_shaped(rec["code"], f"{key}.code", (flib.p,)),
             assignment=Assignment(z=z),
-            single=single,
+            w=decode_shaped(rec["w"], f"{key}.w", (flib.d,)),
             loss_kind=rec["loss_kind"],
             data=None,
         )

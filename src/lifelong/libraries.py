@@ -463,7 +463,7 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
     the first: the zero vector reconstructs no model, yet later arrivals
     would sit at distance 0 from it.
     """
-    admitted = (t == 1 or assignment.picks_outlier) and bool(np.any(s_t))
+    admitted = assignment.picks_outlier and bool(np.any(s_t))
     if not admitted:
         return mlib, False
     code = np.array(s_t, dtype=float, copy=True)

@@ -129,9 +129,7 @@ def hessian_at(data: TaskData, point: np.ndarray) -> np.ndarray:
     return (omega + omega.T) / 2
 
 
-def fit_single_task(data: TaskData, ridge: float = 1e-4, *,
-                    grad_tol: float = LOGISTIC_GRAD_TOL,
-                    max_newton_iter: int = LOGISTIC_MAX_ITER) -> SingleTaskModel:
+def fit_single_task(data: TaskData, ridge: float = 1e-4) -> SingleTaskModel:
     """Fit w by ridge-regularised maximum likelihood and attach its surrogate.
 
     The ridge term stabilises the fit only; the stored omega is the half
@@ -143,7 +141,7 @@ def fit_single_task(data: TaskData, ridge: float = 1e-4, *,
     if data.loss_kind == "squared":
         w = _fit_squared(data, ridge)
     else:
-        w = _fit_logistic(data, ridge, tol=grad_tol, max_iter=max_newton_iter)
+        w = _fit_logistic(data, ridge)
     return SingleTaskModel(w=w, omega=hessian_at(data, w), loss_at_w=loss_value(data, w))
 
 
@@ -161,9 +159,7 @@ def _fit_squared(data: TaskData, ridge: float) -> np.ndarray:
     return _cho_solve(chol, rhs)
 
 
-def _fit_logistic(data: TaskData, ridge: float,
-                  tol: float = LOGISTIC_GRAD_TOL,
-                  max_iter: int = LOGISTIC_MAX_ITER) -> np.ndarray:
+def _fit_logistic(data: TaskData, ridge: float) -> np.ndarray:
     d = data.dim
     w = np.zeros(d)
     eye = np.eye(d)
@@ -171,10 +167,10 @@ def _fit_logistic(data: TaskData, ridge: float,
     def objective(v):
         return loss_value(data, v) + 0.5 * ridge * float(v @ v)
 
-    for _ in range(max_iter):
+    for _ in range(LOGISTIC_MAX_ITER):
         grad = loss_gradient(data, w) + ridge * w
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
+        if gnorm <= LOGISTIC_GRAD_TOL:
             return w
         hess = 2.0 * hessian_at(data, w) + ridge * eye
         try:
@@ -193,11 +189,11 @@ def _fit_logistic(data: TaskData, ridge: float,
             t /= 2
         w = w - t * step
     gnorm = float(np.linalg.norm(loss_gradient(data, w) + ridge * w))
-    if gnorm <= tol:
+    if gnorm <= LOGISTIC_GRAD_TOL:
         return w
     raise ConvergenceError(
-        f"logistic fit did not reach gradient norm {tol:g} after {max_iter} "
-        f"iterations (final gradient norm {gnorm:.3e})"
+        f"logistic fit did not reach gradient norm {LOGISTIC_GRAD_TOL:g} after "
+        f"{LOGISTIC_MAX_ITER} iterations (final gradient norm {gnorm:.3e})"
     )
 
 

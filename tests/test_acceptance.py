@@ -199,7 +199,9 @@ class TestCriterion6:
             dists = rng.uniform(0.05, 5.0, size=K)
             d0 = float(rng.uniform(0.05, 5.0))
             lam2, alpha = 1.0, float(rng.uniform(0.0, 0.1))
-            a = solve_assignment(dists, d0, lam2, alpha)
+            # the oracle keeps an l1 weight, constant on the simplex, which
+            # the closed form has no argument for
+            a = solve_assignment(dists, d0, lam2)
             cost = np.append(dists, d0)
             z_star, val_star = grid_search_assignment(cost, lam2, alpha,
                                                       resolutions[K])

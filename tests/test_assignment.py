@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,12 +73,12 @@ class TestOutlierWeight:
 
 class TestSolveAssignment:
     def test_mass_on_zero_cost_entry(self):
-        a = solve_assignment(np.array([0.0, 5.0]), d0=5.0, lambda2=1.0, alpha=0.1)
+        a = solve_assignment(np.array([0.0, 5.0]), d0=5.0, lambda2=1.0)
         np.testing.assert_array_equal(a.z, [1.0, 0.0, 0.0])
 
     def test_matches_grid_search_small(self):
         dists = np.array([1.0, 2.0])
-        a = solve_assignment(dists, d0=3.0, lambda2=1.0, alpha=0.01)
+        a = solve_assignment(dists, d0=3.0, lambda2=1.0)
         z_star, val_star = grid_search_assignment(np.array([1.0, 2.0, 3.0]), 1.0, 0.01,
                                                   resolution=1e-3)
         assert np.abs(a.z - z_star).max() <= 2e-3
@@ -84,7 +86,7 @@ class TestSolveAssignment:
         assert my_val <= val_star + 1e-4
 
     def test_constant_objective_value(self):
-        a = solve_assignment(np.array([2.0, 2.0]), d0=2.0, lambda2=1.5, alpha=0.0)
+        a = solve_assignment(np.array([2.0, 2.0]), d0=2.0, lambda2=1.5)
         val = 1.5 * float(a.z @ np.full(3, 2.0))
         assert val == pytest.approx(1.5 * 2.0, abs=1e-6)
 
@@ -92,8 +94,7 @@ class TestSolveAssignment:
         for _ in range(50):
             k = int(rng.integers(1, 5))
             dists = rng.random(k) * 5
-            a = solve_assignment(dists, d0=float(rng.random() * 5), lambda2=1.0,
-                                 alpha=float(rng.random() * 0.2))
+            a = solve_assignment(dists, d0=float(rng.random() * 5), lambda2=1.0)
             assert a.z.min() >= -1e-8
             assert a.z.max() <= 1 + 1e-8
             assert a.z.sum() == pytest.approx(1.0, abs=1e-6)
@@ -103,8 +104,8 @@ class TestSolveAssignment:
             dists = rng.random(3) * 4 + 0.1
             d0 = float(rng.random() * 4 + 0.1)
             scale = float(rng.random() * 50 + 0.5)
-            a = solve_assignment(dists, d0, lambda2=1.0, alpha=0.05)
-            b = solve_assignment(dists * scale, d0 * scale, lambda2=1.0 / scale, alpha=0.05)
+            a = solve_assignment(dists, d0, lambda2=1.0)
+            b = solve_assignment(dists * scale, d0 * scale, lambda2=1.0 / scale)
             assert a.argmax_slot == b.argmax_slot
 
     def test_assignment_invariants_enforced(self):
@@ -116,33 +117,46 @@ class TestSolveAssignment:
     def test_negative_or_nan_cost_rejected(self):
         for dists, d0 in (([1.0, -0.1], 1.0), ([1.0], -1.0), ([np.nan], 1.0)):
             with pytest.raises(ValueError, match="costs"):
-                solve_assignment(np.array(dists), d0, lambda2=1.0, alpha=0.1)
+                solve_assignment(np.array(dists), d0, lambda2=1.0)
         with pytest.raises(ValueError, match="lambda2"):
-            solve_assignment(np.array([1.0]), 1.0, lambda2=-1.0, alpha=0.1)
+            solve_assignment(np.array([1.0]), 1.0, lambda2=-1.0)
 
 
 class TestClosedForm:
     def test_near_tie_returns_exact_vertex(self):
         # seed 0's task c1_t1 at K = 1: representative 0.1761 against the
         # outlier's 0.25 * log 2 = 0.1733; an iterative solver stalls here
-        a = solve_assignment(np.array([0.1761]), 0.25 * np.log(2.0), 0.05, 0.05)
+        a = solve_assignment(np.array([0.1761]), 0.25 * np.log(2.0), 0.05)
         np.testing.assert_array_equal(a.z, [0.0, 1.0])
         assert a.picks_outlier
 
     def test_exact_tie_goes_to_lowest_index(self):
-        a = solve_assignment(np.array([0.7, 0.3, 0.3]), 0.3, lambda2=1.0, alpha=0.05)
+        a = solve_assignment(np.array([0.7, 0.3, 0.3]), 0.3, lambda2=1.0)
         np.testing.assert_array_equal(a.z, [0.0, 1.0, 0.0, 0.0])
-        a = solve_assignment(np.array([0.5]), 0.5, lambda2=1.0, alpha=0.05)
+        a = solve_assignment(np.array([0.5]), 0.5, lambda2=1.0)
         assert not a.picks_outlier
 
     def test_zero_lambda2_picks_slot_zero(self):
-        a = solve_assignment(np.array([3.0, 0.1]), 0.0, lambda2=0.0, alpha=0.05)
+        a = solve_assignment(np.array([3.0, 0.1]), 0.0, lambda2=0.0)
         np.testing.assert_array_equal(a.z, [1.0, 0.0, 0.0])
+
+    def test_zero_lambda2_ignores_infinite_outlier_cost(self):
+        # a representative at distance 0 makes the outlier cost infinite;
+        # at lambda2 = 0, 0 * inf is nan and must not reach the argmin
+        with np.errstate(divide="ignore"):
+            d0 = outlier_weight(np.array([0.0, 1.0]), 0.25)
+        assert d0 == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = solve_assignment(np.array([0.0, 1.0]), d0, lambda2=0.0)
+            b = solve_assignment(np.array([2.0, 1.0]), d0, lambda2=0.05)
+        np.testing.assert_array_equal(a.z, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(b.z, [0.0, 1.0, 0.0])
 
     @given(cost_vectors, st.floats(0, 50), st.floats(0, 10), st.floats(0, 1))
     @settings(max_examples=200, deadline=None)
     def test_vertex_no_worse_than_any_vertex(self, dists, d0, lam2, alpha):
-        a = solve_assignment(dists, d0, lam2, alpha)
+        a = solve_assignment(dists, d0, lam2)
         cost = np.append(dists, d0)
         assert np.count_nonzero(a.z) == 1 and a.z.max() == 1.0
         vertices = np.eye(cost.size)
@@ -154,16 +168,15 @@ class TestClosedForm:
 class TestDegenerateCosts:
     def test_capped_outlier_cost_keeps_mass_off_outlier(self):
         from lifelong.assignment import OUTLIER_WEIGHT_CAP
-        a = solve_assignment(np.zeros(3), d0=OUTLIER_WEIGHT_CAP, lambda2=0.05,
-                             alpha=0.05)
+        a = solve_assignment(np.zeros(3), d0=OUTLIER_WEIGHT_CAP, lambda2=0.05)
         assert a.outlier_probability <= 1e-6
         assert not a.picks_outlier
 
     def test_non_default_penalties_reach_same_vertex(self):
-        # the l1 term is constant on the simplex, so neither alpha nor a
-        # positive lambda2 moves the vertex
+        # a positive lambda2 scales every cost alike, so it does not move
+        # the vertex
         dists = np.array([2.0, 0.3, 1.1])
-        base = solve_assignment(dists, d0=0.9, lambda2=1.0, alpha=0.02)
-        alt = solve_assignment(dists, d0=0.9, lambda2=7.5, alpha=0.6)
+        base = solve_assignment(dists, d0=0.9, lambda2=1.0)
+        alt = solve_assignment(dists, d0=0.9, lambda2=7.5)
         assert base.argmax_slot == alt.argmax_slot == 1
         np.testing.assert_array_equal(base.z, alt.z)

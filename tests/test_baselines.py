@@ -5,8 +5,8 @@ import pytest
 
 from lifelong.baselines import ablation_hyper, run_stl
 from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
-from lifelong.engine import HyperParams, init_state, learn_task
-from lifelong.libraries import init_libraries
+from lifelong.engine import HyperParams, init_state, learn_task, predict
+from lifelong.libraries import ModelLibrary, init_libraries
 from lifelong.metrics import rmse
 from lifelong.tasks import fit_single_task
 
@@ -47,12 +47,38 @@ class TestAblation:
         assert len(state.mlib) == 1
         assert [o.admitted for o in outcomes] == [True] + [False] * (len(outcomes) - 1)
 
+    def test_only_nonzero_codes_arriving_to_an_empty_library_are_admitted(self, rng):
+        # at lambda2 = 0 the model library moves no code and no refit, so a
+        # run that empties it before every arrival learns the same codes,
+        # decoders and predictions.  There every arrival meets a library
+        # whose only slot is the outlier, and is admitted exactly when its
+        # code is nonzero: a task with all-zero targets fits w = 0 and gets
+        # the zero code, and the next task is admitted again
+        train, _ = corpus_pair(clusters=3, d=12)
+        zero = dataclasses.replace(train.tasks[1], targets=np.zeros(train.tasks[1].n_samples))
+        tasks = [train.tasks[0], zero, *train.tasks[2:]]
+        hyper = ablation_hyper(HyperParams(p=6))
+        kept, emptied = init_state(hyper, seed=0), init_state(hyper, seed=0)
+        kept_admitted, emptied_admitted = [], []
+        for task in tasks:
+            kept, outcome = learn_task(kept, task)
+            emptied, alone = learn_task(dataclasses.replace(emptied, mlib=ModelLibrary()), task)
+            kept_admitted.append(outcome.admitted)
+            emptied_admitted.append(alone.admitted)
+            assert outcome.code.tobytes() == alone.code.tobytes()
+            assert kept.flib.decoder.tobytes() == emptied.flib.decoder.tobytes()
+        assert not kept.per_task[zero.task_id].code.any()
+        assert kept_admitted == [True] + [False] * (len(tasks) - 1)
+        assert emptied_admitted == [True, False] + [True] * (len(tasks) - 2)
+        X = rng.normal(size=(12, 5))
+        for task in tasks:
+            assert (predict(kept, task.task_id, X).tobytes()
+                    == predict(emptied, task.task_id, X).tobytes())
+
     def test_hyper_is_degenerate_config_of_engine(self):
         hyper = HyperParams(p=6, lambda2=0.7)
         abl = ablation_hyper(hyper)
-        assert abl.lambda2 == 0.0
-        assert not abl.admission_enabled
-        assert abl.lambda1 == hyper.lambda1 and abl.p == hyper.p
+        assert abl == dataclasses.replace(hyper, lambda2=0.0)
 
     def test_identity_dictionary_closed_form_codes(self, rng):
         # lambda1 = lambda2 = 0 with square identity libraries: the code
@@ -60,7 +86,7 @@ class TestAblation:
         train, _ = corpus_pair(clusters=1, tasks_per_cluster=1, d=6, n_per_task=30)
         task = train.tasks[0]
         d = task.dim
-        hyper = HyperParams(p=d, lambda1=0.0, lambda2=0.0, admission_enabled=False)
+        hyper = HyperParams(p=d, lambda1=0.0, lambda2=0.0)
         state = init_state(hyper, seed=0)
         flib = init_libraries(d, d, seed=0)
         flib = dataclasses.replace(flib, decoder=np.eye(d), encoder=np.eye(d))

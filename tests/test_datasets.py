@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -120,6 +121,16 @@ class TestStandardize:
         corpus = TaskCorpus(tasks=(task,), problem_kind="classification")
         with pytest.raises(ValueError):
             standardize_targets(corpus, corpus)
+
+    def test_task_count_mismatch_rejected(self):
+        # zip would silently standardise only the shorter split's tasks
+        corpus = generate_disjoint(seed=0, clusters=2, tasks_per_cluster=2, d=8)
+        train, test = split_corpus(corpus, 0.5, seed=0)
+        short = dataclasses.replace(test, tasks=test.tasks[:3])
+        with pytest.raises(ValueError, match="shorter"):
+            standardize_targets(train, short)
+        with pytest.raises(ValueError, match="longer"):
+            standardize_targets(dataclasses.replace(train, tasks=train.tasks[:3]), test)
 
 
 class TestCorpusIO:

@@ -33,7 +33,7 @@ def small_corpus(seed=0, clusters=2, tasks_per_cluster=3, d=10, n=16, noise=0.05
 
 
 def small_hyper(**overrides):
-    base = dict(p=5, lambda1=0.01, lambda2=0.5, alpha=0.05, gamma=0.5)
+    base = dict(p=5, lambda1=0.01, lambda2=0.5, gamma=0.5)
     base.update(overrides)
     return HyperParams(**base)
 
@@ -54,10 +54,10 @@ class TestSingleTask:
         assert len(state.mlib) == 1
         assert out.admitted
         assert list(state.per_task) == [train.tasks[0].task_id]
-        w = state.per_task[train.tasks[0].task_id].single.w
+        w = state.per_task[train.tasks[0].task_id].w
         recon = reconstruct_model(state, train.tasks[0].task_id)
         diff = w - recon
-        err = float(diff @ (state.per_task[train.tasks[0].task_id].single.omega @ diff))
+        err = float(diff @ (out.contribution.omega @ diff))
         assert np.isfinite(err)
 
     def test_train_rmse_close_to_ridge_fit(self):
@@ -154,7 +154,7 @@ class TestAlternation:
         # the assignment block picks the given slots in turn
         picks = iter(slots)
 
-        def solve(distances, d0, lambda2, alpha):
+        def solve(distances, d0, lambda2):
             z = np.zeros(len(distances) + 1)
             z[next(picks)] = 1.0
             return engine.Assignment(z=z)
@@ -202,7 +202,7 @@ class TestDeterminism:
 class TestAblationPath:
     def test_matches_pure_sparse_coding(self):
         train, _ = small_corpus()
-        hp = small_hyper(lambda2=0.0, admission_enabled=False)
+        hp = small_hyper(lambda2=0.0)
         state = init_state(hp, seed=0)
         phi, _ = activation_pair(hp.phi)
         for task in train.tasks:
@@ -223,7 +223,7 @@ class TestAblationPath:
         # representatives, so the assignment is the lowest-index vertex and
         # round 1 is already the fixed point
         train, _ = small_corpus()
-        hp = small_hyper(lambda2=0.0, admission_enabled=False)
+        hp = small_hyper(lambda2=0.0)
         state, outcomes = stream(init_state(hp, seed=0), train.tasks)
         for out in outcomes[1:]:
             np.testing.assert_array_equal(out.assignment.z, [1.0, 0.0])
@@ -232,7 +232,7 @@ class TestAblationPath:
 
     def test_no_admissions_beyond_first(self):
         train, _ = small_corpus(clusters=3, tasks_per_cluster=3, d=12)
-        hp = small_hyper(lambda2=0.0, admission_enabled=False)
+        hp = small_hyper(lambda2=0.0)
         state, outcomes = stream(init_state(hp, seed=0), train.tasks)
         assert [o.admitted for o in outcomes] == [True] + [False] * (len(outcomes) - 1)
 
@@ -365,7 +365,7 @@ class TestCheckpoint:
                    "seed": state.seed, "hyper": dataclasses.asdict(state.hyper),
                    "per_task": {tid: {"code": rec.code.tolist(),
                                       "z": rec.assignment.z.tolist(),
-                                      "w": rec.single.w.tolist(),
+                                      "w": rec.w.tolist(),
                                       "loss_kind": rec.loss_kind}
                                 for tid, rec in state.per_task.items()}}
         path = tmp_path / "state.json"
@@ -378,7 +378,7 @@ class TestCheckpoint:
         X = rng.normal(size=(10, 6))
         for tid, rec in state.per_task.items():
             np.testing.assert_array_equal(loaded.per_task[tid].assignment.z, rec.assignment.z)
-            np.testing.assert_array_equal(loaded.per_task[tid].single.w, rec.single.w)
+            np.testing.assert_array_equal(loaded.per_task[tid].w, rec.w)
             np.testing.assert_array_equal(predict(loaded, tid, X), predict(state, tid, X))
 
     def test_version_2_checkpoint_loads(self, tmp_path, rng):
@@ -415,19 +415,20 @@ class TestCheckpoint:
 
     def test_checkpoint_from_full_matrix_layout_loads(self, tmp_path, rng):
         # written while acc_A was held in memory as the full (dp) x (dp)
-        # matrix, the code solver still took coder_tol and coder_max_iter
-        # and the alternation max_outer and outer_tol, by saving the first 4
-        # tasks of small_corpus() under small_hyper() and seed 0: it loads,
-        # saves back to the same document less those four retired
-        # settings, holds the libraries that the current refits
-        # build from its codes and assignments, and agrees with a fresh
-        # stream of those tasks
+        # matrix, the code solver still took coder_tol and coder_max_iter,
+        # the alternation max_outer and outer_tol and the learner alpha and
+        # admission_enabled, by saving the first 4 tasks of small_corpus()
+        # under small_hyper() and seed 0: it loads, saves back to the same
+        # document less those six retired settings, holds the libraries
+        # that the current refits build from its codes and assignments, and
+        # agrees with a fresh stream of those tasks
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         loaded = load_state(old)
         path = tmp_path / "state.json"
         save_state(loaded, path)
         fixture, resaved = json.loads(old.read_text()), json.loads(path.read_text())
-        retired = {"coder_tol", "coder_max_iter", "max_outer", "outer_tol"}
+        retired = {"coder_tol", "coder_max_iter", "max_outer", "outer_tol", "alpha",
+                   "admission_enabled"}
         assert set(fixture["hyper"]) - set(resaved["hyper"]) == retired
         # version 3 held the statistics in the identity basis, which
         # version 4 stores beside them
@@ -632,11 +633,13 @@ class TestCheckpoint:
 
     def test_retired_hyper_keys_still_load(self, tmp_path, rng):
         # checkpoints and configs written with the iterative assignment,
-        # the iterative code solver or the capped alternation carry their
+        # the iterative code solver, the capped alternation, the
+        # assignment's l1 weight or the admission switch carry their
         # settings; they are dropped, any other unknown key still raises
         retired = {"beta": 1.0, "rho": 1.0, "admm_tol": 1e-6, "admm_max_iter": 2000,
                    "coder_tol": 1e-6, "coder_max_iter": 5000,
-                   "max_outer": 20, "outer_tol": 1e-5}
+                   "max_outer": 20, "outer_tol": 1e-5, "alpha": 3.0,
+                   "admission_enabled": True}
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
         path = tmp_path / "state.json"
@@ -663,6 +666,42 @@ class TestCheckpoint:
         values["hyper"]["betta"] = 1.0
         with pytest.raises(TypeError, match="betta"):
             ExperimentConfig.from_dict(values)
+
+    # (settings of the hyper entry or of the config itself that the code
+    # now always behaves as, the same key at a value that would change
+    # what a run does or None when none would)
+    RETIRED = {
+        "alpha": ("hyper", {"alpha": 3.0}, None),
+        "admission_enabled": ("hyper", {"admission_enabled": True},
+                              {"admission_enabled": False}),
+        "admission_enabled_lambda2_0": ("hyper", {"admission_enabled": False, "lambda2": 0.0},
+                                        {"admission_enabled": False, "lambda2": 1e-3}),
+        "normalize": ("config", {"normalize": True}, {"normalize": False}),
+        "stl_ridge": ("config", {"stl_ridge": 4.0}, {"stl_ridge": 1.0}),
+        "train_fraction": ("config", {"train_fraction": 0.5}, {"train_fraction": 0.7}),
+    }
+
+    @pytest.mark.parametrize("case, loader", [
+        (case, loader) for case, (section, _, _) in RETIRED.items()
+        for loader in (("hyper_from_dict", "ExperimentConfig.from_dict") if section == "hyper"
+                       else ("ExperimentConfig.from_dict",))])
+    def test_retired_key_loads_only_at_neutral_value(self, case, loader):
+        section, neutral, other = self.RETIRED[case]
+        hyper = small_hyper(lambda2=neutral.get("lambda2", 0.5))
+        current = ExperimentConfig(hyper=hyper, seeds=(0,))
+
+        def load(settings):
+            values = current.to_dict()
+            (values["hyper"] if section == "hyper" else values).update(settings)
+            if loader == "hyper_from_dict":
+                return engine.hyper_from_dict(values["hyper"])
+            return ExperimentConfig.from_dict(values)
+
+        assert load(neutral) == (hyper if loader == "hyper_from_dict" else current)
+        if other is not None:
+            key = next(iter(other))
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                load(other)
 
 
 class TestHyperParams:

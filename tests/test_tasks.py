@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lifelong import tasks
 from lifelong.tasks import (ConvergenceError, TaskData, fit_single_task,
                             hessian_at, loss_gradient, loss_value)
 
@@ -62,11 +63,12 @@ class TestFitLogistic:
         grad = loss_gradient(task, model.w) + 0.05 * model.w
         assert np.linalg.norm(grad) <= 1e-8
 
-    def test_nonconvergence_reports_gradient_norm(self):
+    def test_nonconvergence_reports_gradient_norm(self, monkeypatch):
         X = np.array([[1.0, -1.0], [0.5, -0.2]])
         task = make_task(X, [1.0, -1.0], kind="logistic")
+        monkeypatch.setattr(tasks, "LOGISTIC_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="gradient norm"):
-            fit_single_task(task, ridge=0.1, max_newton_iter=1)
+            fit_single_task(task, ridge=0.1)
 
 
 class TestLossValue:
