@@ -70,8 +70,9 @@ def representative_distances(decoder: np.ndarray, s_t: np.ndarray,
 def outlier_weight(distances: np.ndarray, gamma: float = 1.0) -> float:
     """Cost of the virtual slot: -gamma * log(min(d) / sum(d)).
 
-    All-zero distances mean the task is perfectly represented already, so
-    the virtual slot gets `OUTLIER_WEIGHT_CAP` and is never selected.
+    A zero distance means a representative already reconstructs the task
+    exactly, so the virtual slot gets `OUTLIER_WEIGHT_CAP` and is never
+    selected; the log ratio would be log(0) there.
     """
     distances = np.asarray(distances, dtype=float)
     if distances.size < 1:
@@ -80,10 +81,9 @@ def outlier_weight(distances: np.ndarray, gamma: float = 1.0) -> float:
         raise ValueError("gamma must be > 0")
     if distances.min() < 0:
         raise ValueError("distances must be >= 0")
-    total = float(distances.sum())
-    if total == 0.0:
+    if distances.min() == 0.0:
         return OUTLIER_WEIGHT_CAP
-    return float(-gamma * np.log(distances.min() / total))
+    return float(-gamma * np.log(distances.min() / distances.sum()))
 
 
 def solve_assignment(distances: np.ndarray, d0: float, lambda2: float,

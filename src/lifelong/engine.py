@@ -365,10 +365,10 @@ def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table.
 
     One JSON document (format version 4: arrays as base64 of their raw
-    float64 bytes, and of only the unique entries of the Kronecker-symmetric
-    accumulators, see `libraries.encode_array`; the decoder statistics in
-    the coordinates of the library's code basis, which is stored too),
-    written to a
+    float64 bytes, and of only the unique entries of the two
+    Kronecker-symmetric accumulators, which are symmetric by construction;
+    the decoder statistics in the coordinates of the library's code basis,
+    which is stored too; see the codec notes in `libraries`), written to a
     dot-prefixed temp file beside `path`, synced to disk and moved into
     place with `os.replace`, so a write that fails part-way leaves any
     previous checkpoint at `path` intact.  Raw task data is not
@@ -392,19 +392,21 @@ def save_state(state: EngineState, path) -> None:
 
 
 def load_state(path) -> EngineState:
-    """The state `save_state` wrote; version-1 (nested lists, no version
-    key), version-2 (every array in full) and version-3 (no code basis)
-    checkpoints load too, with their decoder statistics in the identity
-    basis.  Any other version raises ValueError, and so does an array whose
-    shape disagrees with the checkpoint's d, p and representatives, a
-    version-4 basis that is not p x r with r <= p or not orthonormal to
-    round-off, decoder statistics with a nonzero row past the basis, or a
-    per-task entry with an unknown loss."""
+    """The state `save_state` wrote; a version-3 checkpoint (no code basis)
+    loads too, with its decoder statistics in the identity basis.  Any
+    other version raises ValueError, among them version 1 (nested lists, no
+    version key) and version 2 (every array in full), and so does an
+    accumulator entry that is not packed, an array whose shape disagrees
+    with the checkpoint's d, p and representatives, a version-4 basis that
+    is not p x r with r <= p or not orthonormal to round-off, decoder
+    statistics with a nonzero row past the basis, or a per-task entry with
+    an unknown loss."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("version", 1)
     if version not in READABLE_VERSIONS:
-        raise ValueError(f"{path}: unknown checkpoint version {version!r}")
+        raise ValueError(f"{path}: checkpoint version {version!r} is not readable; "
+                         f"readable versions are {list(READABLE_VERSIONS)}")
     flib, mlib = library_from_dict(payload)
     hyper = hyper_from_dict(payload["hyper"])
     slots = len(mlib) + 1

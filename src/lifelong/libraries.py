@@ -18,7 +18,8 @@ exactly zero when it joins, and rows past r stay zero.  A refit solves
 only the leading (dr) x (dr) system for Y (d x r) and sets D = Y Q'.
 
 acc_A is a sum of kron(W, H) over symmetric W and d x d Hessians H, so
-its d x d block (j, i) equals block (i, j).  It is held as
+its d x d block (j, i) equals block (i, j), and each block is symmetric
+when every H is, as the refit requires bit for bit.  It is held as
 `acc_A_pairs`, the p(p+1)/2 blocks i <= j, and each decoder system's
 upper triangle is assembled from the leading r block rows of them into a
 contiguous prefix of one (dp) x (dp) buffer per thread that is reused
@@ -156,15 +157,11 @@ def _pairs_to_full(blocks: np.ndarray, p: int) -> np.ndarray:
     return blocks[_pair_positions(p)].transpose(0, 2, 1, 3).reshape(p * d, p * d)
 
 
-def _full_pairs(a: np.ndarray, p: int, d: int) -> np.ndarray | None:
-    """The pair blocks of a (dp) x (dp) array, or None when some block
-    (j, i) differs from block (i, j) bit for bit."""
-    a4 = a.reshape(p, d, p, d)
-    ip, jp = np.triu_indices(p)
-    upper, lower = a4[ip, :, jp, :], a4[jp, :, ip, :]
-    if not np.array_equal(upper.view(np.uint64), lower.view(np.uint64)):
-        return None
-    return upper
+def _symmetric_bits(a: np.ndarray) -> bool:
+    """Whether each trailing square matrix of `a` equals its transpose bit
+    for bit, so that -0.0 and +0.0 differ."""
+    bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
+    return np.array_equal(bits, bits.swapaxes(-1, -2))
 
 
 def _clip_columns(mat: np.ndarray) -> np.ndarray:
@@ -296,30 +293,30 @@ def _decoder_terms(s_t: np.ndarray, omega: np.ndarray,
     Column-major vectorisation throughout: vec(Omega D s s') =
     (s s' (x) Omega) vec(D), so the task adds s s' (x) Omega plus the
     weighted representative-difference terms
-    lambda2 z_k (s_k - s)(s_k - s)' (x) Omega_k over the representatives
-    with z_k != 0; the matching acc_b contribution is
-    vec(Omega w s') = s (x) (Omega w).  The weights of the terms that share
-    one Hessian array are summed first, so squared loss, whose
-    representatives all carry the task's Omega, adds one outer product of
-    pair weights and Hessian; Hessians of their own are stacked and the
-    blocks formed in one matrix product.
+    lambda2 z_k (s_k - s)(s_k - s)' (x) Omega_k over `reps_used`; the
+    matching acc_b contribution is vec(Omega w s') = s (x) (Omega w).  The
+    weights of the terms that share one Hessian array are summed first, so
+    squared loss, whose representatives all carry the task's Omega, adds
+    one outer product of pair weights and Hessian.  Each Hessian of its own
+    is added block by block, elementwise: entry (a, b) of a block and its
+    mirror (b, a) come from the same roundings of the same operands, so the
+    blocks of Hessians symmetric bit for bit are too (a matrix product of
+    the stacked Hessians can round the two one ulp apart), and no temporary
+    of the blocks' size is made.
     """
     groups = {id(omega): [omega, np.outer(s_t, s_t)]}
-    if lambda2 > 0:
-        for s_k, omega_k, z_k in reps_used:
-            if z_k == 0.0:
-                continue
-            diff = s_k - s_t
-            group = groups.setdefault(id(omega_k), [omega_k, 0.0])
-            group[1] = group[1] + lambda2 * z_k * np.outer(diff, diff)
+    for s_k, omega_k, z_k in reps_used:
+        diff = s_k - s_t
+        group = groups.setdefault(id(omega_k), [omega_k, 0.0])
+        group[1] = group[1] + lambda2 * z_k * np.outer(diff, diff)
     p, d = s_t.shape[0], omega.shape[0]
     iu, ju = np.triu_indices(p)
     hessians = np.stack([h for h, _ in groups.values()]).reshape(-1, d * d)
     pair_weights = np.stack([w for _, w in groups.values()])[:, iu, ju]
-    if len(groups) == 1:
-        blocks = np.einsum("i,j->ij", pair_weights[0], hessians[0])
-    else:
-        blocks = pair_weights.T @ hessians
+    blocks = np.einsum("i,j->ij", pair_weights[0], hessians[0])
+    for weights, hessian in zip(pair_weights[1:], hessians[1:]):
+        for k, weight in enumerate(weights):
+            blocks[k] += weight * hessian
     return blocks.reshape(-1, d, d)
 
 
@@ -328,7 +325,7 @@ def decoder_contribution(s_t: np.ndarray, omega: np.ndarray,
                          lambda2: float) -> np.ndarray:
     """One task's additive contribution to acc_A as the full (dp) x (dp)
     matrix, A[(i, a), (j, b)] = sum_k W_k[i, j] H_k[a, b]; see
-    `_decoder_terms`."""
+    `_decoder_terms`.  A representative with lambda2 z_k = 0 adds zeros."""
     return _pairs_to_full(_decoder_terms(s_t, omega, reps_used, lambda2), s_t.shape[0])
 
 
@@ -368,24 +365,31 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     """Fold one task into the decoder statistics and refit the decoder.
 
     Solves (acc_A / T + mu I) vec(D) = acc_b / T with T counting this task,
-    then clips columns to the unit ball.  The basis first grows by the
-    task's code and each representative code whose term enters the
-    statistics (lambda2 > 0 and z_k != 0), where they lie outside it;
-    the task's terms, with every code replaced by its coordinates, are
-    added into the one new `acc_A_pairs` and `acc_b_coords`.  With r basis
-    directions, the upper triangle of the leading (dr) x (dr) system is
-    written block row by block row, scaled by 1/T, into a contiguous
-    prefix of this thread's reused (dp) x (dp) buffer and factored there
-    in place; its solution Y (d x r) gives D = Y Q'.  On the complement of
+    then clips columns to the unit ball.  `omega` and the representative
+    Hessians whose terms enter must equal their transposes bit for bit, as
+    `tasks.hessian_at` makes them; any other raises ValueError, so that the
+    pair blocks are symmetric and the packed checkpoint holds them exactly.
+    The basis first grows by the task's code and each representative code
+    whose term enters the statistics (lambda2 > 0 and z_k != 0), where they
+    lie outside it; the task's terms, with every code replaced by its
+    coordinates, are added into the one new `acc_A_pairs` and
+    `acc_b_coords`.  With r basis directions, the upper triangle of the
+    leading (dr) x (dr) system is written block row by block row, scaled by
+    1/T, into a contiguous prefix of this thread's reused (dp) x (dp)
+    buffer and factored there in place; its solution Y (d x r) gives
+    D = Y Q'.  On the complement of
     the basis the system is mu I with a zero right-hand side, so this is
     the solution of the full system, and at mu = 0 with r < p the full
     system is singular.  `tasks_seen` is left unchanged; the caller bumps
     it once per task after both library updates.
     """
     d, p = lib.d, lib.p
-    if s_t.shape != (p,) or w_t.shape != (d,) or omega.shape != (d, d):
+    if s_t.shape != (p,) or w_t.shape != (d,):
         raise ValueError("task quantities do not match the library dimensions")
     reps_used = [rep for rep in reps_used if lambda2 > 0 and rep[2] != 0.0]
+    if not all(h.shape == (d, d) and _symmetric_bits(h)
+               for h in [omega] + [omega_k for _, omega_k, _ in reps_used]):
+        raise ValueError("every Hessian must be d x d and symmetric bit for bit")
     basis = _grow_basis(lib.basis, [s_t] + [s_k for s_k, _, _ in reps_used])
     r = basis.shape[1]
     if ridge_mu == 0.0 and r < p:
@@ -474,28 +478,28 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
 
 # checkpoint i/o.  Version 4 stores each array as {"dtype": "<f8", "shape":
 # [...], "data": base64 of its raw little-endian float64 bytes}, which
-# round-trips bit for bit.  A Kronecker-symmetric accumulator, a sum of
-# kron(W, H) with every W (p x p) and H (d x d) symmetric, also carries
-# "kron": [p, d] and stores only its unique entries: the (a <= b) triangle
+# round-trips bit for bit.  The two Kronecker-symmetric accumulators, sums
+# of kron(W, H) with every W (p x p) and H (d x d) symmetric, also carry
+# "kron": [p, d] and store only their unique entries: the (a <= b) triangle
 # of each pair block i <= j, in np.triu_indices order for both.  acc_A is
 # one (p = 20, d = 40: 172,200 of 640,000 entries), written straight from
-# `acc_A_pairs`, and acc_C, with p = 1, is a plain symmetric matrix.  The
-# layout in memory already makes block (j, i) equal block (i, j); every
-# save checks each block against its transpose bit for bit and stores an
-# accumulator that fails in full, so an asymmetric one is never made
-# symmetric.  A full acc_A (versions 1 and 2, or that fallback) loads only
-# if its blocks (j, i) and (i, j) agree bit for bit.  Version 4 added
-# "basis", the p x r orthonormal Q, and holds "acc_A" and "acc_b" in its
-# coordinates, as the library does in memory; a basis that is not p x r
-# with r <= p or not orthonormal to round-off, or statistics with a
-# nonzero entry in a row past r, are refused.  Versions 1 to 3 hold the
-# statistics in the identity basis and load with Q = I_p, which refits
-# correctly but solves the full system.  Version 2 had no packed
-# entries, and version 1 stored nested lists of shortest-repr floats;
-# both still load.
+# `acc_A_pairs`, and acc_C, with p = 1, is a plain symmetric matrix.  Both
+# are symmetric bit for bit by construction: acc_C sums outer(w, w), and
+# `update_decoder` takes only Hessians equal to their transposes bit for
+# bit and forms every block entry by the same operations as its mirror.
+# A save still checks each block against its transpose and refuses one
+# that differs, which packing would change, and a load refuses an
+# accumulator entry without "kron".  Version 4 added "basis", the p x r
+# orthonormal Q, and holds "acc_A" and "acc_b" in its coordinates, as the
+# library does in memory; a basis that is not p x r with r <= p or not
+# orthonormal to round-off, or statistics with a nonzero entry in a row
+# past r, are refused.  Version 3 holds the statistics in the identity
+# basis and loads with Q = I_p, which refits correctly but solves the full
+# system.  Versions 1 (nested lists) and 2 (every array in full) are
+# refused.
 
 CHECKPOINT_VERSION = 4
-READABLE_VERSIONS = (1, 2, 3, CHECKPOINT_VERSION)
+READABLE_VERSIONS = (3, CHECKPOINT_VERSION)
 _DTYPE = "<f8"
 
 
@@ -504,49 +508,41 @@ def _base64(a: np.ndarray) -> str:
 
 
 def _encode_pairs(blocks: np.ndarray, p: int) -> dict:
-    """The checkpoint entry of an accumulator held as its p(p+1)/2 pair
-    blocks: packed when every block equals its transpose bit for bit,
-    otherwise the full (dp) x (dp) array."""
+    """The packed checkpoint entry of an accumulator held as its p(p+1)/2
+    pair blocks; refuses blocks that differ from their transposes bit for
+    bit, since the packed layout cannot hold them."""
     blocks = np.ascontiguousarray(blocks, dtype=_DTYPE)
-    bits = blocks.view(np.uint64)
-    if not np.array_equal(bits, bits.transpose(0, 2, 1)):
-        return encode_array(_pairs_to_full(blocks, p))
+    if not _symmetric_bits(blocks):
+        raise ValueError("accumulator pair blocks are not symmetric bit for bit")
     d = blocks.shape[-1]
     ia, ja = np.triu_indices(d)
     return {"dtype": _DTYPE, "shape": [p * d, p * d], "kron": [p, d],
             "data": _base64(blocks[:, ia, ja])}
 
 
-def encode_array(a: np.ndarray, kron: tuple[int, int] | None = None) -> dict:
-    """The checkpoint entry of a float64 array; with `kron` = (p, d), a
-    (dp) x (dp) array whose partial transposes both leave it unchanged bit
-    for bit is stored packed."""
+def encode_array(a: np.ndarray) -> dict:
+    """The checkpoint entry of a float64 array."""
     a = np.ascontiguousarray(a, dtype=_DTYPE)
-    blocks = None if kron is None else _full_pairs(a, *kron)
-    if blocks is not None:
-        return _encode_pairs(blocks, kron[0])
     return {"dtype": _DTYPE, "shape": list(a.shape), "data": _base64(a)}
 
 
-def _decode_entry(value, key: str) -> tuple[np.ndarray, int | None]:
-    """The float64 array a checkpoint entry holds with None, or for a
-    packed entry its pair blocks with p; `key` names the array in errors
-    about a malformed entry."""
-    if not isinstance(value, dict):
-        return np.array(value, dtype=float), None
-    if value.get("dtype") != _DTYPE:
-        raise ValueError(f"checkpoint array {key!r}: dtype {value.get('dtype')!r}, "
-                         f"expected {_DTYPE!r}")
+def decode_array(value, key: str, kron: tuple[int, int] | None = None) -> np.ndarray:
+    """The float64 array of an entry `encode_array` wrote or, given `kron` =
+    (p, d), the p(p+1)/2 x d x d pair blocks of one `_encode_pairs` wrote.
+    Refuses, naming `key`, any other entry: one that is not a float64
+    dict, a "kron" that is not `kron` (so an accumulator stored in full),
+    and data that does not fill its shape."""
+    if not isinstance(value, dict) or value.get("dtype") != _DTYPE:
+        raise ValueError(f"checkpoint array {key!r}: not an entry of dtype {_DTYPE!r}")
+    expected = None if kron is None else list(kron)
+    if value.get("kron") != expected:
+        raise ValueError(f"checkpoint array {key!r}: kron factors {value.get('kron')!r}, "
+                         f"expected {expected} from the checkpoint's d and p")
     shape = tuple(int(n) for n in value["shape"])
     size = math.prod(shape)
-    kron = value.get("kron")
     if kron is not None:
-        try:
-            p, d = (int(n) for n in kron)
-        except (TypeError, ValueError):
-            raise ValueError(f"checkpoint array {key!r}: kron factors {kron!r} "
-                             f"are not [p, d]") from None
-        if min(p, d) < 1 or shape != (p * d, p * d):
+        p, d = kron
+        if shape != (p * d, p * d):
             raise ValueError(f"checkpoint array {key!r}: kron factors [{p}, {d}] do "
                              f"not match shape {shape}")
         size = p * (p + 1) // 2 * (d * (d + 1) // 2)
@@ -557,20 +553,13 @@ def _decode_entry(value, key: str) -> tuple[np.ndarray, int | None]:
                          f"{what} of shape {shape}")
     flat = np.frombuffer(raw, dtype=_DTYPE)
     if kron is None:
-        return flat.reshape(shape).astype(float), None
+        return flat.reshape(shape).astype(float)
     ia, ja = np.triu_indices(d)
     packed = flat.reshape(-1, ia.size)
     blocks = np.empty((packed.shape[0], d, d))
     blocks[:, ia, ja] = packed
     blocks[:, ja, ia] = packed
-    return blocks, p
-
-
-def decode_array(value, key: str) -> np.ndarray:
-    """The float64 array `encode_array` wrote, or a version-1 nested list;
-    `key` names the array in errors about a malformed entry."""
-    a, p = _decode_entry(value, key)
-    return a if p is None else _pairs_to_full(a, p)
+    return blocks
 
 
 def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
@@ -594,29 +583,14 @@ def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
     }
 
 
-def decode_shaped(value, key: str, shape: tuple, kron=None) -> np.ndarray:
-    """The array of a checkpoint entry or, given `kron` = (p, d), the pair
-    blocks of a (dp) x (dp) accumulator's entry.  Refuses an array whose
-    shape, or a packed entry whose [p, d], disagrees with the checkpoint's
-    own d and p, and a full accumulator whose block (j, i) differs from
-    block (i, j) bit for bit, since pair blocks cannot hold it."""
-    expected = None if kron is None else list(kron)
-    if isinstance(value, dict) and "kron" in value and value["kron"] != expected:
-        raise ValueError(f"checkpoint array {key!r}: kron factors {value['kron']!r}, "
-                         f"expected {expected} from the checkpoint's d and p")
-    a, packed_p = _decode_entry(value, key)
-    if packed_p is not None:
-        return a
+def decode_shaped(value, key: str, shape: tuple) -> np.ndarray:
+    """The array of a checkpoint entry, refused unless its shape is
+    `shape`, which the caller takes from the checkpoint's own d and p."""
+    a = decode_array(value, key)
     if a.shape != shape:
         raise ValueError(f"checkpoint array {key!r}: shape {a.shape}, expected {shape} "
                          f"from the checkpoint's d and p")
-    if kron is None:
-        return a
-    blocks = _full_pairs(a, *kron)
-    if blocks is None:
-        raise ValueError(f"checkpoint array {key!r}: a block (j, i) differs from block "
-                         f"(i, j), so it is not a sum of symmetric Kronecker terms")
-    return blocks
+    return a
 
 
 # a saved basis whose Q'Q departs from I by more than this many machine
@@ -640,7 +614,7 @@ def _decode_basis(payload: dict, p: int) -> np.ndarray:
 
 
 def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
-    """The libraries `library_to_dict` wrote, or those of a version 1 to 3
+    """The libraries `library_to_dict` wrote, or those of a version-3
     document, whose statistics load in the identity basis."""
     d, p = int(payload["d"]), int(payload["p"])
     dp = d * p
@@ -648,7 +622,7 @@ def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
         basis = _decode_basis(payload, p)
     else:
         basis = np.eye(p)
-    acc_A_pairs = decode_shaped(payload["acc_A"], "acc_A", (dp, dp), (p, d))
+    acc_A_pairs = decode_array(payload["acc_A"], "acc_A", (p, d))
     acc_b_coords = decode_shaped(payload["acc_b"], "acc_b", (dp,))
     r = basis.shape[1]
     if np.any(acc_A_pairs[np.triu_indices(p)[1] >= r]):
@@ -664,7 +638,7 @@ def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
         acc_A_pairs=acc_A_pairs,
         acc_b_coords=acc_b_coords,
         acc_M=decode_shaped(payload["acc_M"], "acc_M", (p, d)),
-        acc_C=decode_shaped(payload["acc_C"], "acc_C", (d, d), (1, d))[0],
+        acc_C=decode_array(payload["acc_C"], "acc_C", (1, d))[0],
         tasks_seen=int(payload["tasks_seen"]),
     )
     reps = []

@@ -61,6 +61,13 @@ class TestOutlierWeight:
     def test_all_zero_returns_cap(self):
         assert outlier_weight(np.zeros(3), gamma=1.0) == OUTLIER_WEIGHT_CAP
 
+    def test_zero_next_to_nonzero_returns_cap(self):
+        # a representative that reconstructs the task exactly: log(0) would
+        # make the cost infinite and warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outlier_weight(np.array([0.0, 0.068]), gamma=0.25) == OUTLIER_WEIGHT_CAP
+
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             outlier_weight(np.array([1.0, -0.1]), gamma=1.0)
@@ -141,11 +148,8 @@ class TestClosedForm:
         np.testing.assert_array_equal(a.z, [1.0, 0.0, 0.0])
 
     def test_zero_lambda2_ignores_infinite_outlier_cost(self):
-        # a representative at distance 0 makes the outlier cost infinite;
         # at lambda2 = 0, 0 * inf is nan and must not reach the argmin
-        with np.errstate(divide="ignore"):
-            d0 = outlier_weight(np.array([0.0, 1.0]), 0.25)
-        assert d0 == np.inf
+        d0 = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a = solve_assignment(np.array([0.0, 1.0]), d0, lambda2=0.0)

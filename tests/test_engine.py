@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lifelong import engine
+from lifelong.assignment import OUTLIER_WEIGHT_CAP
 from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
 from lifelong.engine import (HyperParams, activation_pair, init_state,
                              learn_task, load_state, predict, predict_labels,
@@ -18,8 +19,8 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              save_state)
 from lifelong.experiment import ExperimentConfig
 from lifelong.libraries import (CHECKPOINT_VERSION, _pairs_to_full, bump_tasks_seen,
-                                encode_array, init_libraries, library_to_dict,
-                                update_decoder, update_encoder)
+                                encode_array, init_libraries, library_from_dict,
+                                library_to_dict, update_decoder, update_encoder)
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, loss_value
 
@@ -175,6 +176,22 @@ class TestAlternation:
         _, out = learn_task(state, train.tasks[1])
         assert out.rounds == 3
         np.testing.assert_array_equal(out.assignment.z, [1.0, 0.0])
+
+    def test_exactly_represented_task_traces_finite_objective(self, monkeypatch):
+        # the code block returns representative 0's code, at distance 0
+        # from it and not from representative 1: the outlier slot gets the
+        # cap instead of -gamma log 0 = inf, whose 0 * inf made the trace nan
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:5])
+        assert len(state.mlib) == 2
+        code = state.mlib.reps[0].code
+        monkeypatch.setattr(engine, "encode_task", lambda prob: code.copy())
+        _, out = learn_task(state, train.tasks[5])
+        assert out.distances[0] == 0.0 < out.distances[1]
+        assert out.outlier_cost == OUTLIER_WEIGHT_CAP
+        trace = np.array(out.objective_trace)
+        assert np.isfinite(trace).all() and np.all(np.diff(trace) <= 0)
+        np.testing.assert_array_equal(out.assignment.z, [1.0, 0.0, 0.0])
 
     def test_representative_count_non_decreasing(self):
         train, _ = small_corpus(clusters=3, tasks_per_cluster=3, d=12)
@@ -350,68 +367,59 @@ class TestCheckpoint:
         assert [f.name for f in tmp_path.iterdir()] == ["state.json"]
         assert load_state(path).n_tasks == 2
 
-    def test_version_1_checkpoint_loads(self, tmp_path, rng):
-        # the format before version 2: no version key, arrays as nested lists
-        # of shortest-repr floats
-        train, _ = small_corpus()
-        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
-        flib = state.flib
-        arrays = ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C")
-        payload = {"d": flib.d, "p": flib.p, "tasks_seen": flib.tasks_seen,
-                   **{name: getattr(flib, name).tolist() for name in arrays},
-                   "representatives": [{"code": r.code.tolist(), "source_task": r.source_task,
-                                        "admitted_at": r.admitted_at}
-                                       for r in state.mlib.reps],
-                   "seed": state.seed, "hyper": dataclasses.asdict(state.hyper),
-                   "per_task": {tid: {"code": rec.code.tolist(),
-                                      "z": rec.assignment.z.tolist(),
-                                      "w": rec.w.tolist(),
-                                      "loss_kind": rec.loss_kind}
-                                for tid, rec in state.per_task.items()}}
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(payload))
-        loaded = load_state(path)
-        for name in arrays:
-            np.testing.assert_array_equal(getattr(loaded.flib, name), getattr(flib, name))
-        for ours, theirs in zip(loaded.mlib.reps, state.mlib.reps):
-            np.testing.assert_array_equal(ours.code, theirs.code)
-        X = rng.normal(size=(10, 6))
-        for tid, rec in state.per_task.items():
-            np.testing.assert_array_equal(loaded.per_task[tid].assignment.z, rec.assignment.z)
-            np.testing.assert_array_equal(loaded.per_task[tid].w, rec.w)
-            np.testing.assert_array_equal(predict(loaded, tid, X), predict(state, tid, X))
-
-    def test_version_2_checkpoint_loads(self, tmp_path, rng):
-        # the format before version 3: every array stored in full
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_version_refused(self, tmp_path, version):
+        # version 1 had no version key and stored arrays as nested lists,
+        # version 2 stored every array in full; both held the statistics in
+        # the identity basis, and neither is read
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         path = tmp_path / "state.json"
         save_state(state, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == CHECKPOINT_VERSION and "kron" in payload["acc_A"]
-        # version 2 had no basis and held the statistics in the identity basis
-        payload["version"] = 2
         del payload["basis"]
-        for name in ("acc_A", "acc_b", "acc_C"):
-            payload[name] = encode_array(getattr(state.flib, name))
-        path.write_text(json.dumps(payload))
-        loaded = load_state(path)
         for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
-            assert getattr(loaded.flib, name).tobytes() == getattr(state.flib, name).tobytes()
-        X = rng.normal(size=(10, 6))
-        for tid in state.per_task:
-            np.testing.assert_array_equal(predict(loaded, tid, X), predict(state, tid, X))
+            a = getattr(state.flib, name)
+            payload[name] = a.tolist() if version == 1 else encode_array(a)
+        if version == 1:
+            del payload["version"]
+        else:
+            payload["version"] = 2
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint version {version} ")):
+            load_state(path)
+        # read past the version, the library refuses the layout by name
+        with pytest.raises(ValueError, match=re.escape(repr("acc_A"))):
+            library_from_dict(payload)
+
+    def test_acc_C_in_full_refused(self, tmp_path):
+        # symmetric, but stored in full, without "kron"; acc_A in full is
+        # refused in test_retired_version_refused[2] and
+        # test_full_acc_A_with_asymmetric_blocks_refused
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        payload["acc_C"] = encode_array(state.flib.acc_C)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(repr("acc_C"))):
+            load_state(path)
 
     def test_packed_acc_A_matches_full_matrix_encoding(self):
-        # written straight from the pair blocks, the entry is the one the
-        # full matrix of basis coordinates packs to
+        # written straight from the pair blocks, the entry holds the (a <= b)
+        # triangle of each block (i <= j) of the full matrix of basis
+        # coordinates, both in np.triu_indices order
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         flib = state.flib
+        p, d = flib.p, flib.d
         entry = library_to_dict(flib, state.mlib)["acc_A"]
-        assert "kron" in entry
-        coords = _pairs_to_full(flib.acc_A_pairs, flib.p)
-        assert json.dumps(entry) == json.dumps(encode_array(coords, (flib.p, flib.d)))
+        assert entry["kron"] == [p, d] and entry["shape"] == [p * d, p * d]
+        coords = _pairs_to_full(flib.acc_A_pairs, p).reshape(p, d, p, d)
+        ia, ja = np.triu_indices(d)
+        packed = np.stack([coords[i, ia, j, ja] for i, j in zip(*np.triu_indices(p))])
+        assert base64.b64decode(entry["data"]) == packed.tobytes()
 
     def test_checkpoint_from_full_matrix_layout_loads(self, tmp_path, rng):
         # written while acc_A was held in memory as the full (dp) x (dp)
@@ -486,7 +494,7 @@ class TestCheckpoint:
 
     def test_full_acc_A_with_asymmetric_blocks_refused(self, tmp_path):
         # pair blocks cannot hold an acc_A whose block (j, i) differs from
-        # block (i, j); the program never writes one, so loading it fails
+        # block (i, j), nor does any accumulator load in full
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         path = tmp_path / "state.json"
@@ -496,8 +504,7 @@ class TestCheckpoint:
         full = np.array(state.flib.acc_A)
         row, col = 2, d + 3     # entry (2, 3) of block (0, 1)
         full[row, col] = np.nextafter(full[row, col], np.inf)
-        payload["acc_A"] = encode_array(full, (state.flib.p, d))
-        assert "kron" not in payload["acc_A"]
+        payload["acc_A"] = encode_array(full)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(repr("acc_A"))):
             load_state(path)
@@ -579,8 +586,8 @@ class TestCheckpoint:
         elif key == "acc_A":
             pairs = flib.acc_A_pairs.copy()
             pairs[-1, 0, 0] = 1e-300    # block (p - 1, p - 1)
-            payload["acc_A"] = encode_array(_pairs_to_full(pairs, p), (p, d))
-            assert "kron" in payload["acc_A"]
+            flib = dataclasses.replace(flib, acc_A_pairs=pairs)
+            payload["acc_A"] = library_to_dict(flib, state.mlib)["acc_A"]
         else:
             b = flib.acc_b_coords.copy()
             b[-1] = 1e-300
@@ -613,6 +620,35 @@ class TestCheckpoint:
         for task in tasks:
             assert (predict(resumed, task.task_id, X).tobytes()
                     == predict(whole, task.task_id, X).tobytes())
+
+    def test_logistic_stream_stays_packed_and_resumes_bit_identical(self, tmp_path):
+        # logistic loss: from the second arrival on the representative's
+        # Hessian is not the task's; a matrix product of the two leaves pair
+        # blocks one ulp asymmetric from the fifth arrival on, which the
+        # packed layout (2.9 MB here, against 10.7 MB in full) cannot hold
+        corpus = generate_disjoint(seed=3, clusters=2, tasks_per_cluster=4, d=50,
+                                   n_per_task=120)
+        tasks = [dataclasses.replace(t, targets=np.sign(t.targets), loss_kind="logistic")
+                 for t in corpus.tasks]
+        state = init_state(HyperParams(p=20, ridge=1e-2), seed=0)
+        path, resume_path = tmp_path / "state.json", tmp_path / "resume.json"
+        resume_at = 5
+        outcomes = []
+        for t, task in enumerate(tasks, start=1):
+            state, out = learn_task(state, task)
+            outcomes.append(out)
+            save_state(state, path)
+            assert "kron" in json.loads(path.read_text())["acc_A"], task.task_id
+            if t == resume_at:
+                resume_path.write_bytes(path.read_bytes())
+        assert all(out.contribution.reps_used[0][1] is not out.contribution.omega
+                   for out in outcomes[1:])
+        resumed, tail = stream(load_state(resume_path), tasks[resume_at:])
+        for ours, theirs in zip(tail, outcomes[resume_at:]):
+            assert ours.code.tobytes() == theirs.code.tobytes()
+            assert ours.assignment.z.tobytes() == theirs.assignment.z.tobytes()
+        save_state(resumed, resume_path)
+        assert resume_path.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("where", ["acc_A", "per_task"])
     def test_array_of_wrong_size_named(self, tmp_path, where):
