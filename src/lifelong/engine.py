@@ -53,12 +53,15 @@ class HyperParams:
     phi: str = "identity"     # "identity" | "tanh"
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.mu, self.ridge) < 0:
-            raise ValueError("regularisers must be >= 0")
-        if self.gamma <= 0:
+        for name in ("lambda1", "lambda2", "gamma", "mu", "ridge"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.gamma == 0:
             raise ValueError("gamma must be > 0")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        # a bool is no code length, and a numpy integer is no JSON checkpoint entry
+        if type(self.p) is not int or self.p < 1:
+            raise ValueError(f"p must be an int >= 1, got {self.p!r}")
         if self.phi not in ("identity", "tanh"):
             raise ValueError(f"unknown activation {self.phi!r}")
 
@@ -98,11 +101,12 @@ def activation_pair(name: str) -> tuple[Callable, Callable]:
 
 @dataclass(frozen=True)
 class PerTaskRecord:
+    """A learned task: exactly what its checkpoint entry stores."""
+
     code: np.ndarray
     assignment: Assignment
     w: np.ndarray
     loss_kind: str
-    data: Optional[TaskData]   # None for a task restored from a checkpoint
 
 
 @dataclass(frozen=True)
@@ -151,37 +155,27 @@ def init_state(hyper: HyperParams, seed: int) -> EngineState:
     return EngineState(hyper=hyper, seed=seed)
 
 
-def _merge_task_data(old: TaskData, new: TaskData) -> TaskData:
-    if old.dim != new.dim or old.loss_kind != new.loss_kind:
-        raise ValueError(f"task {new.task_id}: incompatible data appended to a seen task")
-    return TaskData(features=np.hstack([old.features, new.features]),
-                    targets=np.concatenate([old.targets, new.targets]),
-                    loss_kind=old.loss_kind, task_id=old.task_id)
-
-
 def learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOutcome]:
-    """Learn one arriving task (or relearn a seen task with appended data)."""
+    """Learn one arriving task; `state` itself is left unchanged.  Each task
+    arrives once: a task id the state has learned, in memory or loaded,
+    raises ValueError.  Errors are re-raised with the task id prefixed, as
+    the same type where that type takes a message alone."""
+    if data.task_id in state.per_task:
+        raise ValueError(f"task {data.task_id!r}: already learned; each task arrives once")
     try:
         return _learn_task(state, data)
     except Exception as exc:
         message = f"task {data.task_id!r}: {exc}"
         try:
-            raise type(exc)(message) from exc
-        except TypeError:
-            raise RuntimeError(message) from exc
+            prefixed = type(exc)(message)
+        except TypeError:   # only the constructor's: the arrival's TypeError stays one
+            prefixed = RuntimeError(message)
+        raise prefixed from exc
 
 
 def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOutcome]:
     hp = state.hyper
     phi, phi_inv = activation_pair(hp.phi)
-
-    if data.task_id in state.per_task:
-        seen = state.per_task[data.task_id].data
-        if seen is None:
-            # learn_task prefixes the task id
-            raise ValueError("restored from a checkpoint, which carries no raw task "
-                             "data, so it cannot be relearned with appended data")
-        data = _merge_task_data(seen, data)
 
     flib = state.flib
     if flib is None:
@@ -213,7 +207,7 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
 
     per_task = dict(state.per_task)
     per_task[data.task_id] = PerTaskRecord(code=code, assignment=assignment, w=w,
-                                           loss_kind=data.loss_kind, data=data)
+                                           loss_kind=data.loss_kind)
     outcome = TaskOutcome(
         task_id=data.task_id,
         objective_trace=tuple(trace),
@@ -371,9 +365,9 @@ def save_state(state: EngineState, path) -> None:
     which is stored too; see the codec notes in `libraries`), written to a
     dot-prefixed temp file beside `path`, synced to disk and moved into
     place with `os.replace`, so a write that fails part-way leaves any
-    previous checkpoint at `path` intact.  Raw task data is not
-    checkpointed: a loaded state supports prediction, inspection and
-    learning new tasks, but refuses to relearn a restored task.
+    previous checkpoint at `path` intact.  The document holds the whole
+    engine state: `load_state` returns a state equal to `state` field for
+    field, bit for bit, which continues the stream exactly as `state` would.
     """
     if state.flib is None:
         raise ValueError("cannot checkpoint an engine that has seen no tasks")
@@ -399,8 +393,8 @@ def load_state(path) -> EngineState:
     accumulator entry that is not packed, an array whose shape disagrees
     with the checkpoint's d, p and representatives, a version-4 basis that
     is not p x r with r <= p or not orthonormal to round-off, decoder
-    statistics with a nonzero row past the basis, or a per-task entry with
-    an unknown loss."""
+    statistics with a nonzero row past the basis, a per-task entry with an
+    unknown loss, or a `tasks_seen` or `hyper.p` other than the per-task count or p."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("version", 1)
@@ -409,6 +403,9 @@ def load_state(path) -> EngineState:
                          f"readable versions are {list(READABLE_VERSIONS)}")
     flib, mlib = library_from_dict(payload)
     hyper = hyper_from_dict(payload["hyper"])
+    if hyper.p != flib.p:
+        raise ValueError(f"{path}: hyper.p = {hyper.p} disagrees with the library's "
+                         f"p = {flib.p}")
     slots = len(mlib) + 1
     per_task = {}
     for tid, rec in payload["per_task"].items():
@@ -425,7 +422,9 @@ def load_state(path) -> EngineState:
             assignment=Assignment(z=z),
             w=decode_shaped(rec["w"], f"{key}.w", (flib.d,)),
             loss_kind=rec["loss_kind"],
-            data=None,
         )
+    if flib.tasks_seen != len(per_task):
+        raise ValueError(f"{path}: tasks_seen = {flib.tasks_seen} disagrees with the "
+                         f"{len(per_task)} per-task entries")
     return EngineState(hyper=hyper, seed=int(payload["seed"]), flib=flib,
                        mlib=mlib, per_task=per_task)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifelong import engine
 from lifelong.assignment import OUTLIER_WEIGHT_CAP
@@ -37,6 +39,28 @@ def small_hyper(**overrides):
     base = dict(p=5, lambda1=0.01, lambda2=0.5, gamma=0.5)
     base.update(overrides)
     return HyperParams(**base)
+
+
+def assert_same_state(ours, theirs, where="state"):
+    """Field for field, arrays bit for bit (dtype, shape and bytes)."""
+    if dataclasses.is_dataclass(ours):
+        assert type(ours) is type(theirs), where
+        for f in dataclasses.fields(ours):
+            assert_same_state(getattr(ours, f.name), getattr(theirs, f.name),
+                              f"{where}.{f.name}")
+    elif isinstance(ours, np.ndarray):
+        assert (ours.dtype, ours.shape, ours.tobytes()) == \
+            (theirs.dtype, theirs.shape, theirs.tobytes()), where
+    elif isinstance(ours, dict):
+        assert list(ours) == list(theirs), where
+        for key in ours:
+            assert_same_state(ours[key], theirs[key], f"{where}[{key!r}]")
+    elif isinstance(ours, tuple):
+        assert type(theirs) is tuple and len(ours) == len(theirs), where
+        for i, (a, b) in enumerate(zip(ours, theirs)):
+            assert_same_state(a, b, f"{where}[{i}]")
+    else:
+        assert type(ours) is type(theirs) and ours == theirs, where
 
 
 def stream(state, tasks):
@@ -274,24 +298,29 @@ class TestZeroCode:
 
 
 class TestRelearn:
-    def test_seen_task_appends_data(self):
+    # each task arrives once; the one refusal reads the same for a state
+    # learned in memory and for a loaded one
+
+    def test_seen_task_refused_state_unchanged(self):
         train, _ = small_corpus()
         task = train.tasks[0]
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
-        n_before = state.per_task[task.task_id].data.n_samples
-        tasks_seen = state.flib.tasks_seen
-        state, out = learn_task(state, task)
-        assert state.per_task[task.task_id].data.n_samples == 2 * n_before
-        # a relearn event contributes to the accumulators like any arrival
-        assert state.flib.tasks_seen == tasks_seen + 1
+        before = {name: getattr(state.flib, name).tobytes()
+                  for name in ("decoder", "encoder", "acc_A_pairs", "acc_b_coords")}
+        with pytest.raises(ValueError, match=f"^task '{task.task_id}': already learned"):
+            learn_task(state, task)
+        assert list(state.per_task) == [t.task_id for t in train.tasks[:2]]
+        assert state.flib.tasks_seen == len(state.per_task) == 2
+        assert {name: getattr(state.flib, name).tobytes() for name in before} == before
 
     def test_incompatible_relearn_rejected(self):
+        # refused by its id before its data is read
         train, _ = small_corpus()
         task = train.tasks[0]
         state, _ = stream(init_state(small_hyper(), seed=0), [task])
         bad = TaskData(features=np.ones((10, 3)), targets=np.array([1.0, -1.0, 1.0]),
                        loss_kind="logistic", task_id=task.task_id)
-        with pytest.raises(ValueError, match=task.task_id):
+        with pytest.raises(ValueError, match=f"^task '{task.task_id}': already learned"):
             learn_task(state, bad)
 
     def test_restored_task_refused_new_task_learned(self, tmp_path):
@@ -301,14 +330,29 @@ class TestRelearn:
         save_state(state, path)
         loaded = load_state(path)
         seen = train.tasks[0]
-        with pytest.raises(ValueError, match=f"{seen.task_id}.*no raw task data"):
+        with pytest.raises(ValueError) as in_memory:
+            learn_task(state, seen)
+        with pytest.raises(ValueError) as restored:
             learn_task(loaded, seen)
+        assert str(restored.value) == str(in_memory.value)
         new = train.tasks[3]
         resumed, out = learn_task(loaded, new)
-        assert list(resumed.per_task)[-1] == new.task_id
-        np.testing.assert_array_equal(resumed.per_task[new.task_id].data.features,
-                                      new.features)
-        assert resumed.flib.tasks_seen == state.flib.tasks_seen + 1
+        assert list(resumed.per_task) == [t.task_id for t in train.tasks[:4]]
+        assert resumed.flib.tasks_seen == len(resumed.per_task) == 4
+        learned, _ = learn_task(state, new)
+        assert_same_state(resumed, learned)
+
+    def test_arrival_type_error_keeps_its_type(self, monkeypatch):
+        train, _ = small_corpus()
+        task = train.tasks[0]
+
+        def fit(*args):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(engine, "fit_single_task", fit)
+        with pytest.raises(TypeError, match=f"^task '{task.task_id}': boom$") as info:
+            learn_task(init_state(small_hyper(), seed=0), task)
+        assert type(info.value.__cause__) is TypeError
 
 
 class TestCheckpoint:
@@ -521,6 +565,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"version {CHECKPOINT_VERSION + 1}"):
             load_state(path)
 
+    @pytest.mark.parametrize("key, value", [("tasks_seen", 1000), ("tasks_seen", 0),
+                                            ("tasks_seen", -1), ("hyper.p", 3)])
+    def test_parts_disagreeing_refused(self, tmp_path, key, value):
+        # a tasks_seen off the per-task count skews the refit's ridge T mu
+        # (-1 divides by zero at the next arrival); a hyper.p off the
+        # library's would be saved back with it
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        if key == "tasks_seen":
+            payload["tasks_seen"] = value
+        else:
+            payload["hyper"]["p"] = value
+        path.write_text(json.dumps(payload))
+        message = f"^{re.escape(str(path))}: {re.escape(key)} = {value} disagrees"
+        with pytest.raises(ValueError, match=message):
+            load_state(path)
+
     @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "representatives[0].code",
                                      "per_task.w", "per_task.code", "per_task.z",
                                      "per_task.loss_kind"])
@@ -620,6 +684,46 @@ class TestCheckpoint:
         for task in tasks:
             assert (predict(resumed, task.task_id, X).tobytes()
                     == predict(whole, task.task_id, X).tobytes())
+
+    @given(d=st.integers(4, 12), p_frac=st.floats(0.0, 1.0), clusters=st.integers(1, 2),
+           tasks_per_cluster=st.integers(1, 3), n=st.integers(4, 24),
+           loss=st.sampled_from(["squared", "logistic"]),
+           lambda1=st.sampled_from([0.0, 1e-3, 0.05]), lambda2=st.sampled_from([0.0, 0.05, 0.5]),
+           seed=st.integers(0, 2**16), cut_frac=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_resumed_stream_equals_uninterrupted(self, tmp_path_factory, d, p_frac, clusters,
+                                                  tasks_per_cluster, n, loss, lambda1, lambda2,
+                                                  seed, cut_frac):
+        corpus = generate_disjoint(seed=seed, clusters=clusters,
+                                   tasks_per_cluster=tasks_per_cluster, d=d, n_per_task=n)
+        tasks = corpus.tasks
+        hp = HyperParams(p=1 + int(p_frac * (d - 1)), lambda1=lambda1, lambda2=lambda2)
+        if loss == "logistic":
+            tasks = [dataclasses.replace(t, targets=np.where(t.targets >= 0, 1.0, -1.0),
+                                         loss_kind="logistic") for t in tasks]
+            hp = dataclasses.replace(hp, ridge=1e-2)
+        cut = 1 + int(cut_frac * (len(tasks) - 1))
+        state = init_state(hp, seed)
+        outcomes = []
+        for task in tasks:
+            state, out = learn_task(state, task)
+            assert state.flib.tasks_seen == len(state.per_task)
+            outcomes.append(out)
+            if len(outcomes) == cut:
+                head = state
+        path = tmp_path_factory.mktemp("resume") / "state.json"
+        save_state(head, path)
+        loaded = load_state(path)
+        assert_same_state(loaded, head)
+        resumed, tail = stream(loaded, tasks[cut:])
+        for ours, theirs in zip(tail, outcomes[cut:]):
+            assert ours.code.tobytes() == theirs.code.tobytes()
+            assert ours.assignment.z.tobytes() == theirs.assignment.z.tobytes()
+        assert_same_state(resumed, state)
+        X = np.random.default_rng(seed).normal(size=(d, 3))
+        for task in tasks:
+            assert (predict(resumed, task.task_id, X).tobytes()
+                    == predict(state, task.task_id, X).tobytes())
 
     def test_logistic_stream_stays_packed_and_resumes_bit_identical(self, tmp_path):
         # logistic loss: from the second arrival on the representative's
@@ -750,6 +854,19 @@ class TestHyperParams:
             HyperParams(phi="relu")
         with pytest.raises(ValueError):
             HyperParams(p=0)
+        # json.load reads NaN and Infinity, so a config file can carry them
+        for name in ("lambda1", "lambda2", "gamma", "mu", "ridge"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    HyperParams(**{name: value})
+        for value in (2.5, 6.0, True, np.int64(6)):
+            with pytest.raises(ValueError, match="^p must be an int >= 1"):
+                HyperParams(p=value)
+        values = json.loads('{"mu": NaN}')
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            engine.hyper_from_dict(values)
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            ExperimentConfig.from_dict({"hyper": values})
 
     def test_tanh_activation_pair(self):
         phi, phi_inv = activation_pair("tanh")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelong.assignment import Assignment
-from lifelong.engine import EngineState, HyperParams, load_state, save_state
+from lifelong.engine import EngineState, HyperParams, PerTaskRecord, load_state, save_state
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
                                 _cholesky_in_place, _decoder_terms, _encode_pairs,
                                 _lower_inverse, _substitute, _system_buffer,
@@ -526,8 +526,13 @@ class TestCheckpoint:
         a = Assignment(z=np.array([1.0]))
         mlib, _ = admit_representative(mlib, rng.normal(size=p), a, "t0", t=1)
 
+        # one per-task entry for each of the three refits, as learn_task keeps
+        per_task = {f"t{i}": PerTaskRecord(code=rng.normal(size=p), assignment=a,
+                                           w=rng.normal(size=d), loss_kind="squared")
+                    for i in range(3)}
         path = tmp_path / "state.json"
-        save_state(EngineState(hyper=HyperParams(p=p), seed=9, flib=flib, mlib=mlib), path)
+        save_state(EngineState(hyper=HyperParams(p=p), seed=9, flib=flib, mlib=mlib,
+                               per_task=per_task), path)
         loaded = load_state(path)
         flib2, mlib2 = loaded.flib, loaded.mlib
         for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
