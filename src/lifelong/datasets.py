@@ -28,6 +28,11 @@ class GroundTruth:
     true_weights: np.ndarray     # d x T
 
 
+# characters a task id may not hold: the reports write ids as bare CSV
+# fields and `save_corpus` names each task's file after its id
+_ID_FORBIDDEN = frozenset(',"\r\n/\\')
+
+
 @dataclass(frozen=True)
 class TaskCorpus:
     tasks: tuple[TaskData, ...]
@@ -43,6 +48,11 @@ class TaskCorpus:
             raise ValueError(f"tasks disagree on feature dimension: {sorted(dims)}")
         if self.problem_kind not in ("regression", "classification"):
             raise ValueError(f"unknown problem kind {self.problem_kind!r}")
+        for t in self.tasks:
+            if t.task_id in ("", ".", "..") or not _ID_FORBIDDEN.isdisjoint(t.task_id):
+                raise ValueError(f"task id {t.task_id!r}: ids name files and fill CSV "
+                                 f"fields, so one may not be empty, '.' or '..', or "
+                                 f"hold a comma, quote, slash, backslash, CR or LF")
         counts = Counter(t.task_id for t in self.tasks)
         repeated = sorted(tid for tid, n in counts.items() if n > 1)
         if repeated:

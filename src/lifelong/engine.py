@@ -355,6 +355,14 @@ def _checkpoint_payload(state: EngineState) -> dict:
     return payload
 
 
+# stands in for acc_A's base64 text while the JSON encoder runs.  Its first
+# occurrence in the encoded checkpoint is acc_A's "data": everything ahead
+# of it is a number, a fixed key or value, or base64 text, and "<" is not a
+# base64 character; a task id equal to it comes later, in "representatives"
+# or "per_task".
+_ACC_A_DATA = "<acc_A data>"
+
+
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table.
 
@@ -362,9 +370,13 @@ def save_state(state: EngineState, path) -> None:
     float64 bytes, and of only the unique entries of the two
     Kronecker-symmetric accumulators, which are symmetric by construction;
     the decoder statistics in the coordinates of the library's code basis,
-    which is stored too; see the codec notes in `libraries`), written to a
-    dot-prefixed temp file beside `path`, synced to disk and moved into
-    place with `os.replace`, so a write that fails part-way leaves any
+    which is stored too; see the codec notes in `libraries`), byte for byte
+    `json.dumps` of the payload, which is ASCII.  The packed `acc_A`, almost
+    all of the document, skips the JSON encoder: base64 text needs no
+    escaping, so the rest is encoded around a stand-in for it and the file
+    is written as that text's head, the base64 bytes and its tail.  The
+    file is a dot-prefixed temp file beside `path`, synced to disk and moved
+    into place with `os.replace`, so a write that fails part-way leaves any
     previous checkpoint at `path` intact.  The document holds the whole
     engine state: `load_state` returns a state equal to `state` field for
     field, bit for bit, which continues the stream exactly as `state` would.
@@ -372,11 +384,15 @@ def save_state(state: EngineState, path) -> None:
     if state.flib is None:
         raise ValueError("cannot checkpoint an engine that has seen no tasks")
     payload = _checkpoint_payload(state)
+    acc_A_data = payload["acc_A"]["data"].encode("ascii")
+    payload["acc_A"]["data"] = _ACC_A_DATA
+    head, _, tail = json.dumps(payload).partition(_ACC_A_DATA)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+        with open(tmp, "wb") as fh:
+            for piece in (head.encode("ascii"), acc_A_data, tail.encode("ascii")):
+                fh.write(piece)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

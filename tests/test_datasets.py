@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,26 @@ class TestCorpusIO:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=r"not unique: \['c0_t0'\]"):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("task_id", ["c0,t0", 'c0"t0', "c0\rt0", "c0\nt0", "c0/t0",
+                                         "c0\\t0", "", ".", "..", "../escaped"])
+    def test_unsafe_task_id_refused(self, tmp_path, task_id):
+        # a comma, quote, CR or LF would widen or split a row of the CSV
+        # reports, and a path a task file's name
+        corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=4, n_per_task=5)
+        save_corpus(corpus, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["tasks"][1]["id"] = task_id
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"task id {task_id!r}")):
+            load_corpus(tmp_path)
+
+    def test_id_escaping_the_corpus_directory_refused(self, tmp_path):
+        corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=4, n_per_task=5)
+        tasks = (dataclasses.replace(corpus.tasks[0], task_id="../escaped"),) + corpus.tasks[1:]
+        with pytest.raises(ValueError, match=re.escape("'../escaped'")):
+            save_corpus(TaskCorpus(tasks=tasks, problem_kind="regression"), tmp_path / "corpus")
+        assert not (tmp_path / "escaped.csv").exists()
 
     def test_classification_labels_validated(self, tmp_path):
         X = np.ones((2, 4))

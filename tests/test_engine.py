@@ -21,8 +21,9 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              save_state)
 from lifelong.experiment import ExperimentConfig
 from lifelong.libraries import (CHECKPOINT_VERSION, _pairs_to_full, bump_tasks_seen,
-                                encode_array, init_libraries, library_from_dict,
-                                library_to_dict, update_decoder, update_encoder)
+                                decoder_contribution, encode_array, init_libraries,
+                                library_from_dict, library_to_dict, update_decoder,
+                                update_encoder)
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, loss_value
 
@@ -297,6 +298,50 @@ class TestZeroCode:
         assert not second.admitted and len(state.mlib) == 1
 
 
+class TestStreamInvariants:
+    @given(d=st.integers(2, 12), p_frac=st.floats(0.0, 1.0), clusters=st.integers(1, 3),
+           tasks_per_cluster=st.integers(1, 3), n=st.integers(4, 24),
+           loss=st.sampled_from(["squared", "logistic"]),
+           # lambda1 up to 1e4 zeroes some codes or all
+           lambda1=st.floats(0.0, 0.1) | st.floats(0.0, 1e4), lambda2=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**16), order_seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_every_arrival_keeps_the_invariants(self, d, p_frac, clusters, tasks_per_cluster,
+                                                n, loss, lambda1, lambda2, seed, order_seed):
+        corpus = generate_disjoint(seed=seed, clusters=min(clusters, d // 2),
+                                   tasks_per_cluster=tasks_per_cluster, d=d, n_per_task=n)
+        order = np.random.default_rng(order_seed).permutation(len(corpus))
+        tasks = [corpus.tasks[i] for i in order]
+        hp = HyperParams(p=1 + int(p_frac * (d - 1)), lambda1=lambda1, lambda2=lambda2)
+        if loss == "logistic":
+            tasks = [dataclasses.replace(t, targets=np.where(t.targets >= 0, 1.0, -1.0),
+                                         loss_kind="logistic") for t in tasks]
+            hp = dataclasses.replace(hp, ridge=1e-2)
+        state = init_state(hp, seed)
+        contributions = []
+        for task in tasks:
+            K = len(state.mlib)
+            state, out = learn_task(state, task)
+            where = f"arrival {len(contributions) + 1} ({task.task_id})"
+            trace = np.array(out.objective_trace)
+            # the trace may rise by relative round-off only
+            assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1])), where
+            assert out.rounds <= K + 2, where
+            assert out.admitted == (out.assignment.picks_outlier and bool(out.code.any())), where
+            for columns in (state.flib.decoder, state.flib.encoder):
+                assert np.linalg.norm(columns, axis=0).max() <= 1.0 + 1e-12, where
+            contributions.append(out.contribution)
+            A = sum(decoder_contribution(c.code, c.omega, c.reps_used, c.lambda2)
+                    for c in contributions)
+            b = sum(np.kron(c.code, c.omega @ c.w) for c in contributions)
+            M = sum(np.outer(c.code, c.w) for c in contributions)
+            C = sum(np.outer(c.w, c.w) for c in contributions)
+            for name, batch, inc in (("acc_A", A, state.flib.acc_A), ("acc_b", b, state.flib.acc_b),
+                                     ("acc_M", M, state.flib.acc_M), ("acc_C", C, state.flib.acc_C)):
+                scale = max(np.abs(batch).max(), 1.0)
+                assert np.abs(batch - inc).max() <= 1e-9 * scale, f"{where}: {name}"
+
+
 class TestRelearn:
     # each task arrives once; the one refusal reads the same for a state
     # learned in memory and for a loaded one
@@ -376,6 +421,21 @@ class TestCheckpoint:
         expected = io.StringIO()
         json.dump(engine._checkpoint_payload(state), expected)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("p", [1, 5])
+    def test_bytes_match_reference_encoding_for_any_task_id(self, tmp_path, p):
+        # ids that JSON escapes, and one equal to the stand-in for acc_A's
+        # data, which the first arrival also puts into "representatives",
+        # change no byte of the document
+        train, _ = small_corpus()
+        ids = (engine._ACC_A_DATA, 'say "hi"', "back\\slash", "caf\u00e9", "ctrl\x01")
+        tasks = [dataclasses.replace(t, task_id=tid) for t, tid in zip(train.tasks, ids)]
+        state, _ = stream(init_state(small_hyper(p=p), seed=0), tasks)
+        assert state.mlib.reps[0].source_task == engine._ACC_A_DATA
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        assert path.read_bytes() == json.dumps(engine._checkpoint_payload(state)).encode("ascii")
+        assert_same_state(load_state(path), state)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         train, _ = small_corpus()
