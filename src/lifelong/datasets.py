@@ -192,7 +192,8 @@ def save_corpus(corpus: TaskCorpus, directory) -> Path:
 
 
 def load_corpus(path) -> TaskCorpus:
-    """Load a corpus from its manifest (or the directory containing one)."""
+    """Load a corpus from its manifest (or the directory containing one),
+    whose every task file lies inside the manifest's directory."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -206,9 +207,15 @@ def load_corpus(path) -> TaskCorpus:
     kind = manifest["problem_kind"]
     loss_kind = "squared" if kind == "regression" else "logistic"
     d = int(manifest["d"])
+    root = path.parent.resolve()
     tasks = []
     for entry in manifest["tasks"]:
+        if not isinstance(entry, dict) or not {"id", "file"} <= entry.keys():
+            raise ValueError(f"{path}: manifest task entry {entry!r} needs an 'id' and a 'file'")
         fpath = path.parent / entry["file"]
+        if not fpath.resolve().is_relative_to(root):
+            raise ValueError(f"{path}: task {entry['id']!r}: file {entry['file']!r} lies "
+                             f"outside the manifest's directory")
         if not fpath.exists():
             raise FileNotFoundError(f"{path}: task file listed in manifest is missing: {entry['file']}")
         X, y = _read_task_csv(fpath, d)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
-from .libraries import (READABLE_VERSIONS, FeatureLibrary, ModelLibrary,
+from .libraries import (CHECKPOINT_VERSION, FeatureLibrary, ModelLibrary,
                         admit_representative, bump_tasks_seen,
                         decode_array, decode_shaped, encode_array,
                         init_libraries, library_from_dict, library_to_dict,
@@ -110,18 +110,6 @@ class PerTaskRecord:
 
 
 @dataclass(frozen=True)
-class UpdateContribution:
-    """Raw inputs of one library update, kept so incremental accumulators
-    can be replayed against a batch recomputation."""
-
-    code: np.ndarray
-    w: np.ndarray
-    omega: np.ndarray
-    reps_used: tuple[tuple[np.ndarray, np.ndarray, float], ...]
-    lambda2: float
-
-
-@dataclass(frozen=True)
 class TaskOutcome:
     task_id: str
     objective_trace: tuple[float, ...]
@@ -132,7 +120,6 @@ class TaskOutcome:
     reps_total: int
     decoder_delta: float
     encoder_delta: float
-    contribution: UpdateContribution
     distances: tuple[float, ...] = ()   # final-round representative distances
     outlier_cost: float = float("nan")
 
@@ -218,8 +205,6 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
         reps_total=len(mlib),
         decoder_delta=decoder_delta,
         encoder_delta=encoder_delta,
-        contribution=UpdateContribution(code=code, w=w, omega=omega,
-                                        reps_used=reps_used, lambda2=hp.lambda2),
         distances=tuple(float(v) for v in dists),
         outlier_cost=float(d0),
     )
@@ -402,21 +387,20 @@ def save_state(state: EngineState, path) -> None:
 
 
 def load_state(path) -> EngineState:
-    """The state `save_state` wrote; a version-3 checkpoint (no code basis)
-    loads too, with its decoder statistics in the identity basis.  Any
-    other version raises ValueError, among them version 1 (nested lists, no
-    version key) and version 2 (every array in full), and so does an
+    """The state `save_state` wrote.  Any version but 4 raises ValueError,
+    among them 1 (nested lists, no version key), 2 (every array in full) and
+    3 (statistics in the identity basis, no basis), and so does an
     accumulator entry that is not packed, an array whose shape disagrees
-    with the checkpoint's d, p and representatives, a version-4 basis that
-    is not p x r with r <= p or not orthonormal to round-off, decoder
-    statistics with a nonzero row past the basis, a per-task entry with an
-    unknown loss, or a `tasks_seen` or `hyper.p` other than the per-task count or p."""
+    with the checkpoint's d, p and representatives, a basis that is not
+    p x r with r <= p or not orthonormal to round-off, decoder statistics
+    with a nonzero row past the basis, a per-task entry with an unknown
+    loss, or a `tasks_seen` or `hyper.p` other than the per-task count or p."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("version", 1)
-    if version not in READABLE_VERSIONS:
+    if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version!r} is not readable; "
-                         f"readable versions are {list(READABLE_VERSIONS)}")
+                         f"readable versions are {[CHECKPOINT_VERSION]}")
     flib, mlib = library_from_dict(payload)
     hyper = hyper_from_dict(payload["hyper"])
     if hyper.p != flib.p:

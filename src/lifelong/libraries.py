@@ -49,11 +49,11 @@ from .assignment import Assignment
 class FeatureLibrary:
     """Encoder/decoder pair plus the accumulators backing their refits.
 
-    The decoder statistics are held in the coordinates of `basis`, an
-    orthonormal Q (p x r) whose span holds every code that entered them:
-    acc_A = (Q (x) I_d) A (Q (x) I_d)' and acc_b = (Q (x) I_d) b, where A
-    and b are `acc_A_pairs` and `acc_b_coords` restricted to their
-    leading r block rows; every row past r is exactly zero.
+    The decoder statistics, sums of kron(W, H) and of s (x) (H w), are held
+    only in the coordinates of `basis`, an orthonormal Q (p x r) whose span
+    holds every code that entered them: they are (Q (x) I_d) A (Q (x) I_d)'
+    and (Q (x) I_d) b, where A and b are `acc_A_pairs` and `acc_b_coords`
+    restricted to their leading r block rows; every row past r is zero.
     `acc_A_pairs[k]` is the d x d block (i, j) of A for the pair (i <= j)
     at position k of np.triu_indices(p), that is the sum of W[i, j] H
     over the Kronecker terms kron(W, H) in coordinates; block (j, i) is
@@ -76,30 +76,6 @@ class FeatureLibrary:
     @property
     def p(self) -> int:
         return self.decoder.shape[1]
-
-    @property
-    def acc_A(self) -> np.ndarray:
-        """The full (dp) x (dp) decoder statistics in the identity basis, a
-        read-only array assembled from `acc_A_pairs` and `basis`."""
-        d, p = self.d, self.p
-        q = self.basis
-        r = q.shape[1]
-        coords = _pairs_to_full(self.acc_A_pairs, p).reshape(p, d, p, d)[:r, :, :r]
-        # [i, x, y, j] is entry (x, y) of block (i, j); mirrored from the
-        # pairs i <= j, so block (j, i) equals block (i, j) bit for bit
-        rotated = np.tensordot(np.tensordot(q, coords, axes=(1, 0)), q, axes=(2, 1))
-        i, j = np.triu_indices(p)
-        full = _pairs_to_full(rotated[i, :, :, j], p)
-        full.setflags(write=False)
-        return full
-
-    @property
-    def acc_b(self) -> np.ndarray:
-        """The decoder right-hand side in the identity basis, read-only."""
-        r = self.basis.shape[1]
-        b = (self.basis @ self.acc_b_coords.reshape(self.p, self.d)[:r]).reshape(-1)
-        b.setflags(write=False)
-        return b
 
 
 @dataclass(frozen=True)
@@ -139,22 +115,6 @@ def init_libraries(d: int, p: int, seed: int) -> FeatureLibrary:
         acc_C=np.zeros((d, d)),
         tasks_seen=0,
     )
-
-
-def _pair_positions(n: int) -> np.ndarray:
-    """The n x n table, symmetric, of each pair's position among the pairs
-    i <= j that np.triu_indices(n) lists."""
-    i, j = np.triu_indices(n)
-    pos = np.empty((n, n), dtype=np.intp)
-    pos[i, j] = pos[j, i] = np.arange(i.size)
-    return pos
-
-
-def _pairs_to_full(blocks: np.ndarray, p: int) -> np.ndarray:
-    """The (dp) x (dp) matrix whose blocks (i, j) and (j, i) are the pair
-    block of i <= j."""
-    d = blocks.shape[-1]
-    return blocks[_pair_positions(p)].transpose(0, 2, 1, 3).reshape(p * d, p * d)
 
 
 def _symmetric_bits(a: np.ndarray) -> bool:
@@ -318,15 +278,6 @@ def _decoder_terms(s_t: np.ndarray, omega: np.ndarray,
         for k, weight in enumerate(weights):
             blocks[k] += weight * hessian
     return blocks.reshape(-1, d, d)
-
-
-def decoder_contribution(s_t: np.ndarray, omega: np.ndarray,
-                         reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
-                         lambda2: float) -> np.ndarray:
-    """One task's additive contribution to acc_A as the full (dp) x (dp)
-    matrix, A[(i, a), (j, b)] = sum_k W_k[i, j] H_k[a, b]; see
-    `_decoder_terms`.  A representative with lambda2 z_k = 0 adds zeros."""
-    return _pairs_to_full(_decoder_terms(s_t, omega, reps_used, lambda2), s_t.shape[0])
 
 
 # residuals of at most this many machine epsilons times p times the
@@ -493,13 +444,11 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
 # orthonormal Q, and holds "acc_A" and "acc_b" in its coordinates, as the
 # library does in memory; a basis that is not p x r with r <= p or not
 # orthonormal to round-off, or statistics with a nonzero entry in a row
-# past r, are refused.  Version 3 holds the statistics in the identity
-# basis and loads with Q = I_p, which refits correctly but solves the full
-# system.  Versions 1 (nested lists) and 2 (every array in full) are
-# refused.
+# past r, are refused.  Only version 4 is read: versions 1 (nested lists),
+# 2 (every array in full) and 3 (statistics in the identity basis, no
+# "basis") are refused.
 
 CHECKPOINT_VERSION = 4
-READABLE_VERSIONS = (3, CHECKPOINT_VERSION)
 _DTYPE = "<f8"
 
 
@@ -599,7 +548,7 @@ _ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
 
 
 def _decode_basis(payload: dict, p: int) -> np.ndarray:
-    """The version-4 basis entry, refused unless it is p x r with r <= p
+    """The basis entry, refused unless it is p x r with r <= p
     and orthonormal to round-off."""
     basis = decode_array(payload["basis"], "basis")
     if basis.ndim != 2 or basis.shape[0] != p or basis.shape[1] > p:
@@ -614,16 +563,11 @@ def _decode_basis(payload: dict, p: int) -> np.ndarray:
 
 
 def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
-    """The libraries `library_to_dict` wrote, or those of a version-3
-    document, whose statistics load in the identity basis."""
+    """The libraries `library_to_dict` wrote."""
     d, p = int(payload["d"]), int(payload["p"])
-    dp = d * p
-    if payload.get("version", 1) >= 4:
-        basis = _decode_basis(payload, p)
-    else:
-        basis = np.eye(p)
     acc_A_pairs = decode_array(payload["acc_A"], "acc_A", (p, d))
-    acc_b_coords = decode_shaped(payload["acc_b"], "acc_b", (dp,))
+    acc_b_coords = decode_shaped(payload["acc_b"], "acc_b", (d * p,))
+    basis = _decode_basis(payload, p)
     r = basis.shape[1]
     if np.any(acc_A_pairs[np.triu_indices(p)[1] >= r]):
         raise ValueError(f"checkpoint array 'acc_A': nonzero statistics past the "

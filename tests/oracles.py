@@ -130,13 +130,50 @@ def grid_search_assignment(cost, lam2, alpha, resolution):
     return pts[j], float(vals[j])
 
 
-def random_task(rng, d=6, n=12, kind="squared"):
-    """Seeded random task for property tests (import-cycle-free helper)."""
-    from lifelong.tasks import TaskData
+def decoder_statistics(arrivals, lambda2):
+    """The decoder statistics (A, b) in the identity basis, re-summed with
+    literal Kronecker products over `arrivals`, each (s, w, omega, reps)
+    with reps a sequence of (s_k, H_k, z_k).  With vec(D) column-major, an
+    arrival adds kron(s s', omega) + lambda2 z_k kron((s_k - s)(s_k - s)',
+    H_k) to A and kron(s, omega w) to b, ELLA's accumulate-then-refit
+    terms (Ruvolo & Eaton, ICML 2013) with the representative couplings."""
+    A = b = 0.0
+    for s, w, omega, reps in arrivals:
+        A = A + np.kron(np.outer(s, s), omega)
+        for s_k, H_k, z_k in reps:
+            A = A + lambda2 * z_k * np.kron(np.outer(s_k - s, s_k - s), H_k)
+        b = b + np.kron(s, omega @ w)
+    return A, b
 
-    X = rng.normal(size=(d, n))
-    if kind == "squared":
-        y = rng.normal(size=n)
-    else:
-        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    return TaskData(features=X, targets=y, loss_kind=kind, task_id="rand")
+
+def pair_blocks(full, p):
+    """The d x d blocks (i, j), i <= j in np.triu_indices(p) order, of the
+    (dp) x (dp) matrix `full`."""
+    d = full.shape[0] // p
+    return np.stack([full[i * d:(i + 1) * d, j * d:(j + 1) * d]
+                     for i, j in zip(*np.triu_indices(p))])
+
+
+def full_from_pairs(pairs, p):
+    """The (dp) x (dp) matrix whose blocks (i, j) and (j, i) both hold the
+    pair block of i <= j, at its position in np.triu_indices(p)."""
+    d = pairs.shape[-1]
+    full = np.zeros((p * d, p * d))
+    for block, (i, j) in zip(pairs, zip(*np.triu_indices(p))):
+        full[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+        full[j * d:(j + 1) * d, i * d:(i + 1) * d] = block
+    return full
+
+
+def in_basis(A, b, basis):
+    """The pair blocks and right-hand side of (A, b) projected onto the
+    orthonormal code basis Q (p x r): (Q (x) I_d)' A (Q (x) I_d) and
+    (Q (x) I_d)' b, zero past the r leading block rows."""
+    p, r = basis.shape
+    d = b.size // p
+    P = np.kron(basis, np.eye(d))
+    A_coords = np.zeros((p * d, p * d))
+    A_coords[:r * d, :r * d] = P.T @ A @ P
+    b_coords = np.zeros(p * d)
+    b_coords[:r * d] = P.T @ b
+    return pair_blocks(A_coords, p), b_coords

@@ -18,15 +18,16 @@ from lifelong.datasets import generate_disjoint
 from lifelong.engine import (HyperParams, init_state, learn_task,
                              reconstruct_model, reconstructed_weights)
 from lifelong.experiment import ExperimentConfig, run_experiment, run_seed
-from lifelong.libraries import decoder_contribution
 from lifelong.metrics import model_correlation_matrix, within_between_gap
 from lifelong.sparse_code import (CodeProblem, composite_objective, encode_task,
                                   smooth_gradient, smooth_objective)
 from lifelong.tasks import fit_single_task, loss_gradient, loss_value
 
-from oracles import (fd_gradient, grid_search_assignment, subgradient_descent,
-                     random_task)
+from oracles import (decoder_statistics, fd_gradient, grid_search_assignment, in_basis,
+                     subgradient_descent)
+from test_engine import replay_arrival
 from test_sparse_code import random_problem
+from test_tasks import random_task
 
 SEEDS = tuple(range(10))
 
@@ -163,7 +164,7 @@ class TestCriterion5:
         per_seed = []
         for r in long_stream_runs:
             deltas = np.array([o.encoder_delta for o in r.outcomes])
-            W = np.array([o.contribution.w for o in r.outcomes])
+            W = np.array([r.state.per_task[o.task_id].w for o in r.outcomes])
             d = W.shape[1]
             T0 = next((T for T in range(d, len(W) + 1)
                        if np.linalg.matrix_rank(W[:T]) == d), None)
@@ -300,31 +301,33 @@ class TestCriterion9:
 
 class TestCriterion10:
     def test_accumulator_equivalence(self):
+        # each arrival is replayed from its task and the state before it,
+        # re-summed with literal Kronecker products and projected onto the
+        # library's code basis, past whose rank the statistics are zero
         corpus = generate_disjoint(seed=0)
         hp = HyperParams()
         state = init_state(hp, seed=0)
-        contributions = []
+        A = b = M = C = 0.0
         worst = 0.0
+        past_rank_zero = True
         for task in corpus.tasks:   # 30-task stream, every prefix checked
-            state, out = learn_task(state, task)
-            c = out.contribution
-            contributions.append(c)
-            d, p = state.flib.d, state.flib.p
-            A = np.zeros((d * p, d * p))
-            b = np.zeros(d * p)
-            M = np.zeros((p, d))
-            C = np.zeros((d, d))
-            for ci in contributions:
-                A += decoder_contribution(ci.code, ci.omega, ci.reps_used, ci.lambda2)
-                b += np.kron(ci.code, ci.omega @ ci.w)
-                M += np.outer(ci.code, ci.w)
-                C += np.outer(ci.w, ci.w)
-            for batch, inc in ((A, state.flib.acc_A), (b, state.flib.acc_b),
-                               (M, state.flib.acc_M), (C, state.flib.acc_C)):
+            before = state
+            state, _ = learn_task(state, task)
+            s, w, _, _ = arrival = replay_arrival(before, state, task)
+            A_t, b_t = decoder_statistics([arrival], hp.lambda2)
+            A, b, M, C = A + A_t, b + b_t, M + np.outer(s, w), C + np.outer(w, w)
+            flib = state.flib
+            pairs, b_coords = in_basis(A, b, flib.basis)
+            for batch, inc in ((pairs, flib.acc_A_pairs), (b_coords, flib.acc_b_coords),
+                               (M, flib.acc_M), (C, flib.acc_C)):
                 scale = max(np.abs(batch).max(), 1.0)
                 worst = max(worst, float(np.abs(batch - inc).max() / scale))
-        _report("criterion 10", worst <= 1e-9,
-                f"30 prefixes: max relative accumulator deviation {worst:.2e}")
+            r = flib.basis.shape[1]
+            past_rank_zero &= not (flib.acc_A_pairs[np.triu_indices(hp.p)[1] >= r].any()
+                                   or flib.acc_b_coords[r * flib.d:].any())
+        _report("criterion 10", worst <= 1e-9 and past_rank_zero,
+                f"30 prefixes: max relative accumulator deviation {worst:.2e}, "
+                f"rows past the basis rank exactly zero: {past_rank_zero}")
 
 
 class TestCriterion11:

@@ -210,6 +210,33 @@ class TestCorpusIO:
             save_corpus(TaskCorpus(tasks=tasks, problem_kind="regression"), tmp_path / "corpus")
         assert not (tmp_path / "escaped.csv").exists()
 
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_file_outside_the_corpus_directory_refused(self, tmp_path, where):
+        corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=4, n_per_task=5)
+        save_corpus(corpus, tmp_path / "corpus")
+        outside = tmp_path / "outside.csv"
+        (tmp_path / "corpus" / "c0_t1.csv").rename(outside)
+        manifest_path = tmp_path / "corpus" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        name = "../outside.csv" if where == "parent" else str(outside)
+        manifest["tasks"][1]["file"] = name
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"task 'c0_t1': file {name!r} lies "
+                                                       f"outside the manifest's directory")):
+            load_corpus(tmp_path / "corpus")
+
+    @pytest.mark.parametrize("key", ["id", "file"])
+    def test_entry_without_id_or_file_refused(self, tmp_path, key):
+        corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=4, n_per_task=5)
+        save_corpus(corpus, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["tasks"][1][key]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        entry = manifest["tasks"][1]
+        with pytest.raises(ValueError, match=re.escape(f"manifest task entry {entry!r} needs "
+                                                       f"an 'id' and a 'file'")):
+            load_corpus(tmp_path)
+
     def test_classification_labels_validated(self, tmp_path):
         X = np.ones((2, 4))
         y = np.array([1.0, -1.0, 1.0, -1.0])

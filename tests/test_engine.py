@@ -20,12 +20,12 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              reconstruct_model, reconstructed_weights,
                              save_state)
 from lifelong.experiment import ExperimentConfig
-from lifelong.libraries import (CHECKPOINT_VERSION, _pairs_to_full, bump_tasks_seen,
-                                decoder_contribution, encode_array, init_libraries,
-                                library_from_dict, library_to_dict, update_decoder,
-                                update_encoder)
+from lifelong.libraries import (CHECKPOINT_VERSION, encode_array, init_libraries,
+                                library_from_dict, library_to_dict)
 from lifelong.sparse_code import CodeProblem, encode_task
-from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, loss_value
+from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, hessian_at, loss_value
+
+from oracles import decoder_statistics, full_from_pairs, in_basis
 
 
 def small_corpus(seed=0, clusters=2, tasks_per_cluster=3, d=10, n=16, noise=0.05):
@@ -72,6 +72,22 @@ def stream(state, tasks):
     return state, outcomes
 
 
+def replay_arrival(before, after, task):
+    """The arrival of `task`, which took `before` to `after`, as the
+    (s, w, omega, reps) that `oracles.decoder_statistics` re-sums: omega
+    from a fresh single-task fit, s, w and the assignment z from the task's
+    record in `after`, and each representative of `before` with its weight
+    z_k and its Hessian, which is omega for squared loss and otherwise the
+    task's Hessian at the arrival-time decoder's model D s_k."""
+    record = after.per_task[task.task_id]
+    omega = fit_single_task(task, after.hyper.ridge).omega
+    codes = before.mlib.codes()
+    hessians = ([omega] * len(codes) if task.loss_kind == "squared"
+                else [hessian_at(task, before.flib.decoder @ s_k) for s_k in codes])
+    return (record.code, record.w, omega,
+            list(zip(codes, hessians, record.assignment.z)))
+
+
 class TestSingleTask:
     def test_base_case(self):
         train, _ = small_corpus()
@@ -83,7 +99,8 @@ class TestSingleTask:
         w = state.per_task[train.tasks[0].task_id].w
         recon = reconstruct_model(state, train.tasks[0].task_id)
         diff = w - recon
-        err = float(diff @ (out.contribution.omega @ diff))
+        omega = fit_single_task(train.tasks[0], state.hyper.ridge).omega
+        err = float(diff @ (omega @ diff))
         assert np.isfinite(err)
 
     def test_train_rmse_close_to_ridge_fit(self):
@@ -318,11 +335,13 @@ class TestStreamInvariants:
                                          loss_kind="logistic") for t in tasks]
             hp = dataclasses.replace(hp, ridge=1e-2)
         state = init_state(hp, seed)
-        contributions = []
+        arrivals = []
         for task in tasks:
             K = len(state.mlib)
+            before = state
             state, out = learn_task(state, task)
-            where = f"arrival {len(contributions) + 1} ({task.task_id})"
+            arrivals.append(replay_arrival(before, state, task))
+            where = f"arrival {len(arrivals)} ({task.task_id})"
             trace = np.array(out.objective_trace)
             # the trace may rise by relative round-off only
             assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1])), where
@@ -330,16 +349,18 @@ class TestStreamInvariants:
             assert out.admitted == (out.assignment.picks_outlier and bool(out.code.any())), where
             for columns in (state.flib.decoder, state.flib.encoder):
                 assert np.linalg.norm(columns, axis=0).max() <= 1.0 + 1e-12, where
-            contributions.append(out.contribution)
-            A = sum(decoder_contribution(c.code, c.omega, c.reps_used, c.lambda2)
-                    for c in contributions)
-            b = sum(np.kron(c.code, c.omega @ c.w) for c in contributions)
-            M = sum(np.outer(c.code, c.w) for c in contributions)
-            C = sum(np.outer(c.w, c.w) for c in contributions)
-            for name, batch, inc in (("acc_A", A, state.flib.acc_A), ("acc_b", b, state.flib.acc_b),
-                                     ("acc_M", M, state.flib.acc_M), ("acc_C", C, state.flib.acc_C)):
+            flib = state.flib
+            pairs, b = in_basis(*decoder_statistics(arrivals, hp.lambda2), flib.basis)
+            M = sum(np.outer(s, w) for s, w, _, _ in arrivals)
+            C = sum(np.outer(w, w) for _, w, _, _ in arrivals)
+            for name, batch, inc in (("acc_A_pairs", pairs, flib.acc_A_pairs),
+                                     ("acc_b_coords", b, flib.acc_b_coords),
+                                     ("acc_M", M, flib.acc_M), ("acc_C", C, flib.acc_C)):
                 scale = max(np.abs(batch).max(), 1.0)
                 assert np.abs(batch - inc).max() <= 1e-9 * scale, f"{where}: {name}"
+            r = flib.basis.shape[1]
+            assert not flib.acc_A_pairs[np.triu_indices(hp.p)[1] >= r].any(), where
+            assert not flib.acc_b_coords[r * d:].any(), where
 
 
 class TestRelearn:
@@ -482,8 +503,11 @@ class TestCheckpoint:
         save_state(state, path)
         payload = json.loads(path.read_text())
         del payload["basis"]
-        for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
-            a = getattr(state.flib, name)
+        flib = state.flib
+        arrays = {"decoder": flib.decoder, "encoder": flib.encoder,
+                  "acc_A": full_from_pairs(flib.acc_A_pairs, flib.p),
+                  "acc_b": flib.acc_b_coords, "acc_M": flib.acc_M, "acc_C": flib.acc_C}
+        for name, a in arrays.items():
             payload[name] = a.tolist() if version == 1 else encode_array(a)
         if version == 1:
             del payload["version"]
@@ -520,81 +544,20 @@ class TestCheckpoint:
         p, d = flib.p, flib.d
         entry = library_to_dict(flib, state.mlib)["acc_A"]
         assert entry["kron"] == [p, d] and entry["shape"] == [p * d, p * d]
-        coords = _pairs_to_full(flib.acc_A_pairs, p).reshape(p, d, p, d)
+        coords = full_from_pairs(flib.acc_A_pairs, p).reshape(p, d, p, d)
         ia, ja = np.triu_indices(d)
         packed = np.stack([coords[i, ia, j, ja] for i, j in zip(*np.triu_indices(p))])
         assert base64.b64decode(entry["data"]) == packed.tobytes()
 
-    def test_checkpoint_from_full_matrix_layout_loads(self, tmp_path, rng):
-        # written while acc_A was held in memory as the full (dp) x (dp)
-        # matrix, the code solver still took coder_tol and coder_max_iter,
-        # the alternation max_outer and outer_tol and the learner alpha and
-        # admission_enabled, by saving the first 4 tasks of small_corpus()
-        # under small_hyper() and seed 0: it loads, saves back to the same
-        # document less those six retired settings, holds the libraries
-        # that the current refits build from its codes and assignments, and
-        # agrees with a fresh stream of those tasks
+    def test_version_3_checkpoint_refused(self):
+        # written while the statistics were held in the identity basis with
+        # no "basis" entry, by saving the first 4 tasks of small_corpus()
+        # under small_hyper() and seed 0; version 4 alone is read
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
-        loaded = load_state(old)
-        path = tmp_path / "state.json"
-        save_state(loaded, path)
-        fixture, resaved = json.loads(old.read_text()), json.loads(path.read_text())
-        retired = {"coder_tol", "coder_max_iter", "max_outer", "outer_tol", "alpha",
-                   "admission_enabled"}
-        assert set(fixture["hyper"]) - set(resaved["hyper"]) == retired
-        # version 3 held the statistics in the identity basis, which
-        # version 4 stores beside them
-        expected = {}
-        for key, value in fixture.items():
-            expected[key] = value
-            if key == "encoder":
-                expected["basis"] = encode_array(np.eye(loaded.flib.p))
-        expected["version"] = CHECKPOINT_VERSION
-        for key in expected:
-            if key != "hyper":
-                # every array entry, base64 of its raw bytes, unchanged
-                assert resaved[key] == expected[key], key
-        for name in retired:
-            del expected["hyper"][name]
-        assert path.read_bytes() == json.dumps(expected).encode()
-        train, _ = small_corpus()
-        fresh, outcomes = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
-        X = rng.normal(size=(10, 6))
-
-        def assert_matches(state, bound):
-            for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
-                ours, theirs = getattr(state.flib, name), getattr(loaded.flib, name)
-                assert np.abs(ours - theirs).max() <= bound * max(1.0, np.abs(theirs).max())
-            for tid in state.per_task:
-                np.testing.assert_allclose(predict(loaded, tid, X), predict(state, tid, X),
-                                           rtol=0, atol=bound)
-
-        # the fresh stream makes the same decisions; its codes are exact,
-        # while the fixture's came from FISTA stopped at a 1e-6 tolerance,
-        # which moves the libraries and predictions by up to 4.7e-6
-        assert ([(r.source_task, r.admitted_at) for r in fresh.mlib.reps]
-                == [(r.source_task, r.admitted_at) for r in loaded.mlib.reps])
-        for tid, record in loaded.per_task.items():
-            np.testing.assert_array_equal(fresh.per_task[tid].assignment.z,
-                                          record.assignment.z)
-            assert np.abs(fresh.per_task[tid].code - record.code).max() <= 1e-5
-        assert_matches(fresh, 1e-5)
-        # replaying the fixture's own codes and assignments through the
-        # refits rebuilds its libraries to round-off; the fresh stream
-        # supplies each arrival's single-task fit and representative
-        # Hessians, which squared loss makes independent of the codes
-        hp = loaded.hyper
-        _, phi_inv = activation_pair(hp.phi)
-        flib = init_libraries(train.tasks[0].dim, hp.p, seed=0)
-        for out in outcomes:
-            c, record = out.contribution, loaded.per_task[out.task_id]
-            assert all(H is c.omega for _, H, _ in c.reps_used)
-            reps_used = tuple((rep.code, H, float(z_k)) for rep, (_, H, _), z_k
-                              in zip(loaded.mlib.reps, c.reps_used, record.assignment.z))
-            flib = update_decoder(flib, record.code, c.omega, reps_used, c.lambda2, c.w,
-                                  hp.mu)
-            flib = bump_tasks_seen(update_encoder(flib, record.code, c.w, phi_inv, hp.mu))
-        assert_matches(dataclasses.replace(loaded, flib=flib), 1e-9)
+        assert json.loads(old.read_text())["version"] == 3
+        message = f"{old}: checkpoint version 3 is not readable; readable versions are [4]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_state(old)
 
     def test_full_acc_A_with_asymmetric_blocks_refused(self, tmp_path):
         # pair blocks cannot hold an acc_A whose block (j, i) differs from
@@ -605,7 +568,7 @@ class TestCheckpoint:
         save_state(state, path)
         payload = json.loads(path.read_text())
         d = state.flib.d
-        full = np.array(state.flib.acc_A)
+        full = full_from_pairs(state.flib.acc_A_pairs, state.flib.p)
         row, col = 2, d + 3     # entry (2, 3) of block (0, 1)
         full[row, col] = np.nextafter(full[row, col], np.inf)
         payload["acc_A"] = encode_array(full)
@@ -660,7 +623,7 @@ class TestCheckpoint:
         if key == "decoder":
             payload[key] = encode_array(flib.decoder.T)
         elif key == "acc_b":
-            payload[key] = encode_array(flib.acc_b[:-1])
+            payload[key] = encode_array(flib.acc_b_coords[:-1])
         elif key == "acc_A":
             # the right product, d * p, from swapped factors
             assert payload[key]["kron"] == [flib.p, flib.d]
@@ -799,14 +762,16 @@ class TestCheckpoint:
         resume_at = 5
         outcomes = []
         for t, task in enumerate(tasks, start=1):
+            before = state
             state, out = learn_task(state, task)
             outcomes.append(out)
+            if t > 1:
+                _, _, omega, reps = replay_arrival(before, state, task)
+                assert not np.array_equal(reps[0][1], omega), task.task_id
             save_state(state, path)
             assert "kron" in json.loads(path.read_text())["acc_A"], task.task_id
             if t == resume_at:
                 resume_path.write_bytes(path.read_bytes())
-        assert all(out.contribution.reps_used[0][1] is not out.contribution.omega
-                   for out in outcomes[1:])
         resumed, tail = stream(load_state(resume_path), tasks[resume_at:])
         for ours, theirs in zip(tail, outcomes[resume_at:]):
             assert ours.code.tobytes() == theirs.code.tobytes()

@@ -15,10 +15,11 @@ from lifelong.engine import EngineState, HyperParams, PerTaskRecord, load_state,
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
                                 _cholesky_in_place, _decoder_terms, _encode_pairs,
                                 _lower_inverse, _substitute, _system_buffer,
-                                admit_representative, bump_tasks_seen,
-                                decode_array, decoder_contribution,
+                                admit_representative, bump_tasks_seen, decode_array,
                                 init_libraries, library_to_dict,
                                 update_decoder, update_encoder)
+
+from oracles import decoder_statistics, full_from_pairs, in_basis, pair_blocks
 
 
 identity = lambda v: v
@@ -48,9 +49,11 @@ class TestInit:
 
     def test_accumulator_shapes(self):
         lib = init_libraries(40, 10, seed=0)
-        assert lib.acc_A.shape == (400, 400)
-        assert not lib.acc_A.any()
-        assert lib.acc_b.shape == (400,)
+        assert lib.basis.shape == (10, 0)
+        assert lib.acc_A_pairs.shape == (55, 40, 40)
+        assert not lib.acc_A_pairs.any()
+        assert lib.acc_b_coords.shape == (400,)
+        assert not lib.acc_b_coords.any()
         assert lib.acc_M.shape == (10, 40)
         assert lib.acc_C.shape == (40, 40)
 
@@ -65,31 +68,25 @@ class TestDecoderUpdate:
         new = update_decoder(lib, s_t=np.array([1.0]), omega=np.array([[0.5]]),
                              reps_used=(), lambda2=0.7, w_t=np.array([2.0]),
                              ridge_mu=0.0)
-        assert new.acc_A[0, 0] == pytest.approx(0.5)
-        assert new.acc_b[0] == pytest.approx(1.0)
+        assert new.basis.tolist() == [[1.0]]
+        assert new.acc_A_pairs.tolist() == [[[0.5]]]
+        assert new.acc_b_coords.tolist() == [1.0]
         # raw solve gives 2, clipped back to the unit column
         assert new.decoder[0, 0] == pytest.approx(1.0)
 
     def test_accumulators_match_batch_recompute(self, rng):
         d, p = 5, 3
         lib = init_libraries(d, p, seed=1)
-        contributions = []
+        arrivals = []
         for _ in range(12):
             s, omega, reps, w = random_update_inputs(rng, d, p)
             lib = update_decoder(lib, s, omega, reps, lambda2=0.4, w_t=w, ridge_mu=1e-8)
             lib = bump_tasks_seen(lib)
-            contributions.append((s, omega, reps, w))
-            A = np.zeros((d * p, d * p))
-            b = np.zeros(d * p)
-            for s_i, om_i, reps_i, w_i in contributions:
-                A += np.kron(np.outer(s_i, s_i), om_i)
-                for s_k, om_k, z_k in reps_i:
-                    diff = s_k - s_i
-                    A += 0.4 * z_k * np.kron(np.outer(diff, diff), om_k)
-                b += np.kron(s_i, om_i @ w_i)
-            scale = max(np.abs(A).max(), 1.0)
-            assert np.abs(lib.acc_A - A).max() <= 1e-9 * scale
-            assert np.abs(lib.acc_b - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
+            arrivals.append((s, w, omega, reps))
+            pairs, b = in_basis(*decoder_statistics(arrivals, 0.4), lib.basis)
+            scale = max(np.abs(pairs).max(), 1.0)
+            assert np.abs(lib.acc_A_pairs - pairs).max() <= 1e-9 * scale
+            assert np.abs(lib.acc_b_coords - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
 
     def test_single_task_minimizes_weighted_residual(self, rng):
         # p = 1 keeps the system nonsingular at mu = 0; compare against a
@@ -394,11 +391,11 @@ class TestDecoderContribution:
         s, omega, reps, _ = random_update_inputs(rng, d, p, n_reps=3)
         # distinct Hessian per representative, one of them switched off
         reps = reps[:1] + ((reps[1][0], reps[1][1], 0.0),) + reps[2:]
-        expected = np.kron(np.outer(s, s), omega) + sum(
+        expected = pair_blocks(np.kron(np.outer(s, s), omega) + sum(
             lambda2 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
-            for s_k, omega_k, z_k in reps)
-        got = decoder_contribution(s, omega, reps, lambda2)
-        assert got.shape == (d * p, d * p)
+            for s_k, omega_k, z_k in reps), p)
+        got = _decoder_terms(s, omega, reps, lambda2)
+        assert got.shape == (p * (p + 1) // 2, d, d)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_shared_hessian_matches_kron_sum(self, rng):
@@ -407,9 +404,9 @@ class TestDecoderContribution:
         d, p = 40, 20
         s, omega, reps, _ = random_update_inputs(rng, d, p, n_reps=3)
         reps = tuple((s_k, omega, z_k) for s_k, _, z_k in reps)
-        expected = np.kron(np.outer(s, s), omega) + sum(
-            0.3 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega) for s_k, _, z_k in reps)
-        got = decoder_contribution(s, omega, reps, 0.3)
+        expected = pair_blocks(np.kron(np.outer(s, s), omega) + sum(
+            0.3 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega) for s_k, _, z_k in reps), p)
+        got = _decoder_terms(s, omega, reps, 0.3)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_distinct_hessians_give_symmetric_blocks(self, rng):
@@ -418,8 +415,13 @@ class TestDecoderContribution:
         # entries one ulp from their mirrors at this size
         d, p = 50, 20
         s, omega, reps, w = random_update_inputs(rng, d, p, n_reps=1)
-        bits = _decoder_terms(s, omega, reps, 0.3).view(np.uint64)
+        got = _decoder_terms(s, omega, reps, 0.3)
+        bits = got.view(np.uint64)
         assert np.array_equal(bits, bits.transpose(0, 2, 1))
+        (s_k, omega_k, z_k), = reps
+        expected = pair_blocks(np.kron(np.outer(s, s), omega) + 0.3 * z_k * np.kron(
+            np.outer(s_k - s, s_k - s), omega_k), p)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         lib = update_decoder(init_libraries(d, p, seed=0), s, omega, reps, lambda2=0.3, w_t=w)
         assert "kron" in library_to_dict(lib, ModelLibrary())["acc_A"]
 
@@ -535,7 +537,8 @@ class TestCheckpoint:
                                per_task=per_task), path)
         loaded = load_state(path)
         flib2, mlib2 = loaded.flib, loaded.mlib
-        for name in ("decoder", "encoder", "acc_A", "acc_b", "acc_M", "acc_C"):
+        for name in ("decoder", "encoder", "basis", "acc_A_pairs", "acc_b_coords", "acc_M",
+                     "acc_C"):
             np.testing.assert_array_equal(getattr(flib, name), getattr(flib2, name))
         assert flib2.tasks_seen == flib.tasks_seen
         np.testing.assert_array_equal(mlib2.reps[0].code, mlib.reps[0].code)
@@ -610,6 +613,6 @@ class TestAccumulatorShape:
             lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-6)
             lib = update_encoder(lib, s, w, identity, ridge_mu=1e-6)
             lib = bump_tasks_seen(lib)
-            for mat in (lib.acc_A, lib.acc_C):
+            for mat in (full_from_pairs(lib.acc_A_pairs, p), lib.acc_C):
                 assert np.abs(mat - mat.T).max() <= 1e-9 * max(1, np.abs(mat).max())
                 assert np.linalg.eigvalsh(mat)[0] >= -1e-8 * max(1, np.abs(mat).max())

@@ -5,12 +5,22 @@ from lifelong import tasks
 from lifelong.tasks import (ConvergenceError, TaskData, fit_single_task,
                             hessian_at, loss_gradient, loss_value)
 
-from oracles import fd_gradient, fd_jacobian, grid_search_logistic_2d, random_task
+from oracles import fd_gradient, fd_jacobian, grid_search_logistic_2d
 
 
 def make_task(X, y, kind="squared", tid="t"):
     return TaskData(features=np.asarray(X, float), targets=np.asarray(y, float),
                     loss_kind=kind, task_id=tid)
+
+
+def random_task(rng, d=6, n=12, kind="squared"):
+    """Seeded random task for property tests."""
+    X = rng.normal(size=(d, n))
+    if kind == "squared":
+        y = rng.normal(size=n)
+    else:
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return make_task(X, y, kind=kind, tid="rand")
 
 
 class TestTaskData:
