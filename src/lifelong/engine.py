@@ -33,7 +33,7 @@ from .libraries import (CHECKPOINT_VERSION, FeatureLibrary, ModelLibrary,
                         admit_representative, bump_tasks_seen,
                         decode_array, decode_shaped, encode_array,
                         init_libraries, library_from_dict, library_to_dict,
-                        update_decoder, update_encoder)
+                        pairs_base64, update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, encode_task
 from .tasks import ConvergenceError, TaskData, fit_single_task, hessian_at
 
@@ -324,8 +324,8 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
     return ids, cols
 
 
-def _checkpoint_payload(state: EngineState) -> dict:
-    payload = library_to_dict(state.flib, state.mlib)
+def _checkpoint_payload(state: EngineState, acc_A_data: str | None = None) -> dict:
+    payload = library_to_dict(state.flib, state.mlib, acc_A_data)
     payload["seed"] = state.seed
     payload["hyper"] = dataclasses.asdict(state.hyper)
     payload["per_task"] = {
@@ -351,27 +351,26 @@ _ACC_A_DATA = "<acc_A data>"
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table.
 
-    One JSON document (format version 4: arrays as base64 of their raw
+    One JSON document (format version 5: arrays as base64 of their raw
     float64 bytes, and of only the unique entries of the two
     Kronecker-symmetric accumulators, which are symmetric by construction;
     the decoder statistics in the coordinates of the library's code basis,
     which is stored too; see the codec notes in `libraries`), byte for byte
     `json.dumps` of the payload, which is ASCII.  The packed `acc_A`, almost
-    all of the document, skips the JSON encoder: base64 text needs no
-    escaping, so the rest is encoded around a stand-in for it and the file
-    is written as that text's head, the base64 bytes and its tail.  The
-    file is a dot-prefixed temp file beside `path`, synced to disk and moved
-    into place with `os.replace`, so a write that fails part-way leaves any
-    previous checkpoint at `path` intact.  The document holds the whole
-    engine state: `load_state` returns a state equal to `state` field for
-    field, bit for bit, which continues the stream exactly as `state` would.
+    all of the document, is never text: base64 needs no escaping, so the
+    rest is encoded around a stand-in for it and the file is written as
+    that text's head, the bytes `base64.b64encode` returned and its tail.
+    The file is a dot-prefixed temp file beside `path`, synced to disk and
+    moved into place with `os.replace`, so a write that fails part-way
+    leaves any previous checkpoint at `path` intact.  The document holds the
+    whole engine state: `load_state` returns a state equal to `state` field
+    for field, bit for bit, which continues the stream exactly as `state`
+    would.
     """
     if state.flib is None:
         raise ValueError("cannot checkpoint an engine that has seen no tasks")
-    payload = _checkpoint_payload(state)
-    acc_A_data = payload["acc_A"]["data"].encode("ascii")
-    payload["acc_A"]["data"] = _ACC_A_DATA
-    head, _, tail = json.dumps(payload).partition(_ACC_A_DATA)
+    acc_A_data = pairs_base64(state.flib.acc_A_pairs)
+    head, _, tail = json.dumps(_checkpoint_payload(state, _ACC_A_DATA)).partition(_ACC_A_DATA)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -387,14 +386,13 @@ def save_state(state: EngineState, path) -> None:
 
 
 def load_state(path) -> EngineState:
-    """The state `save_state` wrote.  Any version but 4 raises ValueError,
-    among them 1 (nested lists, no version key), 2 (every array in full) and
-    3 (statistics in the identity basis, no basis), and so does an
-    accumulator entry that is not packed, an array whose shape disagrees
-    with the checkpoint's d, p and representatives, a basis that is not
-    p x r with r <= p or not orthonormal to round-off, decoder statistics
-    with a nonzero row past the basis, a per-task entry with an unknown
-    loss, or a `tasks_seen` or `hyper.p` other than the per-task count or p."""
+    """The state `save_state` wrote.  Any version but 5 raises ValueError,
+    among them 1 (nested lists), 2 (arrays in full), 3 (identity basis) and
+    4 (all p(p+1)/2 pairs), and so does an unpacked accumulator, an array
+    that is not finite or whose shape disagrees with the checkpoint's d, p,
+    basis and representatives, a basis that is not p x r with r <= p or not
+    orthonormal to round-off, a per-task entry with an unknown loss, or a
+    `tasks_seen` or `hyper.p` other than the per-task count or p."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("version", 1)

@@ -13,18 +13,18 @@ span(codes) (x) R^d, and on the rest of R^(dp) the decoder system is
 mu I with a zero right-hand side.  The library therefore holds an
 orthonormal basis Q (p x r) of every code that has entered the
 statistics, grown by one Gram-Schmidt direction per new vector, and
-keeps (acc_A, acc_b) in its coordinates: a direction's rows start at
-exactly zero when it joins, and rows past r stay zero.  A refit solves
-only the leading (dr) x (dr) system for Y (d x r) and sets D = Y Q'.
+keeps (acc_A, acc_b) in its coordinates, sized by its rank r: a
+direction's statistics start at exactly zero when it joins.  A refit
+solves the (dr) x (dr) system for Y (d x r) and sets D = Y Q'.
 
 acc_A is a sum of kron(W, H) over symmetric W and d x d Hessians H, so
 its d x d block (j, i) equals block (i, j), and each block is symmetric
 when every H is, as the refit requires bit for bit.  It is held as
-`acc_A_pairs`, the p(p+1)/2 blocks i <= j, and each decoder system's
-upper triangle is assembled from the leading r block rows of them into a
-contiguous prefix of one (dp) x (dp) buffer per thread that is reused
-from refit to refit.  There it is factored in place as U'U, again by
-block rows, and only the upper triangle is ever read.
+`acc_A_pairs`, the r(r+1)/2 blocks i <= j in j-major order, to which a
+new direction only appends, and each decoder system's upper triangle is
+assembled from them by block columns into a prefix of one (dp) x (dp)
+buffer per thread that is reused from refit to refit.  There it is
+factored in place as U'U by block rows; only the upper triangle is read.
 
 The model library is an append-only list of representative codes; codes
 never change after admission, so reverse transfer flows only through the
@@ -52,19 +52,19 @@ class FeatureLibrary:
     The decoder statistics, sums of kron(W, H) and of s (x) (H w), are held
     only in the coordinates of `basis`, an orthonormal Q (p x r) whose span
     holds every code that entered them: they are (Q (x) I_d) A (Q (x) I_d)'
-    and (Q (x) I_d) b, where A and b are `acc_A_pairs` and `acc_b_coords`
-    restricted to their leading r block rows; every row past r is zero.
-    `acc_A_pairs[k]` is the d x d block (i, j) of A for the pair (i <= j)
-    at position k of np.triu_indices(p), that is the sum of W[i, j] H
-    over the Kronecker terms kron(W, H) in coordinates; block (j, i) is
-    the same block, since every W is symmetric.
+    and (Q (x) I_d) b for the (dr) x (dr) A and the dr-vector b held in
+    `acc_A_pairs` and `acc_b_coords`.  `acc_A_pairs[j (j + 1) / 2 + i]` is
+    the d x d block (i, j) of A for the pair i <= j, the sum of W[i, j] H
+    over the terms kron(W, H) in coordinates, and equals block (j, i),
+    since every W is symmetric; in this j-major order the pairs of the
+    first r' directions are a prefix.
     """
 
     decoder: np.ndarray       # d x p
     encoder: np.ndarray       # p x d
     basis: np.ndarray         # p x r, orthonormal columns
-    acc_A_pairs: np.ndarray   # p(p+1)/2 x d x d, in basis coordinates
-    acc_b_coords: np.ndarray  # dp, in basis coordinates
+    acc_A_pairs: np.ndarray   # r(r+1)/2 x d x d, in basis coordinates
+    acc_b_coords: np.ndarray  # dr, in basis coordinates
     acc_M: np.ndarray         # p x d
     acc_C: np.ndarray         # d x d
     tasks_seen: int
@@ -109,8 +109,8 @@ def init_libraries(d: int, p: int, seed: int) -> FeatureLibrary:
         decoder=decoder,
         encoder=encoder,
         basis=np.zeros((p, 0)),
-        acc_A_pairs=np.zeros((p * (p + 1) // 2, d, d)),
-        acc_b_coords=np.zeros(d * p),
+        acc_A_pairs=np.zeros((0, d, d)),
+        acc_b_coords=np.zeros(0),
         acc_M=np.zeros((p, d)),
         acc_C=np.zeros((d, d)),
         tasks_seen=0,
@@ -248,7 +248,8 @@ def _decoder_terms(s_t: np.ndarray, omega: np.ndarray,
                    reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
                    lambda2: float) -> np.ndarray:
     """One task's statistics as the sum of kron(W_k, H_k), returned as the
-    p(p+1)/2 x d x d pair blocks sum_k W_k[i, j] H_k.
+    r(r+1)/2 x d x d pair blocks sum_k W_k[i, j] H_k in j-major order, r
+    the length of the codes.
 
     Column-major vectorisation throughout: vec(Omega D s s') =
     (s s' (x) Omega) vec(D), so the task adds s s' (x) Omega plus the
@@ -269,10 +270,10 @@ def _decoder_terms(s_t: np.ndarray, omega: np.ndarray,
         diff = s_k - s_t
         group = groups.setdefault(id(omega_k), [omega_k, 0.0])
         group[1] = group[1] + lambda2 * z_k * np.outer(diff, diff)
-    p, d = s_t.shape[0], omega.shape[0]
-    iu, ju = np.triu_indices(p)
+    r, d = s_t.shape[0], omega.shape[0]
+    jl, il = np.tril_indices(r)
     hessians = np.stack([h for h, _ in groups.values()]).reshape(-1, d * d)
-    pair_weights = np.stack([w for _, w in groups.values()])[:, iu, ju]
+    pair_weights = np.stack([w for _, w in groups.values()])[:, il, jl]
     blocks = np.einsum("i,j->ij", pair_weights[0], hessians[0])
     for weights, hessian in zip(pair_weights[1:], hessians[1:]):
         for k, weight in enumerate(weights):
@@ -322,17 +323,16 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     pair blocks are symmetric and the packed checkpoint holds them exactly.
     The basis first grows by the task's code and each representative code
     whose term enters the statistics (lambda2 > 0 and z_k != 0), where they
-    lie outside it; the task's terms, with every code replaced by its
-    coordinates, are added into the one new `acc_A_pairs` and
-    `acc_b_coords`.  With r basis directions, the upper triangle of the
-    leading (dr) x (dr) system is written block row by block row, scaled by
-    1/T, into a contiguous prefix of this thread's reused (dp) x (dp)
-    buffer and factored there in place; its solution Y (d x r) gives
-    D = Y Q'.  On the complement of
-    the basis the system is mu I with a zero right-hand side, so this is
-    the solution of the full system, and at mu = 0 with r < p the full
-    system is singular.  `tasks_seen` is left unchanged; the caller bumps
-    it once per task after both library updates.
+    lie outside it.  The task's terms over the r(r+1)/2 pairs of the grown
+    basis, in its coordinates, take in the old statistics, their prefix.
+    The upper triangle of the (dr) x (dr) system is written by block
+    columns, scaled by 1/T, into a prefix of this thread's reused
+    (dp) x (dp) buffer and factored there in place; its solution Y (d x r)
+    gives D = Y Q'.  On the complement of the basis the system is mu I
+    with a zero right-hand side, so this is the solution of the full
+    system, and at mu = 0 with r < p the full system is singular.
+    `tasks_seen` is left unchanged; the caller bumps it once per task after
+    both library updates.
     """
     d, p = lib.d, lib.p
     if s_t.shape != (p,) or w_t.shape != (d,):
@@ -348,29 +348,25 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
             f"decoder system is singular off the {r}-dimensional span of the codes; "
             f"rerun with ridge_mu > 0")
 
-    def coords(v):
-        c = np.zeros(p)
-        c[:r] = v @ basis
-        return c
-
-    c_t = coords(s_t)
-    acc_A_pairs = _decoder_terms(c_t, omega, [(coords(s_k), omega_k, z_k)
+    c_t = s_t @ basis
+    acc_A_pairs = _decoder_terms(c_t, omega, [(s_k @ basis, omega_k, z_k)
                                               for s_k, omega_k, z_k in reps_used], lambda2)
-    acc_A_pairs += lib.acc_A_pairs
-    acc_b_coords = lib.acc_b_coords + np.kron(c_t, omega @ w_t)
+    acc_b_coords = np.kron(c_t, omega @ w_t)
+    # the old statistics are the leading pairs and entries; the rest are the
+    # new directions', which this task's terms start
+    acc_A_pairs[:len(lib.acc_A_pairs)] += lib.acc_A_pairs
+    acc_b_coords[:len(lib.acc_b_coords)] += lib.acc_b_coords
     T = lib.tasks_seen + 1
     n = d * r
     system = _system_buffer(d * p).reshape(-1)[:n * n].reshape(n, n)
-    # block row i right of the diagonal holds the pairs (i, j >= i), whose
-    # first r - i are contiguous in np.triu_indices(p) order
+    # block column j holds the pairs (i <= j) above and on the diagonal,
+    # the j + 1 contiguous in j-major order from j (j + 1) / 2 on
     rows = system.reshape(r, d, r, d)
-    k = 0
-    for i in range(r):
-        np.multiply(acc_A_pairs[k:k + r - i].transpose(1, 0, 2), 1.0 / T,
-                    out=rows[i, :, i:, :])
-        k += p - i
+    for j in range(r):
+        k = j * (j + 1) // 2
+        np.multiply(acc_A_pairs[k:k + j + 1], 1.0 / T, out=rows[:j + 1, :, j, :])
     system.flat[::n + 1] += ridge_mu
-    y = _solve_spd(system, acc_b_coords[:n] / T, "decoder")
+    y = _solve_spd(system, acc_b_coords / T, "decoder")
     decoder = _clip_columns(y.reshape(r, d).T @ basis.T)
     return dataclasses.replace(lib, decoder=decoder, basis=basis, acc_A_pairs=acc_A_pairs,
                                acc_b_coords=acc_b_coords)
@@ -427,28 +423,26 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
     return ModelLibrary(reps=mlib.reps + (rec,)), True
 
 
-# checkpoint i/o.  Version 4 stores each array as {"dtype": "<f8", "shape":
+# checkpoint i/o.  Version 5 stores each array as {"dtype": "<f8", "shape":
 # [...], "data": base64 of its raw little-endian float64 bytes}, which
-# round-trips bit for bit.  The two Kronecker-symmetric accumulators, sums
-# of kron(W, H) with every W (p x p) and H (d x d) symmetric, also carry
-# "kron": [p, d] and store only their unique entries: the (a <= b) triangle
-# of each pair block i <= j, in np.triu_indices order for both.  acc_A is
-# one (p = 20, d = 40: 172,200 of 640,000 entries), written straight from
-# `acc_A_pairs`, and acc_C, with p = 1, is a plain symmetric matrix.  Both
-# are symmetric bit for bit by construction: acc_C sums outer(w, w), and
+# round-trips bit for bit; an entry that is not finite is refused.  The
+# Kronecker-symmetric accumulators, sums of kron(W, H) with every W (r x r)
+# and H (d x d) symmetric, carry "kron": [r, d] and store only the (a <= b)
+# triangle, in np.triu_indices order, of each pair block i <= j, in the
+# library's j-major order: acc_A (r = p = 20, d = 40: 172,200 of 640,000
+# entries), written straight from `acc_A_pairs`, and acc_C, with r = 1.
+# Both are symmetric bit for bit by construction (acc_C sums outer(w, w);
 # `update_decoder` takes only Hessians equal to their transposes bit for
-# bit and forms every block entry by the same operations as its mirror.
-# A save still checks each block against its transpose and refuses one
-# that differs, which packing would change, and a load refuses an
-# accumulator entry without "kron".  Version 4 added "basis", the p x r
-# orthonormal Q, and holds "acc_A" and "acc_b" in its coordinates, as the
-# library does in memory; a basis that is not p x r with r <= p or not
-# orthonormal to round-off, or statistics with a nonzero entry in a row
-# past r, are refused.  Only version 4 is read: versions 1 (nested lists),
-# 2 (every array in full) and 3 (statistics in the identity basis, no
-# "basis") are refused.
+# bit and forms every block entry as its mirror), yet a save refuses a
+# block that differs from its transpose, which packing would change, and a
+# load refuses an accumulator entry without "kron".  "acc_A" and "acc_b"
+# are in the coordinates of "basis", the p x r orthonormal Q, and sized by
+# its r; a basis that is not p x r with r <= p or not orthonormal to
+# round-off, and statistics sized for another r, are refused.  Only
+# version 5 is read: versions 1 (nested lists), 2 (every array in full), 3
+# (identity basis, no "basis") and 4 (all p(p+1)/2 pairs) are refused.
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 _DTYPE = "<f8"
 
 
@@ -456,17 +450,23 @@ def _base64(a: np.ndarray) -> str:
     return base64.b64encode(a.tobytes()).decode("ascii")
 
 
-def _encode_pairs(blocks: np.ndarray, p: int) -> dict:
-    """The packed checkpoint entry of an accumulator held as its p(p+1)/2
-    pair blocks; refuses blocks that differ from their transposes bit for
-    bit, since the packed layout cannot hold them."""
+def pairs_base64(blocks: np.ndarray) -> bytes:
+    """base64 of the (a <= b) triangle of each of the pair blocks `blocks`;
+    refuses blocks not symmetric bit for bit, which packing would change."""
     blocks = np.ascontiguousarray(blocks, dtype=_DTYPE)
     if not _symmetric_bits(blocks):
         raise ValueError("accumulator pair blocks are not symmetric bit for bit")
+    ia, ja = np.triu_indices(blocks.shape[-1])
+    return base64.b64encode(blocks[:, ia, ja].tobytes())
+
+
+def _encode_pairs(blocks: np.ndarray, r: int, data: str | None = None) -> dict:
+    """The packed checkpoint entry of an accumulator held as its r(r+1)/2
+    pair blocks, with `data`, when given, standing in for their base64."""
     d = blocks.shape[-1]
-    ia, ja = np.triu_indices(d)
-    return {"dtype": _DTYPE, "shape": [p * d, p * d], "kron": [p, d],
-            "data": _base64(blocks[:, ia, ja])}
+    if data is None:
+        data = pairs_base64(blocks).decode("ascii")
+    return {"dtype": _DTYPE, "shape": [r * d, r * d], "kron": [r, d], "data": data}
 
 
 def encode_array(a: np.ndarray) -> dict:
@@ -477,30 +477,33 @@ def encode_array(a: np.ndarray) -> dict:
 
 def decode_array(value, key: str, kron: tuple[int, int] | None = None) -> np.ndarray:
     """The float64 array of an entry `encode_array` wrote or, given `kron` =
-    (p, d), the p(p+1)/2 x d x d pair blocks of one `_encode_pairs` wrote.
+    (r, d), the r(r+1)/2 x d x d pair blocks of one `_encode_pairs` wrote.
     Refuses, naming `key`, any other entry: one that is not a float64
-    dict, a "kron" that is not `kron` (so an accumulator stored in full),
-    and data that does not fill its shape."""
+    dict, a "kron" that is not `kron` (so an accumulator stored in full or
+    sized for another basis), data that does not fill its shape, and an
+    entry that is NaN or infinite."""
     if not isinstance(value, dict) or value.get("dtype") != _DTYPE:
         raise ValueError(f"checkpoint array {key!r}: not an entry of dtype {_DTYPE!r}")
     expected = None if kron is None else list(kron)
     if value.get("kron") != expected:
         raise ValueError(f"checkpoint array {key!r}: kron factors {value.get('kron')!r}, "
-                         f"expected {expected} from the checkpoint's d and p")
+                         f"expected {expected} from the checkpoint's d, p and basis")
     shape = tuple(int(n) for n in value["shape"])
     size = math.prod(shape)
     if kron is not None:
-        p, d = kron
-        if shape != (p * d, p * d):
-            raise ValueError(f"checkpoint array {key!r}: kron factors [{p}, {d}] do "
+        r, d = kron
+        if shape != (r * d, r * d):
+            raise ValueError(f"checkpoint array {key!r}: kron factors [{r}, {d}] do "
                              f"not match shape {shape}")
-        size = p * (p + 1) // 2 * (d * (d + 1) // 2)
+        size = r * (r + 1) // 2 * (d * (d + 1) // 2)
     raw = base64.b64decode(value["data"], validate=True)
     if min(shape, default=0) < 0 or len(raw) != 8 * size:
         what = "the packed entries" if kron is not None else "a float64 array"
         raise ValueError(f"checkpoint array {key!r}: {len(raw)} bytes do not hold "
                          f"{what} of shape {shape}")
     flat = np.frombuffer(raw, dtype=_DTYPE)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"checkpoint array {key!r}: entries that are NaN or infinite")
     if kron is None:
         return flat.reshape(shape).astype(float)
     ia, ja = np.triu_indices(d)
@@ -511,7 +514,10 @@ def decode_array(value, key: str, kron: tuple[int, int] | None = None) -> np.nda
     return blocks
 
 
-def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
+def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary,
+                    acc_A_data: str | None = None) -> dict:
+    """The libraries' checkpoint entries; `acc_A_data`, when given, stands in
+    for the packed acc_A's base64 text, which is then not computed."""
     return {
         "version": CHECKPOINT_VERSION,
         "d": flib.d,
@@ -520,7 +526,7 @@ def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
         "decoder": encode_array(flib.decoder),
         "encoder": encode_array(flib.encoder),
         "basis": encode_array(flib.basis),
-        "acc_A": _encode_pairs(flib.acc_A_pairs, flib.p),
+        "acc_A": _encode_pairs(flib.acc_A_pairs, flib.basis.shape[1], acc_A_data),
         "acc_b": encode_array(flib.acc_b_coords),
         "acc_M": encode_array(flib.acc_M),
         "acc_C": _encode_pairs(flib.acc_C[None], 1),
@@ -534,11 +540,12 @@ def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> dict:
 
 def decode_shaped(value, key: str, shape: tuple) -> np.ndarray:
     """The array of a checkpoint entry, refused unless its shape is
-    `shape`, which the caller takes from the checkpoint's own d and p."""
+    `shape`, which the caller takes from the checkpoint's own d, p and
+    basis."""
     a = decode_array(value, key)
     if a.shape != shape:
         raise ValueError(f"checkpoint array {key!r}: shape {a.shape}, expected {shape} "
-                         f"from the checkpoint's d and p")
+                         f"from the checkpoint's d, p and basis")
     return a
 
 
@@ -550,7 +557,7 @@ _ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
 def _decode_basis(payload: dict, p: int) -> np.ndarray:
     """The basis entry, refused unless it is p x r with r <= p
     and orthonormal to round-off."""
-    basis = decode_array(payload["basis"], "basis")
+    basis = decode_array(payload.get("basis"), "basis")
     if basis.ndim != 2 or basis.shape[0] != p or basis.shape[1] > p:
         raise ValueError(f"checkpoint array 'basis': shape {basis.shape}, expected "
                          f"(p, r) with r <= p = {p} from the checkpoint's p")
@@ -563,24 +570,17 @@ def _decode_basis(payload: dict, p: int) -> np.ndarray:
 
 
 def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
-    """The libraries `library_to_dict` wrote."""
+    """The libraries `library_to_dict` wrote.  The basis is decoded first, and
+    its rank r sizes the decoder statistics."""
     d, p = int(payload["d"]), int(payload["p"])
-    acc_A_pairs = decode_array(payload["acc_A"], "acc_A", (p, d))
-    acc_b_coords = decode_shaped(payload["acc_b"], "acc_b", (d * p,))
     basis = _decode_basis(payload, p)
     r = basis.shape[1]
-    if np.any(acc_A_pairs[np.triu_indices(p)[1] >= r]):
-        raise ValueError(f"checkpoint array 'acc_A': nonzero statistics past the "
-                         f"{r} basis directions")
-    if np.any(acc_b_coords[r * d:]):
-        raise ValueError(f"checkpoint array 'acc_b': nonzero statistics past the "
-                         f"{r} basis directions")
     flib = FeatureLibrary(
         decoder=decode_shaped(payload["decoder"], "decoder", (d, p)),
         encoder=decode_shaped(payload["encoder"], "encoder", (p, d)),
         basis=basis,
-        acc_A_pairs=acc_A_pairs,
-        acc_b_coords=acc_b_coords,
+        acc_A_pairs=decode_array(payload["acc_A"], "acc_A", (r, d)),
+        acc_b_coords=decode_shaped(payload["acc_b"], "acc_b", (d * r,)),
         acc_M=decode_shaped(payload["acc_M"], "acc_M", (p, d)),
         acc_C=decode_array(payload["acc_C"], "acc_C", (1, d))[0],
         tasks_seen=int(payload["tasks_seen"]),

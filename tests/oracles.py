@@ -146,20 +146,26 @@ def decoder_statistics(arrivals, lambda2):
     return A, b
 
 
-def pair_blocks(full, p):
-    """The d x d blocks (i, j), i <= j in np.triu_indices(p) order, of the
-    (dp) x (dp) matrix `full`."""
-    d = full.shape[0] // p
-    return np.stack([full[i * d:(i + 1) * d, j * d:(j + 1) * d]
-                     for i, j in zip(*np.triu_indices(p))])
+def pairs(n):
+    """The block pairs (i, j), i <= j < n, in j-major order: (0, 0), (0, 1),
+    (1, 1), (0, 2), ...; the pairs of the first m block rows come first."""
+    return [(i, j) for j in range(n) for i in range(j + 1)]
 
 
-def full_from_pairs(pairs, p):
-    """The (dp) x (dp) matrix whose blocks (i, j) and (j, i) both hold the
-    pair block of i <= j, at its position in np.triu_indices(p)."""
-    d = pairs.shape[-1]
-    full = np.zeros((p * d, p * d))
-    for block, (i, j) in zip(pairs, zip(*np.triu_indices(p))):
+def pair_blocks(full, d):
+    """The d x d blocks (i, j), i <= j in `pairs(n)` order, of the
+    (dn) x (dn) matrix `full`."""
+    n = full.shape[0] // d
+    return np.array([full[i * d:(i + 1) * d, j * d:(j + 1) * d]
+                     for i, j in pairs(n)]).reshape(-1, d, d)
+
+
+def full_from_pairs(blocks, n):
+    """The (dn) x (dn) matrix whose blocks (i, j) and (j, i) both hold the
+    pair block of i <= j, at its position in `pairs(n)`."""
+    d = blocks.shape[-1]
+    full = np.zeros((n * d, n * d))
+    for block, (i, j) in zip(blocks, pairs(n)):
         full[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
         full[j * d:(j + 1) * d, i * d:(i + 1) * d] = block
     return full
@@ -167,13 +173,9 @@ def full_from_pairs(pairs, p):
 
 def in_basis(A, b, basis):
     """The pair blocks and right-hand side of (A, b) projected onto the
-    orthonormal code basis Q (p x r): (Q (x) I_d)' A (Q (x) I_d) and
-    (Q (x) I_d)' b, zero past the r leading block rows."""
+    orthonormal code basis Q (p x r): (Q (x) I_d)' A (Q (x) I_d), as its
+    r(r+1)/2 pair blocks, and (Q (x) I_d)' b, of dr entries."""
     p, r = basis.shape
     d = b.size // p
     P = np.kron(basis, np.eye(d))
-    A_coords = np.zeros((p * d, p * d))
-    A_coords[:r * d, :r * d] = P.T @ A @ P
-    b_coords = np.zeros(p * d)
-    b_coords[:r * d] = P.T @ b
-    return pair_blocks(A_coords, p), b_coords
+    return pair_blocks(P.T @ A @ P, d), P.T @ b

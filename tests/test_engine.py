@@ -19,13 +19,14 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              learn_task, load_state, predict, predict_labels,
                              reconstruct_model, reconstructed_weights,
                              save_state)
+from lifelong.baselines import ablation_hyper
 from lifelong.experiment import ExperimentConfig
 from lifelong.libraries import (CHECKPOINT_VERSION, encode_array, init_libraries,
                                 library_from_dict, library_to_dict)
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, hessian_at, loss_value
 
-from oracles import decoder_statistics, full_from_pairs, in_basis
+from oracles import decoder_statistics, full_from_pairs, in_basis, pairs
 
 
 def small_corpus(seed=0, clusters=2, tasks_per_cluster=3, d=10, n=16, noise=0.05):
@@ -350,17 +351,18 @@ class TestStreamInvariants:
             for columns in (state.flib.decoder, state.flib.encoder):
                 assert np.linalg.norm(columns, axis=0).max() <= 1.0 + 1e-12, where
             flib = state.flib
-            pairs, b = in_basis(*decoder_statistics(arrivals, hp.lambda2), flib.basis)
+            # the statistics are sized by the basis, empty while every code is 0
+            r = flib.basis.shape[1]
+            assert flib.acc_A_pairs.shape == (r * (r + 1) // 2, d, d), where
+            assert flib.acc_b_coords.shape == (d * r,), where
+            blocks, b = in_basis(*decoder_statistics(arrivals, hp.lambda2), flib.basis)
             M = sum(np.outer(s, w) for s, w, _, _ in arrivals)
             C = sum(np.outer(w, w) for _, w, _, _ in arrivals)
-            for name, batch, inc in (("acc_A_pairs", pairs, flib.acc_A_pairs),
+            for name, batch, inc in (("acc_A_pairs", blocks, flib.acc_A_pairs),
                                      ("acc_b_coords", b, flib.acc_b_coords),
                                      ("acc_M", M, flib.acc_M), ("acc_C", C, flib.acc_C)):
-                scale = max(np.abs(batch).max(), 1.0)
-                assert np.abs(batch - inc).max() <= 1e-9 * scale, f"{where}: {name}"
-            r = flib.basis.shape[1]
-            assert not flib.acc_A_pairs[np.triu_indices(hp.p)[1] >= r].any(), where
-            assert not flib.acc_b_coords[r * d:].any(), where
+                scale = np.abs(batch).max(initial=1.0)
+                assert np.abs(batch - inc).max(initial=0.0) <= 1e-9 * scale, f"{where}: {name}"
 
 
 class TestRelearn:
@@ -492,32 +494,52 @@ class TestCheckpoint:
         assert [f.name for f in tmp_path.iterdir()] == ["state.json"]
         assert load_state(path).n_tasks == 2
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 4])
     def test_retired_version_refused(self, tmp_path, version):
         # version 1 had no version key and stored arrays as nested lists,
-        # version 2 stored every array in full; both held the statistics in
-        # the identity basis, and neither is read
+        # version 2 stored every array in full, both without a basis, and
+        # version 4 held the statistics over all p(p+1)/2 pairs and dp
+        # entries, zero past the basis rank r; none is read
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         path = tmp_path / "state.json"
         save_state(state, path)
         payload = json.loads(path.read_text())
-        del payload["basis"]
         flib = state.flib
-        arrays = {"decoder": flib.decoder, "encoder": flib.encoder,
-                  "acc_A": full_from_pairs(flib.acc_A_pairs, flib.p),
-                  "acc_b": flib.acc_b_coords, "acc_M": flib.acc_M, "acc_C": flib.acc_C}
-        for name, a in arrays.items():
-            payload[name] = a.tolist() if version == 1 else encode_array(a)
-        if version == 1:
-            del payload["version"]
+        d, p, r = flib.d, flib.p, flib.basis.shape[1]
+        assert r < p
+        acc_A = np.zeros((p * d, p * d))
+        acc_A[:r * d, :r * d] = full_from_pairs(flib.acc_A_pairs, r)
+        acc_b = np.zeros(p * d)
+        acc_b[:r * d] = flib.acc_b_coords
+        if version == 4:
+            # pair blocks in np.triu_indices(p) order, each packed
+            ia, ja = np.triu_indices(d)
+            packed = np.stack([acc_A[i * d:(i + 1) * d, j * d:(j + 1) * d][ia, ja]
+                               for i, j in zip(*np.triu_indices(p))])
+            payload["acc_A"] = {"dtype": "<f8", "shape": [p * d, p * d], "kron": [p, d],
+                                "data": base64.b64encode(packed.tobytes()).decode("ascii")}
+            payload["acc_b"] = encode_array(acc_b)
+            payload["version"] = 4
+            first_refused = "acc_A"
         else:
-            payload["version"] = 2
+            del payload["basis"]
+            arrays = {"decoder": flib.decoder, "encoder": flib.encoder, "acc_A": acc_A,
+                      "acc_b": acc_b, "acc_M": flib.acc_M, "acc_C": flib.acc_C}
+            for name, a in arrays.items():
+                payload[name] = a.tolist() if version == 1 else encode_array(a)
+            if version == 1:
+                del payload["version"]
+            else:
+                payload["version"] = 2
+            first_refused = "basis"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint version {version} ")):
+        message = (f"{path}: checkpoint version {version} is not readable; "
+                   f"readable versions are [5]")
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_state(path)
         # read past the version, the library refuses the layout by name
-        with pytest.raises(ValueError, match=re.escape(repr("acc_A"))):
+        with pytest.raises(ValueError, match=re.escape(repr(first_refused))):
             library_from_dict(payload)
 
     def test_acc_C_in_full_refused(self, tmp_path):
@@ -536,26 +558,43 @@ class TestCheckpoint:
 
     def test_packed_acc_A_matches_full_matrix_encoding(self):
         # written straight from the pair blocks, the entry holds the (a <= b)
-        # triangle of each block (i <= j) of the full matrix of basis
-        # coordinates, both in np.triu_indices order
+        # triangle, in np.triu_indices order, of each block (i <= j) of the
+        # (dr) x (dr) matrix of basis coordinates, in j-major order
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         flib = state.flib
-        p, d = flib.p, flib.d
+        r, d = flib.basis.shape[1], flib.d
         entry = library_to_dict(flib, state.mlib)["acc_A"]
-        assert entry["kron"] == [p, d] and entry["shape"] == [p * d, p * d]
-        coords = full_from_pairs(flib.acc_A_pairs, p).reshape(p, d, p, d)
+        assert entry["kron"] == [r, d] and entry["shape"] == [r * d, r * d]
+        coords = full_from_pairs(flib.acc_A_pairs, r).reshape(r, d, r, d)
         ia, ja = np.triu_indices(d)
-        packed = np.stack([coords[i, ia, j, ja] for i, j in zip(*np.triu_indices(p))])
+        packed = np.stack([coords[i, ia, j, ja] for i, j in pairs(r)])
         assert base64.b64decode(entry["data"]) == packed.tobytes()
+
+    def test_mid_stream_checkpoint_stores_only_the_basis_pairs(self, tmp_path):
+        # with r < p basis directions, acc_A holds r(r+1)/2 packed pair
+        # blocks and acc_b d r entries, and the file loads back bit for bit
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
+        flib = state.flib
+        d, p, r = flib.d, flib.p, flib.basis.shape[1]
+        assert 1 <= r < p
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        assert payload["acc_A"]["kron"] == [r, d]
+        assert len(base64.b64decode(payload["acc_A"]["data"])) == \
+            8 * (r * (r + 1) // 2) * (d * (d + 1) // 2)
+        assert payload["acc_b"]["shape"] == [d * r]
+        assert_same_state(load_state(path), state)
 
     def test_version_3_checkpoint_refused(self):
         # written while the statistics were held in the identity basis with
         # no "basis" entry, by saving the first 4 tasks of small_corpus()
-        # under small_hyper() and seed 0; version 4 alone is read
+        # under small_hyper() and seed 0; version 5 alone is read
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         assert json.loads(old.read_text())["version"] == 3
-        message = f"{old}: checkpoint version 3 is not readable; readable versions are [4]"
+        message = f"{old}: checkpoint version 3 is not readable; readable versions are [5]"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(old)
 
@@ -568,7 +607,9 @@ class TestCheckpoint:
         save_state(state, path)
         payload = json.loads(path.read_text())
         d = state.flib.d
-        full = full_from_pairs(state.flib.acc_A_pairs, state.flib.p)
+        r = state.flib.basis.shape[1]
+        assert r >= 2
+        full = full_from_pairs(state.flib.acc_A_pairs, r)
         row, col = 2, d + 3     # entry (2, 3) of block (0, 1)
         full[row, col] = np.nextafter(full[row, col], np.inf)
         payload["acc_A"] = encode_array(full)
@@ -625,9 +666,10 @@ class TestCheckpoint:
         elif key == "acc_b":
             payload[key] = encode_array(flib.acc_b_coords[:-1])
         elif key == "acc_A":
-            # the right product, d * p, from swapped factors
-            assert payload[key]["kron"] == [flib.p, flib.d]
-            payload[key]["kron"] = [flib.d, flib.p]
+            # the right product, d * r, from swapped factors
+            r = flib.basis.shape[1]
+            assert payload[key]["kron"] == [r, flib.d] and r != flib.d
+            payload[key]["kron"] = [flib.d, r]
         elif key == "representatives[0].code":
             payload["representatives"][0]["code"] = encode_array(np.zeros(flib.p + 1))
         elif key == "per_task.w":
@@ -653,8 +695,9 @@ class TestCheckpoint:
                                             ("acc_b", "past_basis")])
     def test_basis_disagreeing_with_statistics_named(self, tmp_path, key, fault):
         # after 2 tasks at p = 5 the basis spans at most 2 directions, and
-        # every statistic past them is exactly zero; a basis or statistics
-        # that break this would corrupt every later refit
+        # the statistics are sized by them; a basis or statistics that break
+        # this would corrupt every later refit, and statistics sized for one
+        # direction more are refused even where they are zero
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
@@ -671,14 +714,13 @@ class TestCheckpoint:
         elif fault == "not_orthonormal":
             payload["basis"] = encode_array(q * np.r_[1.0 + 1e-10, np.ones(q.shape[1] - 1)])
         elif key == "acc_A":
-            pairs = flib.acc_A_pairs.copy()
-            pairs[-1, 0, 0] = 1e-300    # block (p - 1, p - 1)
-            flib = dataclasses.replace(flib, acc_A_pairs=pairs)
+            # the pairs of r + 1 directions, the last r + 1 of them zero
+            r = q.shape[1]
+            wider = np.concatenate([flib.acc_A_pairs, np.zeros((r + 1, d, d))])
+            flib = dataclasses.replace(flib, basis=np.eye(p, r + 1), acc_A_pairs=wider)
             payload["acc_A"] = library_to_dict(flib, state.mlib)["acc_A"]
         else:
-            b = flib.acc_b_coords.copy()
-            b[-1] = 1e-300
-            payload["acc_b"] = encode_array(b)
+            payload["acc_b"] = encode_array(np.concatenate([flib.acc_b_coords, np.zeros(d)]))
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             load_state(path)
@@ -795,6 +837,53 @@ class TestCheckpoint:
         key = "acc_A" if where == "acc_A" else f"per_task['{tid}'].code"
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             load_state(path)
+
+    @pytest.mark.parametrize("key, value", [("decoder", np.nan), ("acc_A", np.inf),
+                                            ("per_task.w", -np.inf)])
+    def test_non_finite_array_named(self, tmp_path, key, value):
+        # a NaN or infinite entry would reach every prediction or refit
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        tid = train.tasks[1].task_id
+        entry = payload["per_task"][tid]["w"] if key == "per_task.w" else payload[key]
+        a = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+        a[a.size // 2] = value
+        entry["data"] = base64.b64encode(a.tobytes()).decode("ascii")
+        path.write_text(json.dumps(payload))
+        if key == "per_task.w":
+            key = f"per_task[{tid!r}].w"
+        with pytest.raises(ValueError, match=re.escape(f"{key!r}: entries that are NaN")):
+            load_state(path)
+
+    @pytest.mark.parametrize("ablation", [False, True])
+    def test_dead_learner_keeps_no_pairs_and_round_trips(self, tmp_path, ablation):
+        # the first task's targets set to 0 make its code 0, and with D and
+        # E refit from nothing every later code is 0 too: the basis stays
+        # empty, the statistics hold no pairs, and the checkpoint holds
+        # none either
+        train, _ = small_corpus(clusters=3, tasks_per_cluster=3, d=12)
+        first = train.tasks[0]
+        tasks = [dataclasses.replace(first, targets=np.zeros_like(first.targets))]
+        tasks += train.tasks[1:]
+        hp = HyperParams(p=6)
+        state = init_state(ablation_hyper(hp) if ablation else hp, seed=0)
+        for task in tasks:
+            state, out = learn_task(state, task)
+            assert not out.code.any() and not out.admitted, task.task_id
+            assert state.flib.basis.shape == (6, 0)
+            assert state.flib.acc_A_pairs.shape == (0, 12, 12)
+            assert state.flib.acc_b_coords.shape == (0,)
+        path, again = tmp_path / "state.json", tmp_path / "again.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        assert payload["acc_A"]["kron"] == [0, 12] and payload["acc_A"]["data"] == ""
+        loaded = load_state(path)
+        assert_same_state(loaded, state)
+        save_state(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_retired_hyper_keys_still_load(self, tmp_path, rng):
         # checkpoints and configs written with the iterative assignment,

@@ -48,12 +48,12 @@ class TestInit:
         np.testing.assert_allclose(np.linalg.norm(lib.encoder, axis=0), 1.0, atol=1e-12)
 
     def test_accumulator_shapes(self):
+        # the decoder statistics are sized by the basis, empty before the
+        # first code
         lib = init_libraries(40, 10, seed=0)
         assert lib.basis.shape == (10, 0)
-        assert lib.acc_A_pairs.shape == (55, 40, 40)
-        assert not lib.acc_A_pairs.any()
-        assert lib.acc_b_coords.shape == (400,)
-        assert not lib.acc_b_coords.any()
+        assert lib.acc_A_pairs.shape == (0, 40, 40)
+        assert lib.acc_b_coords.shape == (0,)
         assert lib.acc_M.shape == (10, 40)
         assert lib.acc_C.shape == (40, 40)
 
@@ -393,7 +393,7 @@ class TestDecoderContribution:
         reps = reps[:1] + ((reps[1][0], reps[1][1], 0.0),) + reps[2:]
         expected = pair_blocks(np.kron(np.outer(s, s), omega) + sum(
             lambda2 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
-            for s_k, omega_k, z_k in reps), p)
+            for s_k, omega_k, z_k in reps), d)
         got = _decoder_terms(s, omega, reps, lambda2)
         assert got.shape == (p * (p + 1) // 2, d, d)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -405,7 +405,7 @@ class TestDecoderContribution:
         s, omega, reps, _ = random_update_inputs(rng, d, p, n_reps=3)
         reps = tuple((s_k, omega, z_k) for s_k, _, z_k in reps)
         expected = pair_blocks(np.kron(np.outer(s, s), omega) + sum(
-            0.3 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega) for s_k, _, z_k in reps), p)
+            0.3 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega) for s_k, _, z_k in reps), d)
         got = _decoder_terms(s, omega, reps, 0.3)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -420,7 +420,7 @@ class TestDecoderContribution:
         assert np.array_equal(bits, bits.transpose(0, 2, 1))
         (s_k, omega_k, z_k), = reps
         expected = pair_blocks(np.kron(np.outer(s, s), omega) + 0.3 * z_k * np.kron(
-            np.outer(s_k - s, s_k - s), omega_k), p)
+            np.outer(s_k - s, s_k - s), omega_k), d)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         lib = update_decoder(init_libraries(d, p, seed=0), s, omega, reps, lambda2=0.3, w_t=w)
         assert "kron" in library_to_dict(lib, ModelLibrary())["acc_A"]
@@ -613,6 +613,6 @@ class TestAccumulatorShape:
             lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-6)
             lib = update_encoder(lib, s, w, identity, ridge_mu=1e-6)
             lib = bump_tasks_seen(lib)
-            for mat in (full_from_pairs(lib.acc_A_pairs, p), lib.acc_C):
+            for mat in (full_from_pairs(lib.acc_A_pairs, lib.basis.shape[1]), lib.acc_C):
                 assert np.abs(mat - mat.T).max() <= 1e-9 * max(1, np.abs(mat).max())
                 assert np.linalg.eigvalsh(mat)[0] >= -1e-8 * max(1, np.abs(mat).max())
