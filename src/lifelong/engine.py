@@ -19,8 +19,10 @@ of an old snapshot stay valid while the stream advances.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -30,10 +32,9 @@ import numpy as np
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
 from .libraries import (CHECKPOINT_VERSION, FeatureLibrary, ModelLibrary,
-                        admit_representative, bump_tasks_seen,
-                        decode_array, decode_shaped, encode_array,
-                        init_libraries, library_from_dict, library_to_dict,
-                        pairs_base64, update_decoder, update_encoder)
+                        admit_representative, bump_tasks_seen, entry,
+                        init_libraries, library_from_dict, library_layout,
+                        library_to_dict, update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, encode_task
 from .tasks import ConvergenceError, TaskData, fit_single_task, hessian_at
 
@@ -324,58 +325,65 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
     return ids, cols
 
 
-def _checkpoint_payload(state: EngineState, acc_A_data: str | None = None) -> dict:
-    payload = library_to_dict(state.flib, state.mlib, acc_A_data)
+def _checked_layout(payload: dict) -> list[tuple[str, tuple[int, ...]]]:
+    """The names and shapes, in order, of the arrays in the data file of
+    the checkpoint document `payload`: the libraries', then the per-task
+    codes and w stacked, then the per-task z concatenated.  Refuses, by
+    name, an entry they depend on that is missing or of the wrong type, an
+    unknown loss and a slot count outside 1..K + 1 for K representatives."""
+    layout = library_layout(payload)
+    d, p, slots = payload["d"], payload["p"], len(payload["representatives"]) + 1
+    per_task = entry(payload, "per_task", dict, "per_task")
+    total = 0
+    for tid in per_task:
+        key = f"per_task[{tid!r}]"
+        rec = entry(per_task, tid, dict, key)
+        if entry(rec, "loss_kind", str, f"{key}.loss_kind") not in ("squared", "logistic"):
+            raise ValueError(f"checkpoint entry {key + '.loss_kind'!r}: unknown loss "
+                             f"{rec['loss_kind']!r}")
+        n = entry(rec, "slots", int, f"{key}.slots")
+        if not 1 <= n <= slots:
+            raise ValueError(f"checkpoint entry {key + '.slots'!r}: {n}, expected 1 to "
+                             f"{slots} from the checkpoint's representatives")
+        total += n
+    return layout + [("per_task.code", (len(per_task), p)),
+                     ("per_task.w", (len(per_task), d)), ("per_task.z", (total,))]
+
+
+def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
+    """The checkpoint's JSON document and the arrays of its data file, in
+    order, as little-endian float64."""
+    payload, arrays = library_to_dict(state.flib, state.mlib)
+    records = state.per_task.values()
     payload["seed"] = state.seed
     payload["hyper"] = dataclasses.asdict(state.hyper)
-    payload["per_task"] = {
-        tid: {
-            "code": encode_array(rec.code),
-            "z": encode_array(rec.assignment.z),
-            "w": encode_array(rec.w),
-            "loss_kind": rec.loss_kind,
-        }
-        for tid, rec in state.per_task.items()
-    }
-    return payload
+    payload["per_task"] = {tid: {"loss_kind": rec.loss_kind, "slots": rec.assignment.z.size}
+                           for tid, rec in state.per_task.items()}
+    arrays["per_task.code"] = [rec.code for rec in records]
+    arrays["per_task.w"] = [rec.w for rec in records]
+    arrays["per_task.z"] = [z for rec in records for z in rec.assignment.z]
+    pieces = [np.ascontiguousarray(np.reshape(arrays[name], shape), dtype="<f8")
+              for name, shape in _checked_layout(payload)]
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    payload["sha256"] = digest.hexdigest()
+    return payload, pieces
 
 
-# stands in for acc_A's base64 text while the JSON encoder runs.  Its first
-# occurrence in the encoded checkpoint is acc_A's "data": everything ahead
-# of it is a number, a fixed key or value, or base64 text, and "<" is not a
-# base64 character; a task id equal to it comes later, in "representatives"
-# or "per_task".
-_ACC_A_DATA = "<acc_A data>"
+def _data_path(path: Path, digest: str) -> Path:
+    """The data file of the checkpoint at `path` whose data has SHA-256 `digest`."""
+    return path.with_name(f"{path.stem}.{digest[:16]}.bin")
 
 
-def save_state(state: EngineState, path) -> None:
-    """Checkpoint: both libraries plus the per-task code/assignment table.
-
-    One JSON document (format version 5: arrays as base64 of their raw
-    float64 bytes, and of only the unique entries of the two
-    Kronecker-symmetric accumulators, which are symmetric by construction;
-    the decoder statistics in the coordinates of the library's code basis,
-    which is stored too; see the codec notes in `libraries`), byte for byte
-    `json.dumps` of the payload, which is ASCII.  The packed `acc_A`, almost
-    all of the document, is never text: base64 needs no escaping, so the
-    rest is encoded around a stand-in for it and the file is written as
-    that text's head, the bytes `base64.b64encode` returned and its tail.
-    The file is a dot-prefixed temp file beside `path`, synced to disk and
-    moved into place with `os.replace`, so a write that fails part-way
-    leaves any previous checkpoint at `path` intact.  The document holds the
-    whole engine state: `load_state` returns a state equal to `state` field
-    for field, bit for bit, which continues the stream exactly as `state`
-    would.
-    """
-    if state.flib is None:
-        raise ValueError("cannot checkpoint an engine that has seen no tasks")
-    acc_A_data = pairs_base64(state.flib.acc_A_pairs)
-    head, _, tail = json.dumps(_checkpoint_payload(state, _ACC_A_DATA)).partition(_ACC_A_DATA)
-    path = Path(path)
+def _replace(path: Path, pieces) -> None:
+    """Write `pieces` to a dot-prefixed temp file beside `path`, sync it to
+    disk and move it into place, so a write that fails part-way leaves
+    `path` as it was."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for piece in (head.encode("ascii"), acc_A_data, tail.encode("ascii")):
+            for piece in pieces:
                 fh.write(piece)
             fh.flush()
             os.fsync(fh.fileno())
@@ -385,44 +393,134 @@ def save_state(state: EngineState, path) -> None:
         raise
 
 
+def save_state(state: EngineState, path) -> None:
+    """Checkpoint: both libraries plus the per-task code/assignment table,
+    in two files (format version 6; see the codec notes in `libraries`).
+
+    `path` gets a JSON document, byte for byte `json.dumps` of the
+    checkpoint's integers and strings, which is ASCII, and the SHA-256 of
+    the data.  Beside it, `<stem>.<first 16 hex digits of that
+    digest>.bin` gets every float64 array as raw little-endian bytes: the
+    decoder, encoder, basis, acc_b and acc_M, the packed pair blocks of
+    acc_A and acc_C, the representative codes stacked, the per-task codes
+    and w stacked, and the per-task z concatenated.  The two files are
+    moved together.  The name follows from the content, so two saves of
+    one state write the same bytes.  Each file is written to a dot-prefixed
+    temp file, synced to disk and moved into place with `os.replace`, the
+    data file first; only then are older data files of `path`'s stem
+    removed, so a write that fails part-way leaves the directory as it
+    was, and two checkpoints in one directory need different stems.  The
+    files hold the whole engine state: `load_state` returns a state equal
+    to `state` field for field, bit for bit, which continues the stream
+    exactly as `state` would.
+    """
+    if state.flib is None:
+        raise ValueError("cannot checkpoint an engine that has seen no tasks")
+    payload, pieces = _checkpoint_payload(state)
+    path = Path(path)
+    data_path = _data_path(path, payload["sha256"])
+    data_is_new = not data_path.exists()
+    _replace(data_path, pieces)
+    try:
+        _replace(path, [json.dumps(payload).encode("ascii")])
+    except BaseException:
+        if data_is_new:
+            data_path.unlink(missing_ok=True)
+        raise
+    stale = re.compile(re.escape(path.stem) + r"\.[0-9a-f]{16}\.bin")
+    for old in path.parent.iterdir():
+        if old.name != data_path.name and stale.fullmatch(old.name):
+            old.unlink(missing_ok=True)
+
+
+def _read_data(data_path: Path, digest: str, layout) -> dict:
+    """The arrays of `layout` by name, read from the data file, which must
+    hold exactly their bytes and have SHA-256 `digest`; an array that is
+    NaN or infinite is refused by name."""
+    sizes = [int(np.prod(shape)) for _, shape in layout]
+    try:
+        raw = data_path.read_bytes()
+    except FileNotFoundError:
+        raise ValueError(f"data file {str(data_path)!r} is missing") from None
+    if len(raw) != 8 * sum(sizes):
+        raise ValueError(f"data file {str(data_path)!r} holds {len(raw)} bytes, expected "
+                         f"{8 * sum(sizes)} from the checkpoint's d, p, r and counts")
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise ValueError(f"data file {str(data_path)!r}: its SHA-256 is not the checkpoint's")
+    flat = np.frombuffer(raw, dtype="<f8")
+    arrays, at = {}, 0
+    for (name, shape), size in zip(layout, sizes):
+        arrays[name] = flat[at:at + size].reshape(shape).astype(float)
+        at += size
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"checkpoint array {name!r}: entries that are NaN or infinite")
+    return arrays
+
+
+def _hyper_from_checkpoint(values: dict) -> HyperParams:
+    """The settings a checkpoint stores: exactly the fields of HyperParams,
+    each a JSON value of its default's type.  A retired or unknown key is
+    refused by name; only configs, which users write by hand, go through
+    `hyper_from_dict`."""
+    fields = dataclasses.fields(HyperParams)
+    unknown = sorted(values.keys() - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"checkpoint entry {'hyper.' + unknown[0]!r}: not a setting of "
+                         f"HyperParams")
+    return HyperParams(**{
+        f.name: entry(values, f.name, (int, float) if isinstance(f.default, float)
+                      else type(f.default), f"hyper.{f.name}")
+        for f in fields})
+
+
 def load_state(path) -> EngineState:
-    """The state `save_state` wrote.  Any version but 5 raises ValueError,
-    among them 1 (nested lists), 2 (arrays in full), 3 (identity basis) and
-    4 (all p(p+1)/2 pairs), and so does an unpacked accumulator, an array
-    that is not finite or whose shape disagrees with the checkpoint's d, p,
-    basis and representatives, a basis that is not p x r with r <= p or not
-    orthonormal to round-off, a per-task entry with an unknown loss, or a
-    `tasks_seen` or `hyper.p` other than the per-task count or p."""
+    """The state `save_state` wrote.  ValueError, naming the file, refuses
+    any version but 6, among them 1 (nested lists), 2 (arrays in full), 3
+    (identity basis), 4 (all p(p+1)/2 pairs) and 5 (one JSON file of
+    base64); an entry that is missing or of the wrong type (integers must
+    be JSON integers), a `hyper` key that is not a field of HyperParams, a
+    per-task entry with an unknown loss, and a `tasks_seen` or `hyper.p`
+    other than the per-task count or p.  The data file's name comes from
+    `path`'s stem and the stored digest, never from the document.  It is
+    refused, by name, when it is missing, when its size is not what the
+    arrays' shapes need (they follow from d, p, r and the counts) or when
+    its SHA-256 differs.  So are an array that is not finite and a basis
+    that is not orthonormal to round-off."""
+    path = Path(path)
+    try:
+        return _load_state(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _load_state(path: Path) -> EngineState:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("not a checkpoint: the document is not a JSON object")
     version = payload.get("version", 1)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint version {version!r} is not readable; "
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version {version!r} is not readable; "
                          f"readable versions are {[CHECKPOINT_VERSION]}")
-    flib, mlib = library_from_dict(payload)
-    hyper = hyper_from_dict(payload["hyper"])
-    if hyper.p != flib.p:
-        raise ValueError(f"{path}: hyper.p = {hyper.p} disagrees with the library's "
-                         f"p = {flib.p}")
-    slots = len(mlib) + 1
-    per_task = {}
-    for tid, rec in payload["per_task"].items():
-        key = f"per_task[{tid!r}]"
-        z = decode_array(rec["z"], f"{key}.z")
-        if z.ndim != 1 or not 1 <= z.size <= slots:
-            raise ValueError(f"checkpoint array {key + '.z'!r}: shape {z.shape}, expected "
-                             f"1 to {slots} entries from the checkpoint's representatives")
-        if rec["loss_kind"] not in ("squared", "logistic"):
-            raise ValueError(f"checkpoint entry {key + '.loss_kind'!r}: unknown loss "
-                             f"{rec['loss_kind']!r}")
-        per_task[tid] = PerTaskRecord(
-            code=decode_shaped(rec["code"], f"{key}.code", (flib.p,)),
-            assignment=Assignment(z=z),
-            w=decode_shaped(rec["w"], f"{key}.w", (flib.d,)),
-            loss_kind=rec["loss_kind"],
-        )
-    if flib.tasks_seen != len(per_task):
-        raise ValueError(f"{path}: tasks_seen = {flib.tasks_seen} disagrees with the "
+    layout = _checked_layout(payload)
+    hyper = _hyper_from_checkpoint(entry(payload, "hyper", dict, "hyper"))
+    seed = entry(payload, "seed", int, "seed")
+    if hyper.p != payload["p"]:
+        raise ValueError(f"hyper.p = {hyper.p} disagrees with the library's p = {payload['p']}")
+    per_task = payload["per_task"]
+    if payload["tasks_seen"] != len(per_task):
+        raise ValueError(f"tasks_seen = {payload['tasks_seen']} disagrees with the "
                          f"{len(per_task)} per-task entries")
-    return EngineState(hyper=hyper, seed=int(payload["seed"]), flib=flib,
-                       mlib=mlib, per_task=per_task)
+    digest = entry(payload, "sha256", str, "sha256")
+    if not re.fullmatch("[0-9a-f]{64}", digest):
+        raise ValueError(f"checkpoint entry 'sha256': {digest!r} is not 64 hex digits")
+    arrays = _read_data(_data_path(path, digest), digest, layout)
+    flib, mlib = library_from_dict(payload, arrays)
+    zs = np.split(arrays["per_task.z"],
+                  np.cumsum([rec["slots"] for rec in per_task.values()], dtype=int)[:-1])
+    records = {
+        tid: PerTaskRecord(code=code, assignment=Assignment(z=z), w=w,
+                           loss_kind=rec["loss_kind"])
+        for (tid, rec), code, w, z in zip(per_task.items(), arrays["per_task.code"],
+                                           arrays["per_task.w"], zs)}
+    return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=mlib, per_task=records)

@@ -33,9 +33,7 @@ decoder refits.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
-import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -423,130 +421,108 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
     return ModelLibrary(reps=mlib.reps + (rec,)), True
 
 
-# checkpoint i/o.  Version 5 stores each array as {"dtype": "<f8", "shape":
-# [...], "data": base64 of its raw little-endian float64 bytes}, which
-# round-trips bit for bit; an entry that is not finite is refused.  The
-# Kronecker-symmetric accumulators, sums of kron(W, H) with every W (r x r)
-# and H (d x d) symmetric, carry "kron": [r, d] and store only the (a <= b)
-# triangle, in np.triu_indices order, of each pair block i <= j, in the
-# library's j-major order: acc_A (r = p = 20, d = 40: 172,200 of 640,000
-# entries), written straight from `acc_A_pairs`, and acc_C, with r = 1.
-# Both are symmetric bit for bit by construction (acc_C sums outer(w, w);
+# checkpoint i/o.  Version 6 is two files: a JSON document of the
+# checkpoint's integers and strings (its d, p, basis rank r and counts) and,
+# beside it, a data file of every float64 array as raw little-endian bytes,
+# one after another in a fixed order with no header.  `library_layout` gives
+# the libraries' part of that order, and every shape in it follows from d,
+# p, r and the number of representatives, so the document stores no layout.
+# The Kronecker-symmetric accumulators, sums of kron(W, H) with every W
+# (r x r) and H (d x d) symmetric, store only the (a <= b) triangle, in
+# np.triu_indices order, of each pair block i <= j, in the library's
+# j-major order: acc_A (r = p = 20, d = 40: 172,200 of 640,000 entries),
+# packed straight from `acc_A_pairs`, and acc_C, with r = 1.  Both are
+# symmetric bit for bit by construction (acc_C sums outer(w, w);
 # `update_decoder` takes only Hessians equal to their transposes bit for
 # bit and forms every block entry as its mirror), yet a save refuses a
-# block that differs from its transpose, which packing would change, and a
-# load refuses an accumulator entry without "kron".  "acc_A" and "acc_b"
-# are in the coordinates of "basis", the p x r orthonormal Q, and sized by
-# its r; a basis that is not p x r with r <= p or not orthonormal to
-# round-off, and statistics sized for another r, are refused.  Only
-# version 5 is read: versions 1 (nested lists), 2 (every array in full), 3
-# (identity basis, no "basis") and 4 (all p(p+1)/2 pairs) are refused.
+# block that differs from its transpose, which packing would change.
+# "acc_A" and "acc_b" are in the coordinates of "basis", the p x r
+# orthonormal Q; a basis that is not orthonormal to round-off is refused.
 
-CHECKPOINT_VERSION = 5
-_DTYPE = "<f8"
+CHECKPOINT_VERSION = 6
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               (int, float): "a number"}
 
 
-def _base64(a: np.ndarray) -> str:
-    return base64.b64encode(a.tobytes()).decode("ascii")
+def entry(doc, key, kind, name: str):
+    """`doc[key]` of a checkpoint document, refused by `name` when it is
+    missing or not of `kind`, a key of `_JSON_KINDS`: a JSON integer is
+    not a float, and a bool is no integer or number."""
+    try:
+        value = doc[key]
+    except KeyError:
+        raise ValueError(f"checkpoint entry {name!r} is missing") from None
+    if type(value) is bool or not isinstance(value, kind):
+        raise ValueError(f"checkpoint entry {name!r}: {value!r} is not {_JSON_KINDS[kind]}")
+    return value
 
 
-def pairs_base64(blocks: np.ndarray) -> bytes:
-    """base64 of the (a <= b) triangle of each of the pair blocks `blocks`;
-    refuses blocks not symmetric bit for bit, which packing would change."""
-    blocks = np.ascontiguousarray(blocks, dtype=_DTYPE)
+def pack_pairs(blocks: np.ndarray) -> np.ndarray:
+    """The (a <= b) triangle of each of the pair blocks `blocks`, one row
+    per block; refuses blocks not symmetric bit for bit, which packing
+    would change."""
     if not _symmetric_bits(blocks):
         raise ValueError("accumulator pair blocks are not symmetric bit for bit")
     ia, ja = np.triu_indices(blocks.shape[-1])
-    return base64.b64encode(blocks[:, ia, ja].tobytes())
+    return blocks[:, ia, ja]
 
 
-def _encode_pairs(blocks: np.ndarray, r: int, data: str | None = None) -> dict:
-    """The packed checkpoint entry of an accumulator held as its r(r+1)/2
-    pair blocks, with `data`, when given, standing in for their base64."""
-    d = blocks.shape[-1]
-    if data is None:
-        data = pairs_base64(blocks).decode("ascii")
-    return {"dtype": _DTYPE, "shape": [r * d, r * d], "kron": [r, d], "data": data}
-
-
-def encode_array(a: np.ndarray) -> dict:
-    """The checkpoint entry of a float64 array."""
-    a = np.ascontiguousarray(a, dtype=_DTYPE)
-    return {"dtype": _DTYPE, "shape": list(a.shape), "data": _base64(a)}
-
-
-def decode_array(value, key: str, kron: tuple[int, int] | None = None) -> np.ndarray:
-    """The float64 array of an entry `encode_array` wrote or, given `kron` =
-    (r, d), the r(r+1)/2 x d x d pair blocks of one `_encode_pairs` wrote.
-    Refuses, naming `key`, any other entry: one that is not a float64
-    dict, a "kron" that is not `kron` (so an accumulator stored in full or
-    sized for another basis), data that does not fill its shape, and an
-    entry that is NaN or infinite."""
-    if not isinstance(value, dict) or value.get("dtype") != _DTYPE:
-        raise ValueError(f"checkpoint array {key!r}: not an entry of dtype {_DTYPE!r}")
-    expected = None if kron is None else list(kron)
-    if value.get("kron") != expected:
-        raise ValueError(f"checkpoint array {key!r}: kron factors {value.get('kron')!r}, "
-                         f"expected {expected} from the checkpoint's d, p and basis")
-    shape = tuple(int(n) for n in value["shape"])
-    size = math.prod(shape)
-    if kron is not None:
-        r, d = kron
-        if shape != (r * d, r * d):
-            raise ValueError(f"checkpoint array {key!r}: kron factors [{r}, {d}] do "
-                             f"not match shape {shape}")
-        size = r * (r + 1) // 2 * (d * (d + 1) // 2)
-    raw = base64.b64decode(value["data"], validate=True)
-    if min(shape, default=0) < 0 or len(raw) != 8 * size:
-        what = "the packed entries" if kron is not None else "a float64 array"
-        raise ValueError(f"checkpoint array {key!r}: {len(raw)} bytes do not hold "
-                         f"{what} of shape {shape}")
-    flat = np.frombuffer(raw, dtype=_DTYPE)
-    if not np.isfinite(flat).all():
-        raise ValueError(f"checkpoint array {key!r}: entries that are NaN or infinite")
-    if kron is None:
-        return flat.reshape(shape).astype(float)
+def unpack_pairs(packed: np.ndarray, d: int) -> np.ndarray:
+    """The d x d pair blocks whose triangles `pack_pairs` returned."""
     ia, ja = np.triu_indices(d)
-    packed = flat.reshape(-1, ia.size)
     blocks = np.empty((packed.shape[0], d, d))
     blocks[:, ia, ja] = packed
     blocks[:, ja, ia] = packed
     return blocks
 
 
-def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary,
-                    acc_A_data: str | None = None) -> dict:
-    """The libraries' checkpoint entries; `acc_A_data`, when given, stands in
-    for the packed acc_A's base64 text, which is then not computed."""
-    return {
+def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> tuple[dict, dict]:
+    """The libraries' checkpoint entries, and their arrays by the names of
+    `library_layout`."""
+    entries = {
         "version": CHECKPOINT_VERSION,
         "d": flib.d,
         "p": flib.p,
+        "r": flib.basis.shape[1],
         "tasks_seen": flib.tasks_seen,
-        "decoder": encode_array(flib.decoder),
-        "encoder": encode_array(flib.encoder),
-        "basis": encode_array(flib.basis),
-        "acc_A": _encode_pairs(flib.acc_A_pairs, flib.basis.shape[1], acc_A_data),
-        "acc_b": encode_array(flib.acc_b_coords),
-        "acc_M": encode_array(flib.acc_M),
-        "acc_C": _encode_pairs(flib.acc_C[None], 1),
-        "representatives": [
-            {"code": encode_array(r.code), "source_task": r.source_task,
-             "admitted_at": r.admitted_at}
-            for r in mlib.reps
-        ],
+        "representatives": [{"source_task": r.source_task, "admitted_at": r.admitted_at}
+                            for r in mlib.reps],
     }
+    arrays = {
+        "decoder": flib.decoder,
+        "encoder": flib.encoder,
+        "basis": flib.basis,
+        "acc_b": flib.acc_b_coords,
+        "acc_M": flib.acc_M,
+        "acc_A": pack_pairs(flib.acc_A_pairs),
+        "acc_C": pack_pairs(flib.acc_C[None]),
+        "representatives.code": np.reshape([r.code for r in mlib.reps], (len(mlib), flib.p)),
+    }
+    return entries, arrays
 
 
-def decode_shaped(value, key: str, shape: tuple) -> np.ndarray:
-    """The array of a checkpoint entry, refused unless its shape is
-    `shape`, which the caller takes from the checkpoint's own d, p and
-    basis."""
-    a = decode_array(value, key)
-    if a.shape != shape:
-        raise ValueError(f"checkpoint array {key!r}: shape {a.shape}, expected {shape} "
-                         f"from the checkpoint's d, p and basis")
-    return a
+def library_layout(payload: dict) -> list[tuple[str, tuple[int, ...]]]:
+    """The names and shapes, in data-file order, of the arrays of the
+    libraries whose checkpoint entries `payload` holds.  Refuses, by name,
+    an entry of the libraries that is missing or of the wrong type, a d or
+    p below 1 and an r outside 0..p."""
+    d, p, r = (entry(payload, key, int, key) for key in ("d", "p", "r"))
+    for key, value in (("d", d), ("p", p)):
+        if value < 1:
+            raise ValueError(f"checkpoint entry {key!r}: {value}, expected at least 1")
+    if not 0 <= r <= p:
+        raise ValueError(f"checkpoint entry 'r': {r}, expected 0 to p = {p}")
+    entry(payload, "tasks_seen", int, "tasks_seen")
+    reps = entry(payload, "representatives", list, "representatives")
+    for i in range(len(reps)):
+        item = entry(reps, i, dict, f"representatives[{i}]")
+        entry(item, "source_task", str, f"representatives[{i}].source_task")
+        entry(item, "admitted_at", int, f"representatives[{i}].admitted_at")
+    tri = d * (d + 1) // 2
+    return [("decoder", (d, p)), ("encoder", (p, d)), ("basis", (p, r)), ("acc_b", (d * r,)),
+            ("acc_M", (p, d)), ("acc_A", (r * (r + 1) // 2, tri)), ("acc_C", (1, tri)),
+            ("representatives.code", (len(reps), p))]
 
 
 # a saved basis whose Q'Q departs from I by more than this many machine
@@ -554,41 +530,30 @@ def decode_shaped(value, key: str, shape: tuple) -> np.ndarray:
 _ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
 
 
-def _decode_basis(payload: dict, p: int) -> np.ndarray:
-    """The basis entry, refused unless it is p x r with r <= p
-    and orthonormal to round-off."""
-    basis = decode_array(payload.get("basis"), "basis")
-    if basis.ndim != 2 or basis.shape[0] != p or basis.shape[1] > p:
-        raise ValueError(f"checkpoint array 'basis': shape {basis.shape}, expected "
-                         f"(p, r) with r <= p = {p} from the checkpoint's p")
+def library_from_dict(payload: dict, arrays: dict) -> tuple[FeatureLibrary, ModelLibrary]:
+    """The libraries `library_to_dict` wrote, from its entries, which
+    `library_layout` has checked, and the data file's arrays by name.
+    Refuses a basis whose columns are not orthonormal to round-off."""
+    d, p = payload["d"], payload["p"]
+    basis = arrays["basis"]
     gram = basis.T @ basis
     gram.flat[::basis.shape[1] + 1] -= 1.0
     if not np.all(np.abs(gram) <= _ORTHONORMAL_ROUNDOFF * p):
         raise ValueError(f"checkpoint array 'basis': columns are not orthonormal (Q'Q "
                          f"departs from I by {np.abs(gram).max():.3g})")
-    return basis
-
-
-def library_from_dict(payload: dict) -> tuple[FeatureLibrary, ModelLibrary]:
-    """The libraries `library_to_dict` wrote.  The basis is decoded first, and
-    its rank r sizes the decoder statistics."""
-    d, p = int(payload["d"]), int(payload["p"])
-    basis = _decode_basis(payload, p)
-    r = basis.shape[1]
     flib = FeatureLibrary(
-        decoder=decode_shaped(payload["decoder"], "decoder", (d, p)),
-        encoder=decode_shaped(payload["encoder"], "encoder", (p, d)),
+        decoder=arrays["decoder"],
+        encoder=arrays["encoder"],
         basis=basis,
-        acc_A_pairs=decode_array(payload["acc_A"], "acc_A", (r, d)),
-        acc_b_coords=decode_shaped(payload["acc_b"], "acc_b", (d * r,)),
-        acc_M=decode_shaped(payload["acc_M"], "acc_M", (p, d)),
-        acc_C=decode_array(payload["acc_C"], "acc_C", (1, d))[0],
-        tasks_seen=int(payload["tasks_seen"]),
+        acc_A_pairs=unpack_pairs(arrays["acc_A"], d),
+        acc_b_coords=arrays["acc_b"],
+        acc_M=arrays["acc_M"],
+        acc_C=unpack_pairs(arrays["acc_C"], d)[0],
+        tasks_seen=payload["tasks_seen"],
     )
     reps = []
-    for i, item in enumerate(payload["representatives"]):
-        code = decode_shaped(item["code"], f"representatives[{i}].code", (p,))
+    for item, code in zip(payload["representatives"], arrays["representatives.code"]):
         code.setflags(write=False)
         reps.append(RepresentativeRecord(code=code, source_task=item["source_task"],
-                                         admitted_at=int(item["admitted_at"])))
+                                         admitted_at=item["admitted_at"]))
     return flib, ModelLibrary(reps=tuple(reps))

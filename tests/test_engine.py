@@ -2,8 +2,10 @@ import base64
 import builtins
 import dataclasses
 import errno
+import hashlib
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -21,8 +23,7 @@ from lifelong.engine import (HyperParams, activation_pair, init_state,
                              save_state)
 from lifelong.baselines import ablation_hyper
 from lifelong.experiment import ExperimentConfig
-from lifelong.libraries import (CHECKPOINT_VERSION, encode_array, init_libraries,
-                                library_from_dict, library_to_dict)
+from lifelong.libraries import CHECKPOINT_VERSION, init_libraries
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, hessian_at, loss_value
 
@@ -423,6 +424,93 @@ class TestRelearn:
         assert type(info.value.__cause__) is TypeError
 
 
+def data_file(path):
+    """The one data file beside the checkpoint at `path`."""
+    files = [f for f in path.parent.iterdir()
+             if re.fullmatch(re.escape(path.stem) + r"\.[0-9a-f]{16}\.bin", f.name)]
+    assert len(files) == 1, files
+    return files[0]
+
+
+def read_checkpoint(path):
+    """The checkpoint's document and its data file's arrays by name, in order."""
+    payload = json.loads(path.read_text())
+    flat = np.frombuffer(data_file(path).read_bytes(), dtype="<f8")
+    arrays, at = {}, 0
+    for name, shape in engine._checked_layout(payload):
+        size = math.prod(shape)
+        arrays[name] = flat[at:at + size].reshape(shape).copy()
+        at += size
+    assert at == flat.size
+    return payload, arrays
+
+
+def write_checkpoint(path, payload, arrays):
+    """`payload` and `arrays`, of any shapes, in their order, as the
+    checkpoint at `path`, with the digest and data file name of their bytes;
+    returns the data file."""
+    data = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
+    data_file(path).unlink()
+    payload["sha256"] = hashlib.sha256(data).hexdigest()
+    data_path = engine._data_path(path, payload["sha256"])
+    data_path.write_bytes(data)
+    path.write_text(json.dumps(payload))
+    return data_path
+
+
+def copy_checkpoint(src, dst):
+    """The checkpoint at `src` copied to `dst`, its data file renamed for `dst`."""
+    dst.write_bytes(src.read_bytes())
+    data = data_file(src)
+    (dst.parent / (dst.stem + data.name[len(src.stem):])).write_bytes(data.read_bytes())
+
+
+def data_bytes(state):
+    """8 (r(r+1)/2 d(d+1)/2 + d(d+1)/2 + 3dp + pr + dr + Kp + T(p + d) + sum
+    of the slots): the data file's size for `state`."""
+    flib = state.flib
+    d, p, r = flib.d, flib.p, flib.basis.shape[1]
+    tri = d * (d + 1) // 2
+    slots = sum(rec.assignment.z.size for rec in state.per_task.values())
+    return 8 * (r * (r + 1) // 2 * tri + tri + 3 * d * p + p * r + d * r + len(state.mlib) * p
+                + state.n_tasks * (p + d) + slots)
+
+
+def version_5_document(state):
+    """The one JSON document version 5 wrote for `state`: every array as
+    base64 of its float64 bytes, acc_A and acc_C as the packed pair
+    triangles with their "kron" factors."""
+    flib = state.flib
+    d = flib.d
+
+    def array(a):
+        a = np.ascontiguousarray(a, dtype="<f8")
+        return {"dtype": "<f8", "shape": list(a.shape),
+                "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+    def packed(blocks, r):
+        ia, ja = np.triu_indices(d)
+        return {**array(blocks[:, ia, ja]), "shape": [r * d, r * d], "kron": [r, d]}
+
+    return {
+        "version": 5, "d": d, "p": flib.p, "tasks_seen": flib.tasks_seen,
+        "decoder": array(flib.decoder), "encoder": array(flib.encoder),
+        "basis": array(flib.basis), "acc_A": packed(flib.acc_A_pairs, flib.basis.shape[1]),
+        "acc_b": array(flib.acc_b_coords), "acc_M": array(flib.acc_M),
+        "acc_C": packed(flib.acc_C[None], 1),
+        "representatives": [{"code": array(r.code), "source_task": r.source_task,
+                             "admitted_at": r.admitted_at} for r in state.mlib.reps],
+        "seed": state.seed, "hyper": dataclasses.asdict(state.hyper),
+        "per_task": {tid: {"code": array(rec.code), "z": array(rec.assignment.z),
+                           "w": array(rec.w), "loss_kind": rec.loss_kind}
+                     for tid, rec in state.per_task.items()},
+    }
+
+
+# marks an entry that test_malformed_entry_refused deletes
+DELETE = object()
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, tmp_path, rng):
         train, _ = small_corpus()
@@ -442,30 +530,33 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         save_state(state, path)
         expected = io.StringIO()
-        json.dump(engine._checkpoint_payload(state), expected)
+        json.dump(engine._checkpoint_payload(state)[0], expected)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize("p", [1, 5])
     def test_bytes_match_reference_encoding_for_any_task_id(self, tmp_path, p):
-        # ids that JSON escapes, and one equal to the stand-in for acc_A's
-        # data, which the first arrival also puts into "representatives",
-        # change no byte of the document
+        # ids that JSON escapes, the first arrival's also in
+        # "representatives", change no byte of the document
         train, _ = small_corpus()
-        ids = (engine._ACC_A_DATA, 'say "hi"', "back\\slash", "caf\u00e9", "ctrl\x01")
+        ids = ('say "hi"', "back\\slash", "café", "ctrl\x01", "tab\t")
         tasks = [dataclasses.replace(t, task_id=tid) for t, tid in zip(train.tasks, ids)]
         state, _ = stream(init_state(small_hyper(p=p), seed=0), tasks)
-        assert state.mlib.reps[0].source_task == engine._ACC_A_DATA
+        assert state.mlib.reps[0].source_task == ids[0]
         path = tmp_path / "state.json"
         save_state(state, path)
-        assert path.read_bytes() == json.dumps(engine._checkpoint_payload(state)).encode("ascii")
+        assert path.read_bytes() == json.dumps(engine._checkpoint_payload(state)[0]).encode("ascii")
         assert_same_state(load_state(path), state)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        # a write that fails part-way in the data file, and one that fails
+        # in the document after the new data file is in place, both leave
+        # the directory as it was
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
         save_state(state, path)
-        before = path.read_bytes()
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert len(before) == 2
 
         class FillsUp:
             # writes half of what it is given, then fails like a full disk
@@ -478,33 +569,101 @@ class TestCheckpoint:
             def __exit__(self, *exc):
                 self.fh.close()
 
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.fh.write(data[: len(data) // 2])
                 self.fh.flush()
                 raise OSError(errno.ENOSPC, "No space left on device")
 
         state, _ = stream(state, train.tasks[2:4])
-        with monkeypatch.context() as m:
-            m.setattr(engine, "open",
-                      lambda file, mode="r", **kw: FillsUp(builtins.open(file, mode, **kw)),
-                      raising=False)
-            with pytest.raises(OSError):
-                save_state(state, path)
-        assert path.read_bytes() == before
-        assert [f.name for f in tmp_path.iterdir()] == ["state.json"]
+        for failing in (0, 1):   # the data file, then the document
+            opened = []
+
+            def fake_open(file, mode="r", **kw):
+                opened.append(Path(file).name)
+                fh = builtins.open(file, mode, **kw)
+                return FillsUp(fh) if len(opened) == failing + 1 else fh
+
+            with monkeypatch.context() as m:
+                m.setattr(engine, "open", fake_open, raising=False)
+                with pytest.raises(OSError):
+                    save_state(state, path)
+            assert re.fullmatch(r"\.state\.[0-9a-f]{16}\.bin\.tmp", opened[0])
+            assert opened[1:] == ([".state.json.tmp"] if failing else [])
+            assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
         assert load_state(path).n_tasks == 2
 
-    @pytest.mark.parametrize("version", [1, 2, 4])
-    def test_retired_version_refused(self, tmp_path, version):
-        # version 1 had no version key and stored arrays as nested lists,
-        # version 2 stored every array in full, both without a basis, and
-        # version 4 held the statistics over all p(p+1)/2 pairs and dp
-        # entries, zero past the basis rank r; none is read
+    def test_two_saves_of_one_state_are_identical(self, tmp_path):
+        # the data file's name follows from its content, so one state saved
+        # to two paths gives the same document and data bytes
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        save_state(state, one)
+        save_state(state, two)
+        assert one.read_bytes() == two.read_bytes()
+        assert data_file(one).read_bytes() == data_file(two).read_bytes()
+        assert data_file(one).name[len("one"):] == data_file(two).name[len("two"):]
+
+    def test_resave_leaves_one_data_file(self, tmp_path):
+        # a second state saved to the same path removes the first one's
+        # data file, and no data file of another stem
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path, other = tmp_path / "state.json", tmp_path / "state_t2.json"
+        save_state(state, path)
+        save_state(state, other)
+        first = data_file(path)
+        state, _ = stream(state, train.tasks[2:4])
+        save_state(state, path)
+        assert data_file(path) != first and not first.exists()
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            ["state.json", data_file(path).name, "state_t2.json", data_file(other).name])
+        assert load_state(path).n_tasks == 4 and load_state(other).n_tasks == 2
+
+    def test_final_d40_data_file_size(self, tmp_path):
+        # the final state of the default d = 40, p = 20 stream, at r = p
+        corpus = generate_disjoint(seed=0, clusters=3, tasks_per_cluster=10, d=40)
+        train, _ = standardize_targets(*split_corpus(corpus, 0.5, seed=0))
+        state, _ = stream(init_state(HyperParams(), seed=0), train.tasks)
+        assert state.flib.basis.shape == (20, 20) and state.n_tasks == 30
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        assert data_file(path).stat().st_size == data_bytes(state)
+        assert_same_state(load_state(path), state)
+
+    @pytest.mark.parametrize("fault", ["missing", "short", "flipped", "swapped"])
+    def test_data_file_fault_refused(self, tmp_path, fault):
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         path = tmp_path / "state.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
+        data = data_file(path)
+        raw = data.read_bytes()
+        if fault == "missing":
+            data.unlink()
+        elif fault == "short":
+            data.write_bytes(raw[:-1])
+        elif fault == "flipped":
+            data.write_bytes(raw[:100] + bytes([raw[100] ^ 1]) + raw[101:])
+        else:
+            # the data file of the same stream from another seed
+            other, _ = stream(init_state(small_hyper(), seed=1), train.tasks[:4])
+            save_state(other, tmp_path / "other.json")
+            data.write_bytes(data_file(tmp_path / "other.json").read_bytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: data file {str(data)!r}")):
+            load_state(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 4, 5])
+    def test_retired_version_refused(self, tmp_path, version):
+        # version 1 had no version key and stored arrays as nested lists,
+        # version 2 stored every array in full, both without a basis,
+        # version 4 held the statistics over all p(p+1)/2 pairs and dp
+        # entries, zero past the basis rank r, and version 5 was one JSON
+        # document with every array as base64 text; none is read
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        payload = version_5_document(state)
         flib = state.flib
         d, p, r = flib.d, flib.p, flib.basis.shape[1]
         assert r < p
@@ -519,61 +678,67 @@ class TestCheckpoint:
                                for i, j in zip(*np.triu_indices(p))])
             payload["acc_A"] = {"dtype": "<f8", "shape": [p * d, p * d], "kron": [p, d],
                                 "data": base64.b64encode(packed.tobytes()).decode("ascii")}
-            payload["acc_b"] = encode_array(acc_b)
+            payload["acc_b"] = version_5_document(
+                dataclasses.replace(state, flib=dataclasses.replace(flib, acc_b_coords=acc_b))
+            )["acc_b"]
             payload["version"] = 4
-            first_refused = "acc_A"
-        else:
+        elif version < 4:
             del payload["basis"]
             arrays = {"decoder": flib.decoder, "encoder": flib.encoder, "acc_A": acc_A,
                       "acc_b": acc_b, "acc_M": flib.acc_M, "acc_C": flib.acc_C}
             for name, a in arrays.items():
-                payload[name] = a.tolist() if version == 1 else encode_array(a)
+                payload[name] = a.tolist() if version == 1 else {
+                    "dtype": "<f8", "shape": list(a.shape),
+                    "data": base64.b64encode(a.tobytes()).decode("ascii")}
             if version == 1:
                 del payload["version"]
             else:
                 payload["version"] = 2
-            first_refused = "basis"
+        path = tmp_path / "state.json"
         path.write_text(json.dumps(payload))
         message = (f"{path}: checkpoint version {version} is not readable; "
-                   f"readable versions are [5]")
+                   f"readable versions are [6]")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(path)
-        # read past the version, the library refuses the layout by name
-        with pytest.raises(ValueError, match=re.escape(repr(first_refused))):
-            library_from_dict(payload)
+        # read past the version, none has the basis rank that sizes the data
+        payload["version"] = 6
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint entry 'r' is missing")):
+            load_state(path)
 
     def test_acc_C_in_full_refused(self, tmp_path):
-        # symmetric, but stored in full, without "kron"; acc_A in full is
-        # refused in test_retired_version_refused[2] and
+        # symmetric, but stored in full: with a digest that matches, the
+        # data file does not fit the layout; acc_A in full is refused in
         # test_full_acc_A_with_asymmetric_blocks_refused
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         path = tmp_path / "state.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
-        payload["acc_C"] = encode_array(state.flib.acc_C)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(repr("acc_C"))):
+        payload, arrays = read_checkpoint(path)
+        arrays["acc_C"] = state.flib.acc_C
+        data = write_checkpoint(path, payload, arrays)
+        with pytest.raises(ValueError, match=re.escape(f"data file {str(data)!r} holds")):
             load_state(path)
 
-    def test_packed_acc_A_matches_full_matrix_encoding(self):
-        # written straight from the pair blocks, the entry holds the (a <= b)
-        # triangle, in np.triu_indices order, of each block (i <= j) of the
-        # (dr) x (dr) matrix of basis coordinates, in j-major order
+    def test_packed_acc_A_matches_full_matrix_encoding(self, tmp_path):
+        # written straight from the pair blocks, the data file holds the
+        # (a <= b) triangle, in np.triu_indices order, of each block (i <= j)
+        # of the (dr) x (dr) matrix of basis coordinates, in j-major order
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         flib = state.flib
         r, d = flib.basis.shape[1], flib.d
-        entry = library_to_dict(flib, state.mlib)["acc_A"]
-        assert entry["kron"] == [r, d] and entry["shape"] == [r * d, r * d]
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        _, arrays = read_checkpoint(path)
         coords = full_from_pairs(flib.acc_A_pairs, r).reshape(r, d, r, d)
         ia, ja = np.triu_indices(d)
         packed = np.stack([coords[i, ia, j, ja] for i, j in pairs(r)])
-        assert base64.b64decode(entry["data"]) == packed.tobytes()
+        assert arrays["acc_A"].tobytes() == packed.tobytes()
 
     def test_mid_stream_checkpoint_stores_only_the_basis_pairs(self, tmp_path):
-        # with r < p basis directions, acc_A holds r(r+1)/2 packed pair
-        # blocks and acc_b d r entries, and the file loads back bit for bit
+        # with r < p basis directions, the data file holds r(r+1)/2 packed
+        # pair blocks and d r entries of acc_b, and loads back bit for bit
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
         flib = state.flib
@@ -581,40 +746,41 @@ class TestCheckpoint:
         assert 1 <= r < p
         path = tmp_path / "state.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
-        assert payload["acc_A"]["kron"] == [r, d]
-        assert len(base64.b64decode(payload["acc_A"]["data"])) == \
-            8 * (r * (r + 1) // 2) * (d * (d + 1) // 2)
-        assert payload["acc_b"]["shape"] == [d * r]
+        payload, arrays = read_checkpoint(path)
+        assert payload["r"] == r
+        assert arrays["acc_A"].shape == (r * (r + 1) // 2, d * (d + 1) // 2)
+        assert arrays["acc_b"].shape == (d * r,)
+        assert data_file(path).stat().st_size == data_bytes(state)
         assert_same_state(load_state(path), state)
 
     def test_version_3_checkpoint_refused(self):
         # written while the statistics were held in the identity basis with
         # no "basis" entry, by saving the first 4 tasks of small_corpus()
-        # under small_hyper() and seed 0; version 5 alone is read
+        # under small_hyper() and seed 0; version 6 alone is read
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         assert json.loads(old.read_text())["version"] == 3
-        message = f"{old}: checkpoint version 3 is not readable; readable versions are [5]"
+        message = f"{old}: checkpoint version 3 is not readable; readable versions are [6]"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(old)
 
     def test_full_acc_A_with_asymmetric_blocks_refused(self, tmp_path):
-        # pair blocks cannot hold an acc_A whose block (j, i) differs from
-        # block (i, j), nor does any accumulator load in full
+        # pair triangles cannot hold an acc_A whose block (j, i) differs
+        # from block (i, j), and a data file that holds it in full, with a
+        # digest that matches, does not fit the layout
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         path = tmp_path / "state.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
+        payload, arrays = read_checkpoint(path)
         d = state.flib.d
         r = state.flib.basis.shape[1]
         assert r >= 2
         full = full_from_pairs(state.flib.acc_A_pairs, r)
         row, col = 2, d + 3     # entry (2, 3) of block (0, 1)
         full[row, col] = np.nextafter(full[row, col], np.inf)
-        payload["acc_A"] = encode_array(full)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(repr("acc_A"))):
+        arrays["acc_A"] = full
+        data = write_checkpoint(path, payload, arrays)
+        with pytest.raises(ValueError, match=re.escape(f"data file {str(data)!r} holds")):
             load_state(path)
 
     def test_unknown_version_rejected(self, tmp_path):
@@ -653,39 +819,39 @@ class TestCheckpoint:
                                      "per_task.w", "per_task.code", "per_task.z",
                                      "per_task.loss_kind"])
     def test_shape_disagreeing_with_d_and_p_named(self, tmp_path, key):
+        # every shape follows from d, p, r and the counts: an array with an
+        # entry more or less, or an r one higher, leaves the data file with
+        # a size other than those shapes need, and a slot count or loss
+        # that no arrival could have is refused by its entry
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
+        payload, arrays = read_checkpoint(path)
         flib = state.flib
         tid = train.tasks[1].task_id
         entry = payload["per_task"][tid]
-        if key == "decoder":
-            payload[key] = encode_array(flib.decoder.T)
-        elif key == "acc_b":
-            payload[key] = encode_array(flib.acc_b_coords[:-1])
-        elif key == "acc_A":
-            # the right product, d * r, from swapped factors
-            r = flib.basis.shape[1]
-            assert payload[key]["kron"] == [r, flib.d] and r != flib.d
-            payload[key]["kron"] = [flib.d, r]
-        elif key == "representatives[0].code":
-            payload["representatives"][0]["code"] = encode_array(np.zeros(flib.p + 1))
-        elif key == "per_task.w":
-            entry["w"] = encode_array(np.zeros(flib.d + 1))
-        elif key == "per_task.code":
-            entry["code"] = encode_array(np.zeros(flib.p - 1))
-        elif key == "per_task.z":
-            # a valid simplex vertex, one slot more than the library allows
-            slots = len(state.mlib) + 2
-            entry["z"] = encode_array(np.eye(slots)[0])
+        data = data_file(path)
+        if key == "acc_A":
+            assert payload["r"] < flib.p
+            payload["r"] += 1
+            path.write_text(json.dumps(payload))
+        elif key in ("per_task.z", "per_task.loss_kind"):
+            if key == "per_task.z":
+                entry["slots"] = len(state.mlib) + 2
+            else:
+                entry["loss_kind"] = "bogus"
+            path.write_text(json.dumps(payload))
         else:
-            entry["loss_kind"] = "bogus"
-        if key.startswith("per_task."):
-            key = f"per_task[{tid!r}]" + key[len("per_task"):]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            name = "representatives.code" if key.startswith("representatives") else key
+            grown = np.append(arrays[name], 0.0)
+            arrays[name] = grown[:-2] if key == "per_task.code" else grown
+            data = write_checkpoint(path, payload, arrays)
+        if key in ("per_task.z", "per_task.loss_kind"):
+            match = repr(f"per_task[{tid!r}]" + (".slots" if key == "per_task.z" else ".loss_kind"))
+        else:
+            match = f"data file {str(data)!r} holds"
+        with pytest.raises(ValueError, match=re.escape(match)):
             load_state(path)
 
     @pytest.mark.parametrize("key, fault", [("basis", "wider_than_p"),
@@ -696,33 +862,38 @@ class TestCheckpoint:
     def test_basis_disagreeing_with_statistics_named(self, tmp_path, key, fault):
         # after 2 tasks at p = 5 the basis spans at most 2 directions, and
         # the statistics are sized by them; a basis or statistics that break
-        # this would corrupt every later refit, and statistics sized for one
-        # direction more are refused even where they are zero
+        # this would corrupt every later refit: an r above p and a basis
+        # that is not orthonormal are refused by name, and a basis or
+        # statistics sized otherwise, even where the extra entries are
+        # zero, leave the data file with the wrong size
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
+        payload, arrays = read_checkpoint(path)
         flib = state.flib
         d, p = flib.d, flib.p
         q = flib.basis
-        assert 1 <= q.shape[1] < p
+        r = q.shape[1]
+        assert 1 <= r < p
         if fault == "wider_than_p":
-            payload["basis"] = encode_array(np.eye(p, p + 1))
-        elif fault == "rows_not_p":
-            payload["basis"] = encode_array(np.vstack([q, np.zeros((1, q.shape[1]))]))
-        elif fault == "not_orthonormal":
-            payload["basis"] = encode_array(q * np.r_[1.0 + 1e-10, np.ones(q.shape[1] - 1)])
-        elif key == "acc_A":
-            # the pairs of r + 1 directions, the last r + 1 of them zero
-            r = q.shape[1]
-            wider = np.concatenate([flib.acc_A_pairs, np.zeros((r + 1, d, d))])
-            flib = dataclasses.replace(flib, basis=np.eye(p, r + 1), acc_A_pairs=wider)
-            payload["acc_A"] = library_to_dict(flib, state.mlib)["acc_A"]
+            payload["r"] = p + 1
+            path.write_text(json.dumps(payload))
+            match = repr("r")
         else:
-            payload["acc_b"] = encode_array(np.concatenate([flib.acc_b_coords, np.zeros(d)]))
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            if fault == "rows_not_p":
+                arrays["basis"] = np.vstack([q, np.zeros((1, r))])
+            elif fault == "not_orthonormal":
+                arrays["basis"] = q * np.r_[1.0 + 1e-10, np.ones(r - 1)]
+            elif key == "acc_A":
+                # the pairs of r + 1 directions, the last r + 1 of them zero
+                tri = d * (d + 1) // 2
+                arrays["acc_A"] = np.concatenate([arrays["acc_A"], np.zeros((r + 1, tri))])
+            else:
+                arrays["acc_b"] = np.concatenate([flib.acc_b_coords, np.zeros(d)])
+            data = write_checkpoint(path, payload, arrays)
+            match = repr("basis") if fault == "not_orthonormal" else f"data file {str(data)!r}"
+        with pytest.raises(ValueError, match=re.escape(match)):
             load_state(path)
 
     @pytest.mark.parametrize("save_at", [3, 8])
@@ -790,11 +961,13 @@ class TestCheckpoint:
             assert (predict(resumed, task.task_id, X).tobytes()
                     == predict(state, task.task_id, X).tobytes())
 
+
     def test_logistic_stream_stays_packed_and_resumes_bit_identical(self, tmp_path):
         # logistic loss: from the second arrival on the representative's
         # Hessian is not the task's; a matrix product of the two leaves pair
         # blocks one ulp asymmetric from the fifth arrival on, which the
-        # packed layout (2.9 MB here, against 10.7 MB in full) cannot hold
+        # packed layout (2.9 MB here, against 10.7 MB in full) cannot hold,
+        # and a save refuses
         corpus = generate_disjoint(seed=3, clusters=2, tasks_per_cluster=4, d=50,
                                    n_per_task=120)
         tasks = [dataclasses.replace(t, targets=np.sign(t.targets), loss_kind="logistic")
@@ -811,31 +984,30 @@ class TestCheckpoint:
                 _, _, omega, reps = replay_arrival(before, state, task)
                 assert not np.array_equal(reps[0][1], omega), task.task_id
             save_state(state, path)
-            assert "kron" in json.loads(path.read_text())["acc_A"], task.task_id
+            assert data_file(path).stat().st_size == data_bytes(state), task.task_id
             if t == resume_at:
-                resume_path.write_bytes(path.read_bytes())
+                copy_checkpoint(path, resume_path)
         resumed, tail = stream(load_state(resume_path), tasks[resume_at:])
         for ours, theirs in zip(tail, outcomes[resume_at:]):
             assert ours.code.tobytes() == theirs.code.tobytes()
             assert ours.assignment.z.tobytes() == theirs.assignment.z.tobytes()
         save_state(resumed, resume_path)
         assert resume_path.read_bytes() == path.read_bytes()
+        assert data_file(resume_path).read_bytes() == data_file(path).read_bytes()
 
     @pytest.mark.parametrize("where", ["acc_A", "per_task"])
     def test_array_of_wrong_size_named(self, tmp_path, where):
+        # one float64 short of what the shape needs, with a digest that
+        # matches: the data file is refused by its size
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
-        tid = train.tasks[1].task_id
-        entry = payload["acc_A"] if where == "acc_A" else payload["per_task"][tid]["code"]
-        # one float64 short of what the shape needs
-        raw = base64.b64decode(entry["data"])
-        entry["data"] = base64.b64encode(raw[:-8]).decode("ascii")
-        path.write_text(json.dumps(payload))
-        key = "acc_A" if where == "acc_A" else f"per_task['{tid}'].code"
-        with pytest.raises(ValueError, match=re.escape(repr(key))):
+        payload, arrays = read_checkpoint(path)
+        name = "acc_A" if where == "acc_A" else "per_task.code"
+        arrays[name] = arrays[name].reshape(-1)[:-1]
+        data = write_checkpoint(path, payload, arrays)
+        with pytest.raises(ValueError, match=re.escape(f"data file {str(data)!r} holds")):
             load_state(path)
 
     @pytest.mark.parametrize("key, value", [("decoder", np.nan), ("acc_A", np.inf),
@@ -846,15 +1018,10 @@ class TestCheckpoint:
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
-        tid = train.tasks[1].task_id
-        entry = payload["per_task"][tid]["w"] if key == "per_task.w" else payload[key]
-        a = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
-        a[a.size // 2] = value
-        entry["data"] = base64.b64encode(a.tobytes()).decode("ascii")
-        path.write_text(json.dumps(payload))
-        if key == "per_task.w":
-            key = f"per_task[{tid!r}].w"
+        payload, arrays = read_checkpoint(path)
+        flat = arrays[key].reshape(-1)
+        flat[flat.size // 2] = value
+        write_checkpoint(path, payload, arrays)
         with pytest.raises(ValueError, match=re.escape(f"{key!r}: entries that are NaN")):
             load_state(path)
 
@@ -878,45 +1045,95 @@ class TestCheckpoint:
             assert state.flib.acc_b_coords.shape == (0,)
         path, again = tmp_path / "state.json", tmp_path / "again.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
-        assert payload["acc_A"]["kron"] == [0, 12] and payload["acc_A"]["data"] == ""
+        payload, arrays = read_checkpoint(path)
+        assert payload["r"] == 0 and arrays["acc_A"].shape == (0, 78)
+        assert data_file(path).stat().st_size == data_bytes(state)
         loaded = load_state(path)
         assert_same_state(loaded, state)
         save_state(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+        assert data_file(again).read_bytes() == data_file(path).read_bytes()
 
-    def test_retired_hyper_keys_still_load(self, tmp_path, rng):
-        # checkpoints and configs written with the iterative assignment,
-        # the iterative code solver, the capped alternation, the
-        # assignment's l1 weight or the admission switch carry their
-        # settings; they are dropped, any other unknown key still raises
-        retired = {"beta": 1.0, "rho": 1.0, "admm_tol": 1e-6, "admm_max_iter": 2000,
-                   "coder_tol": 1e-6, "coder_max_iter": 5000,
-                   "max_outer": 20, "outer_tol": 1e-5, "alpha": 3.0,
-                   "admission_enabled": True}
+    @pytest.mark.parametrize("case", [
+        "seed", "hyper", "per_task", "d", "r", "tasks_seen", "representatives", "sha256",
+        "hyper.mu", "representatives[0].source_task", "per_task[tid].loss_kind",
+        "per_task[tid].slots",
+        "per_task=[]", "per_task[tid]=[]", "hyper=null", "d=8.5", "p=true", "r='2'",
+        "tasks_seen=2.0", "seed=null", "representatives={}", "representatives[0]=1",
+        "representatives[0].admitted_at=1.5", "representatives[0].source_task=7",
+        "per_task[tid].slots=1.0", "per_task[tid].slots=true", "per_task[tid].loss_kind=null",
+        "hyper.p=5.0", "hyper.lambda1='0.5'", "hyper.phi=0", "sha256=7",
+        "sha256='../escape'", "version=6.0", "document=[]"])
+    def test_malformed_entry_refused(self, tmp_path, case):
+        # each entry missing (a bare path) or of the wrong JSON type (path=
+        # value) is refused with a ValueError that names the file and the
+        # entry; integers must be JSON integers, not floats or bools.  In a
+        # path, tid stands for the second task's id
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        tid = train.tasks[1].task_id
+        where, _, value = case.partition("=")
+        keys = [int(k) if k.isdigit() else tid if k == "tid" else k
+                for k in re.findall(r"[A-Za-z_0-9]+", where)]
+        value = DELETE if not value else json.loads(value.replace("'", '"'))
+        if keys == ["document"]:
+            payload = value
+        else:
+            doc = payload
+            for k in keys[:-1]:
+                doc = doc[k]
+            if value is DELETE:
+                del doc[keys[-1]]
+            else:
+                doc[keys[-1]] = value
+        path.write_text(json.dumps(payload))
+        if case == "version=6.0":
+            name = "checkpoint version 6.0"
+        elif case == "document=[]":
+            name = "not a checkpoint"
+        else:
+            name = repr(re.sub(r"\[tid\]", f"[{tid!r}]", where))
+            if value is DELETE:
+                name += " is missing"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(name)}"):
+            load_state(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta", 1.0), ("rho", 1.0), ("admm_tol", 1e-6), ("admm_max_iter", 2000),
+        ("coder_tol", 1e-6), ("coder_max_iter", 5000), ("max_outer", 20), ("outer_tol", 1e-5),
+        ("alpha", 3.0), ("admission_enabled", True), ("betta", 1.0)])
+    def test_retired_or_unknown_hyper_key_refused(self, tmp_path, key, value):
+        # the settings were retired before version 6 existed, so no
+        # checkpoint that loads carries one; a checkpoint's hyper holds
+        # exactly the fields of HyperParams
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
         path = tmp_path / "state.json"
         save_state(state, path)
         payload = json.loads(path.read_text())
-        payload["hyper"].update(retired)
+        payload["hyper"][key] = value
         path.write_text(json.dumps(payload))
-        loaded = load_state(path)
-        assert loaded.hyper == state.hyper
-        X = rng.normal(size=(10, 6))
-        for task in train.tasks[:3]:
-            np.testing.assert_array_equal(predict(state, task.task_id, X),
-                                          predict(loaded, task.task_id, X))
+        message = f"{path}: checkpoint entry {'hyper.' + key!r}: not a setting of HyperParams"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_state(path)
 
+    def test_retired_hyper_keys_still_load(self):
+        # configs written with the iterative assignment, the iterative code
+        # solver, the capped alternation, the assignment's l1 weight or the
+        # admission switch carry their settings; they are dropped, any
+        # other unknown key still raises (a checkpoint refuses them all:
+        # test_retired_or_unknown_hyper_key_refused)
+        retired = {"beta": 1.0, "rho": 1.0, "admm_tol": 1e-6, "admm_max_iter": 2000,
+                   "coder_tol": 1e-6, "coder_max_iter": 5000,
+                   "max_outer": 20, "outer_tol": 1e-5, "alpha": 3.0,
+                   "admission_enabled": True}
         config = ExperimentConfig(hyper=small_hyper(), seeds=(0,))
         values = config.to_dict()
         values["hyper"].update(retired)
         assert ExperimentConfig.from_dict(values) == config
-
-        payload["hyper"]["betta"] = 1.0
-        path.write_text(json.dumps(payload))
-        with pytest.raises(TypeError, match="betta"):
-            load_state(path)
         values["hyper"]["betta"] = 1.0
         with pytest.raises(TypeError, match="betta"):
             ExperimentConfig.from_dict(values)
