@@ -31,10 +31,9 @@ import numpy as np
 
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
-from .libraries import (CHECKPOINT_VERSION, FeatureLibrary, ModelLibrary,
-                        admit_representative, bump_tasks_seen, entry,
-                        init_libraries, library_from_dict, library_layout,
-                        library_to_dict, update_decoder, update_encoder)
+from .libraries import (FeatureLibrary, ModelLibrary, RepresentativeRecord,
+                        _symmetric_bits, admit_representative, bump_tasks_seen,
+                        init_libraries, update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, encode_task
 from .tasks import ConvergenceError, TaskData, fit_single_task, hessian_at
 
@@ -56,6 +55,9 @@ class HyperParams:
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "gamma", "mu", "ridge"):
             value = getattr(self, name)
+            # a JSON number, as a config file can hold it; a bool is none
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.gamma == 0:
@@ -63,32 +65,7 @@ class HyperParams:
         # a bool is no code length, and a numpy integer is no JSON checkpoint entry
         if type(self.p) is not int or self.p < 1:
             raise ValueError(f"p must be an int >= 1, got {self.p!r}")
-        if self.phi not in ("identity", "tanh"):
-            raise ValueError(f"unknown activation {self.phi!r}")
-
-
-def drop_retired(settings: dict, retired: dict) -> dict:
-    """`settings` less the keys in `retired`; each maps to a test `(value,
-    settings) -> bool` that a saved value must pass, or ValueError is raised."""
-    for key, neutral in retired.items():
-        if key in settings and not neutral(settings[key], settings):
-            raise ValueError(f"retired setting {key!r} = {settings[key]!r} would change the run")
-    return {k: v for k, v in settings.items() if k not in retired}
-
-
-# no value of the replaced iterative solvers' settings or of alpha moves a
-# decision; a run without admission matches only at lambda2 = 0
-RETIRED_HYPER_KEYS = {
-    **dict.fromkeys(("beta", "rho", "admm_tol", "admm_max_iter", "coder_tol",
-                     "coder_max_iter", "max_outer", "outer_tol", "alpha"), lambda *_: True),
-    "admission_enabled": lambda value, settings: value is True or (
-        value is False and settings.get("lambda2", HyperParams.lambda2) == 0),
-}
-
-
-def hyper_from_dict(values: dict) -> HyperParams:
-    """HyperParams from saved settings less the retired keys; others raise."""
-    return HyperParams(**drop_retired(values, RETIRED_HYPER_KEYS))
+        activation_pair(self.phi)
 
 
 def activation_pair(name: str) -> tuple[Callable, Callable]:
@@ -325,14 +302,87 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
     return ids, cols
 
 
+# checkpoint i/o.  Version 6 is two files: a JSON document of the
+# checkpoint's integers and strings (its d, p, basis rank r and counts) and,
+# beside it, a data file of every float64 array as raw little-endian bytes,
+# one after another in a fixed order with no header.  `_checked_layout`
+# gives that order, and every shape in it follows from d, p, r and the
+# counts, so the document stores no layout.
+# The Kronecker-symmetric accumulators, sums of kron(W, H) with every W
+# (r x r) and H (d x d) symmetric, store only the (a <= b) triangle, in
+# np.triu_indices order, of each pair block i <= j, in the library's
+# j-major order: acc_A (r = p = 20, d = 40: 172,200 of 640,000 entries),
+# packed straight from `acc_A_pairs`, and acc_C, with r = 1.  Both are
+# symmetric bit for bit by construction (acc_C sums outer(w, w);
+# `update_decoder` takes only Hessians equal to their transposes bit for
+# bit and forms every block entry as its mirror), yet a save refuses a
+# block that differs from its transpose, which packing would change.
+# "acc_A" and "acc_b" are in the coordinates of "basis", the p x r
+# orthonormal Q; a basis that is not orthonormal to round-off is refused.
+
+CHECKPOINT_VERSION = 6
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               (int, float): "a number"}
+
+
+def entry(doc, key, kind, name: str):
+    """`doc[key]` of a checkpoint document, refused by `name` when it is
+    missing or not of `kind`, a key of `_JSON_KINDS`: a JSON integer is
+    not a float, and a bool is no integer or number."""
+    try:
+        value = doc[key]
+    except KeyError:
+        raise ValueError(f"checkpoint entry {name!r} is missing") from None
+    if type(value) is bool or not isinstance(value, kind):
+        raise ValueError(f"checkpoint entry {name!r}: {value!r} is not {_JSON_KINDS[kind]}")
+    return value
+
+
+def pack_pairs(blocks: np.ndarray) -> np.ndarray:
+    """The (a <= b) triangle of each of the pair blocks `blocks`, one row
+    per block; refuses blocks not symmetric bit for bit, which packing
+    would change."""
+    if not _symmetric_bits(blocks):
+        raise ValueError("accumulator pair blocks are not symmetric bit for bit")
+    ia, ja = np.triu_indices(blocks.shape[-1])
+    return blocks[:, ia, ja]
+
+
+def unpack_pairs(packed: np.ndarray, d: int) -> np.ndarray:
+    """The d x d pair blocks whose triangles `pack_pairs` returned."""
+    ia, ja = np.triu_indices(d)
+    blocks = np.empty((packed.shape[0], d, d))
+    blocks[:, ia, ja] = packed
+    blocks[:, ja, ia] = packed
+    return blocks
+
+
+# a saved basis whose Q'Q departs from I by more than this many machine
+# epsilons times p is refused
+_ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
+
+
 def _checked_layout(payload: dict) -> list[tuple[str, tuple[int, ...]]]:
     """The names and shapes, in order, of the arrays in the data file of
     the checkpoint document `payload`: the libraries', then the per-task
     codes and w stacked, then the per-task z concatenated.  Refuses, by
-    name, an entry they depend on that is missing or of the wrong type, an
-    unknown loss and a slot count outside 1..K + 1 for K representatives."""
-    layout = library_layout(payload)
-    d, p, slots = payload["d"], payload["p"], len(payload["representatives"]) + 1
+    name, an entry they depend on that is missing or of the wrong type, a
+    d or p below 1, an r outside 0..p, an unknown loss and a slot count
+    outside 1..K + 1 for K representatives."""
+    d, p, r = (entry(payload, key, int, key) for key in ("d", "p", "r"))
+    for key, value in (("d", d), ("p", p)):
+        if value < 1:
+            raise ValueError(f"checkpoint entry {key!r}: {value}, expected at least 1")
+    if not 0 <= r <= p:
+        raise ValueError(f"checkpoint entry 'r': {r}, expected 0 to p = {p}")
+    entry(payload, "tasks_seen", int, "tasks_seen")
+    reps = entry(payload, "representatives", list, "representatives")
+    for i in range(len(reps)):
+        item = entry(reps, i, dict, f"representatives[{i}]")
+        entry(item, "source_task", str, f"representatives[{i}].source_task")
+        entry(item, "admitted_at", int, f"representatives[{i}].admitted_at")
+    slots = len(reps) + 1
     per_task = entry(payload, "per_task", dict, "per_task")
     total = 0
     for tid in per_task:
@@ -346,22 +396,43 @@ def _checked_layout(payload: dict) -> list[tuple[str, tuple[int, ...]]]:
             raise ValueError(f"checkpoint entry {key + '.slots'!r}: {n}, expected 1 to "
                              f"{slots} from the checkpoint's representatives")
         total += n
-    return layout + [("per_task.code", (len(per_task), p)),
-                     ("per_task.w", (len(per_task), d)), ("per_task.z", (total,))]
+    tri = d * (d + 1) // 2
+    return [("decoder", (d, p)), ("encoder", (p, d)), ("basis", (p, r)), ("acc_b", (d * r,)),
+            ("acc_M", (p, d)), ("acc_A", (r * (r + 1) // 2, tri)), ("acc_C", (1, tri)),
+            ("representatives.code", (len(reps), p)), ("per_task.code", (len(per_task), p)),
+            ("per_task.w", (len(per_task), d)), ("per_task.z", (total,))]
 
 
 def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
     """The checkpoint's JSON document and the arrays of its data file, in
     order, as little-endian float64."""
-    payload, arrays = library_to_dict(state.flib, state.mlib)
-    records = state.per_task.values()
-    payload["seed"] = state.seed
-    payload["hyper"] = dataclasses.asdict(state.hyper)
-    payload["per_task"] = {tid: {"loss_kind": rec.loss_kind, "slots": rec.assignment.z.size}
-                           for tid, rec in state.per_task.items()}
-    arrays["per_task.code"] = [rec.code for rec in records]
-    arrays["per_task.w"] = [rec.w for rec in records]
-    arrays["per_task.z"] = [z for rec in records for z in rec.assignment.z]
+    flib, mlib, records = state.flib, state.mlib, state.per_task.values()
+    payload = {
+        "version": CHECKPOINT_VERSION,
+        "d": flib.d,
+        "p": flib.p,
+        "r": flib.basis.shape[1],
+        "tasks_seen": flib.tasks_seen,
+        "representatives": [{"source_task": r.source_task, "admitted_at": r.admitted_at}
+                            for r in mlib.reps],
+        "seed": state.seed,
+        "hyper": dataclasses.asdict(state.hyper),
+        "per_task": {tid: {"loss_kind": rec.loss_kind, "slots": rec.assignment.z.size}
+                     for tid, rec in state.per_task.items()},
+    }
+    arrays = {
+        "decoder": flib.decoder,
+        "encoder": flib.encoder,
+        "basis": flib.basis,
+        "acc_b": flib.acc_b_coords,
+        "acc_M": flib.acc_M,
+        "acc_A": pack_pairs(flib.acc_A_pairs),
+        "acc_C": pack_pairs(flib.acc_C[None]),
+        "representatives.code": np.reshape([r.code for r in mlib.reps], (len(mlib), flib.p)),
+        "per_task.code": [rec.code for rec in records],
+        "per_task.w": [rec.w for rec in records],
+        "per_task.z": [z for rec in records for z in rec.assignment.z],
+    }
     pieces = [np.ascontiguousarray(np.reshape(arrays[name], shape), dtype="<f8")
               for name, shape in _checked_layout(payload)]
     digest = hashlib.sha256()
@@ -395,29 +466,32 @@ def _replace(path: Path, pieces) -> None:
 
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table,
-    in two files (format version 6; see the codec notes in `libraries`).
+    in two files (format version 6; see the codec notes above).
 
-    `path` gets a JSON document, byte for byte `json.dumps` of the
-    checkpoint's integers and strings, which is ASCII, and the SHA-256 of
-    the data.  Beside it, `<stem>.<first 16 hex digits of that
-    digest>.bin` gets every float64 array as raw little-endian bytes: the
-    decoder, encoder, basis, acc_b and acc_M, the packed pair blocks of
-    acc_A and acc_C, the representative codes stacked, the per-task codes
-    and w stacked, and the per-task z concatenated.  The two files are
-    moved together.  The name follows from the content, so two saves of
-    one state write the same bytes.  Each file is written to a dot-prefixed
-    temp file, synced to disk and moved into place with `os.replace`, the
-    data file first; only then are older data files of `path`'s stem
-    removed, so a write that fails part-way leaves the directory as it
-    was, and two checkpoints in one directory need different stems.  The
-    files hold the whole engine state: `load_state` returns a state equal
-    to `state` field for field, bit for bit, which continues the stream
-    exactly as `state` would.
+    `path` must end in `.json`, and ValueError, naming it, refuses any
+    other: its stem then names one checkpoint, whose data files no save to
+    another path removes.  `path` gets a JSON document, byte for byte
+    `json.dumps` of the checkpoint's integers and strings, which is ASCII,
+    and the SHA-256 of the data.  Beside it, `<stem>.<first 16 hex digits
+    of that digest>.bin` gets every float64 array as raw little-endian
+    bytes: the decoder, encoder, basis, acc_b and acc_M, the packed pair
+    blocks of acc_A and acc_C, the representative codes stacked, the
+    per-task codes and w stacked, and the per-task z concatenated.  The two
+    files are moved together.  The name follows from the content, so two
+    saves of one state write the same bytes.  Each file is written to a
+    dot-prefixed temp file, synced to disk and moved into place with
+    `os.replace`, the data file first; only then are older data files of
+    `path`'s stem removed, so a write that fails part-way leaves the
+    directory as it was.  The files hold the whole engine state:
+    `load_state` returns a state equal to `state` field for field, bit for
+    bit, which continues the stream exactly as `state` would.
     """
+    path = Path(path)
+    if path.suffix != ".json":
+        raise ValueError(f"{path}: a checkpoint path must end in .json")
     if state.flib is None:
         raise ValueError("cannot checkpoint an engine that has seen no tasks")
     payload, pieces = _checkpoint_payload(state)
-    path = Path(path)
     data_path = _data_path(path, payload["sha256"])
     data_is_new = not data_path.exists()
     _replace(data_path, pieces)
@@ -460,8 +534,8 @@ def _read_data(data_path: Path, digest: str, layout) -> dict:
 def _hyper_from_checkpoint(values: dict) -> HyperParams:
     """The settings a checkpoint stores: exactly the fields of HyperParams,
     each a JSON value of its default's type.  A retired or unknown key is
-    refused by name; only configs, which users write by hand, go through
-    `hyper_from_dict`."""
+    refused by name; only configs, which users write by hand, drop retired
+    keys (see `experiment.RETIRED_HYPER_KEYS`)."""
     fields = dataclasses.fields(HyperParams)
     unknown = sorted(values.keys() - {f.name for f in fields})
     if unknown:
@@ -515,7 +589,28 @@ def _load_state(path: Path) -> EngineState:
     if not re.fullmatch("[0-9a-f]{64}", digest):
         raise ValueError(f"checkpoint entry 'sha256': {digest!r} is not 64 hex digits")
     arrays = _read_data(_data_path(path, digest), digest, layout)
-    flib, mlib = library_from_dict(payload, arrays)
+    basis = arrays["basis"]
+    gram = basis.T @ basis
+    gram.flat[::basis.shape[1] + 1] -= 1.0
+    if not np.all(np.abs(gram) <= _ORTHONORMAL_ROUNDOFF * payload["p"]):
+        raise ValueError(f"checkpoint array 'basis': columns are not orthonormal (Q'Q "
+                         f"departs from I by {np.abs(gram).max():.3g})")
+    d = payload["d"]
+    flib = FeatureLibrary(
+        decoder=arrays["decoder"],
+        encoder=arrays["encoder"],
+        basis=basis,
+        acc_A_pairs=unpack_pairs(arrays["acc_A"], d),
+        acc_b_coords=arrays["acc_b"],
+        acc_M=arrays["acc_M"],
+        acc_C=unpack_pairs(arrays["acc_C"], d)[0],
+        tasks_seen=payload["tasks_seen"],
+    )
+    reps = []
+    for item, code in zip(payload["representatives"], arrays["representatives.code"]):
+        code.setflags(write=False)
+        reps.append(RepresentativeRecord(code=code, source_task=item["source_task"],
+                                         admitted_at=item["admitted_at"]))
     zs = np.split(arrays["per_task.z"],
                   np.cumsum([rec["slots"] for rec in per_task.values()], dtype=int)[:-1])
     records = {
@@ -523,4 +618,5 @@ def _load_state(path: Path) -> EngineState:
                            loss_kind=rec["loss_kind"])
         for (tid, rec), code, w, z in zip(per_task.items(), arrays["per_task.code"],
                                            arrays["per_task.w"], zs)}
-    return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=mlib, per_task=records)
+    return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=ModelLibrary(reps=tuple(reps)),
+                       per_task=records)

@@ -20,9 +20,8 @@ from . import metrics
 from .baselines import ablation_hyper, run_stl
 from .datasets import (TaskCorpus, generate_disjoint, load_corpus, split_corpus,
                        standardize_targets)
-from .engine import (EngineState, HyperParams, drop_retired, hyper_from_dict,
-                     init_state, learn_task, predict, predict_labels,
-                     reconstructed_weights, save_state)
+from .engine import (EngineState, HyperParams, init_state, learn_task, predict,
+                     predict_labels, reconstructed_weights, save_state)
 
 TASK_ORDERS = ("random", "as_listed", "one_by_one_clusters")
 
@@ -30,9 +29,28 @@ TASK_ORDERS = ("random", "as_listed", "one_by_one_clusters")
 # the standardised synthetic benchmark
 STL_RIDGE = 4.0
 
+
+def drop_retired(settings: dict, retired: dict) -> dict:
+    """`settings` less the keys in `retired`; each maps to a test `(value,
+    settings) -> bool` that a saved value must pass, or ValueError is raised."""
+    for key, neutral in retired.items():
+        if key in settings and not neutral(settings[key], settings):
+            raise ValueError(f"retired setting {key!r} = {settings[key]!r} would change the run")
+    return {k: v for k, v in settings.items() if k not in retired}
+
+
 RETIRED_CONFIG_KEYS = {"normalize": lambda v, _: v is True,
                        "stl_ridge": lambda v, _: v == STL_RIDGE,
                        "train_fraction": lambda v, _: v == ExperimentConfig.train_fraction}
+
+# no value of the replaced iterative solvers' settings or of alpha moves a
+# decision; a run without admission matches only at lambda2 = 0
+RETIRED_HYPER_KEYS = {
+    **dict.fromkeys(("beta", "rho", "admm_tol", "admm_max_iter", "coder_tol",
+                     "coder_max_iter", "max_outer", "outer_tol", "alpha"), lambda *_: True),
+    "admission_enabled": lambda value, settings: value is True or (
+        value is False and settings.get("lambda2", HyperParams.lambda2) == 0),
+}
 
 
 @dataclass(frozen=True)
@@ -49,6 +67,18 @@ class ExperimentConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        # the JSON type of each setting, as a config file holds it; a bool
+        # is no seed or count
+        kinds = {"dataset": dict, "hyper": HyperParams, "task_order": str, "output_dir": str,
+                 "with_stl": bool, "with_ablation": bool, "eval_every_task": bool,
+                 "checkpoint_every": int}
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (kind is int and type(value) is bool):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        if not isinstance(self.seeds, tuple) or any(
+                type(s) is bool or not isinstance(s, int) for s in self.seeds):
+            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         repeated = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
@@ -71,10 +101,10 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
         payload = drop_retired(payload, RETIRED_CONFIG_KEYS)
-        if "hyper" in payload:
-            payload["hyper"] = hyper_from_dict(payload["hyper"])
-        if "seeds" in payload:
-            payload["seeds"] = tuple(int(s) for s in payload["seeds"])
+        if isinstance(payload.get("hyper"), dict):
+            payload["hyper"] = HyperParams(**drop_retired(payload["hyper"], RETIRED_HYPER_KEYS))
+        if isinstance(payload.get("seeds"), list):
+            payload["seeds"] = tuple(payload["seeds"])
         return ExperimentConfig(**payload)
 
 

@@ -29,6 +29,9 @@ factored in place as U'U by block rows; only the upper triangle is read.
 The model library is an append-only list of representative codes; codes
 never change after admission, so reverse transfer flows only through the
 decoder refits.
+
+The checkpoint format of the libraries, its validation and its bytes are
+in `engine`.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ def init_libraries(d: int, p: int, seed: int) -> FeatureLibrary:
 
 def _symmetric_bits(a: np.ndarray) -> bool:
     """Whether each trailing square matrix of `a` equals its transpose bit
-    for bit, so that -0.0 and +0.0 differ."""
+    for bit, so that -0.0 and +0.0 differ; the checkpoint's packing of
+    pair blocks in `engine` relies on it too."""
     bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
     return np.array_equal(bits, bits.swapaxes(-1, -2))
 
@@ -420,140 +424,3 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
     rec = RepresentativeRecord(code=code, source_task=task_id, admitted_at=t)
     return ModelLibrary(reps=mlib.reps + (rec,)), True
 
-
-# checkpoint i/o.  Version 6 is two files: a JSON document of the
-# checkpoint's integers and strings (its d, p, basis rank r and counts) and,
-# beside it, a data file of every float64 array as raw little-endian bytes,
-# one after another in a fixed order with no header.  `library_layout` gives
-# the libraries' part of that order, and every shape in it follows from d,
-# p, r and the number of representatives, so the document stores no layout.
-# The Kronecker-symmetric accumulators, sums of kron(W, H) with every W
-# (r x r) and H (d x d) symmetric, store only the (a <= b) triangle, in
-# np.triu_indices order, of each pair block i <= j, in the library's
-# j-major order: acc_A (r = p = 20, d = 40: 172,200 of 640,000 entries),
-# packed straight from `acc_A_pairs`, and acc_C, with r = 1.  Both are
-# symmetric bit for bit by construction (acc_C sums outer(w, w);
-# `update_decoder` takes only Hessians equal to their transposes bit for
-# bit and forms every block entry as its mirror), yet a save refuses a
-# block that differs from its transpose, which packing would change.
-# "acc_A" and "acc_b" are in the coordinates of "basis", the p x r
-# orthonormal Q; a basis that is not orthonormal to round-off is refused.
-
-CHECKPOINT_VERSION = 6
-
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-               (int, float): "a number"}
-
-
-def entry(doc, key, kind, name: str):
-    """`doc[key]` of a checkpoint document, refused by `name` when it is
-    missing or not of `kind`, a key of `_JSON_KINDS`: a JSON integer is
-    not a float, and a bool is no integer or number."""
-    try:
-        value = doc[key]
-    except KeyError:
-        raise ValueError(f"checkpoint entry {name!r} is missing") from None
-    if type(value) is bool or not isinstance(value, kind):
-        raise ValueError(f"checkpoint entry {name!r}: {value!r} is not {_JSON_KINDS[kind]}")
-    return value
-
-
-def pack_pairs(blocks: np.ndarray) -> np.ndarray:
-    """The (a <= b) triangle of each of the pair blocks `blocks`, one row
-    per block; refuses blocks not symmetric bit for bit, which packing
-    would change."""
-    if not _symmetric_bits(blocks):
-        raise ValueError("accumulator pair blocks are not symmetric bit for bit")
-    ia, ja = np.triu_indices(blocks.shape[-1])
-    return blocks[:, ia, ja]
-
-
-def unpack_pairs(packed: np.ndarray, d: int) -> np.ndarray:
-    """The d x d pair blocks whose triangles `pack_pairs` returned."""
-    ia, ja = np.triu_indices(d)
-    blocks = np.empty((packed.shape[0], d, d))
-    blocks[:, ia, ja] = packed
-    blocks[:, ja, ia] = packed
-    return blocks
-
-
-def library_to_dict(flib: FeatureLibrary, mlib: ModelLibrary) -> tuple[dict, dict]:
-    """The libraries' checkpoint entries, and their arrays by the names of
-    `library_layout`."""
-    entries = {
-        "version": CHECKPOINT_VERSION,
-        "d": flib.d,
-        "p": flib.p,
-        "r": flib.basis.shape[1],
-        "tasks_seen": flib.tasks_seen,
-        "representatives": [{"source_task": r.source_task, "admitted_at": r.admitted_at}
-                            for r in mlib.reps],
-    }
-    arrays = {
-        "decoder": flib.decoder,
-        "encoder": flib.encoder,
-        "basis": flib.basis,
-        "acc_b": flib.acc_b_coords,
-        "acc_M": flib.acc_M,
-        "acc_A": pack_pairs(flib.acc_A_pairs),
-        "acc_C": pack_pairs(flib.acc_C[None]),
-        "representatives.code": np.reshape([r.code for r in mlib.reps], (len(mlib), flib.p)),
-    }
-    return entries, arrays
-
-
-def library_layout(payload: dict) -> list[tuple[str, tuple[int, ...]]]:
-    """The names and shapes, in data-file order, of the arrays of the
-    libraries whose checkpoint entries `payload` holds.  Refuses, by name,
-    an entry of the libraries that is missing or of the wrong type, a d or
-    p below 1 and an r outside 0..p."""
-    d, p, r = (entry(payload, key, int, key) for key in ("d", "p", "r"))
-    for key, value in (("d", d), ("p", p)):
-        if value < 1:
-            raise ValueError(f"checkpoint entry {key!r}: {value}, expected at least 1")
-    if not 0 <= r <= p:
-        raise ValueError(f"checkpoint entry 'r': {r}, expected 0 to p = {p}")
-    entry(payload, "tasks_seen", int, "tasks_seen")
-    reps = entry(payload, "representatives", list, "representatives")
-    for i in range(len(reps)):
-        item = entry(reps, i, dict, f"representatives[{i}]")
-        entry(item, "source_task", str, f"representatives[{i}].source_task")
-        entry(item, "admitted_at", int, f"representatives[{i}].admitted_at")
-    tri = d * (d + 1) // 2
-    return [("decoder", (d, p)), ("encoder", (p, d)), ("basis", (p, r)), ("acc_b", (d * r,)),
-            ("acc_M", (p, d)), ("acc_A", (r * (r + 1) // 2, tri)), ("acc_C", (1, tri)),
-            ("representatives.code", (len(reps), p))]
-
-
-# a saved basis whose Q'Q departs from I by more than this many machine
-# epsilons times p is refused
-_ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
-
-
-def library_from_dict(payload: dict, arrays: dict) -> tuple[FeatureLibrary, ModelLibrary]:
-    """The libraries `library_to_dict` wrote, from its entries, which
-    `library_layout` has checked, and the data file's arrays by name.
-    Refuses a basis whose columns are not orthonormal to round-off."""
-    d, p = payload["d"], payload["p"]
-    basis = arrays["basis"]
-    gram = basis.T @ basis
-    gram.flat[::basis.shape[1] + 1] -= 1.0
-    if not np.all(np.abs(gram) <= _ORTHONORMAL_ROUNDOFF * p):
-        raise ValueError(f"checkpoint array 'basis': columns are not orthonormal (Q'Q "
-                         f"departs from I by {np.abs(gram).max():.3g})")
-    flib = FeatureLibrary(
-        decoder=arrays["decoder"],
-        encoder=arrays["encoder"],
-        basis=basis,
-        acc_A_pairs=unpack_pairs(arrays["acc_A"], d),
-        acc_b_coords=arrays["acc_b"],
-        acc_M=arrays["acc_M"],
-        acc_C=unpack_pairs(arrays["acc_C"], d)[0],
-        tasks_seen=payload["tasks_seen"],
-    )
-    reps = []
-    for item, code in zip(payload["representatives"], arrays["representatives.code"]):
-        code.setflags(write=False)
-        reps.append(RepresentativeRecord(code=code, source_task=item["source_task"],
-                                         admitted_at=item["admitted_at"]))
-    return flib, ModelLibrary(reps=tuple(reps))

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 from lifelong import engine
 from lifelong.assignment import OUTLIER_WEIGHT_CAP
 from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
-from lifelong.engine import (HyperParams, activation_pair, init_state,
-                             learn_task, load_state, predict, predict_labels,
-                             reconstruct_model, reconstructed_weights,
-                             save_state)
+from lifelong.engine import (CHECKPOINT_VERSION, HyperParams, activation_pair,
+                             init_state, learn_task, load_state, predict,
+                             predict_labels, reconstruct_model,
+                             reconstructed_weights, save_state)
 from lifelong.baselines import ablation_hyper
 from lifelong.experiment import ExperimentConfig
-from lifelong.libraries import CHECKPOINT_VERSION, init_libraries
+from lifelong.libraries import init_libraries
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, hessian_at, loss_value
 
@@ -621,6 +621,21 @@ class TestCheckpoint:
             ["state.json", data_file(path).name, "state_t2.json", data_file(other).name])
         assert load_state(path).n_tasks == 4 and load_state(other).n_tasks == 2
 
+    def test_path_not_ending_in_json_refused(self, tmp_path):
+        # one stem names one checkpoint: a save to state.ckpt would remove
+        # the data file of state.json
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path, other = tmp_path / "state.json", tmp_path / "state.ckpt"
+        save_state(state, path)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        state, _ = stream(state, train.tasks[2:3])
+        with pytest.raises(ValueError, match=re.escape(f"{other}: a checkpoint path must end "
+                                                       f"in .json")):
+            save_state(state, other)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        assert load_state(path).n_tasks == 2
+
     def test_final_d40_data_file_size(self, tmp_path):
         # the final state of the default d = 40, p = 20 stream, at r = p
         corpus = generate_disjoint(seed=0, clusters=3, tasks_per_cluster=10, d=40)
@@ -1152,11 +1167,9 @@ class TestCheckpoint:
         "train_fraction": ("config", {"train_fraction": 0.5}, {"train_fraction": 0.7}),
     }
 
-    @pytest.mark.parametrize("case, loader", [
-        (case, loader) for case, (section, _, _) in RETIRED.items()
-        for loader in (("hyper_from_dict", "ExperimentConfig.from_dict") if section == "hyper"
-                       else ("ExperimentConfig.from_dict",))])
-    def test_retired_key_loads_only_at_neutral_value(self, case, loader):
+    @pytest.mark.parametrize("case", [pytest.param(case, id=f"{case}-ExperimentConfig.from_dict")
+                                      for case in RETIRED])
+    def test_retired_key_loads_only_at_neutral_value(self, case):
         section, neutral, other = self.RETIRED[case]
         hyper = small_hyper(lambda2=neutral.get("lambda2", 0.5))
         current = ExperimentConfig(hyper=hyper, seeds=(0,))
@@ -1164,11 +1177,9 @@ class TestCheckpoint:
         def load(settings):
             values = current.to_dict()
             (values["hyper"] if section == "hyper" else values).update(settings)
-            if loader == "hyper_from_dict":
-                return engine.hyper_from_dict(values["hyper"])
             return ExperimentConfig.from_dict(values)
 
-        assert load(neutral) == (hyper if loader == "hyper_from_dict" else current)
+        assert load(neutral) == current
         if other is not None:
             key = next(iter(other))
             with pytest.raises(ValueError, match=re.escape(repr(key))):
@@ -1193,11 +1204,8 @@ class TestHyperParams:
         for value in (2.5, 6.0, True, np.int64(6)):
             with pytest.raises(ValueError, match="^p must be an int >= 1"):
                 HyperParams(p=value)
-        values = json.loads('{"mu": NaN}')
         with pytest.raises(ValueError, match="^mu must be finite"):
-            engine.hyper_from_dict(values)
-        with pytest.raises(ValueError, match="^mu must be finite"):
-            ExperimentConfig.from_dict({"hyper": values})
+            ExperimentConfig.from_dict({"hyper": json.loads('{"mu": NaN}')})
 
     def test_tanh_activation_pair(self):
         phi, phi_inv = activation_pair("tanh")

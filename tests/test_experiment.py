@@ -108,6 +108,19 @@ class TestRunExperiment:
             ExperimentConfig(seeds=(5, 1, 2, 5, 2))
 
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("config", "seeds", "12"), ("config", "seeds", [1.7]), ("config", "seeds", [True]),
+        ("config", "checkpoint_every", 2.5), ("config", "checkpoint_every", True),
+        ("config", "eval_every_task", "false"), ("config", "with_stl", "no"),
+        ("hyper", "lambda1", "0.1")])
+    def test_mistyped_entry_refused_by_name(self, section, key, value):
+        # json.load hands each of these over as it stands; none may be
+        # coerced to another run or fail inside numpy
+        values = ExperimentConfig().to_dict()
+        (values["hyper"] if section == "hyper" else values)[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            ExperimentConfig.from_dict(values)
+
 class TestCli:
     def test_happy_path(self, tmp_path, capsys):
         config = tiny_config(tmp_path)

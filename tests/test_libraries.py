@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelong.assignment import Assignment
-from lifelong.engine import EngineState, HyperParams, PerTaskRecord, load_state, save_state
+from lifelong.engine import (EngineState, HyperParams, PerTaskRecord, load_state,
+                             pack_pairs, save_state, unpack_pairs)
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
                                 _cholesky_in_place, _decoder_terms,
                                 _lower_inverse, _substitute, _system_buffer,
                                 admit_representative, bump_tasks_seen,
-                                init_libraries, library_to_dict, pack_pairs,
-                                unpack_pairs, update_decoder, update_encoder)
+                                init_libraries, update_decoder, update_encoder)
 
 from oracles import decoder_statistics, full_from_pairs, in_basis, pair_blocks
 
@@ -422,8 +422,7 @@ class TestDecoderContribution:
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         lib = update_decoder(init_libraries(d, p, seed=0), s, omega, reps, lambda2=0.3, w_t=w)
         r = lib.basis.shape[1]
-        _, arrays = library_to_dict(lib, ModelLibrary())
-        assert arrays["acc_A"].shape == (r * (r + 1) // 2, d * (d + 1) // 2)
+        assert pack_pairs(lib.acc_A_pairs).shape == (r * (r + 1) // 2, d * (d + 1) // 2)
 
 
 class TestEncoderUpdate:
@@ -562,7 +561,7 @@ class TestCheckpoint:
             broken[0, 1] = -0.0
             flib = dataclasses.replace(flib, acc_C=broken)
         with pytest.raises(ValueError, match="not symmetric bit for bit"):
-            library_to_dict(flib, ModelLibrary())
+            pack_pairs(flib.acc_A_pairs if name == "acc_A" else flib.acc_C[None])
 
 
 def kron_pairs(rng, p, d, terms=3):
