@@ -1,9 +1,10 @@
-"""Soft assignment of a task to representative models plus a virtual
-outlier slot.
+"""Assignment of a task to representative models plus a virtual outlier
+slot.
 
-The assignment minimises a linear cost over the probability simplex (an
-l1 term would be constant there), exactly, by the vertex of the cheapest
-slot.  The cost of the virtual slot is the outlier weight derived from the
+The paper soft-assigns a task over the simplex, but its cost is linear
+there (an l1 term would be constant), so the exact minimiser is the vertex
+of the cheapest slot: the assignment is a hard one, held as that slot's
+index.  The cost of the virtual slot is the outlier weight derived from the
 ratio of the nearest representative distance to the total distance.
 """
 
@@ -19,33 +20,22 @@ OUTLIER_WEIGHT_CAP = 1e6
 
 @dataclass(frozen=True)
 class Assignment:
-    """Simplex weights over the known representatives plus the outlier slot."""
+    """The chosen `slot` of `slots`: the known representatives in order,
+    then the outlier slot, last."""
 
-    z: np.ndarray
+    slot: int
+    slots: int
     admm_iters: ClassVar[int] = 0   # read by the benchmark tracer; see solve_assignment
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if z.ndim != 1 or z.size < 1:
-            raise ValueError("assignment must be a non-empty vector")
-        if z.min() < -1e-8 or z.max() > 1 + 1e-8:
-            raise ValueError("assignment entries must lie in [0, 1]")
-        if abs(z.sum() - 1.0) > 1e-6:
-            raise ValueError("assignment entries must sum to 1")
-        object.__setattr__(self, "z", z)
-
-    @property
-    def outlier_probability(self) -> float:
-        return float(self.z[-1])
-
-    @property
-    def argmax_slot(self) -> int:
-        return int(np.argmax(self.z))
+        # a bool is no index, and a numpy integer is no JSON checkpoint entry
+        if type(self.slot) is not int or type(self.slots) is not int or not (
+                0 <= self.slot < self.slots):
+            raise ValueError(f"slot {self.slot!r} is not an int index into {self.slots!r} slots")
 
     @property
     def picks_outlier(self) -> bool:
-        # ties resolve to the first maximal slot, i.e. away from the outlier
-        return self.argmax_slot == self.z.size - 1
+        return self.slot == self.slots - 1
 
 
 def representative_distances(decoder: np.ndarray, s_t: np.ndarray,
@@ -88,8 +78,9 @@ def outlier_weight(distances: np.ndarray, gamma: float = 1.0) -> float:
 
 def solve_assignment(distances: np.ndarray, d0: float, lambda2: float,
                      max_iter: int = 1) -> Assignment:
-    """Minimise lambda2 * <[distances, d0], z> over the simplex exactly: all
-    mass on the cheapest slot, ties to the lowest index (slot 0 at lambda2 = 0).
+    """Minimise lambda2 * <[distances, d0], z> over the simplex exactly: the
+    vertex of the cheapest slot, ties to the lowest index (slot 0 at
+    lambda2 = 0).
 
     `max_iter` is ignored; it stays for the benchmark tracer
     (perfbench/instrument.py), which binds it and reads `admm_iters`.
@@ -99,6 +90,5 @@ def solve_assignment(distances: np.ndarray, d0: float, lambda2: float,
         raise ValueError("costs must be >= 0")
     if lambda2 < 0:
         raise ValueError("lambda2 must be >= 0")
-    z = np.zeros(cost.size)
-    z[np.argmin(lambda2 * cost) if lambda2 > 0 else 0] = 1.0
-    return Assignment(z=z)
+    return Assignment(slot=int(np.argmin(lambda2 * cost)) if lambda2 > 0 else 0,
+                      slots=cost.size)

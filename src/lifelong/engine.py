@@ -157,9 +157,8 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
 
     code, assignment, trace, rounds, rep_hessians, dists, d0 = _alternate(
         state, data, w, omega, decoder, enc_image)
-    # zip drops the outlier slot, the last entry of z
-    reps_used = tuple((rep.code, H, float(z_k)) for rep, H, z_k
-                      in zip(state.mlib.reps, rep_hessians, assignment.z))
+    reps_used = () if assignment.picks_outlier else (
+        (state.mlib.reps[assignment.slot].code, rep_hessians[assignment.slot], 1.0),)
 
     flib = update_decoder(flib, code, omega, reps_used, hp.lambda2, w, hp.mu)
     flib = update_encoder(flib, code, w, phi_inv, hp.mu)
@@ -216,15 +215,15 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
         rep_hessians = [hessian_at(data, decoder @ s_k) for s_k in codes]
     dist_pairs = list(zip(codes, rep_hessians))
 
-    z = np.full(K + 1, 1.0 / (K + 1))
-    assignment = Assignment(z=z)
+    weights = np.full(K, 1.0 / (K + 1))   # round 1: uniform over the K + 1 slots
+    assignment = Assignment(slot=K, slots=K + 1)   # with K = 0, the outlier slot
     dists: np.ndarray = np.zeros(0)
     d0 = float("nan")
     trace: list[float] = []
     slots: list[int] = []
     while True:
         reps = tuple(
-            Representative(code=codes[k], omega=rep_hessians[k], weight=float(z[k]))
+            Representative(code=codes[k], omega=rep_hessians[k], weight=float(weights[k]))
             for k in range(K))
         prob = CodeProblem(w=w, omega=omega, decoder=decoder, encoder_image=enc_image,
                            reps=reps, lambda1=hp.lambda1, lambda2=hp.lambda2)
@@ -242,9 +241,9 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
             d0 = (hp.gamma * float(np.log(2.0)) if K == 1 and dists.sum() != 0.0
                   else outlier_weight(dists, hp.gamma))
         assignment = solve_assignment(dists, d0, hp.lambda2)
-        z = assignment.z
-        trace.append(base + hp.lambda2 * (float(dists @ z[:K]) + float(z[K]) * d0))
-        slot = assignment.argmax_slot
+        slot = assignment.slot
+        weights = (np.arange(K) == slot).astype(float)
+        trace.append(base + hp.lambda2 * float(dists[slot] if slot < K else d0))
         if hp.lambda2 == 0.0 or (slots and slot == slots[-1]):
             break
         if slot in slots:
@@ -302,8 +301,8 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
     return ids, cols
 
 
-# checkpoint i/o.  Version 6 is two files: a JSON document of the
-# checkpoint's integers and strings (its d, p, basis rank r and counts) and,
+# checkpoint i/o.  Version 7 is two files: a JSON document of the
+# checkpoint's integers and strings (its d, p, basis rank r, counts and slots) and,
 # beside it, a data file of every float64 array as raw little-endian bytes,
 # one after another in a fixed order with no header.  `_checked_layout`
 # gives that order, and every shape in it follows from d, p, r and the
@@ -320,7 +319,7 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 # "acc_A" and "acc_b" are in the coordinates of "basis", the p x r
 # orthonormal Q; a basis that is not orthonormal to round-off is refused.
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                (int, float): "a number"}
@@ -366,10 +365,10 @@ _ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
 def _checked_layout(payload: dict) -> list[tuple[str, tuple[int, ...]]]:
     """The names and shapes, in order, of the arrays in the data file of
     the checkpoint document `payload`: the libraries', then the per-task
-    codes and w stacked, then the per-task z concatenated.  Refuses, by
-    name, an entry they depend on that is missing or of the wrong type, a
-    d or p below 1, an r outside 0..p, an unknown loss and a slot count
-    outside 1..K + 1 for K representatives."""
+    codes and w stacked.  Refuses, by name, an entry they depend on that is
+    missing or of the wrong type, a d or p below 1, an r outside 0..p, an
+    unknown loss, a slot count outside 1..K + 1 for K representatives and
+    a slot outside 0..slots - 1."""
     d, p, r = (entry(payload, key, int, key) for key in ("d", "p", "r"))
     for key, value in (("d", d), ("p", p)):
         if value < 1:
@@ -384,7 +383,6 @@ def _checked_layout(payload: dict) -> list[tuple[str, tuple[int, ...]]]:
         entry(item, "admitted_at", int, f"representatives[{i}].admitted_at")
     slots = len(reps) + 1
     per_task = entry(payload, "per_task", dict, "per_task")
-    total = 0
     for tid in per_task:
         key = f"per_task[{tid!r}]"
         rec = entry(per_task, tid, dict, key)
@@ -395,12 +393,14 @@ def _checked_layout(payload: dict) -> list[tuple[str, tuple[int, ...]]]:
         if not 1 <= n <= slots:
             raise ValueError(f"checkpoint entry {key + '.slots'!r}: {n}, expected 1 to "
                              f"{slots} from the checkpoint's representatives")
-        total += n
+        if not 0 <= entry(rec, "slot", int, f"{key}.slot") < n:
+            raise ValueError(f"checkpoint entry {key + '.slot'!r}: {rec['slot']}, expected "
+                             f"0 to slots - 1 = {n - 1}")
     tri = d * (d + 1) // 2
     return [("decoder", (d, p)), ("encoder", (p, d)), ("basis", (p, r)), ("acc_b", (d * r,)),
             ("acc_M", (p, d)), ("acc_A", (r * (r + 1) // 2, tri)), ("acc_C", (1, tri)),
             ("representatives.code", (len(reps), p)), ("per_task.code", (len(per_task), p)),
-            ("per_task.w", (len(per_task), d)), ("per_task.z", (total,))]
+            ("per_task.w", (len(per_task), d))]
 
 
 def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
@@ -417,7 +417,8 @@ def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
                             for r in mlib.reps],
         "seed": state.seed,
         "hyper": dataclasses.asdict(state.hyper),
-        "per_task": {tid: {"loss_kind": rec.loss_kind, "slots": rec.assignment.z.size}
+        "per_task": {tid: {"loss_kind": rec.loss_kind, "slots": rec.assignment.slots,
+                           "slot": rec.assignment.slot}
                      for tid, rec in state.per_task.items()},
     }
     arrays = {
@@ -431,7 +432,6 @@ def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
         "representatives.code": np.reshape([r.code for r in mlib.reps], (len(mlib), flib.p)),
         "per_task.code": [rec.code for rec in records],
         "per_task.w": [rec.w for rec in records],
-        "per_task.z": [z for rec in records for z in rec.assignment.z],
     }
     pieces = [np.ascontiguousarray(np.reshape(arrays[name], shape), dtype="<f8")
               for name, shape in _checked_layout(payload)]
@@ -466,19 +466,19 @@ def _replace(path: Path, pieces) -> None:
 
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table,
-    in two files (format version 6; see the codec notes above).
+    in two files (format version 7; see the codec notes above).
 
     `path` must end in `.json`, and ValueError, naming it, refuses any
     other: its stem then names one checkpoint, whose data files no save to
     another path removes.  `path` gets a JSON document, byte for byte
-    `json.dumps` of the checkpoint's integers and strings, which is ASCII,
-    and the SHA-256 of the data.  Beside it, `<stem>.<first 16 hex digits
-    of that digest>.bin` gets every float64 array as raw little-endian
-    bytes: the decoder, encoder, basis, acc_b and acc_M, the packed pair
-    blocks of acc_A and acc_C, the representative codes stacked, the
-    per-task codes and w stacked, and the per-task z concatenated.  The two
-    files are moved together.  The name follows from the content, so two
-    saves of one state write the same bytes.  Each file is written to a
+    `json.dumps` of the checkpoint's integers and strings, each task's
+    assignment slot among them, which is ASCII, and the SHA-256 of the
+    data.  Beside it, `<stem>.<first 16 hex digits of that digest>.bin`
+    gets every float64 array as raw little-endian bytes: the decoder,
+    encoder, basis, acc_b and acc_M, the packed pair blocks of acc_A and
+    acc_C, the representative codes stacked, and the per-task codes and w
+    stacked.  The two files are moved together.  The name follows from the
+    content, so two saves of one state write the same bytes.  Each file is written to a
     dot-prefixed temp file, synced to disk and moved into place with
     `os.replace`, the data file first; only then are older data files of
     `path`'s stem removed, so a write that fails part-way leaves the
@@ -549,17 +549,18 @@ def _hyper_from_checkpoint(values: dict) -> HyperParams:
 
 def load_state(path) -> EngineState:
     """The state `save_state` wrote.  ValueError, naming the file, refuses
-    any version but 6, among them 1 (nested lists), 2 (arrays in full), 3
-    (identity basis), 4 (all p(p+1)/2 pairs) and 5 (one JSON file of
-    base64); an entry that is missing or of the wrong type (integers must
-    be JSON integers), a `hyper` key that is not a field of HyperParams, a
-    per-task entry with an unknown loss, and a `tasks_seen` or `hyper.p`
-    other than the per-task count or p.  The data file's name comes from
-    `path`'s stem and the stored digest, never from the document.  It is
-    refused, by name, when it is missing, when its size is not what the
-    arrays' shapes need (they follow from d, p, r and the counts) or when
-    its SHA-256 differs.  So are an array that is not finite and a basis
-    that is not orthonormal to round-off."""
+    any version but 7, among them 1 (nested lists), 2 (arrays in full), 3
+    (identity basis), 4 (all p(p+1)/2 pairs), 5 (one JSON file of base64)
+    and 6 (per-task simplex vectors); an entry that is missing or of the
+    wrong type (integers must be JSON integers), a `hyper` key that is not
+    a field of HyperParams, a per-task entry with an unknown loss or a slot
+    outside 0..slots - 1, and a `tasks_seen` or `hyper.p` other than the
+    per-task count or p.  The data file's name comes from `path`'s stem and
+    the stored digest, never from the document.  It is refused, by name,
+    when it is missing, when its size is not what the arrays' shapes need
+    (they follow from d, p, r and the counts) or when its SHA-256 differs.
+    So are an array that is not finite and a basis that is not orthonormal
+    to round-off."""
     path = Path(path)
     try:
         return _load_state(path)
@@ -611,12 +612,11 @@ def _load_state(path: Path) -> EngineState:
         code.setflags(write=False)
         reps.append(RepresentativeRecord(code=code, source_task=item["source_task"],
                                          admitted_at=item["admitted_at"]))
-    zs = np.split(arrays["per_task.z"],
-                  np.cumsum([rec["slots"] for rec in per_task.values()], dtype=int)[:-1])
     records = {
-        tid: PerTaskRecord(code=code, assignment=Assignment(z=z), w=w,
-                           loss_kind=rec["loss_kind"])
-        for (tid, rec), code, w, z in zip(per_task.items(), arrays["per_task.code"],
-                                           arrays["per_task.w"], zs)}
+        tid: PerTaskRecord(code=code, assignment=Assignment(slot=rec["slot"],
+                                                            slots=rec["slots"]),
+                           w=w, loss_kind=rec["loss_kind"])
+        for (tid, rec), code, w in zip(per_task.items(), arrays["per_task.code"],
+                                       arrays["per_task.w"])}
     return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=ModelLibrary(reps=tuple(reps)),
                        per_task=records)

@@ -11,6 +11,7 @@ import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from inspect import signature
 from pathlib import Path
 from typing import ClassVar
 
@@ -28,6 +29,10 @@ TASK_ORDERS = ("random", "as_listed", "one_by_one_clusters")
 # calibrated so the independent baseline sits at its literature level on
 # the standardised synthetic benchmark
 STL_RIDGE = 4.0
+
+# the JSON type of each generate_disjoint parameter a config sets (the run sets the seed)
+DISJOINT_KINDS = {name: type(arg.default) for name, arg in
+                  signature(generate_disjoint).parameters.items() if name != "seed"}
 
 
 def drop_retired(settings: dict, retired: dict) -> dict:
@@ -87,8 +92,15 @@ class ExperimentConfig:
             raise ValueError(f"seeds are not unique: {repeated}")
         if self.task_order not in TASK_ORDERS:
             raise ValueError(f"task_order must be one of {TASK_ORDERS}")
-        if self.dataset.get("type") not in ("disjoint", "corpus"):
+        kind = self.dataset.get("type")
+        if kind not in ("disjoint", "corpus"):
             raise ValueError("dataset type must be 'disjoint' or 'corpus'")
+        kinds = {"path": str} if kind == "corpus" else DISJOINT_KINDS
+        for name in sorted(self.dataset.keys() - {"type"} | kinds.keys() & {"path"}):
+            want, value = kinds.get(name, ()), self.dataset.get(name)
+            if type(value) is bool or not isinstance(value, (int, float) if want is float else want):
+                raise ValueError(f"dataset entry {name!r} = {value!r}: a {kind} dataset takes "
+                                 + ", ".join(f"{k} ({t.__name__})" for k, t in kinds.items()))
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0 (0 turns periodic "
                              f"checkpoints off), got {self.checkpoint_every}")

@@ -411,10 +411,10 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
                          t: int) -> tuple[ModelLibrary, bool]:
     """Append s_t as a new representative when the outlier slot wins.
 
-    The first task seeds the library.  Ties on the argmax break toward not
-    admitting.  A code with no nonzero entry is never admitted, not even
-    the first: the zero vector reconstructs no model, yet later arrivals
-    would sit at distance 0 from it.
+    The first task seeds the library.  A cost tie goes to the lower slot
+    and does not admit.  A code with no nonzero entry is never admitted, not
+    even the first: the zero vector reconstructs no model, yet later
+    arrivals would sit at distance 0 from it.
     """
     admitted = assignment.picks_outlier and bool(np.any(s_t))
     if not admitted:

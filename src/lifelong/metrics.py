@@ -114,36 +114,33 @@ def within_between_gap(corr: np.ndarray, labels: np.ndarray) -> float:
 class TimelineRow:
     index: int
     task_id: str
-    z: np.ndarray
+    slot: int
+    slots: int
     admitted: bool
-
-    @property
-    def argmax_slot(self) -> int:
-        return int(np.argmax(self.z))
 
 
 def representative_timeline(outcomes: Sequence) -> list[TimelineRow]:
-    """Per-task assignment vectors with the admission marker.
+    """Per-task assignment slots with the admission marker.
 
     `outcomes` are engine TaskOutcome records (anything with .task_id,
     .assignment and .admitted works).
     """
     rows = []
     for i, out in enumerate(outcomes, start=1):
-        rows.append(TimelineRow(index=i, task_id=out.task_id,
-                                z=np.asarray(out.assignment.z, dtype=float),
-                                admitted=bool(out.admitted)))
+        rows.append(TimelineRow(index=i, task_id=out.task_id, slot=out.assignment.slot,
+                                slots=out.assignment.slots, admitted=bool(out.admitted)))
     return rows
 
 
 def timeline_to_csv(rows: Sequence[TimelineRow]) -> str:
-    """CSV with one row per task; slots that did not exist yet are `absent`."""
-    width = max((row.z.size for row in rows), default=0)
+    """CSV with one row per task; its `z<j>` cells are 1.0 at its slot, 0.0
+    at the others, and `absent` for slots that did not exist yet."""
+    width = max((row.slots for row in rows), default=0)
     header = ["index", "task_id", "admitted", "argmax_slot"] + [f"z{j}" for j in range(width)]
     lines = [",".join(header)]
     for row in rows:
-        cells = [str(row.index), row.task_id, str(int(row.admitted)), str(row.argmax_slot)]
-        cells += [repr(float(v)) for v in row.z]
-        cells += [ABSENT] * (width - row.z.size)
+        cells = [str(row.index), row.task_id, str(int(row.admitted)), str(row.slot)]
+        cells += [repr(float(j == row.slot)) for j in range(row.slots)]
+        cells += [ABSENT] * (width - row.slots)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ class Representative:
 
     code: np.ndarray          # p
     omega: np.ndarray         # d x d PSD, half-Hessian at the reconstructed point
-    weight: float = 0.0       # assignment weight z_k in [0, 1]
+    weight: float = 0.0       # 1/(K + 1) in round 1, then 1 at the chosen slot, else 0
 
 
 @dataclass(frozen=True)

@@ -206,10 +206,12 @@ class TestCriterion6:
             cost = np.append(dists, d0)
             z_star, val_star = grid_search_assignment(cost, lam2, alpha,
                                                       resolutions[K])
-            val = lam2 * float(a.z @ cost) + alpha * float(np.abs(a.z).sum())
-            worst_coord = max(worst_coord, float(np.abs(a.z - z_star).max()))
+            # the closed form's vertex, as the simplex point the oracle compares
+            z = np.eye(K + 1)[a.slot]
+            assert a.slots == K + 1
+            val = lam2 * float(z @ cost) + alpha * float(np.abs(z).sum())
+            worst_coord = max(worst_coord, float(np.abs(z - z_star).max()))
             worst_obj = max(worst_obj, val - val_star)
-            assert a.z.min() >= -1e-6 and abs(a.z.sum() - 1) <= 1e-6
         ok = worst_coord <= 2e-3 and worst_obj <= 1e-4
         _report("criterion 6", ok,
                 f"200 instances: max coord err {worst_coord:.2e} (<= 2e-3), "

@@ -77,17 +77,18 @@ def stream(state, tasks):
 def replay_arrival(before, after, task):
     """The arrival of `task`, which took `before` to `after`, as the
     (s, w, omega, reps) that `oracles.decoder_statistics` re-sums: omega
-    from a fresh single-task fit, s, w and the assignment z from the task's
-    record in `after`, and each representative of `before` with its weight
-    z_k and its Hessian, which is omega for squared loss and otherwise the
-    task's Hessian at the arrival-time decoder's model D s_k."""
+    from a fresh single-task fit, s, w and the assignment slot from the
+    task's record in `after`, and each representative of `before` with its
+    weight z_k, 1 at that slot and 0 elsewhere, and its Hessian, which is
+    omega for squared loss and otherwise the task's Hessian at the
+    arrival-time decoder's model D s_k."""
     record = after.per_task[task.task_id]
     omega = fit_single_task(task, after.hyper.ridge).omega
     codes = before.mlib.codes()
     hessians = ([omega] * len(codes) if task.loss_kind == "squared"
                 else [hessian_at(task, before.flib.decoder @ s_k) for s_k in codes])
-    return (record.code, record.w, omega,
-            list(zip(codes, hessians, record.assignment.z)))
+    z = np.eye(record.assignment.slots)[record.assignment.slot]
+    return (record.code, record.w, omega, list(zip(codes, hessians, z)))
 
 
 class TestSingleTask:
@@ -180,7 +181,7 @@ class TestAlternation:
             slack = 1e-7 * np.maximum(1.0, np.abs(trace[:-1]))
             assert np.all(np.diff(trace) <= slack), out.task_id
             # no slot is visited twice: K + 1 slots, then the repeat
-            K = out.assignment.z.size - 1
+            K = out.assignment.slots - 1
             assert out.rounds <= K + 2, out.task_id
 
     def test_duplicate_task_converges_fast_no_new_rep(self):
@@ -200,9 +201,7 @@ class TestAlternation:
         picks = iter(slots)
 
         def solve(distances, d0, lambda2):
-            z = np.zeros(len(distances) + 1)
-            z[next(picks)] = 1.0
-            return engine.Assignment(z=z)
+            return engine.Assignment(slot=next(picks), slots=len(distances) + 1)
 
         monkeypatch.setattr(engine, "solve_assignment", solve)
 
@@ -219,7 +218,7 @@ class TestAlternation:
         self.scripted_slots(monkeypatch, [1, 0, 0])
         _, out = learn_task(state, train.tasks[1])
         assert out.rounds == 3
-        np.testing.assert_array_equal(out.assignment.z, [1.0, 0.0])
+        assert out.assignment == engine.Assignment(slot=0, slots=2)
 
     def test_exactly_represented_task_traces_finite_objective(self, monkeypatch):
         # the code block returns representative 0's code, at distance 0
@@ -235,7 +234,7 @@ class TestAlternation:
         assert out.outlier_cost == OUTLIER_WEIGHT_CAP
         trace = np.array(out.objective_trace)
         assert np.isfinite(trace).all() and np.all(np.diff(trace) <= 0)
-        np.testing.assert_array_equal(out.assignment.z, [1.0, 0.0, 0.0])
+        assert out.assignment == engine.Assignment(slot=0, slots=3)
 
     def test_representative_count_non_decreasing(self):
         train, _ = small_corpus(clusters=3, tasks_per_cluster=3, d=12)
@@ -287,7 +286,7 @@ class TestAblationPath:
         hp = small_hyper(lambda2=0.0)
         state, outcomes = stream(init_state(hp, seed=0), train.tasks)
         for out in outcomes[1:]:
-            np.testing.assert_array_equal(out.assignment.z, [1.0, 0.0])
+            assert out.assignment == engine.Assignment(slot=0, slots=2)
             assert out.rounds == 1
             assert len(out.distances) == 1 and np.isfinite(out.outlier_cost)
 
@@ -466,14 +465,13 @@ def copy_checkpoint(src, dst):
 
 
 def data_bytes(state):
-    """8 (r(r+1)/2 d(d+1)/2 + d(d+1)/2 + 3dp + pr + dr + Kp + T(p + d) + sum
-    of the slots): the data file's size for `state`."""
+    """8 (r(r+1)/2 d(d+1)/2 + d(d+1)/2 + 3dp + pr + dr + Kp + T(p + d)): the
+    data file's size for `state`."""
     flib = state.flib
     d, p, r = flib.d, flib.p, flib.basis.shape[1]
     tri = d * (d + 1) // 2
-    slots = sum(rec.assignment.z.size for rec in state.per_task.values())
     return 8 * (r * (r + 1) // 2 * tri + tri + 3 * d * p + p * r + d * r + len(state.mlib) * p
-                + state.n_tasks * (p + d) + slots)
+                + state.n_tasks * (p + d))
 
 
 def version_5_document(state):
@@ -501,7 +499,8 @@ def version_5_document(state):
         "representatives": [{"code": array(r.code), "source_task": r.source_task,
                              "admitted_at": r.admitted_at} for r in state.mlib.reps],
         "seed": state.seed, "hyper": dataclasses.asdict(state.hyper),
-        "per_task": {tid: {"code": array(rec.code), "z": array(rec.assignment.z),
+        "per_task": {tid: {"code": array(rec.code),
+                           "z": array(np.eye(rec.assignment.slots)[rec.assignment.slot]),
                            "w": array(rec.w), "loss_kind": rec.loss_kind}
                      for tid, rec in state.per_task.items()},
     }
@@ -669,13 +668,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: data file {str(data)!r}")):
             load_state(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 4, 5, 6])
     def test_retired_version_refused(self, tmp_path, version):
         # version 1 had no version key and stored arrays as nested lists,
         # version 2 stored every array in full, both without a basis,
         # version 4 held the statistics over all p(p+1)/2 pairs and dp
-        # entries, zero past the basis rank r, and version 5 was one JSON
-        # document with every array as base64 text; none is read
+        # entries, zero past the basis rank r, version 5 was one JSON
+        # document with every array as base64 text, and version 6 held each
+        # task's simplex vector z in the data file and no slot in the
+        # document; none is read
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         payload = version_5_document(state)
@@ -686,7 +687,13 @@ class TestCheckpoint:
         acc_A[:r * d, :r * d] = full_from_pairs(flib.acc_A_pairs, r)
         acc_b = np.zeros(p * d)
         acc_b[:r * d] = flib.acc_b_coords
-        if version == 4:
+        if version == 6:
+            save_state(state, tmp_path / "v7.json")
+            payload = json.loads((tmp_path / "v7.json").read_text())
+            for rec in payload["per_task"].values():
+                del rec["slot"]
+            payload["version"] = 6
+        elif version == 4:
             # pair blocks in np.triu_indices(p) order, each packed
             ia, ja = np.triu_indices(d)
             packed = np.stack([acc_A[i * d:(i + 1) * d, j * d:(j + 1) * d][ia, ja]
@@ -712,13 +719,16 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(payload))
         message = (f"{path}: checkpoint version {version} is not readable; "
-                   f"readable versions are [6]")
+                   f"readable versions are [7]")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(path)
-        # read past the version, none has the basis rank that sizes the data
-        payload["version"] = 6
+        # read past the version, versions 1-5 have no basis rank to size the
+        # data, and version 6 has no slot
+        payload["version"] = CHECKPOINT_VERSION
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint entry 'r' is missing")):
+        missing = f"per_task[{next(iter(payload['per_task']))!r}].slot" if version == 6 else "r"
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: checkpoint entry {missing!r} is missing")):
             load_state(path)
 
     def test_acc_C_in_full_refused(self, tmp_path):
@@ -771,10 +781,10 @@ class TestCheckpoint:
     def test_version_3_checkpoint_refused(self):
         # written while the statistics were held in the identity basis with
         # no "basis" entry, by saving the first 4 tasks of small_corpus()
-        # under small_hyper() and seed 0; version 6 alone is read
+        # under small_hyper() and seed 0; version 7 alone is read
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         assert json.loads(old.read_text())["version"] == 3
-        message = f"{old}: checkpoint version 3 is not readable; readable versions are [6]"
+        message = f"{old}: checkpoint version 3 is not readable; readable versions are [7]"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(old)
 
@@ -831,7 +841,7 @@ class TestCheckpoint:
             load_state(path)
 
     @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "representatives[0].code",
-                                     "per_task.w", "per_task.code", "per_task.z",
+                                     "per_task.w", "per_task.code", "per_task.slots",
                                      "per_task.loss_kind"])
     def test_shape_disagreeing_with_d_and_p_named(self, tmp_path, key):
         # every shape follows from d, p, r and the counts: an array with an
@@ -851,8 +861,8 @@ class TestCheckpoint:
             assert payload["r"] < flib.p
             payload["r"] += 1
             path.write_text(json.dumps(payload))
-        elif key in ("per_task.z", "per_task.loss_kind"):
-            if key == "per_task.z":
+        elif key in ("per_task.slots", "per_task.loss_kind"):
+            if key == "per_task.slots":
                 entry["slots"] = len(state.mlib) + 2
             else:
                 entry["loss_kind"] = "bogus"
@@ -862,8 +872,8 @@ class TestCheckpoint:
             grown = np.append(arrays[name], 0.0)
             arrays[name] = grown[:-2] if key == "per_task.code" else grown
             data = write_checkpoint(path, payload, arrays)
-        if key in ("per_task.z", "per_task.loss_kind"):
-            match = repr(f"per_task[{tid!r}]" + (".slots" if key == "per_task.z" else ".loss_kind"))
+        if key in ("per_task.slots", "per_task.loss_kind"):
+            match = repr(f"per_task[{tid!r}]" + key[len("per_task"):])
         else:
             match = f"data file {str(data)!r} holds"
         with pytest.raises(ValueError, match=re.escape(match)):
@@ -927,7 +937,7 @@ class TestCheckpoint:
         resumed, tail = stream(load_state(path), tasks[save_at:])
         for ours, theirs in zip(tail, outcomes[save_at:]):
             assert ours.code.tobytes() == theirs.code.tobytes()
-            assert ours.assignment.z.tobytes() == theirs.assignment.z.tobytes()
+            assert ours.assignment == theirs.assignment
             assert ours.admitted == theirs.admitted
         for name in ("decoder", "encoder", "basis", "acc_A_pairs", "acc_b_coords"):
             assert getattr(resumed.flib, name).tobytes() == getattr(whole.flib, name).tobytes()
@@ -969,7 +979,7 @@ class TestCheckpoint:
         resumed, tail = stream(loaded, tasks[cut:])
         for ours, theirs in zip(tail, outcomes[cut:]):
             assert ours.code.tobytes() == theirs.code.tobytes()
-            assert ours.assignment.z.tobytes() == theirs.assignment.z.tobytes()
+            assert ours.assignment == theirs.assignment
         assert_same_state(resumed, state)
         X = np.random.default_rng(seed).normal(size=(d, 3))
         for task in tasks:
@@ -1005,7 +1015,7 @@ class TestCheckpoint:
         resumed, tail = stream(load_state(resume_path), tasks[resume_at:])
         for ours, theirs in zip(tail, outcomes[resume_at:]):
             assert ours.code.tobytes() == theirs.code.tobytes()
-            assert ours.assignment.z.tobytes() == theirs.assignment.z.tobytes()
+            assert ours.assignment == theirs.assignment
         save_state(resumed, resume_path)
         assert resume_path.read_bytes() == path.read_bytes()
         assert data_file(resume_path).read_bytes() == data_file(path).read_bytes()
@@ -1077,6 +1087,8 @@ class TestCheckpoint:
         "tasks_seen=2.0", "seed=null", "representatives={}", "representatives[0]=1",
         "representatives[0].admitted_at=1.5", "representatives[0].source_task=7",
         "per_task[tid].slots=1.0", "per_task[tid].slots=true", "per_task[tid].loss_kind=null",
+        "per_task[tid].slot", "per_task[tid].slot=1.0", "per_task[tid].slot=true",
+        "per_task[tid].slot=2",
         "hyper.p=5.0", "hyper.lambda1='0.5'", "hyper.phi=0", "sha256=7",
         "sha256='../escape'", "version=6.0", "document=[]"])
     def test_malformed_entry_refused(self, tmp_path, case):

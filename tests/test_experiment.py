@@ -121,6 +121,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ExperimentConfig.from_dict(values)
 
+    @pytest.mark.parametrize("dataset, name", [
+        ({"clusters": "2"}, "clusters"), ({"n_per_task": 12.0}, "n_per_task"),
+        ({"d": True, "clusters": 1}, "d"), ({"bogus": 1}, "bogus"), ({"seed": 3}, "seed"),
+        ({"type": "corpus"}, "path")])
+    def test_bad_dataset_entry_refused_by_name(self, dataset, name):
+        # a generate_disjoint parameter of another JSON type, an unknown
+        # one, the seed, which the run sets, and a corpus with no path are
+        # refused when the config loads, before a run writes anything
+        values = ExperimentConfig().to_dict()
+        values["dataset"] = {"type": "disjoint", **dataset}
+        with pytest.raises(ValueError, match=f"^dataset entry {re.escape(repr(name))}"):
+            ExperimentConfig.from_dict(values)
+
 class TestCli:
     def test_happy_path(self, tmp_path, capsys):
         config = tiny_config(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong.assignment import Assignment
+from lifelong.assignment import Assignment, solve_assignment
 from lifelong.engine import (EngineState, HyperParams, PerTaskRecord, load_state,
                              pack_pairs, save_state, unpack_pairs)
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
@@ -470,7 +470,7 @@ class TestEncoderUpdate:
 class TestAdmission:
     def test_outlier_argmax_admits(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([0.1, 0.2, 0.7]))
+        a = Assignment(slot=2, slots=3)
         new, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=5)
         assert admitted and len(new) == 1
         assert new.reps[0].source_task == "t1"
@@ -478,34 +478,35 @@ class TestAdmission:
 
     def test_non_outlier_argmax_skips(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([0.6, 0.1, 0.3]))
+        a = Assignment(slot=0, slots=3)
         new, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=5)
         assert not admitted and len(new) == 0
 
     def test_first_task_always_admits(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([1.0]))
+        a = Assignment(slot=0, slots=1)
         new, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=1)
         assert admitted and len(new) == 1
 
     def test_tie_breaks_toward_not_admitting(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([0.5, 0.5]))
+        # the representative and the outlier slot cost the same
+        a = solve_assignment(np.array([0.5]), 0.5, lambda2=1.0)
         _, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=3)
         assert not admitted
 
-    @pytest.mark.parametrize("t, z", [(1, [1.0]), (5, [0.1, 0.2, 0.7])])
+    @pytest.mark.parametrize("t, z", [(1, Assignment(slot=0, slots=1)),
+                                      (5, Assignment(slot=2, slots=3))])
     def test_zero_code_never_admitted(self, t, z):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array(z))
-        new, admitted = admit_representative(mlib, np.zeros(2), a, "t1", t=t)
+        new, admitted = admit_representative(mlib, np.zeros(2), z, "t1", t=t)
         assert not admitted and len(new) == 0
-        new, admitted = admit_representative(mlib, np.array([0.0, -1e-300]), a, "t1", t=t)
+        new, admitted = admit_representative(mlib, np.array([0.0, -1e-300]), z, "t1", t=t)
         assert admitted and len(new) == 1
 
     def test_codes_are_frozen(self):
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([1.0]))
+        a = Assignment(slot=0, slots=1)
         src = np.array([1.0, 2.0])
         new, _ = admit_representative(mlib, src, a, "t1", t=1)
         src[0] = 99.0   # caller-side mutation must not leak in
@@ -524,7 +525,7 @@ class TestCheckpoint:
             flib = update_encoder(flib, s, w, identity, ridge_mu=1e-6)
             flib = bump_tasks_seen(flib)
         mlib = ModelLibrary()
-        a = Assignment(z=np.array([1.0]))
+        a = Assignment(slot=0, slots=1)
         mlib, _ = admit_representative(mlib, rng.normal(size=p), a, "t0", t=1)
 
         # one per-task entry for each of the three refits, as learn_task keeps

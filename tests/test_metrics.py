@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelong.assignment import Assignment, solve_assignment
 from lifelong.datasets import generate_disjoint
 from lifelong.metrics import (ABSENT, MetricReport, accuracy, auc,
                               model_correlation_matrix, representative_timeline,
@@ -112,39 +113,52 @@ class TestCorrelationMatrix:
 
 
 class _FakeOutcome:
-    def __init__(self, task_id, z, admitted):
-        from lifelong.assignment import Assignment
+    def __init__(self, task_id, assignment, admitted):
         self.task_id = task_id
-        self.assignment = Assignment(z=np.asarray(z, float))
+        self.assignment = assignment
         self.admitted = admitted
 
 
 class TestTimeline:
     def test_single_row(self):
-        rows = representative_timeline([_FakeOutcome("t0", [1.0], True)])
+        rows = representative_timeline([_FakeOutcome("t0", Assignment(slot=0, slots=1), True)])
         assert len(rows) == 1
         assert rows[0].admitted
-        assert rows[0].argmax_slot == 0
+        assert (rows[0].slot, rows[0].slots) == (0, 1)
 
     def test_admitted_count_matches_final_k(self):
         outs = [
-            _FakeOutcome("t0", [1.0], True),
-            _FakeOutcome("t1", [0.8, 0.2], False),
-            _FakeOutcome("t2", [0.1, 0.9], True),
+            _FakeOutcome("t0", Assignment(slot=0, slots=1), True),
+            _FakeOutcome("t1", Assignment(slot=0, slots=2), False),
+            _FakeOutcome("t2", Assignment(slot=1, slots=2), True),
         ]
         rows = representative_timeline(outs)
         assert sum(r.admitted for r in rows) == 2
 
     def test_csv_pads_with_absent(self):
         outs = [
-            _FakeOutcome("t0", [1.0], True),
-            _FakeOutcome("t1", [0.3, 0.7], True),
+            _FakeOutcome("t0", Assignment(slot=0, slots=1), True),
+            _FakeOutcome("t1", Assignment(slot=1, slots=2), True),
         ]
         text = timeline_to_csv(representative_timeline(outs))
         lines = text.strip().split("\n")
         assert lines[0] == "index,task_id,admitted,argmax_slot,z0,z1"
         assert lines[1].endswith(ABSENT)
         assert ABSENT not in lines[2]
+
+    def test_csv_golden(self):
+        # the z<j> cells of a row are 1.0 at its slot and 0.0 at the other
+        # slots, then absent up to the widest row
+        outs = [_FakeOutcome(f"t{i}", solve_assignment(np.array(dists), d0, lambda2=1.0), admitted)
+                for i, (dists, d0, admitted) in enumerate([
+                    ([], 1.0, True), ([0.5], 0.2, True), ([0.3, 0.1], 0.2, False),
+                    ([0.1, 0.4], 0.2, False)])]
+        assert timeline_to_csv(representative_timeline(outs)) == (
+            "index,task_id,admitted,argmax_slot,z0,z1,z2\n"
+            "1,t0,1,0,1.0,absent,absent\n"
+            "2,t1,1,1,0.0,1.0,absent\n"
+            "3,t2,0,1,0.0,1.0,0.0\n"
+            "4,t3,0,0,1.0,0.0,0.0\n")
 
 
 class TestReports:
