@@ -10,8 +10,8 @@ from .engine import (EngineState, HyperParams, TaskOutcome, init_state,
                      learn_task, load_state, predict, predict_labels,
                      reconstruct_model, reconstructed_weights, save_state)
 from .experiment import ExperimentConfig, run_experiment
-from .libraries import (FeatureLibrary, ModelLibrary, admit_representative,
-                        init_libraries, update_decoder, update_encoder)
+from .libraries import (FeatureLibrary, admit_representative, init_libraries,
+                        update_decoder, update_encoder)
 from .metrics import (MetricReport, accuracy, auc, model_correlation_matrix,
                       representative_timeline, rmse)
 from .sparse_code import (CodeProblem, Representative, composite_objective,

@@ -31,9 +31,8 @@ import numpy as np
 
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
-from .libraries import (FeatureLibrary, ModelLibrary, RepresentativeRecord,
-                        _symmetric_bits, admit_representative, bump_tasks_seen,
-                        init_libraries, update_decoder, update_encoder)
+from .libraries import (FeatureLibrary, _symmetric_bits, admit_representative,
+                        bump_tasks_seen, init_libraries, update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, encode_task
 from .tasks import ConvergenceError, TaskData, fit_single_task, hessian_at
 
@@ -79,10 +78,13 @@ def activation_pair(name: str) -> tuple[Callable, Callable]:
 
 @dataclass(frozen=True)
 class PerTaskRecord:
-    """A learned task: exactly what its checkpoint entry stores."""
+    """A learned task: exactly what its checkpoint entry stores.  `code`
+    is read-only, since a representative's code is its task's; `slot` is
+    the assignment's, the outlier slot being the number of representatives
+    admitted before the task."""
 
     code: np.ndarray
-    assignment: Assignment
+    slot: int
     w: np.ndarray
     loss_kind: str
 
@@ -104,10 +106,14 @@ class TaskOutcome:
 
 @dataclass(frozen=True)
 class EngineState:
+    """The model library `mlib` is the representatives' task ids, in
+    admission order, each a key of `per_task`, the learned tasks in stream
+    order."""
+
     hyper: HyperParams
     seed: int
     flib: Optional[FeatureLibrary] = None
-    mlib: ModelLibrary = field(default_factory=ModelLibrary)
+    mlib: tuple[str, ...] = ()
     per_task: dict = field(default_factory=dict)
 
     @property
@@ -158,7 +164,7 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     code, assignment, trace, rounds, rep_hessians, dists, d0 = _alternate(
         state, data, w, omega, decoder, enc_image)
     reps_used = () if assignment.picks_outlier else (
-        (state.mlib.reps[assignment.slot].code, rep_hessians[assignment.slot], 1.0),)
+        (state.per_task[state.mlib[assignment.slot]].code, rep_hessians[assignment.slot], 1.0),)
 
     flib = update_decoder(flib, code, omega, reps_used, hp.lambda2, w, hp.mu)
     flib = update_encoder(flib, code, w, phi_inv, hp.mu)
@@ -166,11 +172,11 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     encoder_delta = float(np.linalg.norm(flib.encoder - prev_encoder))
     flib = bump_tasks_seen(flib)
 
-    mlib, admitted = admit_representative(state.mlib, code, assignment, data.task_id,
-                                          flib.tasks_seen)
+    mlib, admitted = admit_representative(state.mlib, code, assignment, data.task_id)
 
     per_task = dict(state.per_task)
-    per_task[data.task_id] = PerTaskRecord(code=code, assignment=assignment, w=w,
+    code.setflags(write=False)
+    per_task[data.task_id] = PerTaskRecord(code=code, slot=assignment.slot, w=w,
                                            loss_kind=data.loss_kind)
     outcome = TaskOutcome(
         task_id=data.task_id,
@@ -205,7 +211,7 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
     slot that does come back can only be round-off, and raises
     `ConvergenceError`."""
     hp = state.hyper
-    codes = state.mlib.codes()
+    codes = [state.per_task[tid].code for tid in state.mlib]
     K = len(codes)
 
     if data.loss_kind == "squared":
@@ -301,12 +307,17 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
     return ids, cols
 
 
-# checkpoint i/o.  Version 7 is two files: a JSON document of the
-# checkpoint's integers and strings (its d, p, basis rank r, counts and slots) and,
-# beside it, a data file of every float64 array as raw little-endian bytes,
-# one after another in a fixed order with no header.  `_checked_layout`
-# gives that order, and every shape in it follows from d, p, r and the
-# counts, so the document stores no layout.
+# checkpoint i/o.  Version 8 is two files: a JSON document of the
+# checkpoint's integers and strings (its d, basis rank r, seed, settings,
+# the representatives' task ids and each task's loss and slot) and, beside
+# it, a data file of every float64 array as raw little-endian bytes, one
+# after another in a fixed order with no header.  `_checked_layout` gives
+# that order, and every shape in it follows from d, hyper.p, r and the
+# number of tasks, so the document stores no layout.  Nor does it store
+# what follows from other entries: the tasks seen are the per-task
+# entries, p is hyper.p, a task's slot count is one more than the
+# representatives admitted before it, and a representative's code is its
+# task's.
 # The Kronecker-symmetric accumulators, sums of kron(W, H) with every W
 # (r x r) and H (d x d) symmetric, store only the (a <= b) triangle, in
 # np.triu_indices order, of each pair block i <= j, in the library's
@@ -319,7 +330,7 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 # "acc_A" and "acc_b" are in the coordinates of "basis", the p x r
 # orthonormal Q; a basis that is not orthonormal to round-off is refused.
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                (int, float): "a number"}
@@ -362,63 +373,67 @@ def unpack_pairs(packed: np.ndarray, d: int) -> np.ndarray:
 _ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
 
 
-def _checked_layout(payload: dict) -> list[tuple[str, tuple[int, ...]]]:
+def _checked_layout(payload: dict, p: int) -> list[tuple[str, tuple[int, ...]]]:
     """The names and shapes, in order, of the arrays in the data file of
-    the checkpoint document `payload`: the libraries', then the per-task
-    codes and w stacked.  Refuses, by name, an entry they depend on that is
-    missing or of the wrong type, a d or p below 1, an r outside 0..p, an
-    unknown loss, a slot count outside 1..K + 1 for K representatives and
-    a slot outside 0..slots - 1."""
-    d, p, r = (entry(payload, key, int, key) for key in ("d", "p", "r"))
-    for key, value in (("d", d), ("p", p)):
-        if value < 1:
-            raise ValueError(f"checkpoint entry {key!r}: {value}, expected at least 1")
+    the checkpoint document `payload` at code length `p`: the libraries',
+    then the per-task codes and w stacked.  Refuses, by name, an entry they
+    depend on that is missing or of the wrong type, a d below 1, an r
+    outside 0..p, an unknown loss, and representatives and slots that no
+    stream gives: a representative id that names no learned task, repeats,
+    breaks stream order or is not at its own index as its task's slot, and
+    a slot above the number of representatives admitted before its task."""
+    d, r = (entry(payload, key, int, key) for key in ("d", "r"))
+    if d < 1:
+        raise ValueError(f"checkpoint entry 'd': {d}, expected at least 1")
     if not 0 <= r <= p:
         raise ValueError(f"checkpoint entry 'r': {r}, expected 0 to p = {p}")
-    entry(payload, "tasks_seen", int, "tasks_seen")
     reps = entry(payload, "representatives", list, "representatives")
-    for i in range(len(reps)):
-        item = entry(reps, i, dict, f"representatives[{i}]")
-        entry(item, "source_task", str, f"representatives[{i}].source_task")
-        entry(item, "admitted_at", int, f"representatives[{i}].admitted_at")
-    slots = len(reps) + 1
     per_task = entry(payload, "per_task", dict, "per_task")
+    order = {tid: n for n, tid in enumerate(per_task)}
+    for i in range(len(reps)):
+        name = f"representatives[{i}]"
+        tid = entry(reps, i, str, name)
+        if tid not in order:
+            raise ValueError(f"checkpoint entry {name!r}: {tid!r} names no learned task")
+        # strictly in stream order, so no id repeats
+        if i and order[tid] <= order[reps[i - 1]]:
+            raise ValueError(f"checkpoint entry {name!r}: task {tid!r} is not learned after "
+                             f"representatives[{i - 1}], {reps[i - 1]!r}")
+    admitted = 0   # the representatives admitted before the task
     for tid in per_task:
         key = f"per_task[{tid!r}]"
         rec = entry(per_task, tid, dict, key)
         if entry(rec, "loss_kind", str, f"{key}.loss_kind") not in ("squared", "logistic"):
             raise ValueError(f"checkpoint entry {key + '.loss_kind'!r}: unknown loss "
                              f"{rec['loss_kind']!r}")
-        n = entry(rec, "slots", int, f"{key}.slots")
-        if not 1 <= n <= slots:
-            raise ValueError(f"checkpoint entry {key + '.slots'!r}: {n}, expected 1 to "
-                             f"{slots} from the checkpoint's representatives")
-        if not 0 <= entry(rec, "slot", int, f"{key}.slot") < n:
-            raise ValueError(f"checkpoint entry {key + '.slot'!r}: {rec['slot']}, expected "
-                             f"0 to slots - 1 = {n - 1}")
+        slot = entry(rec, "slot", int, f"{key}.slot")
+        if not 0 <= slot <= admitted:
+            raise ValueError(f"checkpoint entry {key + '.slot'!r}: {slot}, expected 0 to "
+                             f"{admitted}, the representatives admitted before the task")
+        if admitted < len(reps) and reps[admitted] == tid:
+            if slot != admitted:
+                raise ValueError(f"checkpoint entry 'representatives[{admitted}]': task "
+                                 f"{tid!r} is at slot {slot} in {key + '.slot'!r}, expected "
+                                 f"{admitted}")
+            admitted += 1
     tri = d * (d + 1) // 2
     return [("decoder", (d, p)), ("encoder", (p, d)), ("basis", (p, r)), ("acc_b", (d * r,)),
             ("acc_M", (p, d)), ("acc_A", (r * (r + 1) // 2, tri)), ("acc_C", (1, tri)),
-            ("representatives.code", (len(reps), p)), ("per_task.code", (len(per_task), p)),
-            ("per_task.w", (len(per_task), d))]
+            ("per_task.code", (len(per_task), p)), ("per_task.w", (len(per_task), d))]
 
 
 def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
     """The checkpoint's JSON document and the arrays of its data file, in
     order, as little-endian float64."""
-    flib, mlib, records = state.flib, state.mlib, state.per_task.values()
+    flib, records = state.flib, state.per_task.values()
     payload = {
         "version": CHECKPOINT_VERSION,
         "d": flib.d,
-        "p": flib.p,
         "r": flib.basis.shape[1],
-        "tasks_seen": flib.tasks_seen,
-        "representatives": [{"source_task": r.source_task, "admitted_at": r.admitted_at}
-                            for r in mlib.reps],
+        "representatives": list(state.mlib),
         "seed": state.seed,
         "hyper": dataclasses.asdict(state.hyper),
-        "per_task": {tid: {"loss_kind": rec.loss_kind, "slots": rec.assignment.slots,
-                           "slot": rec.assignment.slot}
+        "per_task": {tid: {"loss_kind": rec.loss_kind, "slot": rec.slot}
                      for tid, rec in state.per_task.items()},
     }
     arrays = {
@@ -429,12 +444,11 @@ def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
         "acc_M": flib.acc_M,
         "acc_A": pack_pairs(flib.acc_A_pairs),
         "acc_C": pack_pairs(flib.acc_C[None]),
-        "representatives.code": np.reshape([r.code for r in mlib.reps], (len(mlib), flib.p)),
         "per_task.code": [rec.code for rec in records],
         "per_task.w": [rec.w for rec in records],
     }
     pieces = [np.ascontiguousarray(np.reshape(arrays[name], shape), dtype="<f8")
-              for name, shape in _checked_layout(payload)]
+              for name, shape in _checked_layout(payload, state.hyper.p)]
     digest = hashlib.sha256()
     for piece in pieces:
         digest.update(piece)
@@ -466,19 +480,20 @@ def _replace(path: Path, pieces) -> None:
 
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table,
-    in two files (format version 7; see the codec notes above).
+    in two files (format version 8; see the codec notes above).
 
     `path` must end in `.json`, and ValueError, naming it, refuses any
     other: its stem then names one checkpoint, whose data files no save to
     another path removes.  `path` gets a JSON document, byte for byte
-    `json.dumps` of the checkpoint's integers and strings, each task's
-    assignment slot among them, which is ASCII, and the SHA-256 of the
-    data.  Beside it, `<stem>.<first 16 hex digits of that digest>.bin`
-    gets every float64 array as raw little-endian bytes: the decoder,
-    encoder, basis, acc_b and acc_M, the packed pair blocks of acc_A and
-    acc_C, the representative codes stacked, and the per-task codes and w
-    stacked.  The two files are moved together.  The name follows from the
-    content, so two saves of one state write the same bytes.  Each file is written to a
+    `json.dumps` of the checkpoint's integers and strings, which is ASCII:
+    the representatives' task ids and each task's assignment slot among
+    them, and the SHA-256 of the data.  Beside it, `<stem>.<first 16 hex
+    digits of that digest>.bin` gets every float64 array as raw
+    little-endian bytes: the decoder, encoder, basis, acc_b and acc_M, the
+    packed pair blocks of acc_A and acc_C, and the per-task codes and w
+    stacked; a representative's code is its task's.  The two files are
+    moved together.  The name follows from the content, so two saves of
+    one state write the same bytes.  Each file is written to a
     dot-prefixed temp file, synced to disk and moved into place with
     `os.replace`, the data file first; only then are older data files of
     `path`'s stem removed, so a write that fails part-way leaves the
@@ -518,7 +533,7 @@ def _read_data(data_path: Path, digest: str, layout) -> dict:
         raise ValueError(f"data file {str(data_path)!r} is missing") from None
     if len(raw) != 8 * sum(sizes):
         raise ValueError(f"data file {str(data_path)!r} holds {len(raw)} bytes, expected "
-                         f"{8 * sum(sizes)} from the checkpoint's d, p, r and counts")
+                         f"{8 * sum(sizes)} from the checkpoint's d, hyper.p, r and tasks")
     if hashlib.sha256(raw).hexdigest() != digest:
         raise ValueError(f"data file {str(data_path)!r}: its SHA-256 is not the checkpoint's")
     flat = np.frombuffer(raw, dtype="<f8")
@@ -535,32 +550,40 @@ def _hyper_from_checkpoint(values: dict) -> HyperParams:
     """The settings a checkpoint stores: exactly the fields of HyperParams,
     each a JSON value of its default's type.  A retired or unknown key is
     refused by name; only configs, which users write by hand, drop retired
-    keys (see `experiment.RETIRED_HYPER_KEYS`)."""
+    keys (see `experiment.RETIRED_HYPER_KEYS`).  So is a value that
+    HyperParams refuses."""
     fields = dataclasses.fields(HyperParams)
     unknown = sorted(values.keys() - {f.name for f in fields})
     if unknown:
         raise ValueError(f"checkpoint entry {'hyper.' + unknown[0]!r}: not a setting of "
                          f"HyperParams")
-    return HyperParams(**{
-        f.name: entry(values, f.name, (int, float) if isinstance(f.default, float)
-                      else type(f.default), f"hyper.{f.name}")
-        for f in fields})
+    settings = {f.name: entry(values, f.name, (int, float) if isinstance(f.default, float)
+                              else type(f.default), f"hyper.{f.name}")
+                for f in fields}
+    try:
+        return HyperParams(**settings)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint entry 'hyper': {exc}") from None
 
 
 def load_state(path) -> EngineState:
     """The state `save_state` wrote.  ValueError, naming the file, refuses
-    any version but 7, among them 1 (nested lists), 2 (arrays in full), 3
-    (identity basis), 4 (all p(p+1)/2 pairs), 5 (one JSON file of base64)
-    and 6 (per-task simplex vectors); an entry that is missing or of the
-    wrong type (integers must be JSON integers), a `hyper` key that is not
-    a field of HyperParams, a per-task entry with an unknown loss or a slot
-    outside 0..slots - 1, and a `tasks_seen` or `hyper.p` other than the
-    per-task count or p.  The data file's name comes from `path`'s stem and
-    the stored digest, never from the document.  It is refused, by name,
-    when it is missing, when its size is not what the arrays' shapes need
-    (they follow from d, p, r and the counts) or when its SHA-256 differs.
-    So are an array that is not finite and a basis that is not orthonormal
-    to round-off."""
+    any version but 8, among them 1 (nested lists), 2 (arrays in full), 3
+    (identity basis), 4 (all p(p+1)/2 pairs), 5 (one JSON file of base64),
+    6 (per-task simplex vectors) and 7 (representative codes, tasks_seen, p
+    and slot counts stored); an entry that is missing or of the wrong type
+    (integers must be JSON integers), a `hyper` key that is not a field of
+    HyperParams, a per-task entry with an unknown loss, and representatives
+    and slots that no stream gives (see `_checked_layout`), or a
+    representative whose task's code is all zero and a task at its outlier
+    slot with a nonzero code that is not one.  The tasks seen are the
+    per-task entries, p is hyper.p, and the representatives' codes are
+    their tasks'.  The data file's name comes from `path`'s stem and the
+    stored digest, never from the document.  It is refused, by name, when
+    it is missing, when its size is not what the arrays' shapes need (they
+    follow from d, hyper.p, r and the number of tasks) or when its SHA-256
+    differs.  So are an array that is not finite and a basis that is not
+    orthonormal to round-off."""
     path = Path(path)
     try:
         return _load_state(path)
@@ -577,15 +600,9 @@ def _load_state(path: Path) -> EngineState:
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {version!r} is not readable; "
                          f"readable versions are {[CHECKPOINT_VERSION]}")
-    layout = _checked_layout(payload)
     hyper = _hyper_from_checkpoint(entry(payload, "hyper", dict, "hyper"))
+    layout = _checked_layout(payload, hyper.p)
     seed = entry(payload, "seed", int, "seed")
-    if hyper.p != payload["p"]:
-        raise ValueError(f"hyper.p = {hyper.p} disagrees with the library's p = {payload['p']}")
-    per_task = payload["per_task"]
-    if payload["tasks_seen"] != len(per_task):
-        raise ValueError(f"tasks_seen = {payload['tasks_seen']} disagrees with the "
-                         f"{len(per_task)} per-task entries")
     digest = entry(payload, "sha256", str, "sha256")
     if not re.fullmatch("[0-9a-f]{64}", digest):
         raise ValueError(f"checkpoint entry 'sha256': {digest!r} is not 64 hex digits")
@@ -593,9 +610,22 @@ def _load_state(path: Path) -> EngineState:
     basis = arrays["basis"]
     gram = basis.T @ basis
     gram.flat[::basis.shape[1] + 1] -= 1.0
-    if not np.all(np.abs(gram) <= _ORTHONORMAL_ROUNDOFF * payload["p"]):
+    if not np.all(np.abs(gram) <= _ORTHONORMAL_ROUNDOFF * hyper.p):
         raise ValueError(f"checkpoint array 'basis': columns are not orthonormal (Q'Q "
                          f"departs from I by {np.abs(gram).max():.3g})")
+    per_task, reps = payload["per_task"], payload["representatives"]
+    codes = arrays["per_task.code"]
+    codes.setflags(write=False)
+    admitted = 0
+    for tid, rec, code in zip(per_task, per_task.values(), codes):
+        if admitted < len(reps) and reps[admitted] == tid:
+            if not code.any():
+                raise ValueError(f"checkpoint entry 'representatives[{admitted}]': task "
+                                 f"{tid!r} has a code of all zeros in 'per_task.code'")
+            admitted += 1
+        elif rec["slot"] == admitted and code.any():
+            raise ValueError(f"checkpoint entry {f'per_task[{tid!r}].slot'!r}: the outlier "
+                             f"slot with a nonzero code, yet not among the representatives")
     d = payload["d"]
     flib = FeatureLibrary(
         decoder=arrays["decoder"],
@@ -605,18 +635,8 @@ def _load_state(path: Path) -> EngineState:
         acc_b_coords=arrays["acc_b"],
         acc_M=arrays["acc_M"],
         acc_C=unpack_pairs(arrays["acc_C"], d)[0],
-        tasks_seen=payload["tasks_seen"],
+        tasks_seen=len(per_task),
     )
-    reps = []
-    for item, code in zip(payload["representatives"], arrays["representatives.code"]):
-        code.setflags(write=False)
-        reps.append(RepresentativeRecord(code=code, source_task=item["source_task"],
-                                         admitted_at=item["admitted_at"]))
-    records = {
-        tid: PerTaskRecord(code=code, assignment=Assignment(slot=rec["slot"],
-                                                            slots=rec["slots"]),
-                           w=w, loss_kind=rec["loss_kind"])
-        for (tid, rec), code, w in zip(per_task.items(), arrays["per_task.code"],
-                                       arrays["per_task.w"])}
-    return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=ModelLibrary(reps=tuple(reps)),
-                       per_task=records)
+    records = {tid: PerTaskRecord(code=code, slot=rec["slot"], w=w, loss_kind=rec["loss_kind"])
+               for (tid, rec), code, w in zip(per_task.items(), codes, arrays["per_task.w"])}
+    return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=tuple(reps), per_task=records)

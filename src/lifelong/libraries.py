@@ -26,8 +26,9 @@ assembled from them by block columns into a prefix of one (dp) x (dp)
 buffer per thread that is reused from refit to refit.  There it is
 factored in place as U'U by block rows; only the upper triangle is read.
 
-The model library is an append-only list of representative codes; codes
-never change after admission, so reverse transfer flows only through the
+The model library is an append-only tuple of representative task ids, in
+admission order; a representative's code is its task's code, which never
+changes after learning, so reverse transfer flows only through the
 decoder refits.
 
 The checkpoint format of the libraries, its validation and its bytes are
@@ -77,24 +78,6 @@ class FeatureLibrary:
     @property
     def p(self) -> int:
         return self.decoder.shape[1]
-
-
-@dataclass(frozen=True)
-class RepresentativeRecord:
-    code: np.ndarray
-    source_task: str
-    admitted_at: int
-
-
-@dataclass(frozen=True)
-class ModelLibrary:
-    reps: tuple[RepresentativeRecord, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def codes(self) -> list[np.ndarray]:
-        return [r.code for r in self.reps]
 
 
 def init_libraries(d: int, p: int, seed: int) -> FeatureLibrary:
@@ -406,10 +389,9 @@ def bump_tasks_seen(lib: FeatureLibrary) -> FeatureLibrary:
     return dataclasses.replace(lib, tasks_seen=lib.tasks_seen + 1)
 
 
-def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
-                         assignment: Assignment, task_id: str,
-                         t: int) -> tuple[ModelLibrary, bool]:
-    """Append s_t as a new representative when the outlier slot wins.
+def admit_representative(mlib: tuple[str, ...], s_t: np.ndarray, assignment: Assignment,
+                         task_id: str) -> tuple[tuple[str, ...], bool]:
+    """`mlib` with `task_id` appended when the outlier slot wins.
 
     The first task seeds the library.  A cost tie goes to the lower slot
     and does not admit.  A code with no nonzero entry is never admitted, not
@@ -417,10 +399,4 @@ def admit_representative(mlib: ModelLibrary, s_t: np.ndarray,
     arrivals would sit at distance 0 from it.
     """
     admitted = assignment.picks_outlier and bool(np.any(s_t))
-    if not admitted:
-        return mlib, False
-    code = np.array(s_t, dtype=float, copy=True)
-    code.setflags(write=False)
-    rec = RepresentativeRecord(code=code, source_task=task_id, admitted_at=t)
-    return ModelLibrary(reps=mlib.reps + (rec,)), True
-
+    return (mlib + (task_id,) if admitted else mlib), admitted

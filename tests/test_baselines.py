@@ -6,7 +6,7 @@ import pytest
 from lifelong.baselines import ablation_hyper, run_stl
 from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
 from lifelong.engine import HyperParams, init_state, learn_task, predict
-from lifelong.libraries import ModelLibrary, init_libraries
+from lifelong.libraries import init_libraries
 from lifelong.metrics import rmse
 from lifelong.tasks import fit_single_task
 
@@ -62,7 +62,7 @@ class TestAblation:
         kept_admitted, emptied_admitted = [], []
         for task in tasks:
             kept, outcome = learn_task(kept, task)
-            emptied, alone = learn_task(dataclasses.replace(emptied, mlib=ModelLibrary()), task)
+            emptied, alone = learn_task(dataclasses.replace(emptied, mlib=()), task)
             kept_admitted.append(outcome.admitted)
             emptied_admitted.append(alone.admitted)
             assert outcome.code.tobytes() == alone.code.tobytes()

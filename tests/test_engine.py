@@ -84,10 +84,10 @@ def replay_arrival(before, after, task):
     arrival-time decoder's model D s_k."""
     record = after.per_task[task.task_id]
     omega = fit_single_task(task, after.hyper.ridge).omega
-    codes = before.mlib.codes()
+    codes = [before.per_task[tid].code for tid in before.mlib]
     hessians = ([omega] * len(codes) if task.loss_kind == "squared"
                 else [hessian_at(task, before.flib.decoder @ s_k) for s_k in codes])
-    z = np.eye(record.assignment.slots)[record.assignment.slot]
+    z = np.eye(len(codes) + 1)[record.slot]
     return (record.code, record.w, omega, list(zip(codes, hessians, z)))
 
 
@@ -227,7 +227,7 @@ class TestAlternation:
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:5])
         assert len(state.mlib) == 2
-        code = state.mlib.reps[0].code
+        code = state.per_task[state.mlib[0]].code
         monkeypatch.setattr(engine, "encode_task", lambda prob: code.copy())
         _, out = learn_task(state, train.tasks[5])
         assert out.distances[0] == 0.0 < out.distances[1]
@@ -363,6 +363,19 @@ class TestStreamInvariants:
                                      ("acc_M", M, flib.acc_M), ("acc_C", C, flib.acc_C)):
                 scale = np.abs(batch).max(initial=1.0)
                 assert np.abs(batch - inc).max(initial=0.0) <= 1e-9 * scale, f"{where}: {name}"
+            # the representatives are learned tasks in stream order, each at its
+            # own index as slot with a read-only nonzero code, and no task's
+            # slot passes the representatives admitted before it
+            ids = list(state.per_task)
+            assert set(state.mlib) <= set(ids), where
+            positions = [ids.index(tid) for tid in state.mlib]
+            assert all(a < b for a, b in zip(positions, positions[1:])), where
+            for i, tid in enumerate(state.mlib):
+                rec = state.per_task[tid]
+                assert rec.slot == i and not rec.code.flags.writeable and rec.code.any(), where
+            for n, rec in enumerate(state.per_task.values()):
+                assert rec.slot <= sum(k < n for k in positions), where
+            assert flib.tasks_seen == len(state.per_task), where
 
 
 class TestRelearn:
@@ -436,7 +449,7 @@ def read_checkpoint(path):
     payload = json.loads(path.read_text())
     flat = np.frombuffer(data_file(path).read_bytes(), dtype="<f8")
     arrays, at = {}, 0
-    for name, shape in engine._checked_layout(payload):
+    for name, shape in engine._checked_layout(payload, payload["hyper"]["p"]):
         size = math.prod(shape)
         arrays[name] = flat[at:at + size].reshape(shape).copy()
         at += size
@@ -465,13 +478,21 @@ def copy_checkpoint(src, dst):
 
 
 def data_bytes(state):
-    """8 (r(r+1)/2 d(d+1)/2 + d(d+1)/2 + 3dp + pr + dr + Kp + T(p + d)): the
-    data file's size for `state`."""
+    """8 (r(r+1)/2 d(d+1)/2 + d(d+1)/2 + 3dp + pr + dr + T(p + d)): the data
+    file's size for `state`."""
     flib = state.flib
     d, p, r = flib.d, flib.p, flib.basis.shape[1]
     tri = d * (d + 1) // 2
-    return 8 * (r * (r + 1) // 2 * tri + tri + 3 * d * p + p * r + d * r + len(state.mlib) * p
+    return 8 * (r * (r + 1) // 2 * tri + tri + 3 * d * p + p * r + d * r
                 + state.n_tasks * (p + d))
+
+
+def slot_counts(state):
+    """Each task's slot count, one more than the representatives admitted
+    before it, by task id."""
+    ids = list(state.per_task)
+    return {tid: 1 + sum(ids.index(rep) < n for rep in state.mlib)
+            for n, tid in enumerate(ids)}
 
 
 def version_5_document(state):
@@ -480,6 +501,7 @@ def version_5_document(state):
     triangles with their "kron" factors."""
     flib = state.flib
     d = flib.d
+    slots = slot_counts(state)
 
     def array(a):
         a = np.ascontiguousarray(a, dtype="<f8")
@@ -496,11 +518,11 @@ def version_5_document(state):
         "basis": array(flib.basis), "acc_A": packed(flib.acc_A_pairs, flib.basis.shape[1]),
         "acc_b": array(flib.acc_b_coords), "acc_M": array(flib.acc_M),
         "acc_C": packed(flib.acc_C[None], 1),
-        "representatives": [{"code": array(r.code), "source_task": r.source_task,
-                             "admitted_at": r.admitted_at} for r in state.mlib.reps],
+        "representatives": [{"code": array(state.per_task[tid].code), "source_task": tid,
+                             "admitted_at": list(state.per_task).index(tid) + 1}
+                            for tid in state.mlib],
         "seed": state.seed, "hyper": dataclasses.asdict(state.hyper),
-        "per_task": {tid: {"code": array(rec.code),
-                           "z": array(np.eye(rec.assignment.slots)[rec.assignment.slot]),
+        "per_task": {tid: {"code": array(rec.code), "z": array(np.eye(slots[tid])[rec.slot]),
                            "w": array(rec.w), "loss_kind": rec.loss_kind}
                      for tid, rec in state.per_task.items()},
     }
@@ -508,6 +530,39 @@ def version_5_document(state):
 
 # marks an entry that test_malformed_entry_refused deletes
 DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def five_task_checkpoint(tmp_path_factory):
+    """A checkpoint of five tasks with two representatives, and a directory
+    that holds its data file, for documents written beside it."""
+    train, _ = small_corpus()
+    state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:5])
+    assert len(state.mlib) == 2
+    path = tmp_path_factory.mktemp("valid") / "state.json"
+    save_state(state, path)
+    work = tmp_path_factory.mktemp("mutated")
+    copy_checkpoint(path, work / "state.json")
+    return path, work
+
+
+def payload_at(doc, path):
+    """The value at `path`, keys and indices, in the JSON document `doc`."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def document_paths(doc, prefix=()):
+    """The path of keys and indices to every value in the JSON document `doc`."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from document_paths(value, prefix + (key,))
+
+
+# a value of each JSON type, for swapping one entry's type
+JSON_VALUES = (None, True, 3, 1.5, "x", [], {})
 
 
 class TestCheckpoint:
@@ -540,7 +595,7 @@ class TestCheckpoint:
         ids = ('say "hi"', "back\\slash", "café", "ctrl\x01", "tab\t")
         tasks = [dataclasses.replace(t, task_id=tid) for t, tid in zip(train.tasks, ids)]
         state, _ = stream(init_state(small_hyper(p=p), seed=0), tasks)
-        assert state.mlib.reps[0].source_task == ids[0]
+        assert state.mlib[0] == ids[0]
         path = tmp_path / "state.json"
         save_state(state, path)
         assert path.read_bytes() == json.dumps(engine._checkpoint_payload(state)[0]).encode("ascii")
@@ -668,15 +723,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: data file {str(data)!r}")):
             load_state(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 4, 5, 6, 7])
     def test_retired_version_refused(self, tmp_path, version):
         # version 1 had no version key and stored arrays as nested lists,
         # version 2 stored every array in full, both without a basis,
         # version 4 held the statistics over all p(p+1)/2 pairs and dp
         # entries, zero past the basis rank r, version 5 was one JSON
-        # document with every array as base64 text, and version 6 held each
+        # document with every array as base64 text, version 6 held each
         # task's simplex vector z in the data file and no slot in the
-        # document; none is read
+        # document, and version 7 stored p, tasks_seen, each task's slot
+        # count and each representative's code, source task and arrival;
+        # none is read
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         payload = version_5_document(state)
@@ -687,12 +744,20 @@ class TestCheckpoint:
         acc_A[:r * d, :r * d] = full_from_pairs(flib.acc_A_pairs, r)
         acc_b = np.zeros(p * d)
         acc_b[:r * d] = flib.acc_b_coords
-        if version == 6:
-            save_state(state, tmp_path / "v7.json")
-            payload = json.loads((tmp_path / "v7.json").read_text())
-            for rec in payload["per_task"].values():
-                del rec["slot"]
-            payload["version"] = 6
+        if version in (6, 7):
+            reps = [{key: rep[key] for key in ("source_task", "admitted_at")}
+                    for rep in payload["representatives"]]
+            save_state(state, tmp_path / "v8.json")
+            payload = json.loads((tmp_path / "v8.json").read_text())
+            slots = slot_counts(state)
+            for tid, rec in payload["per_task"].items():
+                if version == 6:
+                    del rec["slot"]
+                else:
+                    rec["slots"] = slots[tid]
+            if version == 7:
+                payload.update(p=p, tasks_seen=flib.tasks_seen, representatives=reps)
+            payload["version"] = version
         elif version == 4:
             # pair blocks in np.triu_indices(p) order, each packed
             ia, ja = np.triu_indices(d)
@@ -719,16 +784,18 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(payload))
         message = (f"{path}: checkpoint version {version} is not readable; "
-                   f"readable versions are [7]")
+                   f"readable versions are [8]")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(path)
         # read past the version, versions 1-5 have no basis rank to size the
-        # data, and version 6 has no slot
+        # data, version 6 has no slot, and version 7's representatives are
+        # objects, not task ids
         payload["version"] = CHECKPOINT_VERSION
         path.write_text(json.dumps(payload))
-        missing = f"per_task[{next(iter(payload['per_task']))!r}].slot" if version == 6 else "r"
-        with pytest.raises(ValueError,
-                           match=re.escape(f"{path}: checkpoint entry {missing!r} is missing")):
+        slot = f"per_task[{next(iter(payload['per_task']))!r}].slot"
+        refusal = {6: f"{slot!r} is missing", 7: "'representatives[0]': {"}.get(
+            version, "'r' is missing")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint entry {refusal}")):
             load_state(path)
 
     def test_acc_C_in_full_refused(self, tmp_path):
@@ -781,10 +848,10 @@ class TestCheckpoint:
     def test_version_3_checkpoint_refused(self):
         # written while the statistics were held in the identity basis with
         # no "basis" entry, by saving the first 4 tasks of small_corpus()
-        # under small_hyper() and seed 0; version 7 alone is read
+        # under small_hyper() and seed 0; version 8 alone is read
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         assert json.loads(old.read_text())["version"] == 3
-        message = f"{old}: checkpoint version 3 is not readable; readable versions are [7]"
+        message = f"{old}: checkpoint version 3 is not readable; readable versions are [8]"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(old)
 
@@ -820,33 +887,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"version {CHECKPOINT_VERSION + 1}"):
             load_state(path)
 
-    @pytest.mark.parametrize("key, value", [("tasks_seen", 1000), ("tasks_seen", 0),
-                                            ("tasks_seen", -1), ("hyper.p", 3)])
+    @pytest.mark.parametrize("key, value", [("hyper.p", 3)])
     def test_parts_disagreeing_refused(self, tmp_path, key, value):
-        # a tasks_seen off the per-task count skews the refit's ridge T mu
-        # (-1 divides by zero at the next arrival); a hyper.p off the
-        # library's would be saved back with it
+        # hyper.p is the library's p, which sizes the arrays: a hyper.p
+        # other than the saved library's leaves the data file with a size
+        # other than the shapes need
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
         path = tmp_path / "state.json"
         save_state(state, path)
         payload = json.loads(path.read_text())
-        if key == "tasks_seen":
-            payload["tasks_seen"] = value
-        else:
-            payload["hyper"]["p"] = value
+        payload["hyper"]["p"] = value
         path.write_text(json.dumps(payload))
-        message = f"^{re.escape(str(path))}: {re.escape(key)} = {value} disagrees"
-        with pytest.raises(ValueError, match=message):
+        message = f"{path}: data file {str(data_file(path))!r} holds"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load_state(path)
 
-    @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "representatives[0].code",
-                                     "per_task.w", "per_task.code", "per_task.slots",
-                                     "per_task.loss_kind"])
+    @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "per_task.w", "per_task.code",
+                                     "per_task.slot", "per_task.loss_kind"])
     def test_shape_disagreeing_with_d_and_p_named(self, tmp_path, key):
-        # every shape follows from d, p, r and the counts: an array with an
-        # entry more or less, or an r one higher, leaves the data file with
-        # a size other than those shapes need, and a slot count or loss
+        # every shape follows from d, p, r and the number of tasks: an array
+        # with an entry more or less, or an r one higher, leaves the data
+        # file with a size other than those shapes need, and a slot or loss
         # that no arrival could have is refused by its entry
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
@@ -861,18 +923,17 @@ class TestCheckpoint:
             assert payload["r"] < flib.p
             payload["r"] += 1
             path.write_text(json.dumps(payload))
-        elif key in ("per_task.slots", "per_task.loss_kind"):
-            if key == "per_task.slots":
-                entry["slots"] = len(state.mlib) + 2
+        elif key in ("per_task.slot", "per_task.loss_kind"):
+            if key == "per_task.slot":
+                entry["slot"] = len(state.mlib) + 1
             else:
                 entry["loss_kind"] = "bogus"
             path.write_text(json.dumps(payload))
         else:
-            name = "representatives.code" if key.startswith("representatives") else key
-            grown = np.append(arrays[name], 0.0)
-            arrays[name] = grown[:-2] if key == "per_task.code" else grown
+            grown = np.append(arrays[key], 0.0)
+            arrays[key] = grown[:-2] if key == "per_task.code" else grown
             data = write_checkpoint(path, payload, arrays)
-        if key in ("per_task.slots", "per_task.loss_kind"):
+        if key in ("per_task.slot", "per_task.loss_kind"):
             match = repr(f"per_task[{tid!r}]" + key[len("per_task"):])
         else:
             match = f"data file {str(data)!r} holds"
@@ -1080,13 +1141,11 @@ class TestCheckpoint:
         assert data_file(again).read_bytes() == data_file(path).read_bytes()
 
     @pytest.mark.parametrize("case", [
-        "seed", "hyper", "per_task", "d", "r", "tasks_seen", "representatives", "sha256",
-        "hyper.mu", "representatives[0].source_task", "per_task[tid].loss_kind",
-        "per_task[tid].slots",
-        "per_task=[]", "per_task[tid]=[]", "hyper=null", "d=8.5", "p=true", "r='2'",
-        "tasks_seen=2.0", "seed=null", "representatives={}", "representatives[0]=1",
-        "representatives[0].admitted_at=1.5", "representatives[0].source_task=7",
-        "per_task[tid].slots=1.0", "per_task[tid].slots=true", "per_task[tid].loss_kind=null",
+        "seed", "hyper", "per_task", "d", "r", "representatives", "sha256",
+        "hyper.mu", "per_task[tid].loss_kind",
+        "per_task=[]", "per_task[tid]=[]", "hyper=null", "d=8.5", "r='2'",
+        "seed=null", "representatives={}", "representatives[0]=1",
+        "per_task[tid].loss_kind=null",
         "per_task[tid].slot", "per_task[tid].slot=1.0", "per_task[tid].slot=true",
         "per_task[tid].slot=2",
         "hyper.p=5.0", "hyper.lambda1='0.5'", "hyper.phi=0", "sha256=7",
@@ -1128,6 +1187,97 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(name)}"):
             load_state(path)
 
+    @pytest.mark.parametrize("case, name", [
+        ("unknown", "representatives[0]"), ("not_a_string", "representatives[0]"),
+        ("repeated", "representatives[1]"), ("swapped", "representatives[1]"),
+        ("slot_not_index", "representatives[1]"), ("zero_code", "representatives[1]"),
+        ("first_task_at_slot_1", "per_task[{first}].slot"),
+        ("unlisted", "per_task[{second}].slot")])
+    def test_inconsistent_representatives_refused(self, tmp_path, five_task_checkpoint, case,
+                                                  name):
+        # the representatives are the tasks, in stream order, that won the
+        # outlier slot with a nonzero code, and a task's slot is at most the
+        # number admitted before it; a document that breaks this, with a
+        # data file that matches, is refused naming the file and the entry
+        path = tmp_path / "state.json"
+        copy_checkpoint(five_task_checkpoint[0], path)
+        payload, arrays = read_checkpoint(path)
+        reps, per_task = payload["representatives"], payload["per_task"]
+        first, second = reps
+        assert first == next(iter(per_task))
+        if case == "unknown":
+            reps[0] = "no_such_task"
+        elif case == "not_a_string":
+            reps[0] = 7
+        elif case == "repeated":
+            reps[1] = first
+        elif case == "swapped":
+            reps.reverse()
+        elif case == "slot_not_index":
+            per_task[second]["slot"] = 0
+        elif case == "zero_code":
+            arrays["per_task.code"][list(per_task).index(second)] = 0.0
+        elif case == "first_task_at_slot_1":
+            per_task[first]["slot"] = 1
+        else:
+            del reps[1]
+        write_checkpoint(path, payload, arrays)
+        name = name.format(first=repr(first), second=repr(second))
+        message = f"{path}: checkpoint entry {name!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_state(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_document_loads_or_is_refused_by_name(self, five_task_checkpoint, data):
+        # one entry of a valid document dropped, of another JSON type, an
+        # integer out of range, an unknown key added, or a representative
+        # id replaced, repeated or moved: the checkpoint loads, or a
+        # ValueError names the file and an entry, never another error
+        source, work = five_task_checkpoint
+        payload = json.loads(source.read_text())
+        reps = payload["representatives"]
+        paths = list(document_paths(payload))
+        kind = data.draw(st.sampled_from(["drop", "retype", "out_of_range", "add",
+                                          "representative"]), label="kind")
+        if kind == "representative":
+            ids = [*payload["per_task"], "no_such_task"]
+            change = data.draw(st.sampled_from(["replace", "repeat", "reorder"]), label="change")
+            if change == "replace":
+                reps[data.draw(st.integers(0, len(reps) - 1))] = data.draw(st.sampled_from(ids))
+            elif change == "repeat":
+                reps.insert(data.draw(st.integers(0, len(reps))), data.draw(st.sampled_from(reps)))
+            else:
+                reps[:] = data.draw(st.permutations(reps))
+        else:
+            if kind == "out_of_range":
+                paths = [p for p in paths if type(payload_at(payload, p)) is int]
+            elif kind == "add":
+                paths = [()] + [p for p in paths if isinstance(payload_at(payload, p), dict)]
+            where = data.draw(st.sampled_from(paths), label="path")
+            if kind == "add":
+                payload_at(payload, where)[data.draw(st.text(max_size=3), label="key")] = \
+                    data.draw(st.sampled_from(JSON_VALUES), label="value")
+            else:
+                doc = payload_at(payload, where[:-1])
+                if kind == "drop":
+                    del doc[where[-1]]
+                elif kind == "retype":
+                    old = type(doc[where[-1]])
+                    doc[where[-1]] = data.draw(st.sampled_from(
+                        [v for v in JSON_VALUES if type(v) is not old]), label="value")
+                else:
+                    doc[where[-1]] = data.draw(st.sampled_from([-1, 0, 1, 2**31, 2**64])
+                                               | st.integers(), label="value")
+        path = work / "state.json"
+        path.write_text(json.dumps(payload))
+        try:
+            load_state(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            assert re.search(r"checkpoint (entry|array|version)|data file|not a checkpoint",
+                             str(exc)), exc
+
     @pytest.mark.parametrize("key, value", [
         ("beta", 1.0), ("rho", 1.0), ("admm_tol", 1e-6), ("admm_max_iter", 2000),
         ("coder_tol", 1e-6), ("coder_max_iter", 5000), ("max_outer", 20), ("outer_tol", 1e-5),
@@ -1145,6 +1295,22 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         message = f"{path}: checkpoint entry {'hyper.' + key!r}: not a setting of HyperParams"
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_state(path)
+
+    @pytest.mark.parametrize("key, value", [("p", 0), ("p", -1), ("gamma", 0.0),
+                                            ("lambda1", -1.0)])
+    def test_setting_refused_by_hyper_params_named(self, tmp_path, key, value):
+        # a setting of the right JSON type that HyperParams refuses is
+        # refused naming the hyper entry too
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload = json.loads(path.read_text())
+        payload["hyper"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint entry 'hyper': "
+                                             f".*{key}"):
             load_state(path)
 
     def test_retired_hyper_keys_still_load(self):

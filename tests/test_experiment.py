@@ -250,10 +250,10 @@ class TestRepresentativeSnapshots:
         snapshots = {}
         for task in train.tasks:
             state, out = learn_task(state, task)
-            for rec in state.mlib.reps:
-                key = (rec.source_task, rec.admitted_at)
-                if key in snapshots:
-                    np.testing.assert_array_equal(snapshots[key], rec.code)
+            for tid in state.mlib:
+                code = state.per_task[tid].code
+                if tid in snapshots:
+                    np.testing.assert_array_equal(snapshots[tid], code)
                 else:
-                    snapshots[key] = rec.code.copy()
+                    snapshots[tid] = code.copy()
         assert len(snapshots) == len(state.mlib)

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelong.assignment import Assignment, solve_assignment
-from lifelong.engine import (EngineState, HyperParams, PerTaskRecord, load_state,
-                             pack_pairs, save_state, unpack_pairs)
-from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary, ModelLibrary,
+from lifelong.engine import (EngineState, HyperParams, PerTaskRecord, init_state,
+                             learn_task, load_state, pack_pairs, save_state, unpack_pairs)
+from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary,
                                 _cholesky_in_place, _decoder_terms,
                                 _lower_inverse, _substitute, _system_buffer,
                                 admit_representative, bump_tasks_seen,
                                 init_libraries, update_decoder, update_encoder)
+from lifelong.tasks import TaskData
 
 from oracles import decoder_statistics, full_from_pairs, in_basis, pair_blocks
 
@@ -469,50 +470,47 @@ class TestEncoderUpdate:
 
 class TestAdmission:
     def test_outlier_argmax_admits(self):
-        mlib = ModelLibrary()
         a = Assignment(slot=2, slots=3)
-        new, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=5)
-        assert admitted and len(new) == 1
-        assert new.reps[0].source_task == "t1"
-        assert new.reps[0].admitted_at == 5
+        new, admitted = admit_representative(("t0", "t1"), np.ones(2), a, "t2")
+        assert admitted and new == ("t0", "t1", "t2")
 
     def test_non_outlier_argmax_skips(self):
-        mlib = ModelLibrary()
         a = Assignment(slot=0, slots=3)
-        new, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=5)
-        assert not admitted and len(new) == 0
+        new, admitted = admit_representative(("t0", "t1"), np.ones(2), a, "t2")
+        assert not admitted and new == ("t0", "t1")
 
     def test_first_task_always_admits(self):
-        mlib = ModelLibrary()
         a = Assignment(slot=0, slots=1)
-        new, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=1)
-        assert admitted and len(new) == 1
+        new, admitted = admit_representative((), np.ones(2), a, "t1")
+        assert admitted and new == ("t1",)
 
     def test_tie_breaks_toward_not_admitting(self):
-        mlib = ModelLibrary()
         # the representative and the outlier slot cost the same
         a = solve_assignment(np.array([0.5]), 0.5, lambda2=1.0)
-        _, admitted = admit_representative(mlib, np.ones(2), a, "t1", t=3)
+        _, admitted = admit_representative(("t0",), np.ones(2), a, "t1")
         assert not admitted
 
     @pytest.mark.parametrize("t, z", [(1, Assignment(slot=0, slots=1)),
                                       (5, Assignment(slot=2, slots=3))])
     def test_zero_code_never_admitted(self, t, z):
-        mlib = ModelLibrary()
-        new, admitted = admit_representative(mlib, np.zeros(2), z, "t1", t=t)
-        assert not admitted and len(new) == 0
-        new, admitted = admit_representative(mlib, np.array([0.0, -1e-300]), z, "t1", t=t)
-        assert admitted and len(new) == 1
+        # the t-th arrival, with z.slot representatives before it
+        mlib = tuple(f"t{k}" for k in range(z.slot))
+        new, admitted = admit_representative(mlib, np.zeros(2), z, f"t{t}")
+        assert not admitted and new == mlib
+        new, admitted = admit_representative(mlib, np.array([0.0, -1e-300]), z, f"t{t}")
+        assert admitted and new == mlib + (f"t{t}",)
 
     def test_codes_are_frozen(self):
-        mlib = ModelLibrary()
-        a = Assignment(slot=0, slots=1)
-        src = np.array([1.0, 2.0])
-        new, _ = admit_representative(mlib, src, a, "t1", t=1)
-        src[0] = 99.0   # caller-side mutation must not leak in
-        assert new.reps[0].code[0] == 1.0
+        # a representative's code is its task's, read-only once learned
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(4, 12))
+        task = TaskData(features=X, targets=X.T @ rng.normal(size=4), loss_kind="squared",
+                        task_id="t1")
+        state, out = learn_task(init_state(HyperParams(p=2), seed=0), task)
+        code = state.per_task[state.mlib[0]].code
+        assert out.admitted and code is out.code
         with pytest.raises(ValueError):
-            new.reps[0].code[0] = 5.0
+            code[0] = 5.0
 
 
 class TestCheckpoint:
@@ -524,25 +522,24 @@ class TestCheckpoint:
             flib = update_decoder(flib, s, omega, reps, lambda2=0.4, w_t=w, ridge_mu=1e-6)
             flib = update_encoder(flib, s, w, identity, ridge_mu=1e-6)
             flib = bump_tasks_seen(flib)
-        mlib = ModelLibrary()
-        a = Assignment(slot=0, slots=1)
-        mlib, _ = admit_representative(mlib, rng.normal(size=p), a, "t0", t=1)
-
-        # one per-task entry for each of the three refits, as learn_task keeps
-        per_task = {f"t{i}": PerTaskRecord(code=rng.normal(size=p), assignment=a,
+        # one per-task entry for each of the three refits, as learn_task
+        # keeps, the first admitted and the others at its slot
+        per_task = {f"t{i}": PerTaskRecord(code=rng.normal(size=p), slot=0,
                                            w=rng.normal(size=d), loss_kind="squared")
                     for i in range(3)}
+        mlib, _ = admit_representative((), per_task["t0"].code, Assignment(slot=0, slots=1),
+                                       "t0")
         path = tmp_path / "state.json"
         save_state(EngineState(hyper=HyperParams(p=p), seed=9, flib=flib, mlib=mlib,
                                per_task=per_task), path)
         loaded = load_state(path)
-        flib2, mlib2 = loaded.flib, loaded.mlib
+        flib2 = loaded.flib
         for name in ("decoder", "encoder", "basis", "acc_A_pairs", "acc_b_coords", "acc_M",
                      "acc_C"):
             np.testing.assert_array_equal(getattr(flib, name), getattr(flib2, name))
         assert flib2.tasks_seen == flib.tasks_seen
-        np.testing.assert_array_equal(mlib2.reps[0].code, mlib.reps[0].code)
-        assert mlib2.reps[0].source_task == "t0"
+        assert loaded.mlib == ("t0",)
+        np.testing.assert_array_equal(loaded.per_task["t0"].code, per_task["t0"].code)
 
 
     @pytest.mark.parametrize("name, fault", [("acc_A", "ulp"), ("acc_C", "negative_zero")])
