@@ -201,12 +201,17 @@ def load_corpus(path) -> TaskCorpus:
         raise FileNotFoundError(f"manifest not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    for key in ("name", "problem_kind", "d", "tasks"):
-        if key not in manifest:
-            raise ValueError(f"{path}: manifest is missing field {key!r}")
-    kind = manifest["problem_kind"]
+    # the JSON type of each entry; a bool is no dimension
+    for key, want in (("name", str), ("problem_kind", str), ("d", int), ("tasks", list)):
+        value = manifest.get(key) if isinstance(manifest, dict) else None
+        if type(value) is bool or not isinstance(value, want):
+            raise ValueError(f"{path}: manifest entry {key!r} must be of type "
+                             f"{want.__name__}, got {value!r}")
+    kind, d = manifest["problem_kind"], manifest["d"]
+    if kind not in ("regression", "classification"):
+        raise ValueError(f"{path}: manifest entry 'problem_kind' must be 'regression' or "
+                         f"'classification', got {kind!r}")
     loss_kind = "squared" if kind == "regression" else "logistic"
-    d = int(manifest["d"])
     root = path.parent.resolve()
     tasks = []
     for entry in manifest["tasks"]:

@@ -57,7 +57,8 @@ class HyperParams:
             # a JSON number, as a config file can hold it; a bool is none
             if type(value) is bool or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            if not (np.isfinite(value) and value >= 0):
+            # an exact comparison: an integer past float range is refused too
+            if not 0 <= value <= float(np.finfo(float).max):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.gamma == 0:
             raise ValueError("gamma must be > 0")
@@ -307,17 +308,18 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
     return ids, cols
 
 
-# checkpoint i/o.  Version 8 is two files: a JSON document of the
-# checkpoint's integers and strings (its d, basis rank r, seed, settings,
-# the representatives' task ids and each task's loss and slot) and, beside
-# it, a data file of every float64 array as raw little-endian bytes, one
-# after another in a fixed order with no header.  `_checked_layout` gives
-# that order, and every shape in it follows from d, hyper.p, r and the
-# number of tasks, so the document stores no layout.  Nor does it store
-# what follows from other entries: the tasks seen are the per-task
-# entries, p is hyper.p, a task's slot count is one more than the
-# representatives admitted before it, and a representative's code is its
-# task's.
+# checkpoint i/o.  Version 9 is two files: a JSON document of the
+# checkpoint's integers and strings (its d, basis rank r, seed, settings
+# and each task's loss and slot) and, beside it, a data file of every
+# float64 array as raw little-endian bytes, one after another in a fixed
+# order with no header.  `_checked_layout` gives that order, and every
+# shape in it follows from d, hyper.p, r and the number of tasks, so the
+# document stores no layout.  Nor does it store what follows from other
+# entries: the tasks seen are the per-task entries, p is hyper.p, and the
+# model library is replayed from the slots and codes, in stream order, by
+# `admit_representative`, the rule that built it.  The document's
+# "sha256" is one digest over `json.dumps` of the rest of the document
+# followed by the data, so it covers every stored fact.
 # The Kronecker-symmetric accumulators, sums of kron(W, H) with every W
 # (r x r) and H (d x d) symmetric, store only the (a <= b) triangle, in
 # np.triu_indices order, of each pair block i <= j, in the library's
@@ -330,7 +332,7 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 # "acc_A" and "acc_b" are in the coordinates of "basis", the p x r
 # orthonormal Q; a basis that is not orthonormal to round-off is refused.
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                (int, float): "a number"}
@@ -378,44 +380,21 @@ def _checked_layout(payload: dict, p: int) -> list[tuple[str, tuple[int, ...]]]:
     the checkpoint document `payload` at code length `p`: the libraries',
     then the per-task codes and w stacked.  Refuses, by name, an entry they
     depend on that is missing or of the wrong type, a d below 1, an r
-    outside 0..p, an unknown loss, and representatives and slots that no
-    stream gives: a representative id that names no learned task, repeats,
-    breaks stream order or is not at its own index as its task's slot, and
-    a slot above the number of representatives admitted before its task."""
+    outside 0..p, and a per-task entry with an unknown loss or a slot that
+    is not a JSON integer."""
     d, r = (entry(payload, key, int, key) for key in ("d", "r"))
     if d < 1:
         raise ValueError(f"checkpoint entry 'd': {d}, expected at least 1")
     if not 0 <= r <= p:
         raise ValueError(f"checkpoint entry 'r': {r}, expected 0 to p = {p}")
-    reps = entry(payload, "representatives", list, "representatives")
     per_task = entry(payload, "per_task", dict, "per_task")
-    order = {tid: n for n, tid in enumerate(per_task)}
-    for i in range(len(reps)):
-        name = f"representatives[{i}]"
-        tid = entry(reps, i, str, name)
-        if tid not in order:
-            raise ValueError(f"checkpoint entry {name!r}: {tid!r} names no learned task")
-        # strictly in stream order, so no id repeats
-        if i and order[tid] <= order[reps[i - 1]]:
-            raise ValueError(f"checkpoint entry {name!r}: task {tid!r} is not learned after "
-                             f"representatives[{i - 1}], {reps[i - 1]!r}")
-    admitted = 0   # the representatives admitted before the task
     for tid in per_task:
         key = f"per_task[{tid!r}]"
         rec = entry(per_task, tid, dict, key)
         if entry(rec, "loss_kind", str, f"{key}.loss_kind") not in ("squared", "logistic"):
             raise ValueError(f"checkpoint entry {key + '.loss_kind'!r}: unknown loss "
                              f"{rec['loss_kind']!r}")
-        slot = entry(rec, "slot", int, f"{key}.slot")
-        if not 0 <= slot <= admitted:
-            raise ValueError(f"checkpoint entry {key + '.slot'!r}: {slot}, expected 0 to "
-                             f"{admitted}, the representatives admitted before the task")
-        if admitted < len(reps) and reps[admitted] == tid:
-            if slot != admitted:
-                raise ValueError(f"checkpoint entry 'representatives[{admitted}]': task "
-                                 f"{tid!r} is at slot {slot} in {key + '.slot'!r}, expected "
-                                 f"{admitted}")
-            admitted += 1
+        entry(rec, "slot", int, f"{key}.slot")
     tri = d * (d + 1) // 2
     return [("decoder", (d, p)), ("encoder", (p, d)), ("basis", (p, r)), ("acc_b", (d * r,)),
             ("acc_M", (p, d)), ("acc_A", (r * (r + 1) // 2, tri)), ("acc_C", (1, tri)),
@@ -424,13 +403,13 @@ def _checked_layout(payload: dict, p: int) -> list[tuple[str, tuple[int, ...]]]:
 
 def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
     """The checkpoint's JSON document and the arrays of its data file, in
-    order, as little-endian float64."""
+    order, as little-endian float64; the document's "sha256" is the
+    `_digest` of the rest of it and the arrays."""
     flib, records = state.flib, state.per_task.values()
     payload = {
         "version": CHECKPOINT_VERSION,
         "d": flib.d,
         "r": flib.basis.shape[1],
-        "representatives": list(state.mlib),
         "seed": state.seed,
         "hyper": dataclasses.asdict(state.hyper),
         "per_task": {tid: {"loss_kind": rec.loss_kind, "slot": rec.slot}
@@ -449,15 +428,22 @@ def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
     }
     pieces = [np.ascontiguousarray(np.reshape(arrays[name], shape), dtype="<f8")
               for name, shape in _checked_layout(payload, state.hyper.p)]
-    digest = hashlib.sha256()
-    for piece in pieces:
-        digest.update(piece)
-    payload["sha256"] = digest.hexdigest()
+    payload["sha256"] = _digest(payload, pieces)
     return payload, pieces
 
 
+def _digest(payload: dict, pieces) -> str:
+    """The SHA-256 of `json.dumps` of the checkpoint document `payload`
+    less its "sha256", followed by the data `pieces`."""
+    digest = hashlib.sha256(json.dumps({key: value for key, value in payload.items()
+                                        if key != "sha256"}).encode("ascii"))
+    for piece in pieces:
+        digest.update(piece)
+    return digest.hexdigest()
+
+
 def _data_path(path: Path, digest: str) -> Path:
-    """The data file of the checkpoint at `path` whose data has SHA-256 `digest`."""
+    """The data file of the checkpoint at `path` whose document has "sha256" `digest`."""
     return path.with_name(f"{path.stem}.{digest[:16]}.bin")
 
 
@@ -480,24 +466,23 @@ def _replace(path: Path, pieces) -> None:
 
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table,
-    in two files (format version 8; see the codec notes above).
+    in two files (format version 9; see the codec notes above).
 
     `path` must end in `.json`, and ValueError, naming it, refuses any
     other: its stem then names one checkpoint, whose data files no save to
     another path removes.  `path` gets a JSON document, byte for byte
     `json.dumps` of the checkpoint's integers and strings, which is ASCII:
-    the representatives' task ids and each task's assignment slot among
-    them, and the SHA-256 of the data.  Beside it, `<stem>.<first 16 hex
+    each task's assignment slot among them, and one SHA-256 over the rest
+    of the document and the data.  Beside it, `<stem>.<first 16 hex
     digits of that digest>.bin` gets every float64 array as raw
     little-endian bytes: the decoder, encoder, basis, acc_b and acc_M, the
     packed pair blocks of acc_A and acc_C, and the per-task codes and w
-    stacked; a representative's code is its task's.  The two files are
-    moved together.  The name follows from the content, so two saves of
-    one state write the same bytes.  Each file is written to a
-    dot-prefixed temp file, synced to disk and moved into place with
-    `os.replace`, the data file first; only then are older data files of
-    `path`'s stem removed, so a write that fails part-way leaves the
-    directory as it was.  The files hold the whole engine state:
+    stacked.  The two files are moved together.  The name follows from the
+    content, so two saves of one state write the same bytes.  Each file is
+    written to a dot-prefixed temp file, synced to disk and moved into
+    place with `os.replace`, the data file first; only then are older data
+    files of `path`'s stem removed, so a write that fails part-way leaves
+    the directory as it was.  The files hold the whole engine state:
     `load_state` returns a state equal to `state` field for field, bit for
     bit, which continues the stream exactly as `state` would.
     """
@@ -522,10 +507,10 @@ def save_state(state: EngineState, path) -> None:
             old.unlink(missing_ok=True)
 
 
-def _read_data(data_path: Path, digest: str, layout) -> dict:
+def _read_data(data_path: Path, payload: dict, layout) -> dict:
     """The arrays of `layout` by name, read from the data file, which must
-    hold exactly their bytes and have SHA-256 `digest`; an array that is
-    NaN or infinite is refused by name."""
+    hold exactly their bytes and, with the document `payload`, have its
+    `_digest`; an array that is NaN or infinite is refused by name."""
     sizes = [int(np.prod(shape)) for _, shape in layout]
     try:
         raw = data_path.read_bytes()
@@ -534,8 +519,9 @@ def _read_data(data_path: Path, digest: str, layout) -> dict:
     if len(raw) != 8 * sum(sizes):
         raise ValueError(f"data file {str(data_path)!r} holds {len(raw)} bytes, expected "
                          f"{8 * sum(sizes)} from the checkpoint's d, hyper.p, r and tasks")
-    if hashlib.sha256(raw).hexdigest() != digest:
-        raise ValueError(f"data file {str(data_path)!r}: its SHA-256 is not the checkpoint's")
+    if _digest(payload, [raw]) != payload["sha256"]:
+        raise ValueError(f"data file {str(data_path)!r} and the document: their SHA-256 "
+                         f"differs from checkpoint entry 'sha256'")
     flat = np.frombuffer(raw, dtype="<f8")
     arrays, at = {}, 0
     for (name, shape), size in zip(layout, sizes):
@@ -568,22 +554,23 @@ def _hyper_from_checkpoint(values: dict) -> HyperParams:
 
 def load_state(path) -> EngineState:
     """The state `save_state` wrote.  ValueError, naming the file, refuses
-    any version but 8, among them 1 (nested lists), 2 (arrays in full), 3
+    any version but 9, among them 1 (nested lists), 2 (arrays in full), 3
     (identity basis), 4 (all p(p+1)/2 pairs), 5 (one JSON file of base64),
-    6 (per-task simplex vectors) and 7 (representative codes, tasks_seen, p
-    and slot counts stored); an entry that is missing or of the wrong type
+    6 (per-task simplex vectors), 7 (representative codes, tasks_seen, p
+    and slot counts stored) and 8 (representative ids stored, a digest of
+    the data alone); an entry that is missing or of the wrong type
     (integers must be JSON integers), a `hyper` key that is not a field of
-    HyperParams, a per-task entry with an unknown loss, and representatives
-    and slots that no stream gives (see `_checked_layout`), or a
-    representative whose task's code is all zero and a task at its outlier
-    slot with a nonzero code that is not one.  The tasks seen are the
-    per-task entries, p is hyper.p, and the representatives' codes are
-    their tasks'.  The data file's name comes from `path`'s stem and the
-    stored digest, never from the document.  It is refused, by name, when
-    it is missing, when its size is not what the arrays' shapes need (they
-    follow from d, hyper.p, r and the number of tasks) or when its SHA-256
-    differs.  So are an array that is not finite and a basis that is not
-    orthonormal to round-off."""
+    HyperParams and a per-task entry with an unknown loss.  The data
+    file's name comes from `path`'s stem and the stored digest, never from
+    the document.  It is refused, by name, when it is missing or when its
+    size is not what the arrays' shapes need (they follow from d, hyper.p,
+    r and the number of tasks), and with the document when their SHA-256
+    differs from the stored one: an edit to any entry is refused.  So are
+    an array that is not finite and a basis that is not orthonormal to
+    round-off.  The tasks seen are the per-task entries and p is hyper.p.
+    The model library is replayed over the tasks in stream order by
+    `admit_representative` from each slot and code; a slot above the
+    representatives admitted before its task is refused by name."""
     path = Path(path)
     try:
         return _load_state(path)
@@ -606,26 +593,24 @@ def _load_state(path: Path) -> EngineState:
     digest = entry(payload, "sha256", str, "sha256")
     if not re.fullmatch("[0-9a-f]{64}", digest):
         raise ValueError(f"checkpoint entry 'sha256': {digest!r} is not 64 hex digits")
-    arrays = _read_data(_data_path(path, digest), digest, layout)
+    arrays = _read_data(_data_path(path, digest), payload, layout)
     basis = arrays["basis"]
     gram = basis.T @ basis
     gram.flat[::basis.shape[1] + 1] -= 1.0
     if not np.all(np.abs(gram) <= _ORTHONORMAL_ROUNDOFF * hyper.p):
         raise ValueError(f"checkpoint array 'basis': columns are not orthonormal (Q'Q "
                          f"departs from I by {np.abs(gram).max():.3g})")
-    per_task, reps = payload["per_task"], payload["representatives"]
+    per_task = payload["per_task"]
     codes = arrays["per_task.code"]
     codes.setflags(write=False)
-    admitted = 0
-    for tid, rec, code in zip(per_task, per_task.values(), codes):
-        if admitted < len(reps) and reps[admitted] == tid:
-            if not code.any():
-                raise ValueError(f"checkpoint entry 'representatives[{admitted}]': task "
-                                 f"{tid!r} has a code of all zeros in 'per_task.code'")
-            admitted += 1
-        elif rec["slot"] == admitted and code.any():
-            raise ValueError(f"checkpoint entry {f'per_task[{tid!r}].slot'!r}: the outlier "
-                             f"slot with a nonzero code, yet not among the representatives")
+    mlib = ()
+    for (tid, rec), code in zip(per_task.items(), codes):
+        try:
+            assignment = Assignment(slot=rec["slot"], slots=len(mlib) + 1)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint entry {f'per_task[{tid!r}].slot'!r}: {exc}, one more "
+                             f"than the representatives admitted before the task") from None
+        mlib, _ = admit_representative(mlib, code, assignment, tid)
     d = payload["d"]
     flib = FeatureLibrary(
         decoder=arrays["decoder"],
@@ -639,4 +624,4 @@ def _load_state(path: Path) -> EngineState:
     )
     records = {tid: PerTaskRecord(code=code, slot=rec["slot"], w=w, loss_kind=rec["loss_kind"])
                for (tid, rec), code, w in zip(per_task.items(), codes, arrays["per_task.w"])}
-    return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=tuple(reps), per_task=records)
+    return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=mlib, per_task=records)

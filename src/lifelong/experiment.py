@@ -114,7 +114,14 @@ class ExperimentConfig:
     def from_dict(payload: dict) -> "ExperimentConfig":
         payload = drop_retired(payload, RETIRED_CONFIG_KEYS)
         if isinstance(payload.get("hyper"), dict):
-            payload["hyper"] = HyperParams(**drop_retired(payload["hyper"], RETIRED_HYPER_KEYS))
+            hyper = drop_retired(payload["hyper"], RETIRED_HYPER_KEYS)
+            for key, value in hyper.items():
+                # each setting alone, so that a refusal names its entry
+                try:
+                    HyperParams(**{key: value})
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"config entry {'hyper.' + key!r}: {exc}") from None
+            payload["hyper"] = HyperParams(**hyper)
         if isinstance(payload.get("seeds"), list):
             payload["seeds"] = tuple(payload["seeds"])
         return ExperimentConfig(**payload)

@@ -237,6 +237,18 @@ class TestCorpusIO:
                                                        f"an 'id' and a 'file'")):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [("d", 6.7), ("d", "6"), ("d", True), ("tasks", 5),
+                                            ("problem_kind", 3), ("name", 7)])
+    def test_malformed_manifest_entry_refused_by_name(self, tmp_path, key, value):
+        # none may be truncated, coerced or read as another kind of corpus
+        corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=6, n_per_task=5)
+        path = save_corpus(corpus, tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry {key!r}")):
+            load_corpus(tmp_path)
+
     def test_classification_labels_validated(self, tmp_path):
         X = np.ones((2, 4))
         y = np.array([1.0, -1.0, 1.0, -1.0])

@@ -459,11 +459,13 @@ def read_checkpoint(path):
 
 def write_checkpoint(path, payload, arrays):
     """`payload` and `arrays`, of any shapes, in their order, as the
-    checkpoint at `path`, with the digest and data file name of their bytes;
+    checkpoint at `path`, with the digest of `json.dumps` of the rest of
+    `payload` and then the arrays' bytes, and that digest's data file name;
     returns the data file."""
     data = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
     data_file(path).unlink()
-    payload["sha256"] = hashlib.sha256(data).hexdigest()
+    document = json.dumps({key: value for key, value in payload.items() if key != "sha256"})
+    payload["sha256"] = hashlib.sha256(document.encode("ascii") + data).hexdigest()
     data_path = engine._data_path(path, payload["sha256"])
     data_path.write_bytes(data)
     path.write_text(json.dumps(payload))
@@ -533,12 +535,13 @@ DELETE = object()
 
 
 @pytest.fixture(scope="module")
-def five_task_checkpoint(tmp_path_factory):
-    """A checkpoint of five tasks with two representatives, and a directory
-    that holds its data file, for documents written beside it."""
+def six_task_checkpoint(tmp_path_factory):
+    """A checkpoint of six tasks with two representatives, the last task at
+    the second one's slot, and a directory that holds its data file, for
+    documents written beside it."""
     train, _ = small_corpus()
-    state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:5])
-    assert len(state.mlib) == 2
+    state, _ = stream(init_state(small_hyper(), seed=0), train.tasks)
+    assert len(state.mlib) == 2 and state.per_task[train.tasks[-1].task_id].slot == 1
     path = tmp_path_factory.mktemp("valid") / "state.json"
     save_state(state, path)
     work = tmp_path_factory.mktemp("mutated")
@@ -723,7 +726,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: data file {str(data)!r}")):
             load_state(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 4, 5, 6, 7, 8])
     def test_retired_version_refused(self, tmp_path, version):
         # version 1 had no version key and stored arrays as nested lists,
         # version 2 stored every array in full, both without a basis,
@@ -731,9 +734,10 @@ class TestCheckpoint:
         # entries, zero past the basis rank r, version 5 was one JSON
         # document with every array as base64 text, version 6 held each
         # task's simplex vector z in the data file and no slot in the
-        # document, and version 7 stored p, tasks_seen, each task's slot
-        # count and each representative's code, source task and arrival;
-        # none is read
+        # document, version 7 stored p, tasks_seen, each task's slot count
+        # and each representative's code, source task and arrival, and
+        # version 8 the representatives' task ids, with a digest of the
+        # data alone, as versions 6 and 7 had; none is read
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         payload = version_5_document(state)
@@ -744,20 +748,26 @@ class TestCheckpoint:
         acc_A[:r * d, :r * d] = full_from_pairs(flib.acc_A_pairs, r)
         acc_b = np.zeros(p * d)
         acc_b[:r * d] = flib.acc_b_coords
-        if version in (6, 7):
+        path = tmp_path / "state.json"
+        if version in (6, 7, 8):
             reps = [{key: rep[key] for key in ("source_task", "admitted_at")}
                     for rep in payload["representatives"]]
-            save_state(state, tmp_path / "v8.json")
-            payload = json.loads((tmp_path / "v8.json").read_text())
+            save_state(state, path)
+            payload = json.loads(path.read_text())
             slots = slot_counts(state)
             for tid, rec in payload["per_task"].items():
                 if version == 6:
                     del rec["slot"]
-                else:
+                elif version == 7:
                     rec["slots"] = slots[tid]
             if version == 7:
                 payload.update(p=p, tasks_seen=flib.tasks_seen, representatives=reps)
+            elif version == 8:
+                payload["representatives"] = list(state.mlib)
             payload["version"] = version
+            data = data_file(path)
+            payload["sha256"] = hashlib.sha256(data.read_bytes()).hexdigest()
+            data.rename(engine._data_path(path, payload["sha256"]))
         elif version == 4:
             # pair blocks in np.triu_indices(p) order, each packed
             ia, ja = np.triu_indices(d)
@@ -781,21 +791,21 @@ class TestCheckpoint:
                 del payload["version"]
             else:
                 payload["version"] = 2
-        path = tmp_path / "state.json"
         path.write_text(json.dumps(payload))
         message = (f"{path}: checkpoint version {version} is not readable; "
-                   f"readable versions are [8]")
+                   f"readable versions are [9]")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(path)
         # read past the version, versions 1-5 have no basis rank to size the
-        # data, version 6 has no slot, and version 7's representatives are
-        # objects, not task ids
+        # data, version 6 has no slot, and the digest of versions 7 and 8
+        # is not that of the document and data
         payload["version"] = CHECKPOINT_VERSION
         path.write_text(json.dumps(payload))
         slot = f"per_task[{next(iter(payload['per_task']))!r}].slot"
-        refusal = {6: f"{slot!r} is missing", 7: "'representatives[0]': {"}.get(
+        refusal = {6: f"{slot!r} is missing", 7: "'sha256'", 8: "'sha256'"}.get(
             version, "'r' is missing")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint entry {refusal}")):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*"
+                                             f"{re.escape(f'checkpoint entry {refusal}')}"):
             load_state(path)
 
     def test_acc_C_in_full_refused(self, tmp_path):
@@ -848,10 +858,10 @@ class TestCheckpoint:
     def test_version_3_checkpoint_refused(self):
         # written while the statistics were held in the identity basis with
         # no "basis" entry, by saving the first 4 tasks of small_corpus()
-        # under small_hyper() and seed 0; version 8 alone is read
+        # under small_hyper() and seed 0; version 9 alone is read
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         assert json.loads(old.read_text())["version"] == 3
-        message = f"{old}: checkpoint version 3 is not readable; readable versions are [8]"
+        message = f"{old}: checkpoint version 3 is not readable; readable versions are [9]"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(old)
 
@@ -909,7 +919,8 @@ class TestCheckpoint:
         # every shape follows from d, p, r and the number of tasks: an array
         # with an entry more or less, or an r one higher, leaves the data
         # file with a size other than those shapes need, and a slot or loss
-        # that no arrival could have is refused by its entry
+        # that no arrival could have is refused by its entry, even with a
+        # digest that matches
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
@@ -928,7 +939,7 @@ class TestCheckpoint:
                 entry["slot"] = len(state.mlib) + 1
             else:
                 entry["loss_kind"] = "bogus"
-            path.write_text(json.dumps(payload))
+            write_checkpoint(path, payload, arrays)
         else:
             grown = np.append(arrays[key], 0.0)
             arrays[key] = grown[:-2] if key == "per_task.code" else grown
@@ -1141,10 +1152,10 @@ class TestCheckpoint:
         assert data_file(again).read_bytes() == data_file(path).read_bytes()
 
     @pytest.mark.parametrize("case", [
-        "seed", "hyper", "per_task", "d", "r", "representatives", "sha256",
+        "seed", "hyper", "per_task", "d", "r", "sha256",
         "hyper.mu", "per_task[tid].loss_kind",
         "per_task=[]", "per_task[tid]=[]", "hyper=null", "d=8.5", "r='2'",
-        "seed=null", "representatives={}", "representatives[0]=1",
+        "seed=null",
         "per_task[tid].loss_kind=null",
         "per_task[tid].slot", "per_task[tid].slot=1.0", "per_task[tid].slot=true",
         "per_task[tid].slot=2",
@@ -1153,13 +1164,14 @@ class TestCheckpoint:
     def test_malformed_entry_refused(self, tmp_path, case):
         # each entry missing (a bare path) or of the wrong JSON type (path=
         # value) is refused with a ValueError that names the file and the
-        # entry; integers must be JSON integers, not floats or bools.  In a
-        # path, tid stands for the second task's id
+        # entry, even with a digest that matches; integers must be JSON
+        # integers, not floats or bools.  In a path, tid stands for the
+        # second task's id
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
         save_state(state, path)
-        payload = json.loads(path.read_text())
+        payload, arrays = read_checkpoint(path)
         tid = train.tasks[1].task_id
         where, _, value = case.partition("=")
         keys = [int(k) if k.isdigit() else tid if k == "tid" else k
@@ -1175,7 +1187,10 @@ class TestCheckpoint:
                 del doc[keys[-1]]
             else:
                 doc[keys[-1]] = value
-        path.write_text(json.dumps(payload))
+        if keys[0] in ("sha256", "document"):
+            path.write_text(json.dumps(payload))
+        else:
+            write_checkpoint(path, payload, arrays)
         if case == "version=6.0":
             name = "checkpoint version 6.0"
         elif case == "document=[]":
@@ -1187,88 +1202,77 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(name)}"):
             load_state(path)
 
-    @pytest.mark.parametrize("case, name", [
-        ("unknown", "representatives[0]"), ("not_a_string", "representatives[0]"),
-        ("repeated", "representatives[1]"), ("swapped", "representatives[1]"),
-        ("slot_not_index", "representatives[1]"), ("zero_code", "representatives[1]"),
-        ("first_task_at_slot_1", "per_task[{first}].slot"),
-        ("unlisted", "per_task[{second}].slot")])
-    def test_inconsistent_representatives_refused(self, tmp_path, five_task_checkpoint, case,
-                                                  name):
-        # the representatives are the tasks, in stream order, that won the
-        # outlier slot with a nonzero code, and a task's slot is at most the
-        # number admitted before it; a document that breaks this, with a
-        # data file that matches, is refused naming the file and the entry
+    @pytest.mark.parametrize("case", ["hyper.mu", "seed", "slot", "loss_kind", "added_key"])
+    def test_document_edit_refused(self, tmp_path, six_task_checkpoint, case):
+        # the digest covers the document as well as the data: an edit that
+        # leaves every entry well-formed and every slot one the task could
+        # have taken is refused naming the file and "sha256"
         path = tmp_path / "state.json"
-        copy_checkpoint(five_task_checkpoint[0], path)
-        payload, arrays = read_checkpoint(path)
-        reps, per_task = payload["representatives"], payload["per_task"]
-        first, second = reps
-        assert first == next(iter(per_task))
-        if case == "unknown":
-            reps[0] = "no_such_task"
-        elif case == "not_a_string":
-            reps[0] = 7
-        elif case == "repeated":
-            reps[1] = first
-        elif case == "swapped":
-            reps.reverse()
-        elif case == "slot_not_index":
-            per_task[second]["slot"] = 0
-        elif case == "zero_code":
-            arrays["per_task.code"][list(per_task).index(second)] = 0.0
-        elif case == "first_task_at_slot_1":
-            per_task[first]["slot"] = 1
+        copy_checkpoint(six_task_checkpoint[0], path)
+        payload = json.loads(path.read_text())
+        tid = list(payload["per_task"])[-1]
+        if case == "hyper.mu":
+            payload["hyper"]["mu"] = 0.5
+        elif case == "seed":
+            payload["seed"] = 123
+        elif case == "slot":
+            # from the second representative's slot to the first's
+            payload["per_task"][tid]["slot"] = 0
+        elif case == "loss_kind":
+            payload["per_task"][tid]["loss_kind"] = "logistic"
         else:
-            del reps[1]
+            payload["representatives"] = list(load_state(path).mlib)
+        path.write_text(json.dumps(payload))
+        message = f"{path}: data file {str(data_file(path))!r} and the document"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}: .*'sha256'"):
+            load_state(path)
+
+    @pytest.mark.parametrize("task", [0, 2])
+    def test_slot_past_the_admitted_refused(self, tmp_path, six_task_checkpoint, task):
+        # a task's slot is at most the number of representatives admitted
+        # before it, its outlier slot: 1 for the third task, 0 for the
+        # first; one more, with a digest that matches, is refused naming
+        # the file and the entry
+        path = tmp_path / "state.json"
+        copy_checkpoint(six_task_checkpoint[0], path)
+        payload, arrays = read_checkpoint(path)
+        tid = list(payload["per_task"])[task]
+        payload["per_task"][tid]["slot"] = 1 + min(task, 1)
         write_checkpoint(path, payload, arrays)
-        name = name.format(first=repr(first), second=repr(second))
-        message = f"{path}: checkpoint entry {name!r}"
+        message = f"{path}: checkpoint entry {f'per_task[{tid!r}].slot'!r}: slot"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load_state(path)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_mutated_document_loads_or_is_refused_by_name(self, five_task_checkpoint, data):
+    def test_mutated_document_loads_or_is_refused_by_name(self, six_task_checkpoint, data):
         # one entry of a valid document dropped, of another JSON type, an
-        # integer out of range, an unknown key added, or a representative
-        # id replaced, repeated or moved: the checkpoint loads, or a
-        # ValueError names the file and an entry, never another error
-        source, work = five_task_checkpoint
+        # integer out of range or an unknown key added: a ValueError names
+        # the file and an entry, never another error, and only a document
+        # that the change left as it was loads
+        source, work = six_task_checkpoint
         payload = json.loads(source.read_text())
-        reps = payload["representatives"]
         paths = list(document_paths(payload))
-        kind = data.draw(st.sampled_from(["drop", "retype", "out_of_range", "add",
-                                          "representative"]), label="kind")
-        if kind == "representative":
-            ids = [*payload["per_task"], "no_such_task"]
-            change = data.draw(st.sampled_from(["replace", "repeat", "reorder"]), label="change")
-            if change == "replace":
-                reps[data.draw(st.integers(0, len(reps) - 1))] = data.draw(st.sampled_from(ids))
-            elif change == "repeat":
-                reps.insert(data.draw(st.integers(0, len(reps))), data.draw(st.sampled_from(reps)))
-            else:
-                reps[:] = data.draw(st.permutations(reps))
+        kind = data.draw(st.sampled_from(["drop", "retype", "out_of_range", "add"]), label="kind")
+        if kind == "out_of_range":
+            paths = [p for p in paths if type(payload_at(payload, p)) is int]
+        elif kind == "add":
+            paths = [()] + [p for p in paths if isinstance(payload_at(payload, p), dict)]
+        where = data.draw(st.sampled_from(paths), label="path")
+        if kind == "add":
+            payload_at(payload, where)[data.draw(st.text(max_size=3), label="key")] = \
+                data.draw(st.sampled_from(JSON_VALUES), label="value")
         else:
-            if kind == "out_of_range":
-                paths = [p for p in paths if type(payload_at(payload, p)) is int]
-            elif kind == "add":
-                paths = [()] + [p for p in paths if isinstance(payload_at(payload, p), dict)]
-            where = data.draw(st.sampled_from(paths), label="path")
-            if kind == "add":
-                payload_at(payload, where)[data.draw(st.text(max_size=3), label="key")] = \
-                    data.draw(st.sampled_from(JSON_VALUES), label="value")
+            doc = payload_at(payload, where[:-1])
+            if kind == "drop":
+                del doc[where[-1]]
+            elif kind == "retype":
+                old = type(doc[where[-1]])
+                doc[where[-1]] = data.draw(st.sampled_from(
+                    [v for v in JSON_VALUES if type(v) is not old]), label="value")
             else:
-                doc = payload_at(payload, where[:-1])
-                if kind == "drop":
-                    del doc[where[-1]]
-                elif kind == "retype":
-                    old = type(doc[where[-1]])
-                    doc[where[-1]] = data.draw(st.sampled_from(
-                        [v for v in JSON_VALUES if type(v) is not old]), label="value")
-                else:
-                    doc[where[-1]] = data.draw(st.sampled_from([-1, 0, 1, 2**31, 2**64])
-                                               | st.integers(), label="value")
+                doc[where[-1]] = data.draw(st.sampled_from([-1, 0, 1, 2**31, 2**64])
+                                           | st.integers(), label="value")
         path = work / "state.json"
         path.write_text(json.dumps(payload))
         try:
@@ -1277,6 +1281,8 @@ class TestCheckpoint:
             assert str(exc).startswith(f"{path}: "), exc
             assert re.search(r"checkpoint (entry|array|version)|data file|not a checkpoint",
                              str(exc)), exc
+        else:
+            assert path.read_text() == source.read_text()
 
     @pytest.mark.parametrize("key, value", [
         ("beta", 1.0), ("rho", 1.0), ("admm_tol", 1e-6), ("admm_max_iter", 2000),
@@ -1298,7 +1304,7 @@ class TestCheckpoint:
             load_state(path)
 
     @pytest.mark.parametrize("key, value", [("p", 0), ("p", -1), ("gamma", 0.0),
-                                            ("lambda1", -1.0)])
+                                            ("lambda1", -1.0), ("mu", 10**400)])
     def test_setting_refused_by_hyper_params_named(self, tmp_path, key, value):
         # a setting of the right JSON type that HyperParams refuses is
         # refused naming the hyper entry too
@@ -1317,8 +1323,8 @@ class TestCheckpoint:
         # configs written with the iterative assignment, the iterative code
         # solver, the capped alternation, the assignment's l1 weight or the
         # admission switch carry their settings; they are dropped, any
-        # other unknown key still raises (a checkpoint refuses them all:
-        # test_retired_or_unknown_hyper_key_refused)
+        # other unknown key is still refused by name (a checkpoint refuses
+        # them all: test_retired_or_unknown_hyper_key_refused)
         retired = {"beta": 1.0, "rho": 1.0, "admm_tol": 1e-6, "admm_max_iter": 2000,
                    "coder_tol": 1e-6, "coder_max_iter": 5000,
                    "max_outer": 20, "outer_tol": 1e-5, "alpha": 3.0,
@@ -1328,7 +1334,7 @@ class TestCheckpoint:
         values["hyper"].update(retired)
         assert ExperimentConfig.from_dict(values) == config
         values["hyper"]["betta"] = 1.0
-        with pytest.raises(TypeError, match="betta"):
+        with pytest.raises(ValueError, match="^config entry 'hyper.betta': "):
             ExperimentConfig.from_dict(values)
 
     # (settings of the hyper entry or of the config itself that the code
@@ -1382,7 +1388,7 @@ class TestHyperParams:
         for value in (2.5, 6.0, True, np.int64(6)):
             with pytest.raises(ValueError, match="^p must be an int >= 1"):
                 HyperParams(p=value)
-        with pytest.raises(ValueError, match="^mu must be finite"):
+        with pytest.raises(ValueError, match="^config entry 'hyper.mu': mu must be finite"):
             ExperimentConfig.from_dict({"hyper": json.loads('{"mu": NaN}')})
 
     def test_tanh_activation_pair(self):

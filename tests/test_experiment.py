@@ -118,8 +118,18 @@ class TestRunExperiment:
         # coerced to another run or fail inside numpy
         values = ExperimentConfig().to_dict()
         (values["hyper"] if section == "hyper" else values)[key] = value
-        with pytest.raises(ValueError, match=f"^{key} must be"):
+        where = f"config entry 'hyper.{key}': " if section == "hyper" else ""
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}{key} must be"):
             ExperimentConfig.from_dict(values)
+
+    @pytest.mark.parametrize("key, value", [("bogus", 1), ("phi", "relu"), ("p", 0),
+                                            ("mu", "0.1")])
+    def test_hyper_entry_refused_by_name(self, key, value):
+        # an unknown setting, and a value HyperParams refuses, name the
+        # config's hyper entry
+        where = f"config entry 'hyper.{key}': "
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}"):
+            ExperimentConfig.from_dict({"hyper": {key: value}})
 
     @pytest.mark.parametrize("dataset, name", [
         ({"clusters": "2"}, "clusters"), ({"n_per_task": 12.0}, "n_per_task"),
