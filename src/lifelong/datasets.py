@@ -97,10 +97,7 @@ def generate_disjoint(seed: int, clusters: int = 3, tasks_per_cluster: int = 10,
         supports.append((lo, hi))
         centers[lo:hi, c] = rng.normal(0.0, 30.0, size=hi - lo)
 
-    tasks = []
-    labels = []
-    weights = np.zeros((d, clusters * tasks_per_cluster))
-    idx = 0
+    tasks, labels, true_weights = [], [], []
     for c in range(clusters):
         lo, hi = supports[c]
         for i in range(tasks_per_cluster):
@@ -113,9 +110,9 @@ def generate_disjoint(seed: int, clusters: int = 3, tasks_per_cluster: int = 10,
             tasks.append(TaskData(features=X, targets=y, loss_kind="squared",
                                   task_id=f"c{c}_t{i}"))
             labels.append(c)
-            weights[:, idx] = w_hat
-            idx += 1
-    truth = GroundTruth(cluster_labels=np.array(labels), true_weights=weights)
+            true_weights.append(w_hat)
+    truth = GroundTruth(cluster_labels=np.array(labels),
+                        true_weights=np.column_stack(true_weights))
     return TaskCorpus(tasks=tuple(tasks), problem_kind="regression",
                       name="disjoint", ground_truth=truth)
 
@@ -132,8 +129,7 @@ def split_corpus(corpus: TaskCorpus, train_fraction: float = 0.5,
         if n < 2:
             raise ValueError(f"task {task.task_id} has fewer than 2 samples")
         perm = rng.permutation(n)
-        n_train = int(round(train_fraction * n))
-        n_train = min(max(n_train, 1), n - 1)
+        n_train = min(max(int(round(train_fraction * n)), 1), n - 1)
         tr, te = perm[:n_train], perm[n_train:]
         for sel, bucket in ((tr, train_tasks), (te, test_tasks)):
             bucket.append(dataclasses.replace(
@@ -201,32 +197,39 @@ def load_corpus(path) -> TaskCorpus:
         raise FileNotFoundError(f"manifest not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    # the JSON type of each entry; a bool is no dimension
-    for key, want in (("name", str), ("problem_kind", str), ("d", int), ("tasks", list)):
-        value = manifest.get(key) if isinstance(manifest, dict) else None
-        if type(value) is bool or not isinstance(value, want):
-            raise ValueError(f"{path}: manifest entry {key!r} must be of type "
-                             f"{want.__name__}, got {value!r}")
-    kind, d = manifest["problem_kind"], manifest["d"]
+    get = manifest.get if isinstance(manifest, dict) else {}.get
+    name, kind, d, entries = (_manifest_entry(path, key, get(key), want) for key, want
+                              in (("name", str), ("problem_kind", str), ("d", int), ("tasks", list)))
     if kind not in ("regression", "classification"):
         raise ValueError(f"{path}: manifest entry 'problem_kind' must be 'regression' or "
                          f"'classification', got {kind!r}")
     loss_kind = "squared" if kind == "regression" else "logistic"
     root = path.parent.resolve()
     tasks = []
-    for entry in manifest["tasks"]:
-        if not isinstance(entry, dict) or not {"id", "file"} <= entry.keys():
-            raise ValueError(f"{path}: manifest task entry {entry!r} needs an 'id' and a 'file'")
-        fpath = path.parent / entry["file"]
+    for i, entry in enumerate(entries):
+        entry = _manifest_entry(path, f"tasks[{i}]", entry, dict)
+        tid, file = (_manifest_entry(path, f"tasks[{i}].{key}", entry.get(key), str)
+                     for key in ("id", "file"))
+        fpath = path.parent / file
         if not fpath.resolve().is_relative_to(root):
-            raise ValueError(f"{path}: task {entry['id']!r}: file {entry['file']!r} lies "
+            raise ValueError(f"{path}: task {tid!r}: file {file!r} lies "
                              f"outside the manifest's directory")
         if not fpath.exists():
-            raise FileNotFoundError(f"{path}: task file listed in manifest is missing: {entry['file']}")
-        X, y = _read_task_csv(fpath, d)
-        tasks.append(TaskData(features=X, targets=y, loss_kind=loss_kind,
-                              task_id=str(entry["id"])))
-    return TaskCorpus(tasks=tuple(tasks), problem_kind=kind, name=manifest["name"])
+            raise FileNotFoundError(f"{path}: task file listed in manifest is missing: {file}")
+        try:
+            X, y = _read_task_csv(fpath, d)
+            tasks.append(TaskData(features=X, targets=y, loss_kind=loss_kind, task_id=tid))
+        except ValueError as exc:
+            raise ValueError(f"{path}: task {tid!r}: {exc}") from None
+    return TaskCorpus(tasks=tuple(tasks), problem_kind=kind, name=name)
+
+
+def _manifest_entry(path: Path, name: str, value, want: type):
+    """`value` of manifest entry `name`, refused unless of JSON type `want`; a bool is no int."""
+    if type(value) is bool or not isinstance(value, want):
+        raise ValueError(f"{path}: manifest entry {name!r} must be of type "
+                         f"{want.__name__}, got {value!r}")
+    return value
 
 
 def _write_task_csv(path: Path, task: TaskData) -> None:
@@ -245,9 +248,11 @@ def _read_task_csv(path: Path, d: int):
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty task file")
-    expected_header = ",".join([f"f{j}" for j in range(d)] + ["target"])
-    if lines[0] != expected_header:
-        raise ValueError(f"{path}, line 1: bad header (expected {d} features plus target)")
+    # the field count first: a header is never built from d alone, which may be huge
+    header = lines[0].split(",")
+    if len(header) != d + 1 or header != [f"f{j}" for j in range(d)] + ["target"]:
+        raise ValueError(f"{path}, line 1: bad header (expected manifest entry 'd' = {d} "
+                         f"features plus target)")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:

@@ -86,7 +86,6 @@ class PerTaskRecord:
 
     code: np.ndarray
     slot: int
-    w: np.ndarray
     loss_kind: str
 
 
@@ -157,8 +156,7 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     prev_encoder = flib.encoder
 
     single = fit_single_task(data, hp.ridge)
-    w = single.w
-    omega = single.omega
+    w, omega = single.w, single.omega
     decoder = flib.decoder
     enc_image = np.asarray(phi(flib.encoder @ w), dtype=float)
 
@@ -177,7 +175,7 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
 
     per_task = dict(state.per_task)
     code.setflags(write=False)
-    per_task[data.task_id] = PerTaskRecord(code=code, slot=assignment.slot, w=w,
+    per_task[data.task_id] = PerTaskRecord(code=code, slot=assignment.slot,
                                            loss_kind=data.loss_kind)
     outcome = TaskOutcome(
         task_id=data.task_id,
@@ -308,7 +306,7 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
     return ids, cols
 
 
-# checkpoint i/o.  Version 9 is two files: a JSON document of the
+# checkpoint i/o.  Version 10 is two files: a JSON document of the
 # checkpoint's integers and strings (its d, basis rank r, seed, settings
 # and each task's loss and slot) and, beside it, a data file of every
 # float64 array as raw little-endian bytes, one after another in a fixed
@@ -317,9 +315,10 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 # document stores no layout.  Nor does it store what follows from other
 # entries: the tasks seen are the per-task entries, p is hyper.p, and the
 # model library is replayed from the slots and codes, in stream order, by
-# `admit_representative`, the rule that built it.  The document's
-# "sha256" is one digest over `json.dumps` of the rest of the document
-# followed by the data, so it covers every stored fact.
+# `admit_representative`, the rule that built it; nor each task's w, which
+# only its arrival reads.  The document's "sha256" is one digest over
+# `json.dumps` of the rest of the document followed by the data, so it
+# covers every stored fact.
 # The Kronecker-symmetric accumulators, sums of kron(W, H) with every W
 # (r x r) and H (d x d) symmetric, store only the (a <= b) triangle, in
 # np.triu_indices order, of each pair block i <= j, in the library's
@@ -332,7 +331,7 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 # "acc_A" and "acc_b" are in the coordinates of "basis", the p x r
 # orthonormal Q; a basis that is not orthonormal to round-off is refused.
 
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                (int, float): "a number"}
@@ -378,7 +377,7 @@ _ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
 def _checked_layout(payload: dict, p: int) -> list[tuple[str, tuple[int, ...]]]:
     """The names and shapes, in order, of the arrays in the data file of
     the checkpoint document `payload` at code length `p`: the libraries',
-    then the per-task codes and w stacked.  Refuses, by name, an entry they
+    then the per-task codes stacked.  Refuses, by name, an entry they
     depend on that is missing or of the wrong type, a d below 1, an r
     outside 0..p, and a per-task entry with an unknown loss or a slot that
     is not a JSON integer."""
@@ -398,14 +397,14 @@ def _checked_layout(payload: dict, p: int) -> list[tuple[str, tuple[int, ...]]]:
     tri = d * (d + 1) // 2
     return [("decoder", (d, p)), ("encoder", (p, d)), ("basis", (p, r)), ("acc_b", (d * r,)),
             ("acc_M", (p, d)), ("acc_A", (r * (r + 1) // 2, tri)), ("acc_C", (1, tri)),
-            ("per_task.code", (len(per_task), p)), ("per_task.w", (len(per_task), d))]
+            ("per_task.code", (len(per_task), p))]
 
 
 def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
     """The checkpoint's JSON document and the arrays of its data file, in
     order, as little-endian float64; the document's "sha256" is the
     `_digest` of the rest of it and the arrays."""
-    flib, records = state.flib, state.per_task.values()
+    flib = state.flib
     payload = {
         "version": CHECKPOINT_VERSION,
         "d": flib.d,
@@ -423,8 +422,7 @@ def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
         "acc_M": flib.acc_M,
         "acc_A": pack_pairs(flib.acc_A_pairs),
         "acc_C": pack_pairs(flib.acc_C[None]),
-        "per_task.code": [rec.code for rec in records],
-        "per_task.w": [rec.w for rec in records],
+        "per_task.code": [rec.code for rec in state.per_task.values()],
     }
     pieces = [np.ascontiguousarray(np.reshape(arrays[name], shape), dtype="<f8")
               for name, shape in _checked_layout(payload, state.hyper.p)]
@@ -466,7 +464,7 @@ def _replace(path: Path, pieces) -> None:
 
 def save_state(state: EngineState, path) -> None:
     """Checkpoint: both libraries plus the per-task code/assignment table,
-    in two files (format version 9; see the codec notes above).
+    in two files (format version 10; see the codec notes above).
 
     `path` must end in `.json`, and ValueError, naming it, refuses any
     other: its stem then names one checkpoint, whose data files no save to
@@ -475,16 +473,15 @@ def save_state(state: EngineState, path) -> None:
     each task's assignment slot among them, and one SHA-256 over the rest
     of the document and the data.  Beside it, `<stem>.<first 16 hex
     digits of that digest>.bin` gets every float64 array as raw
-    little-endian bytes: the decoder, encoder, basis, acc_b and acc_M, the
-    packed pair blocks of acc_A and acc_C, and the per-task codes and w
-    stacked.  The two files are moved together.  The name follows from the
-    content, so two saves of one state write the same bytes.  Each file is
-    written to a dot-prefixed temp file, synced to disk and moved into
-    place with `os.replace`, the data file first; only then are older data
-    files of `path`'s stem removed, so a write that fails part-way leaves
-    the directory as it was.  The files hold the whole engine state:
-    `load_state` returns a state equal to `state` field for field, bit for
-    bit, which continues the stream exactly as `state` would.
+    little-endian bytes, in `_checked_layout`'s order.  The two files are
+    moved together.  The name follows from the content, so two saves of
+    one state write the same bytes.  Each file is written to a dot-prefixed
+    temp file, synced to disk and moved into place with `os.replace`, the
+    data file first; only then are older data files of `path`'s stem
+    removed, so a write that fails part-way leaves the directory as it
+    was.  The files hold the whole engine state: `load_state` returns a
+    state equal to `state` field for field, bit for bit, which continues
+    the stream exactly as `state` would.
     """
     path = Path(path)
     if path.suffix != ".json":
@@ -554,23 +551,18 @@ def _hyper_from_checkpoint(values: dict) -> HyperParams:
 
 def load_state(path) -> EngineState:
     """The state `save_state` wrote.  ValueError, naming the file, refuses
-    any version but 9, among them 1 (nested lists), 2 (arrays in full), 3
-    (identity basis), 4 (all p(p+1)/2 pairs), 5 (one JSON file of base64),
-    6 (per-task simplex vectors), 7 (representative codes, tasks_seen, p
-    and slot counts stored) and 8 (representative ids stored, a digest of
-    the data alone); an entry that is missing or of the wrong type
-    (integers must be JSON integers), a `hyper` key that is not a field of
-    HyperParams and a per-task entry with an unknown loss.  The data
-    file's name comes from `path`'s stem and the stored digest, never from
-    the document.  It is refused, by name, when it is missing or when its
-    size is not what the arrays' shapes need (they follow from d, hyper.p,
-    r and the number of tasks), and with the document when their SHA-256
-    differs from the stored one: an edit to any entry is refused.  So are
-    an array that is not finite and a basis that is not orthonormal to
-    round-off.  The tasks seen are the per-task entries and p is hyper.p.
-    The model library is replayed over the tasks in stream order by
-    `admit_representative` from each slot and code; a slot above the
-    representatives admitted before its task is refused by name."""
+    any version but 10 (the README says what versions 1-9 stored); an
+    entry that is missing or of the wrong type (integers must be JSON
+    integers), a `hyper` key that is not a field of HyperParams and a
+    per-task entry with an unknown loss.  The data file's name comes from
+    `path`'s stem and the stored digest, never from the document.  It is
+    refused, by name, when it is missing or when its size is not what the
+    arrays' shapes need (they follow from d, hyper.p, r and the number of
+    tasks), and with the document when their SHA-256 differs from the
+    stored one: an edit to any entry is refused.  So are an array that is
+    not finite, a basis that is not orthonormal to round-off and a slot
+    above the representatives admitted before its task, found as the model
+    library is replayed (see the codec notes above)."""
     path = Path(path)
     try:
         return _load_state(path)
@@ -603,7 +595,7 @@ def _load_state(path: Path) -> EngineState:
     per_task = payload["per_task"]
     codes = arrays["per_task.code"]
     codes.setflags(write=False)
-    mlib = ()
+    mlib, records = (), {}
     for (tid, rec), code in zip(per_task.items(), codes):
         try:
             assignment = Assignment(slot=rec["slot"], slots=len(mlib) + 1)
@@ -611,6 +603,7 @@ def _load_state(path: Path) -> EngineState:
             raise ValueError(f"checkpoint entry {f'per_task[{tid!r}].slot'!r}: {exc}, one more "
                              f"than the representatives admitted before the task") from None
         mlib, _ = admit_representative(mlib, code, assignment, tid)
+        records[tid] = PerTaskRecord(code=code, slot=rec["slot"], loss_kind=rec["loss_kind"])
     d = payload["d"]
     flib = FeatureLibrary(
         decoder=arrays["decoder"],
@@ -622,6 +615,4 @@ def _load_state(path: Path) -> EngineState:
         acc_C=unpack_pairs(arrays["acc_C"], d)[0],
         tasks_seen=len(per_task),
     )
-    records = {tid: PerTaskRecord(code=code, slot=rec["slot"], w=w, loss_kind=rec["loss_kind"])
-               for (tid, rec), code, w in zip(per_task.items(), codes, arrays["per_task.w"])}
     return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=mlib, per_task=records)

@@ -85,7 +85,7 @@ class ExperimentConfig:
                 type(s) is bool or not isinstance(s, int) for s in self.seeds):
             raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
         if not self.seeds:
-            raise ValueError("need at least one seed")
+            raise ValueError("seeds must hold at least one seed")
         repeated = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
         if repeated:
             # each seed writes its own files and counts once in summary.csv
@@ -112,7 +112,12 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise ValueError(f"a config must be a JSON object, got {payload!r}")
         payload = drop_retired(payload, RETIRED_CONFIG_KEYS)
+        unknown = sorted(payload.keys() - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"config entry {unknown[0]!r}: not a setting of ExperimentConfig")
         if isinstance(payload.get("hyper"), dict):
             hyper = drop_retired(payload["hyper"], RETIRED_HYPER_KEYS)
             for key, value in hyper.items():
@@ -168,11 +173,7 @@ def _engine_reports(state: EngineState, test_tasks, kind: str):
 def _stl_reports(weights: dict, test_tasks, kind: str):
     def scores(t):
         return t.features.T @ weights[t.task_id]
-
-    def labels(t):
-        return np.where(scores(t) >= 0.0, 1.0, -1.0)
-
-    return _evaluate(scores, labels, test_tasks, kind)
+    return _evaluate(scores, lambda t: np.where(scores(t) >= 0.0, 1.0, -1.0), test_tasks, kind)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lifelong.assignment import solve_assignment
-from lifelong.datasets import generate_disjoint
+from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
 from lifelong.engine import (HyperParams, init_state, learn_task,
                              reconstruct_model, reconstructed_weights)
 from lifelong.experiment import ExperimentConfig, run_experiment, run_seed
@@ -59,6 +59,18 @@ def long_stream_runs():
                               output_dir="unused", with_stl=False,
                               with_ablation=False)
     return [run_seed(config, seed) for seed in SEEDS]
+
+
+def task_vectors(result, **dataset):
+    """The single-task fits w of `result`'s learned tasks, stacked in
+    stream order, from `run_seed`'s training split of the disjoint corpus
+    with parameters `dataset`: bit for bit the fits their arrivals used."""
+    seed = result.seed
+    train, test = split_corpus(generate_disjoint(seed=seed, **dataset),
+                               ExperimentConfig.train_fraction, seed)
+    by_id = {t.task_id: t for t in standardize_targets(train, test)[0].tasks}
+    return np.array([fit_single_task(by_id[tid], result.state.hyper.ridge).w
+                     for tid in result.state.per_task])
 
 
 @pytest.fixture(scope="session")
@@ -164,7 +176,7 @@ class TestCriterion5:
         per_seed = []
         for r in long_stream_runs:
             deltas = np.array([o.encoder_delta for o in r.outcomes])
-            W = np.array([r.state.per_task[o.task_id].w for o in r.outcomes])
+            W = task_vectors(r, tasks_per_cluster=30)
             d = W.shape[1]
             T0 = next((T for T in range(d, len(W) + 1)
                        if np.linalg.matrix_rank(W[:T]) == d), None)

@@ -11,6 +11,8 @@ from lifelong.datasets import (TaskCorpus, generate_disjoint, load_corpus,
                                save_corpus, split_corpus, standardize_targets)
 from lifelong.tasks import TaskData, fit_single_task
 
+from test_engine import mutate_document
+
 
 class TestGenerateDisjoint:
     def test_default_shape(self):
@@ -134,6 +136,13 @@ class TestStandardize:
             standardize_targets(dataclasses.replace(train, tasks=train.tasks[:3]), test)
 
 
+@pytest.fixture(scope="module")
+def saved_manifest(tmp_path_factory):
+    """The manifest of a saved two-task corpus."""
+    corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=4, n_per_task=5)
+    return save_corpus(corpus, tmp_path_factory.mktemp("corpus"))
+
+
 class TestCorpusIO:
     def test_round_trip_bit_exact(self, tmp_path):
         corpus = generate_disjoint(seed=0, clusters=2, tasks_per_cluster=2,
@@ -228,13 +237,24 @@ class TestCorpusIO:
     @pytest.mark.parametrize("key", ["id", "file"])
     def test_entry_without_id_or_file_refused(self, tmp_path, key):
         corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=4, n_per_task=5)
-        save_corpus(corpus, tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        path = save_corpus(corpus, tmp_path)
+        manifest = json.loads(path.read_text())
         del manifest["tasks"][1][key]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        entry = manifest["tasks"][1]
-        with pytest.raises(ValueError, match=re.escape(f"manifest task entry {entry!r} needs "
-                                                       f"an 'id' and a 'file'")):
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry 'tasks[1].{key}' "
+                                                       f"must be of type str, got None")):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [("id", 7), ("file", 5)])
+    def test_task_entry_of_another_type_refused_by_name(self, tmp_path, key, value):
+        # an id is not read through str(), nor a number joined to a path
+        corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=4, n_per_task=5)
+        path = save_corpus(corpus, tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["tasks"][1][key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry 'tasks[1].{key}' "
+                                                       f"must be of type str, got {value!r}")):
             load_corpus(tmp_path)
 
     @pytest.mark.parametrize("key, value", [("d", 6.7), ("d", "6"), ("d", True), ("tasks", 5),
@@ -248,6 +268,37 @@ class TestCorpusIO:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry {key!r}")):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("d", [0, -1, 5])
+    def test_header_disagreeing_with_d_names_the_manifest(self, tmp_path, d):
+        # a d that the task files' headers do not hold is refused naming
+        # the manifest, the task, its file and the entry
+        corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=6, n_per_task=5)
+        path = save_corpus(corpus, tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["d"] = d
+        path.write_text(json.dumps(manifest))
+        message = (f"{path}: task 'c0_t0': {tmp_path / 'c0_t0.csv'}, line 1: bad header "
+                   f"(expected manifest entry 'd' = {d} features plus target)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_corpus(tmp_path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_manifest_loads_or_is_refused_by_name(self, saved_manifest, data):
+        # one entry of a valid manifest dropped, of another JSON type, an
+        # integer out of range (a huge d included) or a key added: the
+        # corpus loads, or a ValueError names the manifest and the entry
+        # changed, never another error
+        manifest = json.loads(saved_manifest.read_text())
+        top = mutate_document(manifest, data)[0]
+        path = saved_manifest.with_name("mutated.json")
+        path.write_text(json.dumps(manifest))
+        try:
+            load_corpus(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            assert re.search(f"manifest entry '{re.escape(top)}['.[]", str(exc)), exc
 
     def test_classification_labels_validated(self, tmp_path):
         X = np.ones((2, 4))

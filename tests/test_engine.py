@@ -76,19 +76,20 @@ def stream(state, tasks):
 
 def replay_arrival(before, after, task):
     """The arrival of `task`, which took `before` to `after`, as the
-    (s, w, omega, reps) that `oracles.decoder_statistics` re-sums: omega
-    from a fresh single-task fit, s, w and the assignment slot from the
-    task's record in `after`, and each representative of `before` with its
-    weight z_k, 1 at that slot and 0 elsewhere, and its Hessian, which is
-    omega for squared loss and otherwise the task's Hessian at the
-    arrival-time decoder's model D s_k."""
+    (s, w, omega, reps) that `oracles.decoder_statistics` re-sums: w and
+    omega from a fresh single-task fit, bit for bit the arrival's, s and
+    the assignment slot from the task's record in `after`, and each
+    representative of `before` with its weight z_k, 1 at that slot and 0
+    elsewhere, and its Hessian, which is omega for squared loss and
+    otherwise the task's Hessian at the arrival-time decoder's model D s_k."""
     record = after.per_task[task.task_id]
-    omega = fit_single_task(task, after.hyper.ridge).omega
+    single = fit_single_task(task, after.hyper.ridge)
+    omega = single.omega
     codes = [before.per_task[tid].code for tid in before.mlib]
     hessians = ([omega] * len(codes) if task.loss_kind == "squared"
                 else [hessian_at(task, before.flib.decoder @ s_k) for s_k in codes])
     z = np.eye(len(codes) + 1)[record.slot]
-    return (record.code, record.w, omega, list(zip(codes, hessians, z)))
+    return (record.code, single.w, omega, list(zip(codes, hessians, z)))
 
 
 class TestSingleTask:
@@ -99,11 +100,10 @@ class TestSingleTask:
         assert len(state.mlib) == 1
         assert out.admitted
         assert list(state.per_task) == [train.tasks[0].task_id]
-        w = state.per_task[train.tasks[0].task_id].w
+        single = fit_single_task(train.tasks[0], state.hyper.ridge)
         recon = reconstruct_model(state, train.tasks[0].task_id)
-        diff = w - recon
-        omega = fit_single_task(train.tasks[0], state.hyper.ridge).omega
-        err = float(diff @ (omega @ diff))
+        diff = single.w - recon
+        err = float(diff @ (single.omega @ diff))
         assert np.isfinite(err)
 
     def test_train_rmse_close_to_ridge_fit(self):
@@ -480,13 +480,13 @@ def copy_checkpoint(src, dst):
 
 
 def data_bytes(state):
-    """8 (r(r+1)/2 d(d+1)/2 + d(d+1)/2 + 3dp + pr + dr + T(p + d)): the data
+    """8 (r(r+1)/2 d(d+1)/2 + d(d+1)/2 + 3dp + pr + dr + Tp): the data
     file's size for `state`."""
     flib = state.flib
     d, p, r = flib.d, flib.p, flib.basis.shape[1]
     tri = d * (d + 1) // 2
     return 8 * (r * (r + 1) // 2 * tri + tri + 3 * d * p + p * r + d * r
-                + state.n_tasks * (p + d))
+                + state.n_tasks * p)
 
 
 def slot_counts(state):
@@ -498,9 +498,10 @@ def slot_counts(state):
 
 
 def version_5_document(state):
-    """The one JSON document version 5 wrote for `state`: every array as
-    base64 of its float64 bytes, acc_A and acc_C as the packed pair
-    triangles with their "kron" factors."""
+    """The one JSON document version 5 wrote for `state`, less each task's
+    w, which a state no longer holds: every array as base64 of its float64
+    bytes, acc_A and acc_C as the packed pair triangles with their "kron"
+    factors."""
     flib = state.flib
     d = flib.d
     slots = slot_counts(state)
@@ -525,7 +526,7 @@ def version_5_document(state):
                             for tid in state.mlib],
         "seed": state.seed, "hyper": dataclasses.asdict(state.hyper),
         "per_task": {tid: {"code": array(rec.code), "z": array(np.eye(slots[tid])[rec.slot]),
-                           "w": array(rec.w), "loss_kind": rec.loss_kind}
+                           "loss_kind": rec.loss_kind}
                      for tid, rec in state.per_task.items()},
     }
 
@@ -566,6 +567,35 @@ def document_paths(doc, prefix=()):
 
 # a value of each JSON type, for swapping one entry's type
 JSON_VALUES = (None, True, 3, 1.5, "x", [], {})
+
+
+def mutate_document(doc, data):
+    """Change the JSON document `doc` in place as `data` draws: drop one
+    entry, give it a value of another JSON type, set an integer out of
+    range or add a key to an object.  Returns the path of the entry
+    changed, an added key last."""
+    paths = list(document_paths(doc))
+    kind = data.draw(st.sampled_from(["drop", "retype", "out_of_range", "add"]), label="kind")
+    if kind == "out_of_range":
+        paths = [p for p in paths if type(payload_at(doc, p)) is int]
+    elif kind == "add":
+        paths = [()] + [p for p in paths if isinstance(payload_at(doc, p), dict)]
+    where = data.draw(st.sampled_from(paths), label="path")
+    if kind == "add":
+        key = data.draw(st.text(max_size=3), label="key")
+        payload_at(doc, where)[key] = data.draw(st.sampled_from(JSON_VALUES), label="value")
+        return where + (key,)
+    parent = payload_at(doc, where[:-1])
+    if kind == "drop":
+        del parent[where[-1]]
+    elif kind == "retype":
+        old = type(parent[where[-1]])
+        parent[where[-1]] = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if type(v) is not old]), label="value")
+    else:
+        parent[where[-1]] = data.draw(st.sampled_from([-1, 0, 1, 2**31, 2**64])
+                                      | st.integers(), label="value")
+    return where
 
 
 class TestCheckpoint:
@@ -726,7 +756,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: data file {str(data)!r}")):
             load_state(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("version", [1, 2, 4, 5, 6, 7, 8, 9])
     def test_retired_version_refused(self, tmp_path, version):
         # version 1 had no version key and stored arrays as nested lists,
         # version 2 stored every array in full, both without a basis,
@@ -735,9 +765,10 @@ class TestCheckpoint:
         # document with every array as base64 text, version 6 held each
         # task's simplex vector z in the data file and no slot in the
         # document, version 7 stored p, tasks_seen, each task's slot count
-        # and each representative's code, source task and arrival, and
+        # and each representative's code, source task and arrival,
         # version 8 the representatives' task ids, with a digest of the
-        # data alone, as versions 6 and 7 had; none is read
+        # data alone, as versions 6 and 7 had, and version 9 each task's
+        # single-task fit w after the codes; none is read
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         payload = version_5_document(state)
@@ -768,6 +799,13 @@ class TestCheckpoint:
             data = data_file(path)
             payload["sha256"] = hashlib.sha256(data.read_bytes()).hexdigest()
             data.rename(engine._data_path(path, payload["sha256"]))
+        elif version == 9:
+            save_state(state, path)
+            payload, arrays = read_checkpoint(path)
+            arrays["per_task.w"] = [fit_single_task(t, state.hyper.ridge).w
+                                    for t in train.tasks[:4]]
+            payload["version"] = 9
+            write_checkpoint(path, payload, arrays)
         elif version == 4:
             # pair blocks in np.triu_indices(p) order, each packed
             ia, ja = np.triu_indices(d)
@@ -793,19 +831,21 @@ class TestCheckpoint:
                 payload["version"] = 2
         path.write_text(json.dumps(payload))
         message = (f"{path}: checkpoint version {version} is not readable; "
-                   f"readable versions are [9]")
+                   f"readable versions are [10]")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(path)
         # read past the version, versions 1-5 have no basis rank to size the
-        # data, version 6 has no slot, and the digest of versions 7 and 8
-        # is not that of the document and data
+        # data, version 6 has no slot, the digest of versions 7 and 8 is
+        # not that of the document and data, and version 9's w leaves the
+        # data file larger than the layout
         payload["version"] = CHECKPOINT_VERSION
         path.write_text(json.dumps(payload))
         slot = f"per_task[{next(iter(payload['per_task']))!r}].slot"
-        refusal = {6: f"{slot!r} is missing", 7: "'sha256'", 8: "'sha256'"}.get(
-            version, "'r' is missing")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*"
-                                             f"{re.escape(f'checkpoint entry {refusal}')}"):
+        refusal = {6: f"checkpoint entry {slot!r} is missing", 7: "checkpoint entry 'sha256'",
+                   8: "checkpoint entry 'sha256'"}.get(version, "checkpoint entry 'r' is missing")
+        if version == 9:
+            refusal = f"data file {str(data_file(path))!r} holds"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(refusal)}"):
             load_state(path)
 
     def test_acc_C_in_full_refused(self, tmp_path):
@@ -858,10 +898,10 @@ class TestCheckpoint:
     def test_version_3_checkpoint_refused(self):
         # written while the statistics were held in the identity basis with
         # no "basis" entry, by saving the first 4 tasks of small_corpus()
-        # under small_hyper() and seed 0; version 9 alone is read
+        # under small_hyper() and seed 0; version 10 alone is read
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         assert json.loads(old.read_text())["version"] == 3
-        message = f"{old}: checkpoint version 3 is not readable; readable versions are [9]"
+        message = f"{old}: checkpoint version 3 is not readable; readable versions are [10]"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(old)
 
@@ -913,7 +953,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load_state(path)
 
-    @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "per_task.w", "per_task.code",
+    @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "per_task.code",
                                      "per_task.slot", "per_task.loss_kind"])
     def test_shape_disagreeing_with_d_and_p_named(self, tmp_path, key):
         # every shape follows from d, p, r and the number of tasks: an array
@@ -1108,7 +1148,7 @@ class TestCheckpoint:
             load_state(path)
 
     @pytest.mark.parametrize("key, value", [("decoder", np.nan), ("acc_A", np.inf),
-                                            ("per_task.w", -np.inf)])
+                                            ("per_task.code", -np.inf)])
     def test_non_finite_array_named(self, tmp_path, key, value):
         # a NaN or infinite entry would reach every prediction or refit
         train, _ = small_corpus()
@@ -1252,27 +1292,7 @@ class TestCheckpoint:
         # that the change left as it was loads
         source, work = six_task_checkpoint
         payload = json.loads(source.read_text())
-        paths = list(document_paths(payload))
-        kind = data.draw(st.sampled_from(["drop", "retype", "out_of_range", "add"]), label="kind")
-        if kind == "out_of_range":
-            paths = [p for p in paths if type(payload_at(payload, p)) is int]
-        elif kind == "add":
-            paths = [()] + [p for p in paths if isinstance(payload_at(payload, p), dict)]
-        where = data.draw(st.sampled_from(paths), label="path")
-        if kind == "add":
-            payload_at(payload, where)[data.draw(st.text(max_size=3), label="key")] = \
-                data.draw(st.sampled_from(JSON_VALUES), label="value")
-        else:
-            doc = payload_at(payload, where[:-1])
-            if kind == "drop":
-                del doc[where[-1]]
-            elif kind == "retype":
-                old = type(doc[where[-1]])
-                doc[where[-1]] = data.draw(st.sampled_from(
-                    [v for v in JSON_VALUES if type(v) is not old]), label="value")
-            else:
-                doc[where[-1]] = data.draw(st.sampled_from([-1, 0, 1, 2**31, 2**64])
-                                           | st.integers(), label="value")
+        mutate_document(payload, data)
         path = work / "state.json"
         path.write_text(json.dumps(payload))
         try:

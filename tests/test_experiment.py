@@ -4,11 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifelong.cli import main
 from lifelong.datasets import generate_disjoint, save_corpus
 from lifelong.engine import HyperParams
 from lifelong.experiment import ExperimentConfig, run_experiment
+
+from test_engine import mutate_document
 
 
 def tiny_config(tmp_path, **overrides):
@@ -144,6 +148,36 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"^dataset entry {re.escape(repr(name))}"):
             ExperimentConfig.from_dict(values)
 
+    @pytest.mark.parametrize("document", [[], "x", 3, None])
+    def test_document_not_an_object_refused_by_name(self, document):
+        # json.load of a config file may return any JSON value
+        message = f"a config must be a JSON object, got {document!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(document)
+
+    @pytest.mark.parametrize("key", ["bogus", "hyperparams"])
+    def test_unknown_entry_refused_by_name(self, key):
+        values = ExperimentConfig().to_dict()
+        values[key] = 1
+        message = f"config entry {key!r}: not a setting of ExperimentConfig"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(values)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_config_loads_or_is_refused_by_name(self, data):
+        # one entry of a valid config dropped, of another JSON type, an
+        # integer out of range or a key added: the config loads, or a
+        # ValueError names the top-level entry changed, never another error
+        config = tiny_config(Path("unused"), seeds=(3,), checkpoint_every=2)
+        values = json.loads(json.dumps(config.to_dict()))
+        top = mutate_document(values, data)[0]
+        try:
+            ExperimentConfig.from_dict(values)
+        except ValueError as exc:
+            assert top in str(exc) or repr(top) in str(exc), exc
+
+
 class TestCli:
     def test_happy_path(self, tmp_path, capsys):
         config = tiny_config(tmp_path)
@@ -172,6 +206,14 @@ class TestCli:
         cfg_path.write_text(json.dumps({"task_order": "alphabetical"}))
         assert main(["--config", str(cfg_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_config_not_an_object_exits_nonzero(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text("[]")
+        out = tmp_path / "cli_out"
+        assert main(["--config", str(cfg_path), "--output", str(out)]) == 1
+        assert "error: a config must be a JSON object, got []" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_checkpoint_every_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "cli_out"

@@ -524,8 +524,7 @@ class TestCheckpoint:
             flib = bump_tasks_seen(flib)
         # one per-task entry for each of the three refits, as learn_task
         # keeps, the first admitted and the others at its slot
-        per_task = {f"t{i}": PerTaskRecord(code=rng.normal(size=p), slot=0,
-                                           w=rng.normal(size=d), loss_kind="squared")
+        per_task = {f"t{i}": PerTaskRecord(code=rng.normal(size=p), slot=0, loss_kind="squared")
                     for i in range(3)}
         mlib, _ = admit_representative((), per_task["t0"].code, Assignment(slot=0, slots=1),
                                        "t0")
