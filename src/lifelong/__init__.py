@@ -12,8 +12,8 @@ from .engine import (EngineState, HyperParams, TaskOutcome, init_state,
 from .experiment import ExperimentConfig, run_experiment
 from .libraries import (FeatureLibrary, admit_representative, init_libraries,
                         update_decoder, update_encoder)
-from .metrics import (MetricReport, accuracy, auc, model_correlation_matrix,
-                      representative_timeline, rmse)
+from .metrics import (MetricReport, accuracy, auc, model_correlation_matrix, rmse,
+                      timeline_to_csv)
 from .sparse_code import (CodeProblem, Representative, composite_objective,
                           encode_task, smooth_gradient, smooth_objective,
                           soft_threshold)

@@ -9,10 +9,10 @@ and checkpoints under the output directory.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .experiment import TASK_ORDERS, ExperimentConfig, run_experiment
+from .tasks import read_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,8 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args) -> ExperimentConfig:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_dict(json.load(fh))
+        config = ExperimentConfig.from_dict(read_json(args.config))
     else:
         config = ExperimentConfig()
     overrides = {}

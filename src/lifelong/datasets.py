@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tasks import TaskData
+from .tasks import TaskData, json_entry, read_json
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,36 @@ class TaskCorpus:
         return len(self.tasks)
 
 
-def generate_disjoint(seed: int, clusters: int = 3, tasks_per_cluster: int = 10,
-                      d: int = 40, n_per_task: int = 50,
-                      noise_std: float = 0.1) -> TaskCorpus:
-    """Synthetic regression stream with disjoint cluster supports.
+def disjoint_parameters(params: dict) -> dict:
+    """The parameters of `generate_disjoint` but its seed: their defaults,
+    in order, updated by `params`.  ValueError names the dataset entry that
+    is unknown, not a JSON integer (a number, for noise_std) or out of
+    range: a count below 1, an n_per_task below 2 (each task is split in
+    half), a d below twice the clusters, and a noise_std that is negative
+    or not finite."""
+    values = {"clusters": 3, "tasks_per_cluster": 10, "d": 40, "n_per_task": 50, "noise_std": 0.1}
+    unknown = sorted(params.keys() - values.keys())
+    if unknown:
+        raise ValueError(f"dataset entry {unknown[0]!r}: a disjoint dataset takes "
+                         + ", ".join(values))
+    values.update(params)
+    for name in ("clusters", "tasks_per_cluster", "n_per_task", "d"):
+        json_entry(values, name, int, name, "dataset")
+    for name, least in (("clusters", 1), ("tasks_per_cluster", 1), ("n_per_task", 2),
+                        ("d", 2 * values["clusters"])):
+        if values[name] < least:
+            raise ValueError(f"dataset entry {name!r}: {values[name]}, expected at least {least}")
+    noise_std = json_entry(values, "noise_std", (int, float), "noise_std", "dataset")
+    # an exact comparison: an integer past float range is refused too
+    if not 0 <= noise_std <= float(np.finfo(float).max):
+        raise ValueError(f"dataset entry 'noise_std': {noise_std!r}, expected a finite "
+                         f"number >= 0")
+    return values
+
+
+def generate_disjoint(seed: int, **params) -> TaskCorpus:
+    """Synthetic regression stream with disjoint cluster supports; `params`
+    are those `disjoint_parameters` takes.
 
     The first half of the dimensions carries only task-specific weight
     (entries ~ N(0, 16)); the second half is partitioned into contiguous
@@ -78,12 +104,7 @@ def generate_disjoint(seed: int, clusters: int = 3, tasks_per_cluster: int = 10,
     on the first half and on its cluster's block.  Features are standard
     normal and targets get additive N(0, noise_std^2) noise.
     """
-    if clusters < 1 or tasks_per_cluster < 1 or n_per_task < 1:
-        raise ValueError("clusters, tasks_per_cluster and n_per_task must be >= 1")
-    if d < 2 * clusters:
-        raise ValueError(f"need d >= 2 * clusters, got d={d}, clusters={clusters}")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+    clusters, tasks_per_cluster, d, n_per_task, noise_std = disjoint_parameters(params).values()
     rng = np.random.default_rng(seed)
     half = d // 2
     shared = d - half
@@ -195,10 +216,9 @@ def load_corpus(path) -> TaskCorpus:
         path = path / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    get = manifest.get if isinstance(manifest, dict) else {}.get
-    name, kind, d, entries = (_manifest_entry(path, key, get(key), want) for key, want
+    manifest = read_json(path)
+    document = f"{path}: manifest"
+    name, kind, d, entries = (json_entry(manifest, key, want, key, document) for key, want
                               in (("name", str), ("problem_kind", str), ("d", int), ("tasks", list)))
     if kind not in ("regression", "classification"):
         raise ValueError(f"{path}: manifest entry 'problem_kind' must be 'regression' or "
@@ -206,9 +226,9 @@ def load_corpus(path) -> TaskCorpus:
     loss_kind = "squared" if kind == "regression" else "logistic"
     root = path.parent.resolve()
     tasks = []
-    for i, entry in enumerate(entries):
-        entry = _manifest_entry(path, f"tasks[{i}]", entry, dict)
-        tid, file = (_manifest_entry(path, f"tasks[{i}].{key}", entry.get(key), str)
+    for i in range(len(entries)):
+        entry = json_entry(entries, i, dict, f"tasks[{i}]", document)
+        tid, file = (json_entry(entry, key, str, f"tasks[{i}].{key}", document)
                      for key in ("id", "file"))
         fpath = path.parent / file
         if not fpath.resolve().is_relative_to(root):
@@ -222,14 +242,6 @@ def load_corpus(path) -> TaskCorpus:
         except ValueError as exc:
             raise ValueError(f"{path}: task {tid!r}: {exc}") from None
     return TaskCorpus(tasks=tuple(tasks), problem_kind=kind, name=name)
-
-
-def _manifest_entry(path: Path, name: str, value, want: type):
-    """`value` of manifest entry `name`, refused unless of JSON type `want`; a bool is no int."""
-    if type(value) is bool or not isinstance(value, want):
-        raise ValueError(f"{path}: manifest entry {name!r} must be of type "
-                         f"{want.__name__}, got {value!r}")
-    return value
 
 
 def _write_task_csv(path: Path, task: TaskData) -> None:

@@ -33,8 +33,9 @@ from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
 from .libraries import (FeatureLibrary, _symmetric_bits, admit_representative,
                         bump_tasks_seen, init_libraries, update_decoder, update_encoder)
-from .sparse_code import CodeProblem, Representative, encode_task
-from .tasks import ConvergenceError, TaskData, fit_single_task, hessian_at
+from .sparse_code import CodeProblem, Representative, composite_objective, encode_task
+from .tasks import (ConvergenceError, TaskData, fit_single_task, hessian_at, json_entry,
+                    read_json)
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,8 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
         prob = CodeProblem(w=w, omega=omega, decoder=decoder, encoder_image=enc_image,
                            reps=reps, lambda1=hp.lambda1, lambda2=hp.lambda2)
         code = encode_task(prob)
-        base = _base_objective(prob, code)
+        # reconstruction, encoder coupling and l1, without representative terms
+        base = composite_objective(dataclasses.replace(prob, lambda2=0.0), code)
         if K == 0:
             trace.append(base)
             break
@@ -257,14 +259,6 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
                 f"(slots by round: {slots + [slot]})")
         slots.append(slot)
     return code, assignment, trace, len(trace), rep_hessians, dists, d0
-
-
-def _base_objective(prob: CodeProblem, code: np.ndarray) -> float:
-    """Reconstruction + encoder coupling + l1, without representative terms."""
-    r = prob.decoder @ code - prob.w
-    e = code - prob.encoder_image
-    return (float(r @ (prob.omega @ r)) + float(e @ e)
-            + prob.lambda1 * float(np.abs(code).sum()))
 
 
 def _record(state: EngineState, task_id: str) -> PerTaskRecord:
@@ -333,22 +327,6 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 
 CHECKPOINT_VERSION = 10
 
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-               (int, float): "a number"}
-
-
-def entry(doc, key, kind, name: str):
-    """`doc[key]` of a checkpoint document, refused by `name` when it is
-    missing or not of `kind`, a key of `_JSON_KINDS`: a JSON integer is
-    not a float, and a bool is no integer or number."""
-    try:
-        value = doc[key]
-    except KeyError:
-        raise ValueError(f"checkpoint entry {name!r} is missing") from None
-    if type(value) is bool or not isinstance(value, kind):
-        raise ValueError(f"checkpoint entry {name!r}: {value!r} is not {_JSON_KINDS[kind]}")
-    return value
-
 
 def pack_pairs(blocks: np.ndarray) -> np.ndarray:
     """The (a <= b) triangle of each of the pair blocks `blocks`, one row
@@ -381,19 +359,19 @@ def _checked_layout(payload: dict, p: int) -> list[tuple[str, tuple[int, ...]]]:
     depend on that is missing or of the wrong type, a d below 1, an r
     outside 0..p, and a per-task entry with an unknown loss or a slot that
     is not a JSON integer."""
-    d, r = (entry(payload, key, int, key) for key in ("d", "r"))
+    d, r = (json_entry(payload, key, int, key, "checkpoint") for key in ("d", "r"))
     if d < 1:
         raise ValueError(f"checkpoint entry 'd': {d}, expected at least 1")
     if not 0 <= r <= p:
         raise ValueError(f"checkpoint entry 'r': {r}, expected 0 to p = {p}")
-    per_task = entry(payload, "per_task", dict, "per_task")
+    per_task = json_entry(payload, "per_task", dict, "per_task", "checkpoint")
     for tid in per_task:
         key = f"per_task[{tid!r}]"
-        rec = entry(per_task, tid, dict, key)
-        if entry(rec, "loss_kind", str, f"{key}.loss_kind") not in ("squared", "logistic"):
-            raise ValueError(f"checkpoint entry {key + '.loss_kind'!r}: unknown loss "
-                             f"{rec['loss_kind']!r}")
-        entry(rec, "slot", int, f"{key}.slot")
+        rec = json_entry(per_task, tid, dict, key, "checkpoint")
+        loss = json_entry(rec, "loss_kind", str, f"{key}.loss_kind", "checkpoint")
+        if loss not in ("squared", "logistic"):
+            raise ValueError(f"checkpoint entry {key + '.loss_kind'!r}: unknown loss {loss!r}")
+        json_entry(rec, "slot", int, f"{key}.slot", "checkpoint")
     tri = d * (d + 1) // 2
     return [("decoder", (d, p)), ("encoder", (p, d)), ("basis", (p, r)), ("acc_b", (d * r,)),
             ("acc_M", (p, d)), ("acc_A", (r * (r + 1) // 2, tri)), ("acc_C", (1, tri)),
@@ -540,8 +518,8 @@ def _hyper_from_checkpoint(values: dict) -> HyperParams:
     if unknown:
         raise ValueError(f"checkpoint entry {'hyper.' + unknown[0]!r}: not a setting of "
                          f"HyperParams")
-    settings = {f.name: entry(values, f.name, (int, float) if isinstance(f.default, float)
-                              else type(f.default), f"hyper.{f.name}")
+    settings = {f.name: json_entry(values, f.name, (int, float) if isinstance(f.default, float)
+                                   else type(f.default), f"hyper.{f.name}", "checkpoint")
                 for f in fields}
     try:
         return HyperParams(**settings)
@@ -564,25 +542,24 @@ def load_state(path) -> EngineState:
     above the representatives admitted before its task, found as the model
     library is replayed (see the codec notes above)."""
     path = Path(path)
+    payload = read_json(path)
     try:
-        return _load_state(path)
+        return _load_state(path, payload)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_state(path: Path) -> EngineState:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+def _load_state(path: Path, payload) -> EngineState:
     if not isinstance(payload, dict):
         raise ValueError("not a checkpoint: the document is not a JSON object")
     version = payload.get("version", 1)
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {version!r} is not readable; "
                          f"readable versions are {[CHECKPOINT_VERSION]}")
-    hyper = _hyper_from_checkpoint(entry(payload, "hyper", dict, "hyper"))
+    hyper = _hyper_from_checkpoint(json_entry(payload, "hyper", dict, "hyper", "checkpoint"))
     layout = _checked_layout(payload, hyper.p)
-    seed = entry(payload, "seed", int, "seed")
-    digest = entry(payload, "sha256", str, "sha256")
+    seed = json_entry(payload, "seed", int, "seed", "checkpoint")
+    digest = json_entry(payload, "sha256", str, "sha256", "checkpoint")
     if not re.fullmatch("[0-9a-f]{64}", digest):
         raise ValueError(f"checkpoint entry 'sha256': {digest!r} is not 64 hex digits")
     arrays = _read_data(_data_path(path, digest), payload, layout)

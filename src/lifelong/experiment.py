@@ -11,7 +11,6 @@ import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from inspect import signature
 from pathlib import Path
 from typing import ClassVar
 
@@ -19,20 +18,17 @@ import numpy as np
 
 from . import metrics
 from .baselines import ablation_hyper, run_stl
-from .datasets import (TaskCorpus, generate_disjoint, load_corpus, split_corpus,
-                       standardize_targets)
+from .datasets import (TaskCorpus, disjoint_parameters, generate_disjoint, load_corpus,
+                       split_corpus, standardize_targets)
 from .engine import (EngineState, HyperParams, init_state, learn_task, predict,
-                     predict_labels, reconstructed_weights, save_state)
+                     reconstructed_weights, save_state)
+from .tasks import json_entry
 
 TASK_ORDERS = ("random", "as_listed", "one_by_one_clusters")
 
 # calibrated so the independent baseline sits at its literature level on
 # the standardised synthetic benchmark
 STL_RIDGE = 4.0
-
-# the JSON type of each generate_disjoint parameter a config sets (the run sets the seed)
-DISJOINT_KINDS = {name: type(arg.default) for name, arg in
-                  signature(generate_disjoint).parameters.items() if name != "seed"}
 
 
 def drop_retired(settings: dict, retired: dict) -> dict:
@@ -82,8 +78,8 @@ class ExperimentConfig:
             if not isinstance(value, kind) or (kind is int and type(value) is bool):
                 raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if not isinstance(self.seeds, tuple) or any(
-                type(s) is bool or not isinstance(s, int) for s in self.seeds):
-            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
+                type(s) is bool or not isinstance(s, int) or s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be a list of integers >= 0, got {self.seeds!r}")
         if not self.seeds:
             raise ValueError("seeds must hold at least one seed")
         repeated = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
@@ -92,15 +88,20 @@ class ExperimentConfig:
             raise ValueError(f"seeds are not unique: {repeated}")
         if self.task_order not in TASK_ORDERS:
             raise ValueError(f"task_order must be one of {TASK_ORDERS}")
-        kind = self.dataset.get("type")
-        if kind not in ("disjoint", "corpus"):
+        params = dict(self.dataset)
+        kind = params.pop("type", None)
+        if kind == "disjoint":
+            d = disjoint_parameters(params)["d"]
+            if self.hyper.p > d:
+                raise ValueError(f"config entry 'hyper.p': {self.hyper.p}, expected at most "
+                                 f"dataset entry 'd' = {d}")
+        elif kind == "corpus":
+            json_entry(params, "path", str, "path", "dataset")
+            if params.keys() != {"path"}:
+                raise ValueError(f"dataset entry {min(params.keys() - {'path'})!r}: a corpus "
+                                 f"dataset takes path")
+        else:
             raise ValueError("dataset type must be 'disjoint' or 'corpus'")
-        kinds = {"path": str} if kind == "corpus" else DISJOINT_KINDS
-        for name in sorted(self.dataset.keys() - {"type"} | kinds.keys() & {"path"}):
-            want, value = kinds.get(name, ()), self.dataset.get(name)
-            if type(value) is bool or not isinstance(value, (int, float) if want is float else want):
-                raise ValueError(f"dataset entry {name!r} = {value!r}: a {kind} dataset takes "
-                                 + ", ".join(f"{k} ({t.__name__})" for k, t in kinds.items()))
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0 (0 turns periodic "
                              f"checkpoints off), got {self.checkpoint_every}")
@@ -152,28 +153,21 @@ def _order_tasks(corpus: TaskCorpus, order: str, seed: int) -> list[int]:
     return list(np.argsort(labels, kind="stable"))
 
 
-def _evaluate(score_fn, label_fn, test_tasks, kind: str) -> dict[str, metrics.MetricReport]:
-    """Per-task held-out metrics; `score_fn(task)` returns raw scores."""
+def _evaluate(score_fn, test_tasks, kind: str) -> dict[str, metrics.MetricReport]:
+    """Per-task held-out metrics; `score_fn(task)` returns raw scores, whose
+    sign, ties to +1, is a classification task's label."""
     out: dict[str, dict] = {}
     if kind == "regression":
         out["rmse"] = {t.task_id: metrics.rmse(score_fn(t), t.targets) for t in test_tasks}
     else:
         out["auc"] = {t.task_id: metrics.auc(score_fn(t), t.targets) for t in test_tasks}
-        out["accuracy"] = {t.task_id: metrics.accuracy(label_fn(t), t.targets)
-                           for t in test_tasks}
+        out["accuracy"] = {t.task_id: metrics.accuracy(np.where(score_fn(t) >= 0.0, 1.0, -1.0),
+                                                       t.targets) for t in test_tasks}
     return {k: metrics.MetricReport(per_task=v, metric_kind=k) for k, v in out.items()}
 
 
 def _engine_reports(state: EngineState, test_tasks, kind: str):
-    return _evaluate(lambda t: predict(state, t.task_id, t.features),
-                     lambda t: predict_labels(state, t.task_id, t.features),
-                     test_tasks, kind)
-
-
-def _stl_reports(weights: dict, test_tasks, kind: str):
-    def scores(t):
-        return t.features.T @ weights[t.task_id]
-    return _evaluate(scores, lambda t: np.where(scores(t) >= 0.0, 1.0, -1.0), test_tasks, kind)
+    return _evaluate(lambda t: predict(state, t.task_id, t.features), test_tasks, kind)
 
 
 @dataclass
@@ -223,7 +217,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
 
     if config.with_stl:
         weights = run_stl(train, STL_RIDGE)
-        reports["stl"] = _stl_reports(weights, [test_by_id[t.task_id] for t in stream], kind)
+        reports["stl"] = _evaluate(lambda t: t.features.T @ weights[t.task_id],
+                                   [test_by_id[t.task_id] for t in stream], kind)
 
     return SeedResult(seed=seed, dataset_name=corpus.name, reports=reports,
                       outcomes=outcomes, state=state, curve_rows=curve_rows)
@@ -255,42 +250,29 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
 def _write_seed_files(config: ExperimentConfig, out: Path, result: SeedResult) -> None:
     seed = result.seed
-    lines = ["model,task_id,metric,value"]
+    rows = [("model", "task_id", "metric", "value")]
     for model, by_metric in sorted(result.reports.items()):
         for mk, report in sorted(by_metric.items()):
-            for task_id, value in report.per_task.items():
-                lines.append(f"{model},{task_id},{mk},{value!r}")
-    (out / f"per_task_{seed}.csv").write_text("\n".join(lines) + "\n")
-
-    rows = metrics.representative_timeline(result.outcomes)
-    (out / f"timeline_{seed}.csv").write_text(metrics.timeline_to_csv(rows))
-
+            rows += [(model, task_id, mk, value) for task_id, value in report.per_task.items()]
+    (out / f"per_task_{seed}.csv").write_text(metrics.csv_text(rows))
+    (out / f"timeline_{seed}.csv").write_text(metrics.timeline_to_csv(result.outcomes))
     ids, weights = reconstructed_weights(result.state)
     corr = metrics.model_correlation_matrix(weights)
-    corr_lines = ["task_id," + ",".join(ids)]
-    for i, tid in enumerate(ids):
-        corr_lines.append(tid + "," + ",".join(repr(float(v)) for v in corr[i]))
-    (out / f"correlation_{seed}.csv").write_text("\n".join(corr_lines) + "\n")
-
+    (out / f"correlation_{seed}.csv").write_text(metrics.csv_text(
+        [("task_id", *ids)] + [(tid, *row) for tid, row in zip(ids, corr.tolist())]))
     if config.eval_every_task:
-        curve_lines = ["model,learned_tasks,metric,value"]
-        for model, step, mk, value in result.curve_rows:
-            curve_lines.append(f"{model},{step},{mk},{value!r}")
-        (out / f"curve_{seed}.csv").write_text("\n".join(curve_lines) + "\n")
-
+        (out / f"curve_{seed}.csv").write_text(metrics.csv_text(
+            [("model", "learned_tasks", "metric", "value")] + result.curve_rows))
     save_state(result.state, out / f"checkpoint_{seed}.json")
 
 
 def _write_summary(out: Path, dataset_name: str, results: list[SeedResult]) -> None:
-    lines = ["model,dataset,metric,mean,std"]
-    models = sorted({m for r in results for m in r.reports})
-    for model in models:
-        metric_kinds = sorted({mk for r in results for mk in r.reports.get(model, {})})
-        for mk in metric_kinds:
+    rows = [("model", "dataset", "metric", "mean", "std")]
+    for model in sorted({m for r in results for m in r.reports}):
+        for mk in sorted({mk for r in results for mk in r.reports.get(model, {})}):
             means = [r.reports[model][mk].mean for r in results if mk in r.reports.get(model, {})]
-            lines.append(f"{model},{dataset_name},{mk},"
-                         f"{float(np.mean(means))!r},{float(np.std(means))!r}")
+            rows.append((model, dataset_name, mk, float(np.mean(means)), float(np.std(means))))
     rep_counts = [float(len(r.state.mlib)) for r in results]
-    lines.append(f"engine,{dataset_name},representatives,"
-                 f"{float(np.mean(rep_counts))!r},{float(np.std(rep_counts))!r}")
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+    rows.append(("engine", dataset_name, "representatives", float(np.mean(rep_counts)),
+                 float(np.std(rep_counts))))
+    (out / "summary.csv").write_text(metrics.csv_text(rows))

@@ -110,37 +110,21 @@ def within_between_gap(corr: np.ndarray, labels: np.ndarray) -> float:
     return float(corr[same & off].mean() - corr[~same].mean())
 
 
-@dataclass(frozen=True)
-class TimelineRow:
-    index: int
-    task_id: str
-    slot: int
-    slots: int
-    admitted: bool
+def csv_text(rows) -> str:
+    """`rows` of cells as CSV text, one line each.  The cells are strings,
+    ints and floats, and a float's str is its shortest round-trip repr."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def representative_timeline(outcomes: Sequence) -> list[TimelineRow]:
-    """Per-task assignment slots with the admission marker.
-
-    `outcomes` are engine TaskOutcome records (anything with .task_id,
-    .assignment and .admitted works).
-    """
-    rows = []
-    for i, out in enumerate(outcomes, start=1):
-        rows.append(TimelineRow(index=i, task_id=out.task_id, slot=out.assignment.slot,
-                                slots=out.assignment.slots, admitted=bool(out.admitted)))
-    return rows
-
-
-def timeline_to_csv(rows: Sequence[TimelineRow]) -> str:
-    """CSV with one row per task; its `z<j>` cells are 1.0 at its slot, 0.0
-    at the others, and `absent` for slots that did not exist yet."""
-    width = max((row.slots for row in rows), default=0)
-    header = ["index", "task_id", "admitted", "argmax_slot"] + [f"z{j}" for j in range(width)]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(row.index), row.task_id, str(int(row.admitted)), str(row.slot)]
-        cells += [repr(float(j == row.slot)) for j in range(row.slots)]
-        cells += [ABSENT] * (width - row.slots)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def timeline_to_csv(outcomes: Sequence) -> str:
+    """CSV with one row per engine TaskOutcome in `outcomes` (anything with
+    .task_id, .assignment and .admitted works), numbered from 1; its `z<j>`
+    cells are 1.0 at its slot, 0.0 at the others, and `absent` for slots
+    that did not exist yet."""
+    width = max((out.assignment.slots for out in outcomes), default=0)
+    rows = [["index", "task_id", "admitted", "argmax_slot"] + [f"z{j}" for j in range(width)]]
+    for index, out in enumerate(outcomes, start=1):
+        slot, slots = out.assignment.slot, out.assignment.slots
+        rows.append([index, out.task_id, int(bool(out.admitted)), slot]
+                    + [float(j == slot) for j in range(slots)] + [ABSENT] * (width - slots))
+    return csv_text(rows)

@@ -13,6 +13,7 @@ Conventions: squared loss is (1/(2n)) * ||X'w - y||^2, logistic loss is
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Literal
 
@@ -26,6 +27,34 @@ LOGISTIC_MAX_ITER = 200
 
 class ConvergenceError(RuntimeError):
     """An iterative solver stopped before reaching its tolerance."""
+
+
+# the JSON documents the package reads: checkpoints, corpus manifests and configs
+def read_json(path):
+    """The JSON document in the file at `path`; ValueError, naming the file
+    and the parser's position, refuses one that is not UTF-8 JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON document: {exc}") from None
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               (int, float): "a number"}
+
+
+def json_entry(doc, key, kind, name: str, document: str):
+    """`doc[key]`, refused as `document` entry `name` when it is missing
+    (`doc` may be any JSON value) or not of `kind`, a key of `_JSON_KINDS`:
+    a JSON integer is not a float, and a bool is no integer or number."""
+    try:
+        value = doc[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"{document} entry {name!r} is missing") from None
+    if type(value) is bool or not isinstance(value, kind):
+        raise ValueError(f"{document} entry {name!r}: {value!r} is not {_JSON_KINDS[kind]}")
+    return value
 
 
 @dataclass(frozen=True)

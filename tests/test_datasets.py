@@ -73,6 +73,24 @@ class TestGenerateDisjoint:
         with pytest.raises(ValueError):
             generate_disjoint(seed=0, tasks_per_cluster=0)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"clusters": 0}, "'clusters': 0, expected at least 1"),
+        ({"tasks_per_cluster": 0}, "'tasks_per_cluster': 0, expected at least 1"),
+        ({"n_per_task": 1}, "'n_per_task': 1, expected at least 2"),
+        ({"clusters": 4, "d": 6}, "'d': 6, expected at least 8"),
+        ({"noise_std": -0.1}, "'noise_std': -0.1, expected a finite number >= 0"),
+        ({"noise_std": float("inf")}, "'noise_std': inf, expected a finite number >= 0"),
+        ({"noise_std": float("nan")}, "'noise_std': nan, expected a finite number >= 0"),
+        ({"d": 8.0}, "'d': 8.0 is not an integer"),
+        ({"noise_std": "0.1"}, "'noise_std': '0.1' is not a number"),
+        ({"size": 3}, "'size': a disjoint dataset takes clusters, tasks_per_cluster, d, "
+                      "n_per_task, noise_std")])
+    def test_parameter_refused_by_name(self, params, message):
+        # the one check a config's dataset entries also pass; every task
+        # is split in half, so it needs 2 samples
+        with pytest.raises(ValueError, match=f"^{re.escape('dataset entry ' + message)}$"):
+            generate_disjoint(seed=0, **params)
+
 
 class TestSplit:
     def test_half_split_sizes(self):
@@ -242,7 +260,7 @@ class TestCorpusIO:
         del manifest["tasks"][1][key]
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry 'tasks[1].{key}' "
-                                                       f"must be of type str, got None")):
+                                                       f"is missing")):
             load_corpus(tmp_path)
 
     @pytest.mark.parametrize("key, value", [("id", 7), ("file", 5)])
@@ -253,8 +271,8 @@ class TestCorpusIO:
         manifest = json.loads(path.read_text())
         manifest["tasks"][1][key] = value
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry 'tasks[1].{key}' "
-                                                       f"must be of type str, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry 'tasks[1].{key}': "
+                                                       f"{value!r} is not a string")):
             load_corpus(tmp_path)
 
     @pytest.mark.parametrize("key, value", [("d", 6.7), ("d", "6"), ("d", True), ("tasks", 5),
@@ -267,6 +285,16 @@ class TestCorpusIO:
         manifest[key] = value
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry {key!r}")):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "not a JSON document: Expecting property name enclosed in double "
+                      "quotes: line 1 column 2 (char 1)"),
+        ("[]", "manifest entry 'name' is missing")])
+    def test_manifest_not_a_json_object_refused_naming_the_file(self, tmp_path, text, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_corpus(tmp_path)
 
     @pytest.mark.parametrize("d", [0, -1, 5])

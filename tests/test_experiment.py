@@ -177,6 +177,42 @@ class TestRunExperiment:
         except ValueError as exc:
             assert top in str(exc) or repr(top) in str(exc), exc
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_out_of_range_config_refused_by_name(self, data):
+        # a value of the right JSON type but outside its range is refused
+        # when the config loads, naming its entry: no run starts, so none
+        # writes INCOMPLETE or fails part-way
+        values = json.loads(json.dumps(tiny_config(Path("unused"), seeds=(3, 4)).to_dict()))
+        dataset = values["dataset"]
+        mutation = data.draw(st.sampled_from(["seed", "count", "n_per_task", "d", "noise_std",
+                                              "p"]), label="mutation")
+        if mutation == "seed":
+            values["seeds"][data.draw(st.sampled_from([0, 1]))] = data.draw(
+                st.integers(max_value=-1), label="seed")
+            named = "seeds must be"
+        elif mutation == "count":
+            name = data.draw(st.sampled_from(["clusters", "tasks_per_cluster", "n_per_task"]),
+                             label="count")
+            dataset[name] = 0
+            named = f"dataset entry {name!r}"
+        elif mutation == "n_per_task":
+            dataset["n_per_task"] = 1
+            named = "dataset entry 'n_per_task'"
+        elif mutation == "d":
+            dataset["d"] = data.draw(st.integers(max_value=2 * dataset["clusters"] - 1), label="d")
+            named = "dataset entry 'd'"
+        elif mutation == "noise_std":
+            dataset["noise_std"] = data.draw(st.floats(max_value=-1e-300) | st.sampled_from(
+                [-1, float("inf"), float("-inf"), float("nan"), 10**400]), label="noise_std")
+            named = "dataset entry 'noise_std'"
+        else:
+            values["hyper"]["p"] = data.draw(st.integers(dataset["d"] + 1, 2**64), label="p")
+            named = "config entry 'hyper.p'"
+        with pytest.raises(ValueError) as refusal:
+            ExperimentConfig.from_dict(values)
+        assert named in str(refusal.value)
+
 
 class TestCli:
     def test_happy_path(self, tmp_path, capsys):
@@ -227,6 +263,34 @@ class TestCli:
         out = tmp_path / "cli_out"
         assert main(["--seed", "2", "--seed", "2", "--output", str(out)]) == 1
         assert "seeds are not unique: [2]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"seeds": [0, -2]}', "seeds must be a list of integers >= 0, got (0, -2)"),
+        ('{"dataset": {"type": "disjoint", "n_per_task": 1}}',
+         "dataset entry 'n_per_task': 1, expected at least 2"),
+        ('{"dataset": {"type": "disjoint", "noise_std": 1e400}}',
+         "dataset entry 'noise_std': inf, expected a finite number >= 0"),
+        ('{"hyper": {"p": 50}}', "config entry 'hyper.p': 50, expected at most dataset entry "
+                                 "'d' = 40"),
+        ('{"dataset": {"type": "disjoint", "clusters": 0}}',
+         "dataset entry 'clusters': 0, expected at least 1"),
+        ("{not json", "{path}: not a JSON document: Expecting property name enclosed in "
+                      "double quotes: line 1 column 2 (char 1)")])
+    def test_refused_config_writes_nothing(self, tmp_path, capsys, text, named):
+        # refused when the config loads, naming the entry or the file,
+        # before the output directory gets INCOMPLETE or any report
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "cli_out"
+        assert main(["--config", str(cfg_path), "--output", str(out)]) == 1
+        assert f"error: {named.format(path=cfg_path)}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "cli_out"
+        assert main(["--seed", "0", "--seed", "-2", "--output", str(out)]) == 1
+        assert "seeds must be a list of integers >= 0, got (0, -2)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failure_leaves_incomplete_marker(self, tmp_path):

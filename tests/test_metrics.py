@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,8 @@ from hypothesis import strategies as st
 from lifelong.assignment import Assignment, solve_assignment
 from lifelong.datasets import generate_disjoint
 from lifelong.metrics import (ABSENT, MetricReport, accuracy, auc,
-                              model_correlation_matrix, representative_timeline,
-                              rmse, timeline_to_csv, within_between_gap)
+                              model_correlation_matrix, rmse, timeline_to_csv,
+                              within_between_gap)
 
 
 class TestRmse:
@@ -121,10 +124,8 @@ class _FakeOutcome:
 
 class TestTimeline:
     def test_single_row(self):
-        rows = representative_timeline([_FakeOutcome("t0", Assignment(slot=0, slots=1), True)])
-        assert len(rows) == 1
-        assert rows[0].admitted
-        assert (rows[0].slot, rows[0].slots) == (0, 1)
+        text = timeline_to_csv([_FakeOutcome("t0", Assignment(slot=0, slots=1), True)])
+        assert text == "index,task_id,admitted,argmax_slot,z0\n1,t0,1,0,1.0\n"
 
     def test_admitted_count_matches_final_k(self):
         outs = [
@@ -132,15 +133,15 @@ class TestTimeline:
             _FakeOutcome("t1", Assignment(slot=0, slots=2), False),
             _FakeOutcome("t2", Assignment(slot=1, slots=2), True),
         ]
-        rows = representative_timeline(outs)
-        assert sum(r.admitted for r in rows) == 2
+        rows = list(csv.DictReader(io.StringIO(timeline_to_csv(outs))))
+        assert sum(int(r["admitted"]) for r in rows) == 2
 
     def test_csv_pads_with_absent(self):
         outs = [
             _FakeOutcome("t0", Assignment(slot=0, slots=1), True),
             _FakeOutcome("t1", Assignment(slot=1, slots=2), True),
         ]
-        text = timeline_to_csv(representative_timeline(outs))
+        text = timeline_to_csv(outs)
         lines = text.strip().split("\n")
         assert lines[0] == "index,task_id,admitted,argmax_slot,z0,z1"
         assert lines[1].endswith(ABSENT)
@@ -153,7 +154,7 @@ class TestTimeline:
                 for i, (dists, d0, admitted) in enumerate([
                     ([], 1.0, True), ([0.5], 0.2, True), ([0.3, 0.1], 0.2, False),
                     ([0.1, 0.4], 0.2, False)])]
-        assert timeline_to_csv(representative_timeline(outs)) == (
+        assert timeline_to_csv(outs) == (
             "index,task_id,admitted,argmax_slot,z0,z1,z2\n"
             "1,t0,1,0,1.0,absent,absent\n"
             "2,t1,1,1,0.0,1.0,absent\n"
