@@ -208,14 +208,20 @@ def save_corpus(corpus: TaskCorpus, directory) -> Path:
     return path
 
 
-def load_corpus(path) -> TaskCorpus:
-    """Load a corpus from its manifest (or the directory containing one),
-    whose every task file lies inside the manifest's directory."""
+def _manifest_path(path) -> Path:
+    """The manifest at `path`, or in the directory `path`."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
+    return path
+
+
+def load_corpus(path) -> TaskCorpus:
+    """Load a corpus from its manifest (or the directory containing one),
+    whose every task file lies inside the manifest's directory."""
+    path = _manifest_path(path)
     manifest = read_json(path)
     document = f"{path}: manifest"
     name, kind, d, entries = (json_entry(manifest, key, want, key, document) for key, want

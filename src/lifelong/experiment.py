@@ -18,11 +18,11 @@ import numpy as np
 
 from . import metrics
 from .baselines import ablation_hyper, run_stl
-from .datasets import (TaskCorpus, disjoint_parameters, generate_disjoint, load_corpus,
-                       split_corpus, standardize_targets)
+from .datasets import (TaskCorpus, _manifest_path, disjoint_parameters, generate_disjoint,
+                       load_corpus, split_corpus, standardize_targets)
 from .engine import (EngineState, HyperParams, init_state, learn_task, predict,
                      reconstructed_weights, save_state)
-from .tasks import json_entry
+from .tasks import json_entry, read_json
 
 TASK_ORDERS = ("random", "as_listed", "one_by_one_clusters")
 
@@ -91,17 +91,21 @@ class ExperimentConfig:
         params = dict(self.dataset)
         kind = params.pop("type", None)
         if kind == "disjoint":
-            d = disjoint_parameters(params)["d"]
-            if self.hyper.p > d:
-                raise ValueError(f"config entry 'hyper.p': {self.hyper.p}, expected at most "
-                                 f"dataset entry 'd' = {d}")
+            d, source = disjoint_parameters(params)["d"], "dataset"
         elif kind == "corpus":
             json_entry(params, "path", str, "path", "dataset")
             if params.keys() != {"path"}:
                 raise ValueError(f"dataset entry {min(params.keys() - {'path'})!r}: a corpus "
                                  f"dataset takes path")
+            # the manifest's d alone; the task files are read by the run
+            manifest = _manifest_path(params["path"])
+            source = f"{manifest}: manifest"
+            d = json_entry(read_json(manifest), "d", int, "d", source)
         else:
             raise ValueError("dataset type must be 'disjoint' or 'corpus'")
+        if self.hyper.p > d:
+            raise ValueError(f"config entry 'hyper.p': {self.hyper.p}, expected at most "
+                             f"{source} entry 'd' = {d}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0 (0 turns periodic "
                              f"checkpoints off), got {self.checkpoint_every}")

@@ -108,60 +108,40 @@ def composite_objective(prob: CodeProblem, s: np.ndarray) -> float:
 
 
 def _quadratic_form(prob: CodeProblem):
-    """Collapse the smooth part to s'Gs - 2h's + c0."""
+    """Collapse the smooth part to s'Gs - 2h's + c0, the sum of each term's
+    share (name, G_k, h_k, c_k): the decoder reconstruction, the encoder
+    coupling and, when lambda2 > 0, each representative.  Returns G, h, c0
+    and the shares."""
     D = prob.decoder
-    p = prob.code_len
-    G = D.T @ prob.omega @ D + np.eye(p)
-    h = D.T @ (prob.omega @ prob.w) + prob.encoder_image
-    c0 = float(prob.w @ (prob.omega @ prob.w)) + float(prob.encoder_image @ prob.encoder_image)
+    Ow = prob.omega @ prob.w
+    e = prob.encoder_image
+    terms = [("decoder reconstruction term", D.T @ prob.omega @ D, D.T @ Ow, float(prob.w @ Ow)),
+             ("encoder coupling term", np.eye(prob.code_len), e, float(e @ e))]
     if prob.lambda2 > 0:
-        for rep in prob.reps:
+        for k, rep in enumerate(prob.reps):
             B = D.T @ rep.omega @ D
             coef = prob.lambda2 * rep.weight
-            G += coef * B
             Bs = B @ rep.code
-            h += coef * Bs
-            c0 += coef * float(rep.code @ Bs)
-    G = (G + G.T) / 2
-    return G, h, c0
+            terms.append((f"representative term k={k}", coef * B, coef * Bs,
+                          coef * float(rep.code @ Bs)))
+    _, G, h, c0 = terms[0]
+    for _, G_k, h_k, c_k in terms[1:]:
+        G, h, c0 = G + G_k, h + h_k, c0 + c_k
+    return (G + G.T) / 2, h, c0, terms
 
 
-def _name_nonfinite_term(prob: CodeProblem, s: np.ndarray) -> str:
-    D = prob.decoder
-    r = D @ s - prob.w
-    if not np.isfinite(r @ (prob.omega @ r)):
-        return "decoder reconstruction term"
-    e = s - prob.encoder_image
-    if not np.isfinite(e @ e):
-        return "encoder coupling term"
-    for k, rep in enumerate(prob.reps):
-        dr = D @ (s - rep.code)
-        if not np.isfinite(dr @ (rep.omega @ dr)):
-            return f"representative term k={k}"
-    return "l1 term"
-
-
-def _name_nonfinite_form(prob: CodeProblem) -> str:
-    """Name the term whose share of the quadratic form is not finite.  A
-    term (D s - t)' Omega (D s - t) adds D' Omega D to G, D' Omega t to h
-    and t' Omega t to c0; the encoder coupling adds I, phi(L w) and its
-    square norm."""
-    D = prob.decoder
-
-    def finite(omega, t):
-        Ot = omega @ t
-        return (np.isfinite(D.T @ omega @ D).all() and np.isfinite(D.T @ Ot).all()
-                and np.isfinite(t @ Ot))
-
-    if not finite(prob.omega, prob.w):
-        return "decoder reconstruction term"
-    e = prob.encoder_image
-    if not np.isfinite(e @ e):
-        return "encoder coupling term"
-    for k, rep in enumerate(prob.reps):
-        if prob.lambda2 > 0 and not finite(rep.omega, D @ rep.code):
-            return f"representative term k={k}"
-    return "sum of the terms"
+def _name_nonfinite(terms, s: np.ndarray | None = None) -> str:
+    """Name the first term whose share of the form, or with s given its
+    value s'G_k s - 2h_k's + c_k at s, is not finite; else the overflow is
+    in the sum of the terms, or at s in the l1 term."""
+    for name, G_k, h_k, c_k in terms:
+        if s is None:
+            finite = np.isfinite(G_k).all() and np.isfinite(h_k).all() and np.isfinite(c_k)
+        else:
+            finite = np.isfinite(s @ G_k @ s - 2.0 * (h_k @ s) + c_k)
+        if not finite:
+            return name
+    return "sum of the terms" if s is None else "l1 term"
 
 
 def _kkt_slack(G: np.ndarray, h: np.ndarray, x: np.ndarray, lam1: float) -> np.ndarray:
@@ -175,7 +155,7 @@ def _kkt_slack(G: np.ndarray, h: np.ndarray, x: np.ndarray, lam1: float) -> np.n
     return _KKT_ULPS * h.shape[0] * np.finfo(float).eps * scale
 
 
-def _feature_sign_step(prob: CodeProblem, G: np.ndarray, x: np.ndarray, g: np.ndarray,
+def _feature_sign_step(terms, lam1: float, G: np.ndarray, x: np.ndarray, g: np.ndarray,
                        theta: np.ndarray) -> tuple[np.ndarray, float]:
     """One feature-sign step from x with the signs theta held fixed.
 
@@ -186,8 +166,8 @@ def _feature_sign_step(prob: CodeProblem, G: np.ndarray, x: np.ndarray, g: np.nd
     with the lowest objective and its objective change, computed from the
     step itself (d'g + d'Gd + lam1 (|y|_1 - |x|_1) with d = y - x), which
     resolves changes far below the round-off of the objective's value.
-    A non-finite change raises `FloatingPointError` naming the term."""
-    lam1 = prob.lambda1
+    A non-finite change raises `FloatingPointError` naming the term of
+    `terms`, the shares of the form, that overflows at the candidate."""
     A = np.flatnonzero(theta)
     step = np.zeros_like(x)
     step[A] = np.linalg.solve(G[np.ix_(A, A)], -0.5 * (g[A] + lam1 * theta[A]))
@@ -202,7 +182,7 @@ def _feature_sign_step(prob: CodeProblem, G: np.ndarray, x: np.ndarray, g: np.nd
     best = int(np.argmin(deltas))
     if not np.isfinite(deltas[best]):
         raise FloatingPointError(
-            f"non-finite code objective ({_name_nonfinite_term(prob, ys[best])})"
+            f"non-finite code objective ({_name_nonfinite(terms, ys[best])})"
         )
     return ys[best], float(deltas[best])
 
@@ -226,12 +206,12 @@ def encode_task(prob: CodeProblem, trace_out: list | None = None) -> np.ndarray:
     `trace_out`, when given, collects the objective at 0 and after every
     step.
     """
-    G, h, c0 = _quadratic_form(prob)
+    G, h, c0, terms = _quadratic_form(prob)
     lam1 = prob.lambda1
     x = np.zeros(prob.code_len)
     if not (np.isfinite(c0) and np.isfinite(G).all() and np.isfinite(h).all()):
         raise FloatingPointError(
-            f"non-finite code objective at the start ({_name_nonfinite_form(prob)})"
+            f"non-finite code objective at the start ({_name_nonfinite(terms)})"
         )
     F = c0
     trace = [] if trace_out is None else trace_out
@@ -240,7 +220,7 @@ def encode_task(prob: CodeProblem, trace_out: list | None = None) -> np.ndarray:
     solves = 0
     seed = np.sign(np.linalg.solve(G, h))
     if seed.any():
-        y, delta = _feature_sign_step(prob, G, x, -2.0 * h, seed)
+        y, delta = _feature_sign_step(terms, lam1, G, x, -2.0 * h, seed)
         solves = 1
         if delta < 0:
             x, F = y, F + delta
@@ -260,7 +240,7 @@ def encode_task(prob: CodeProblem, trace_out: list | None = None) -> np.ndarray:
                 f"feature-sign search reached {FEATURE_SIGN_MAX_STEPS} active-set "
                 "solves without a KKT certificate"
             )
-        y, delta = _feature_sign_step(prob, G, x, g, theta)
+        y, delta = _feature_sign_step(terms, lam1, G, x, g, theta)
         solves += 1
         if not delta < 0:
             raise ConvergenceError(

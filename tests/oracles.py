@@ -179,3 +179,50 @@ def in_basis(A, b, basis):
     d = b.size // p
     P = np.kron(basis, np.eye(d))
     return pair_blocks(P.T @ A @ P, d), P.T @ b
+
+
+def ridge_toward(pairs, lam, centre):
+    """The minimiser over w of |X'w - y|^2 / (2N) + lam/2 |w - centre|^2
+    over the pooled samples of `pairs`, each (X, d x n; y, n), N of them
+    in all."""
+    N = sum(y.size for _, y in pairs)
+    A = sum(X @ X.T for X, _ in pairs) / N
+    b = sum(X @ y for X, y in pairs) / N
+    return np.linalg.solve(A + lam * np.eye(centre.size), b + lam * centre)
+
+
+def kmeans(points, k, restarts=20, seed=0):
+    """Labels of Lloyd's k-means on the rows of `points`, best of `restarts`
+    starts at k distinct rows drawn with `seed`: the run with the lowest
+    within-cluster sum of squares.  An emptied cluster keeps its centre."""
+    rng = np.random.default_rng(seed)
+    best, best_labels = np.inf, None
+    for _ in range(restarts):
+        centres = points[rng.choice(len(points), k, replace=False)]
+        labels = None
+        while True:
+            new = np.argmin(((points[:, None] - centres[None]) ** 2).sum(-1), axis=1)
+            if labels is not None and np.array_equal(new, labels):
+                break
+            labels = new
+            centres = np.array([points[labels == j].mean(0) if np.any(labels == j)
+                                else centres[j] for j in range(k)])
+        inertia = float(((points - centres[labels]) ** 2).sum())
+        if inertia < best:
+            best, best_labels = inertia, labels
+    return best_labels
+
+
+def batch_clustered_mtl(pairs, k, stl_ridge, lam=0.3, restarts=20):
+    """Batch clustered multi-task reference (Evgeniou & Pontil, KDD 2004;
+    Jacob, Bach & Vert, NIPS 2008) over all tasks `pairs` at once, each
+    (X, y): k-means on the single-task ridge fits at `stl_ridge`, one
+    pooled centre per cluster (least squares, stabilised by a 1e-4 ridge),
+    then each task's ridge fit toward its centre with weight `lam`.
+    Returns the task weights in the order of `pairs`."""
+    d = pairs[0][0].shape[0]
+    stl = np.array([ridge_toward([pair], stl_ridge, np.zeros(d)) for pair in pairs])
+    labels = kmeans(stl, k, restarts)
+    centres = [ridge_toward([pair for pair, j in zip(pairs, labels) if j == c], 1e-4,
+                            np.zeros(d)) for c in range(k)]
+    return [ridge_toward([pair], lam, centres[j]) for pair, j in zip(pairs, labels)]

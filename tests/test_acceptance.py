@@ -13,18 +13,20 @@ import time
 import numpy as np
 import pytest
 
+from lifelong import engine
 from lifelong.assignment import solve_assignment
 from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
 from lifelong.engine import (HyperParams, init_state, learn_task,
                              reconstruct_model, reconstructed_weights)
-from lifelong.experiment import ExperimentConfig, run_experiment, run_seed
-from lifelong.metrics import model_correlation_matrix, within_between_gap
+from lifelong.experiment import STL_RIDGE, ExperimentConfig, run_experiment, run_seed
+from lifelong.libraries import update_encoder
+from lifelong.metrics import model_correlation_matrix, rmse, within_between_gap
 from lifelong.sparse_code import (CodeProblem, composite_objective, encode_task,
                                   smooth_gradient, smooth_objective)
 from lifelong.tasks import fit_single_task, loss_gradient, loss_value
 
-from oracles import (decoder_statistics, fd_gradient, grid_search_assignment, in_basis,
-                     subgradient_descent)
+from oracles import (batch_clustered_mtl, decoder_statistics, fd_gradient,
+                     grid_search_assignment, in_basis, subgradient_descent)
 from test_engine import replay_arrival
 from test_sparse_code import random_problem
 from test_tasks import random_task
@@ -49,8 +51,7 @@ def disjoint_runs():
     return {"results": results, "elapsed": elapsed, "config": config}
 
 
-@pytest.fixture(scope="session")
-def long_stream_runs():
+def run_long_streams():
     """Engine-only runs of a 90-task stream (30 tasks per cluster), long
     enough for the stacked task vectors to span R^d; otherwise the default
     benchmark configuration over the same seeds."""
@@ -59,6 +60,11 @@ def long_stream_runs():
                               output_dir="unused", with_stl=False,
                               with_ablation=False)
     return [run_seed(config, seed) for seed in SEEDS]
+
+
+@pytest.fixture(scope="session")
+def long_stream_runs():
+    return run_long_streams()
 
 
 def task_vectors(result, **dataset):
@@ -162,19 +168,22 @@ class TestCriterion5:
         _report("criterion 5 / decoder", ok,
                 f"delta*T bounded and per-task steps trending down on all seeds: {per_seed}")
 
-    def test_encoder_convergence(self, long_stream_runs):
-        # Each arrival adds only the rank-one term outer(w_t, w_t) to the
-        # encoder statistics acc_C.  Until the task vectors span R^d, every
-        # arrival brings a fresh direction that the ridge (T * mu <= 0.03 on
-        # the 30-task benchmark) barely damps, so the step follows the code
-        # scale, which grows from about 0.05 (tasks 2-4) to about 0.4, and
-        # delta * T rises until T = d = 40.  The 1/T rate (ELLA's
-        # Proposition 1) is asymptotic and needs full-rank averaged
-        # statistics, so the stream runs to 90 tasks and the bound is taken
-        # from T0, the first arrival at which the stacked task vectors have
-        # rank d.  The trend still compares thirds of the whole stream.
+    @staticmethod
+    def _encoder_check(results):
+        """(ok, detail) of the encoder check on the 90-task `results`.
+
+        Each arrival adds only the rank-one term outer(w_t, w_t) to the
+        encoder statistics acc_C.  Until the task vectors span R^d, every
+        arrival brings a fresh direction that the ridge (T * mu <= 0.03 on
+        the 30-task benchmark) barely damps, so the step follows the code
+        scale, which grows from about 0.05 (tasks 2-4) to about 0.4, and
+        delta * T rises until T = d = 40.  The 1/T rate (ELLA's
+        Proposition 1) is asymptotic and needs full-rank averaged
+        statistics, so the stream runs to 90 tasks and the bound is taken
+        from T0, the first arrival at which the stacked task vectors have
+        rank d.  The trend still compares thirds of the whole stream."""
         per_seed = []
-        for r in long_stream_runs:
+        for r in results:
             deltas = np.array([o.encoder_delta for o in r.outcomes])
             W = task_vectors(r, tasks_per_cluster=30)
             d = W.shape[1]
@@ -193,9 +202,26 @@ class TestCriterion5:
             f"seed {seed}: T0={T0} max(delta*T)/(delta*T at T0)={ratio:.2f} "
             f"median step {first:.3f} -> {last:.3f}"
             for seed, T0, ratio, first, last in per_seed)
+        return ok, detail
+
+    def test_encoder_convergence(self, long_stream_runs):
+        ok, detail = self._encoder_check(long_stream_runs)
         _report("criterion 5 / encoder", ok,
                 f"from full rank, delta*T <= 10x its T0 value and steps "
                 f"trending down on all seeds: {detail}")
+
+    def test_encoder_check_rejects_current_task_encoder(self, monkeypatch):
+        # negative control: an encoder refit from the current task alone
+        # keeps a roughly constant step, which the trend half rejects
+        def current_task_only(lib, *args):
+            alone = dataclasses.replace(lib, acc_M=np.zeros_like(lib.acc_M),
+                                        acc_C=np.zeros_like(lib.acc_C), tasks_seen=0)
+            return dataclasses.replace(update_encoder(alone, *args), tasks_seen=lib.tasks_seen)
+
+        monkeypatch.setattr(engine, "update_encoder", current_task_only)
+        ok, detail = self._encoder_check(run_long_streams())
+        _report("criterion 5 / encoder negative control", not ok,
+                f"the check rejects an encoder refit from the current task alone: {detail}")
 
 
 class TestCriterion6:
@@ -382,3 +408,23 @@ class TestEngineExamples:
                  for r in disjoint_runs["results"])
         _report("engine example / timeline", ok,
                 "admitted-count equals final library size on every seed")
+
+    def test_gap_to_batch_clustered_mtl(self, disjoint_runs):
+        # a printed diagnostic with no bound: the engine against the batch
+        # clustered multi-task reference, which sees every task at once
+        per_seed = []
+        for r in disjoint_runs["results"]:
+            corpus = generate_disjoint(seed=r.seed)
+            train, test = standardize_targets(*split_corpus(
+                corpus, ExperimentConfig.train_fraction, r.seed))
+            k = np.unique(corpus.ground_truth.cluster_labels).size
+            weights = batch_clustered_mtl([(t.features, t.targets) for t in train.tasks],
+                                          k, STL_RIDGE)
+            ref = np.mean([rmse(t.features.T @ w, t.targets)
+                           for t, w in zip(test.tasks, weights)])
+            per_seed.append((r.reports["engine"]["rmse"].mean, float(ref)))
+        full, ref = np.mean(per_seed, axis=0)
+        print(f"\n[batch clustered MTL] engine={full:.4f} reference={ref:.4f} "
+              f"gap={full - ref:.4f} (no bound); per seed (engine, reference): "
+              + ", ".join(f"({e:.4f}, {b:.4f})" for e, b in per_seed))
+        assert np.isfinite(per_seed).all()

@@ -287,6 +287,21 @@ class TestCli:
         assert f"error: {named.format(path=cfg_path)}\n" == capsys.readouterr().err
         assert not out.exists()
 
+    def test_p_above_corpus_d_writes_nothing(self, tmp_path, capsys):
+        # a corpus's d is its manifest's, read when the config loads
+        save_corpus(generate_disjoint(seed=0, clusters=2, tasks_per_cluster=3, d=12),
+                    tmp_path / "corpus")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"dataset": {"type": "corpus",
+                                                    "path": str(tmp_path / "corpus")},
+                                        "hyper": {"p": 20}}))
+        out = tmp_path / "cli_out"
+        assert main(["--config", str(cfg_path), "--output", str(out)]) == 1
+        manifest = tmp_path / "corpus" / "manifest.json"
+        assert capsys.readouterr().err == (f"error: config entry 'hyper.p': 20, expected at "
+                                           f"most {manifest}: manifest entry 'd' = 12\n")
+        assert not out.exists()
+
     def test_negative_seed_flag_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "cli_out"
         assert main(["--seed", "0", "--seed", "-2", "--output", str(out)]) == 1
