@@ -130,7 +130,7 @@ def _quadratic_form(prob: CodeProblem):
     return (G + G.T) / 2, h, c0, terms
 
 
-def _name_nonfinite(terms, s: np.ndarray | None = None) -> str:
+def _name_nonfinite(terms: list, s: np.ndarray | None = None) -> str:
     """Name the first term whose share of the form, or with s given its
     value s'G_k s - 2h_k's + c_k at s, is not finite; else the overflow is
     in the sum of the terms, or at s in the l1 term."""
@@ -155,7 +155,7 @@ def _kkt_slack(G: np.ndarray, h: np.ndarray, x: np.ndarray, lam1: float) -> np.n
     return _KKT_ULPS * h.shape[0] * np.finfo(float).eps * scale
 
 
-def _feature_sign_step(terms, lam1: float, G: np.ndarray, x: np.ndarray, g: np.ndarray,
+def _feature_sign_step(terms: list, lam1: float, G: np.ndarray, x: np.ndarray, g: np.ndarray,
                        theta: np.ndarray) -> tuple[np.ndarray, float]:
     """One feature-sign step from x with the signs theta held fixed.
 

@@ -235,9 +235,9 @@ class TestEncodeTask:
         # the form is finite (c0 = 1.44e308), and the l1 term at the first
         # candidate is about 1.2e153; the first step's change overflows in
         # the encoder term's -2 h's
-        prob = dataclasses.replace(random_problem(rng, n_reps=0), w=np.zeros(6),
+        base = random_problem(rng, n_reps=0)
+        prob = dataclasses.replace(base, w=np.zeros(6), decoder=base.decoder * 1e-3,
                                    encoder_image=np.array([1.2e154, 0.0, 0.0, 0.0]))
-        prob = dataclasses.replace(prob, decoder=prob.decoder * 1e-3)
         with np.errstate(all="ignore"):
             with pytest.raises(FloatingPointError,
                                match=r"^non-finite code objective \(encoder coupling term\)$"):
