@@ -488,12 +488,14 @@ def _read_data(data_path: Path, payload: dict, layout) -> dict:
     `_digest`; an array that is NaN or infinite is refused by name."""
     sizes = [int(np.prod(shape)) for _, shape in layout]
     try:
+        # the size first, so that a padded file is refused unread
+        size = data_path.stat().st_size
+        if size != 8 * sum(sizes):
+            raise ValueError(f"data file {str(data_path)!r} holds {size} bytes, expected "
+                             f"{8 * sum(sizes)} from the checkpoint's d, hyper.p, r and tasks")
         raw = data_path.read_bytes()
     except FileNotFoundError:
         raise ValueError(f"data file {str(data_path)!r} is missing") from None
-    if len(raw) != 8 * sum(sizes):
-        raise ValueError(f"data file {str(data_path)!r} holds {len(raw)} bytes, expected "
-                         f"{8 * sum(sizes)} from the checkpoint's d, hyper.p, r and tasks")
     if _digest(payload, [raw]) != payload["sha256"]:
         raise ValueError(f"data file {str(data_path)!r} and the document: their SHA-256 "
                          f"differs from checkpoint entry 'sha256'")

@@ -196,10 +196,13 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
 
     reports: dict = {}
     curve_rows: list = []
+    # the ablation streams first and keeps only its reports and curve rows:
+    # binding the engine's initial state frees the ablation's, so one
+    # learner's decoder statistics are resident at a time, and the state
+    # left after the loop is the engine's
     models = [("engine", config.hyper)]
     if config.with_ablation:
-        models.append(("ablation", ablation_hyper(config.hyper)))
-    runs = {}
+        models.insert(0, ("ablation", ablation_hyper(config.hyper)))
     for model, hyper in models:
         state = init_state(hyper, seed)
         outcomes = []
@@ -216,14 +219,14 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
                 ckpt_dir.mkdir(parents=True, exist_ok=True)
                 save_state(state, ckpt_dir / f"checkpoint_{seed}_t{step}.json")
         reports[model] = _engine_reports(state, [test_by_id[t.task_id] for t in stream], kind)
-        runs[model] = state, outcomes
-    state, outcomes = runs["engine"]
 
     if config.with_stl:
         weights = run_stl(train, STL_RIDGE)
         reports["stl"] = _evaluate(lambda t: t.features.T @ weights[t.task_id],
                                    [test_by_id[t.task_id] for t in stream], kind)
 
+    # curve_<seed>.csv lists the engine's rows before the ablation's
+    curve_rows.sort(key=lambda row: row[0] != "engine")
     return SeedResult(seed=seed, dataset_name=corpus.name, reports=reports,
                       outcomes=outcomes, state=state, curve_rows=curve_rows)
 

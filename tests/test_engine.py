@@ -756,6 +756,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: data file {str(data)!r}")):
             load_state(path)
 
+    def test_padded_data_file_refused_unread(self, tmp_path, monkeypatch):
+        # the size is compared before any byte is read, so a data file
+        # padded to any length costs nothing to refuse
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        data = data_file(path)
+        padded = data_bytes(state) + 2 ** 20
+        with open(data, "r+b") as fh:
+            fh.truncate(padded)
+        read = []
+        read_bytes = Path.read_bytes
+
+        def spy(self):
+            read.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: data file {str(data)!r} holds {padded} bytes, expected "
+                f"{data_bytes(state)} ")):
+            load_state(path)
+        assert data not in read
+
     @pytest.mark.parametrize("version", [1, 2, 4, 5, 6, 7, 8, 9])
     def test_retired_version_refused(self, tmp_path, version):
         # version 1 had no version key and stored arrays as nested lists,

@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelong import experiment
 from lifelong.cli import main
 from lifelong.datasets import generate_disjoint, save_corpus
 from lifelong.engine import HyperParams
@@ -388,3 +390,24 @@ class TestRepresentativeSnapshots:
                 else:
                     snapshots[tid] = code.copy()
         assert len(snapshots) == len(state.mlib)
+
+
+class TestResidency:
+    def test_one_learner_resident_at_every_arrival(self, monkeypatch):
+        # the default seed streams the ablation and the engine; at each
+        # arrival the other learner's feature library must already be freed
+        latest = {}          # learner's hyper -> its latest FeatureLibrary, weakly
+        overlaps = []
+        learn_task = experiment.learn_task
+
+        def tracked(state, task):
+            overlaps.extend((state.hyper.lambda2, task.task_id) for hyper, library in latest.items()
+                            if hyper != state.hyper and library() is not None)
+            new_state, outcome = learn_task(state, task)
+            latest[state.hyper] = weakref.ref(new_state.flib)
+            return new_state, outcome
+
+        monkeypatch.setattr(experiment, "learn_task", tracked)
+        result = experiment.run_seed(ExperimentConfig(), 0)
+        assert len(latest) == 2 and result.state.hyper == ExperimentConfig().hyper
+        assert overlaps == []
