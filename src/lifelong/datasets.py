@@ -66,13 +66,23 @@ class TaskCorpus:
         return len(self.tasks)
 
 
+def cluster_blocks(d: int, clusters: int) -> list[tuple[int, int]]:
+    """Each cluster's block [lo, hi) of the dimensions from d // 2 on: in
+    turn, ceil((d - d // 2) / clusters) of them, the last what remains.
+    Too many clusters leave the last block empty or start it past d."""
+    half = d // 2
+    block = math.ceil((d - half) / clusters)
+    return [(half + c * block, min(half + (c + 1) * block, d)) for c in range(clusters)]
+
+
 def disjoint_parameters(params: dict) -> dict:
     """The parameters of `generate_disjoint` but its seed: their defaults,
     in order, updated by `params`.  ValueError names the dataset entry that
     is unknown, not a JSON integer (a number, for noise_std) or out of
     range: a count below 1, an n_per_task below 2 (each task is split in
-    half), a d below twice the clusters, and a noise_std that is negative
-    or not finite."""
+    half), a d below twice the clusters, a clusters count whose last
+    block would start past d (see `cluster_blocks`), and a noise_std that
+    is negative or not finite."""
     values = {"clusters": 3, "tasks_per_cluster": 10, "d": 40, "n_per_task": 50, "noise_std": 0.1}
     unknown = sorted(params.keys() - values.keys())
     if unknown:
@@ -85,6 +95,12 @@ def disjoint_parameters(params: dict) -> dict:
                         ("d", 2 * values["clusters"])):
         if values[name] < least:
             raise ValueError(f"dataset entry {name!r}: {values[name]}, expected at least {least}")
+    blocks = cluster_blocks(values["d"], values["clusters"])
+    if blocks[-1][0] > values["d"]:
+        raise ValueError(f"dataset entry 'clusters': {values['clusters']}, but only "
+                         f"{sum(lo < hi for lo, hi in blocks)} clusters get a block of the "
+                         f"{values['d'] - values['d'] // 2} dimensions from index d // 2 on, "
+                         f"{blocks[0][1] - blocks[0][0]} each")
     noise_std = json_entry(values, "noise_std", (int, float), "noise_std", "dataset")
     # an exact comparison: an integer past float range is refused too
     if not 0 <= noise_std <= float(np.finfo(float).max):
@@ -99,7 +115,8 @@ def generate_disjoint(seed: int, **params) -> TaskCorpus:
 
     The first half of the dimensions carries only task-specific weight
     (entries ~ N(0, 16)); the second half is partitioned into contiguous
-    per-cluster blocks holding the cluster centres (entries ~ N(0, 900)).
+    per-cluster blocks holding the cluster centres (entries ~ N(0, 900)),
+    laid out by `cluster_blocks`.
     Each task weight is its centre plus a task component that is nonzero
     on the first half and on its cluster's block.  Features are standard
     normal and targets get additive N(0, noise_std^2) noise.
@@ -107,15 +124,10 @@ def generate_disjoint(seed: int, **params) -> TaskCorpus:
     clusters, tasks_per_cluster, d, n_per_task, noise_std = disjoint_parameters(params).values()
     rng = np.random.default_rng(seed)
     half = d // 2
-    shared = d - half
-    block = math.ceil(shared / clusters)
+    supports = cluster_blocks(d, clusters)
 
     centers = np.zeros((d, clusters))
-    supports = []
-    for c in range(clusters):
-        lo = half + c * block
-        hi = min(half + (c + 1) * block, d)
-        supports.append((lo, hi))
+    for c, (lo, hi) in enumerate(supports):
         centers[lo:hi, c] = rng.normal(0.0, 30.0, size=hi - lo)
 
     tasks, labels, true_weights = [], [], []

@@ -35,7 +35,7 @@ from .libraries import (FeatureLibrary, _symmetric_bits, admit_representative,
                         bump_tasks_seen, init_libraries, update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, composite_objective, encode_task
 from .tasks import (ConvergenceError, TaskData, fit_single_task, hessian_at, json_entry,
-                    read_json)
+                    read_json, refuse_unknown)
 
 
 @dataclass(frozen=True)
@@ -511,18 +511,13 @@ def _read_data(data_path: Path, payload: dict, layout) -> dict:
 
 def _hyper_from_checkpoint(values: dict) -> HyperParams:
     """The settings a checkpoint stores: exactly the fields of HyperParams,
-    each a JSON value of its default's type.  A retired or unknown key is
-    refused by name; only configs, which users write by hand, drop retired
-    keys (see `experiment.RETIRED_HYPER_KEYS`).  So is a value that
-    HyperParams refuses."""
-    fields = dataclasses.fields(HyperParams)
-    unknown = sorted(values.keys() - {f.name for f in fields})
-    if unknown:
-        raise ValueError(f"checkpoint entry {'hyper.' + unknown[0]!r}: not a setting of "
-                         f"HyperParams")
+    each a JSON value of its default's type.  A key that is not a field is
+    refused by name, as a config's is, and so is a value that HyperParams
+    refuses."""
+    refuse_unknown(values, HyperParams, "checkpoint", "hyper.")
     settings = {f.name: json_entry(values, f.name, (int, float) if isinstance(f.default, float)
                                    else type(f.default), f"hyper.{f.name}", "checkpoint")
-                for f in fields}
+                for f in dataclasses.fields(HyperParams)}
     try:
         return HyperParams(**settings)
     except ValueError as exc:

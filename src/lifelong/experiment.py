@@ -22,36 +22,13 @@ from .datasets import (TaskCorpus, _manifest_path, disjoint_parameters, generate
                        load_corpus, split_corpus, standardize_targets)
 from .engine import (EngineState, HyperParams, init_state, learn_task, predict,
                      reconstructed_weights, save_state)
-from .tasks import json_entry, read_json
+from .tasks import json_entry, read_json, refuse_unknown
 
 TASK_ORDERS = ("random", "as_listed", "one_by_one_clusters")
 
 # calibrated so the independent baseline sits at its literature level on
 # the standardised synthetic benchmark
 STL_RIDGE = 4.0
-
-
-def drop_retired(settings: dict, retired: dict) -> dict:
-    """`settings` less the keys in `retired`; each maps to a test `(value,
-    settings) -> bool` that a saved value must pass, or ValueError is raised."""
-    for key, neutral in retired.items():
-        if key in settings and not neutral(settings[key], settings):
-            raise ValueError(f"retired setting {key!r} = {settings[key]!r} would change the run")
-    return {k: v for k, v in settings.items() if k not in retired}
-
-
-RETIRED_CONFIG_KEYS = {"normalize": lambda v, _: v is True,
-                       "stl_ridge": lambda v, _: v == STL_RIDGE,
-                       "train_fraction": lambda v, _: v == ExperimentConfig.train_fraction}
-
-# no value of the replaced iterative solvers' settings or of alpha moves a
-# decision; a run without admission matches only at lambda2 = 0
-RETIRED_HYPER_KEYS = {
-    **dict.fromkeys(("beta", "rho", "admm_tol", "admm_max_iter", "coder_tol",
-                     "coder_max_iter", "max_outer", "outer_tol", "alpha"), lambda *_: True),
-    "admission_enabled": lambda value, settings: value is True or (
-        value is False and settings.get("lambda2", HyperParams.lambda2) == 0),
-}
 
 
 @dataclass(frozen=True)
@@ -119,17 +96,16 @@ class ExperimentConfig:
     def from_dict(payload: dict) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise ValueError(f"a config must be a JSON object, got {payload!r}")
-        payload = drop_retired(payload, RETIRED_CONFIG_KEYS)
-        unknown = sorted(payload.keys() - {f.name for f in dataclasses.fields(ExperimentConfig)})
-        if unknown:
-            raise ValueError(f"config entry {unknown[0]!r}: not a setting of ExperimentConfig")
+        refuse_unknown(payload, ExperimentConfig, "config")
+        payload = dict(payload)      # the caller's document is left as read
         if isinstance(payload.get("hyper"), dict):
-            hyper = drop_retired(payload["hyper"], RETIRED_HYPER_KEYS)
+            hyper = payload["hyper"]
+            refuse_unknown(hyper, HyperParams, "config", "hyper.")
             for key, value in hyper.items():
                 # each setting alone, so that a refusal names its entry
                 try:
                     HyperParams(**{key: value})
-                except (TypeError, ValueError) as exc:
+                except ValueError as exc:
                     raise ValueError(f"config entry {'hyper.' + key!r}: {exc}") from None
             payload["hyper"] = HyperParams(**hyper)
         if isinstance(payload.get("seeds"), list):

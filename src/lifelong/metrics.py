@@ -86,8 +86,8 @@ def model_correlation_matrix(weights: np.ndarray) -> np.ndarray:
     Zero-norm columns get zero off-diagonal entries and raise a warning.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] < 2:
-        raise ValueError("need a d x T weight matrix with T >= 2")
+    if weights.ndim != 2 or weights.shape[1] < 1:
+        raise ValueError("need a d x T weight matrix with T >= 1")
     norms = np.linalg.norm(weights, axis=0)
     zero = norms < 1e-300
     if zero.any():

@@ -14,7 +14,7 @@ Conventions: squared loss is (1/(2n)) * ||X'w - y||^2, logistic loss is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal
 
 import numpy as np
@@ -55,6 +55,15 @@ def json_entry(doc, key, kind, name: str, document: str):
     if type(value) is bool or not isinstance(value, kind):
         raise ValueError(f"{document} entry {name!r}: {value!r} is not {_JSON_KINDS[kind]}")
     return value
+
+
+def refuse_unknown(doc: dict, settings, document: str, prefix: str = "") -> None:
+    """Refuse, as `document` entry `prefix + key`, the first key of `doc`
+    in sorted order that is not a field of the dataclass `settings`."""
+    unknown = sorted(doc.keys() - {f.name for f in fields(settings)})
+    if unknown:
+        raise ValueError(f"{document} entry {prefix + unknown[0]!r}: not a setting of "
+                         f"{settings.__name__}")
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,39 @@ class TestGenerateDisjoint:
         ({"d": 8.0}, "'d': 8.0 is not an integer"),
         ({"noise_std": "0.1"}, "'noise_std': '0.1' is not a number"),
         ({"size": 3}, "'size': a disjoint dataset takes clusters, tasks_per_cluster, d, "
-                      "n_per_task, noise_std")])
+                      "n_per_task, noise_std"),
+        ({"clusters": 8}, "'clusters': 8, but only 7 clusters get a block of the 20 dimensions "
+                          "from index d // 2 on, 3 each"),
+        ({"clusters": 9}, "'clusters': 9, but only 7 clusters get a block of the 20 dimensions "
+                          "from index d // 2 on, 3 each"),
+        ({"clusters": 12}, "'clusters': 12, but only 10 clusters get a block of the 20 "
+                           "dimensions from index d // 2 on, 2 each"),
+        ({"clusters": 19}, "'clusters': 19, but only 10 clusters get a block of the 20 "
+                           "dimensions from index d // 2 on, 2 each"),
+        ({"clusters": 5, "d": 12}, "'clusters': 5, but only 3 clusters get a block of the 6 "
+                                   "dimensions from index d // 2 on, 2 each")])
     def test_parameter_refused_by_name(self, params, message):
         # the one check a config's dataset entries also pass; every task
         # is split in half, so it needs 2 samples
         with pytest.raises(ValueError, match=f"^{re.escape('dataset entry ' + message)}$"):
             generate_disjoint(seed=0, **params)
+
+    def test_every_accepted_layout_tiles_its_blocks(self):
+        # one task per cluster: its weight is nonzero, above d // 2, on
+        # its cluster's block alone, and the blocks tile those dimensions;
+        # only the last may be empty (d = 8 with 3 clusters, d = 40 with 6)
+        for d in range(2, 41):
+            for clusters in range(1, d // 2 + 1):
+                try:
+                    corpus = generate_disjoint(seed=0, clusters=clusters, tasks_per_cluster=1,
+                                               d=d, n_per_task=2)
+                except ValueError as exc:
+                    assert str(exc).startswith("dataset entry 'clusters'"), exc
+                    continue
+                upper = corpus.ground_truth.true_weights[d // 2:]
+                blocks = [np.flatnonzero(upper[:, c]) for c in range(clusters)]
+                assert all(b.size for b in blocks[:-1]), (d, clusters)
+                np.testing.assert_array_equal(np.concatenate(blocks), np.arange(d - d // 2))
 
 
 class TestSplit:

@@ -1364,56 +1364,6 @@ class TestCheckpoint:
                                              f".*{key}"):
             load_state(path)
 
-    def test_retired_hyper_keys_still_load(self):
-        # configs written with the iterative assignment, the iterative code
-        # solver, the capped alternation, the assignment's l1 weight or the
-        # admission switch carry their settings; they are dropped, any
-        # other unknown key is still refused by name (a checkpoint refuses
-        # them all: test_retired_or_unknown_hyper_key_refused)
-        retired = {"beta": 1.0, "rho": 1.0, "admm_tol": 1e-6, "admm_max_iter": 2000,
-                   "coder_tol": 1e-6, "coder_max_iter": 5000,
-                   "max_outer": 20, "outer_tol": 1e-5, "alpha": 3.0,
-                   "admission_enabled": True}
-        config = ExperimentConfig(hyper=small_hyper(), seeds=(0,))
-        values = config.to_dict()
-        values["hyper"].update(retired)
-        assert ExperimentConfig.from_dict(values) == config
-        values["hyper"]["betta"] = 1.0
-        with pytest.raises(ValueError, match="^config entry 'hyper.betta': "):
-            ExperimentConfig.from_dict(values)
-
-    # (settings of the hyper entry or of the config itself that the code
-    # now always behaves as, the same key at a value that would change
-    # what a run does or None when none would)
-    RETIRED = {
-        "alpha": ("hyper", {"alpha": 3.0}, None),
-        "admission_enabled": ("hyper", {"admission_enabled": True},
-                              {"admission_enabled": False}),
-        "admission_enabled_lambda2_0": ("hyper", {"admission_enabled": False, "lambda2": 0.0},
-                                        {"admission_enabled": False, "lambda2": 1e-3}),
-        "normalize": ("config", {"normalize": True}, {"normalize": False}),
-        "stl_ridge": ("config", {"stl_ridge": 4.0}, {"stl_ridge": 1.0}),
-        "train_fraction": ("config", {"train_fraction": 0.5}, {"train_fraction": 0.7}),
-    }
-
-    @pytest.mark.parametrize("case", [pytest.param(case, id=f"{case}-ExperimentConfig.from_dict")
-                                      for case in RETIRED])
-    def test_retired_key_loads_only_at_neutral_value(self, case):
-        section, neutral, other = self.RETIRED[case]
-        hyper = small_hyper(lambda2=neutral.get("lambda2", 0.5))
-        current = ExperimentConfig(hyper=hyper, seeds=(0,))
-
-        def load(settings):
-            values = current.to_dict()
-            (values["hyper"] if section == "hyper" else values).update(settings)
-            return ExperimentConfig.from_dict(values)
-
-        assert load(neutral) == current
-        if other is not None:
-            key = next(iter(other))
-            with pytest.raises(ValueError, match=re.escape(repr(key))):
-                load(other)
-
 
 class TestHyperParams:
     def test_validation(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lifelong import experiment
 from lifelong.cli import main
 from lifelong.datasets import generate_disjoint, save_corpus
-from lifelong.engine import HyperParams
+from lifelong.engine import HyperParams, load_state
 from lifelong.experiment import ExperimentConfig, run_experiment
 
 from test_engine import mutate_document
@@ -54,6 +54,22 @@ class TestRunExperiment:
         for model in ("engine", "stl", "ablation"):
             assert (model, "rmse") in rows
         assert ("engine", "representatives") in rows
+
+    def test_one_task_stream_writes_every_report(self, tmp_path):
+        # a one-task correlation matrix is [[1.0]]; the run completes and
+        # its checkpoints load
+        config = tiny_config(tmp_path, seeds=(0,), eval_every_task=True, checkpoint_every=1,
+                             dataset={"type": "disjoint", "clusters": 1,
+                                      "tasks_per_cluster": 1, "d": 20})
+        out = run_experiment(config)
+        names = {"summary.csv", "run_metadata.json", "per_task_0.csv", "timeline_0.csv",
+                 "correlation_0.csv", "curve_0.csv", "checkpoint_0.json",
+                 "checkpoint_0_t1.json"}
+        assert names <= {f.name for f in out.iterdir()}
+        assert not (out / "INCOMPLETE").exists()
+        assert (out / "correlation_0.csv").read_text() == "task_id,c0_t0\nc0_t0,1.0\n"
+        for name in ("checkpoint_0.json", "checkpoint_0_t1.json"):
+            assert list(load_state(out / name).per_task) == ["c0_t0"]
 
     def test_deterministic_byte_identical(self, tmp_path):
         config_a = tiny_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -164,6 +180,33 @@ class TestRunExperiment:
         message = f"config entry {key!r}: not a setting of ExperimentConfig"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(values)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("hyper", "beta", 1.0), ("hyper", "rho", 1.0), ("hyper", "admm_tol", 1e-6),
+        ("hyper", "admm_max_iter", 2000), ("hyper", "coder_tol", 1e-6),
+        ("hyper", "coder_max_iter", 5000), ("hyper", "max_outer", 20),
+        ("hyper", "outer_tol", 1e-5), ("hyper", "alpha", 3.0),
+        ("hyper", "admission_enabled", True), ("config", "normalize", True),
+        ("config", "stl_ridge", 4.0), ("config", "train_fraction", 0.5)])
+    def test_retired_key_refused_by_name(self, section, key, value):
+        # settings of the replaced solvers and switches, each at the value
+        # the code now always behaves as: a config holds exactly the
+        # settings of the learner, as a checkpoint does
+        # (TestCheckpoint.test_retired_or_unknown_hyper_key_refused)
+        values = ExperimentConfig().to_dict()
+        (values["hyper"] if section == "hyper" else values)[key] = value
+        if section == "hyper":
+            message = f"config entry {'hyper.' + key!r}: not a setting of HyperParams"
+        else:
+            message = f"config entry {key!r}: not a setting of ExperimentConfig"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(values)
+
+    def test_from_dict_leaves_its_document_as_read(self):
+        values = ExperimentConfig().to_dict()
+        before = json.dumps(values)
+        ExperimentConfig.from_dict(values)
+        assert json.dumps(values) == before
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -277,6 +320,11 @@ class TestCli:
                                  "'d' = 40"),
         ('{"dataset": {"type": "disjoint", "clusters": 0}}',
          "dataset entry 'clusters': 0, expected at least 1"),
+        ('{"dataset": {"type": "disjoint", "clusters": 8}}',
+         "dataset entry 'clusters': 8, but only 7 clusters get a block of the 20 dimensions "
+         "from index d // 2 on, 3 each"),
+        ('{"hyper": {"alpha": 3.0}}', "config entry 'hyper.alpha': not a setting of HyperParams"),
+        ('{"normalize": true}', "config entry 'normalize': not a setting of ExperimentConfig"),
         ("{not json", "{path}: not a JSON document: Expecting property name enclosed in "
                       "double quotes: line 1 column 2 (char 1)")])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, text, named):

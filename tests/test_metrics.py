@@ -90,6 +90,11 @@ class TestCorrelationMatrix:
         w = np.tile(np.array([[1.0], [2.0]]), (1, 3))
         np.testing.assert_allclose(model_correlation_matrix(w), np.ones((3, 3)))
 
+    def test_one_column(self):
+        np.testing.assert_array_equal(model_correlation_matrix([[3.0], [-4.0]]), [[1.0]])
+        with pytest.raises(ValueError, match="T >= 1"):
+            model_correlation_matrix(np.zeros((2, 0)))
+
     def test_orthogonal_columns(self):
         np.testing.assert_allclose(model_correlation_matrix(np.eye(3)), np.eye(3))
 
