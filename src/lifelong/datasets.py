@@ -230,17 +230,32 @@ def _manifest_path(path) -> Path:
     return path
 
 
-def load_corpus(path) -> TaskCorpus:
-    """Load a corpus from its manifest (or the directory containing one),
-    whose every task file lies inside the manifest's directory."""
+def read_manifest(path) -> tuple[Path, dict]:
+    """The manifest file at `path` (or in the directory `path`) and its
+    document.  ValueError, naming the file, refuses a `name`,
+    `problem_kind`, `d` or `tasks` entry that is missing or not of its
+    JSON type, a problem kind that is not 'regression' or
+    'classification', and an empty task list; `load_corpus` reads the
+    task entries."""
     path = _manifest_path(path)
     manifest = read_json(path)
     document = f"{path}: manifest"
-    name, kind, d, entries = (json_entry(manifest, key, want, key, document) for key, want
-                              in (("name", str), ("problem_kind", str), ("d", int), ("tasks", list)))
-    if kind not in ("regression", "classification"):
-        raise ValueError(f"{path}: manifest entry 'problem_kind' must be 'regression' or "
-                         f"'classification', got {kind!r}")
+    for key, kind in (("name", str), ("problem_kind", str), ("d", int), ("tasks", list)):
+        json_entry(manifest, key, kind, key, document)
+    if manifest["problem_kind"] not in ("regression", "classification"):
+        raise ValueError(f"{document} entry 'problem_kind' must be 'regression' or "
+                         f"'classification', got {manifest['problem_kind']!r}")
+    if not manifest["tasks"]:
+        raise ValueError(f"{document} entry 'tasks': [], expected at least one task")
+    return path, manifest
+
+
+def load_corpus(path) -> TaskCorpus:
+    """Load a corpus from its manifest (or the directory containing one),
+    whose every task file lies inside the manifest's directory."""
+    path, manifest = read_manifest(path)
+    document = f"{path}: manifest"
+    kind, d, entries = manifest["problem_kind"], manifest["d"], manifest["tasks"]
     loss_kind = "squared" if kind == "regression" else "logistic"
     root = path.parent.resolve()
     tasks = []
@@ -259,7 +274,10 @@ def load_corpus(path) -> TaskCorpus:
             tasks.append(TaskData(features=X, targets=y, loss_kind=loss_kind, task_id=tid))
         except ValueError as exc:
             raise ValueError(f"{path}: task {tid!r}: {exc}") from None
-    return TaskCorpus(tasks=tuple(tasks), problem_kind=kind, name=name)
+    try:
+        return TaskCorpus(tasks=tuple(tasks), problem_kind=kind, name=manifest["name"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_task_csv(path: Path, task: TaskData) -> None:

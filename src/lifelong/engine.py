@@ -68,6 +68,20 @@ class HyperParams:
             raise ValueError(f"p must be an int >= 1, got {self.p!r}")
         activation_pair(self.phi)
 
+    @classmethod
+    def from_json(cls, values: dict, document: str) -> "HyperParams":
+        """The settings of the JSON object `values`; a setting it leaves out
+        takes its default.  A key that is not a field, and a value that
+        HyperParams refuses, is refused as `document` entry 'hyper.<key>'."""
+        refuse_unknown(values, cls, document, "hyper.")
+        for key, value in values.items():
+            # each setting alone, so that a refusal names its entry
+            try:
+                cls(**{key: value})
+            except ValueError as exc:
+                raise ValueError(f"{document} entry {'hyper.' + key!r}: {exc}") from None
+        return cls(**values)
+
 
 def activation_pair(name: str) -> tuple[Callable, Callable]:
     if name == "identity":
@@ -509,26 +523,11 @@ def _read_data(data_path: Path, payload: dict, layout) -> dict:
     return arrays
 
 
-def _hyper_from_checkpoint(values: dict) -> HyperParams:
-    """The settings a checkpoint stores: exactly the fields of HyperParams,
-    each a JSON value of its default's type.  A key that is not a field is
-    refused by name, as a config's is, and so is a value that HyperParams
-    refuses."""
-    refuse_unknown(values, HyperParams, "checkpoint", "hyper.")
-    settings = {f.name: json_entry(values, f.name, (int, float) if isinstance(f.default, float)
-                                   else type(f.default), f"hyper.{f.name}", "checkpoint")
-                for f in dataclasses.fields(HyperParams)}
-    try:
-        return HyperParams(**settings)
-    except ValueError as exc:
-        raise ValueError(f"checkpoint entry 'hyper': {exc}") from None
-
-
 def load_state(path) -> EngineState:
     """The state `save_state` wrote.  ValueError, naming the file, refuses
     any version but 10 (the README says what versions 1-9 stored); an
     entry that is missing or of the wrong type (integers must be JSON
-    integers), a `hyper` key that is not a field of HyperParams and a
+    integers), a `hyper` entry that `HyperParams.from_json` refuses and a
     per-task entry with an unknown loss.  The data file's name comes from
     `path`'s stem and the stored digest, never from the document.  It is
     refused, by name, when it is missing or when its size is not what the
@@ -553,7 +552,12 @@ def _load_state(path: Path, payload) -> EngineState:
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {version!r} is not readable; "
                          f"readable versions are {[CHECKPOINT_VERSION]}")
-    hyper = _hyper_from_checkpoint(json_entry(payload, "hyper", dict, "hyper", "checkpoint"))
+    values = json_entry(payload, "hyper", dict, "hyper", "checkpoint")
+    hyper = HyperParams.from_json(values, "checkpoint")
+    # a checkpoint stores every setting, so that none is read as a default
+    missing = [f.name for f in dataclasses.fields(HyperParams) if f.name not in values]
+    if missing:
+        raise ValueError(f"checkpoint entry {'hyper.' + missing[0]!r} is missing")
     layout = _checked_layout(payload, hyper.p)
     seed = json_entry(payload, "seed", int, "seed", "checkpoint")
     digest = json_entry(payload, "sha256", str, "sha256", "checkpoint")

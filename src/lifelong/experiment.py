@@ -18,11 +18,11 @@ import numpy as np
 
 from . import metrics
 from .baselines import ablation_hyper, run_stl
-from .datasets import (TaskCorpus, _manifest_path, disjoint_parameters, generate_disjoint,
-                       load_corpus, split_corpus, standardize_targets)
+from .datasets import (TaskCorpus, disjoint_parameters, generate_disjoint, load_corpus,
+                       read_manifest, split_corpus, standardize_targets)
 from .engine import (EngineState, HyperParams, init_state, learn_task, predict,
                      reconstructed_weights, save_state)
-from .tasks import json_entry, read_json, refuse_unknown
+from .tasks import json_entry, refuse_unknown
 
 TASK_ORDERS = ("random", "as_listed", "one_by_one_clusters")
 
@@ -74,10 +74,9 @@ class ExperimentConfig:
             if params.keys() != {"path"}:
                 raise ValueError(f"dataset entry {min(params.keys() - {'path'})!r}: a corpus "
                                  f"dataset takes path")
-            # the manifest's d alone; the task files are read by the run
-            manifest = _manifest_path(params["path"])
-            source = f"{manifest}: manifest"
-            d = json_entry(read_json(manifest), "d", int, "d", source)
+            # the manifest's header alone; the task files are read by the run
+            path, manifest = read_manifest(params["path"])
+            d, source = manifest["d"], f"{path}: manifest"
         else:
             raise ValueError("dataset type must be 'disjoint' or 'corpus'")
         if self.hyper.p > d:
@@ -99,15 +98,7 @@ class ExperimentConfig:
         refuse_unknown(payload, ExperimentConfig, "config")
         payload = dict(payload)      # the caller's document is left as read
         if isinstance(payload.get("hyper"), dict):
-            hyper = payload["hyper"]
-            refuse_unknown(hyper, HyperParams, "config", "hyper.")
-            for key, value in hyper.items():
-                # each setting alone, so that a refusal names its entry
-                try:
-                    HyperParams(**{key: value})
-                except ValueError as exc:
-                    raise ValueError(f"config entry {'hyper.' + key!r}: {exc}") from None
-            payload["hyper"] = HyperParams(**hyper)
+            payload["hyper"] = HyperParams.from_json(payload["hyper"], "config")
         if isinstance(payload.get("seeds"), list):
             payload["seeds"] = tuple(payload["seeds"])
         return ExperimentConfig(**payload)

@@ -428,3 +428,33 @@ class TestEngineExamples:
               f"gap={full - ref:.4f} (no bound); per seed (engine, reference): "
               + ", ".join(f"({e:.4f}, {b:.4f})" for e, b in per_seed))
         assert np.isfinite(per_seed).all()
+
+    def test_cluster_sweep(self):
+        # a printed diagnostic with no bound: does the model library find
+        # the task environments as their number grows?  At d = 48 each
+        # swept count gets a block of its own; a task's cluster is the
+        # c<k> of its id
+        def cluster(tid):
+            return tid.split("_")[0]
+
+        for clusters in (2, 3, 4, 6):
+            config = ExperimentConfig(dataset={"type": "disjoint", "clusters": clusters, "d": 48},
+                                      with_stl=False, with_ablation=False)
+            counts, covering, own, assigned = [], [], 0, 0
+            for seed in SEEDS:
+                result = run_seed(config, seed)
+                reps = result.state.mlib
+                counts.append(len(reps))
+                if {cluster(tid) for tid in reps} == {f"c{c}" for c in range(clusters)}:
+                    covering.append(seed)
+                for o in result.outcomes:
+                    if not o.admitted:
+                        assigned += 1
+                        # a slot before the outlier slot is the representative
+                        # of that index, admitted before the task
+                        own += (not o.assignment.picks_outlier
+                                and cluster(reps[o.assignment.slot]) == cluster(o.task_id))
+            print(f"\n[cluster sweep] clusters={clusters} d=48: representatives "
+                  f"{np.mean(counts):.1f} {counts}, seeds covering every cluster {covering} "
+                  f"({len(covering)}/{len(SEEDS)}), own-cluster assignments {own}/{assigned} "
+                  f"(no bound)")

@@ -238,10 +238,12 @@ class TestCorpusIO:
         corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=3,
                                    d=4, n_per_task=5)
         save_corpus(corpus, tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
         manifest["tasks"][2]["id"] = manifest["tasks"][0]["id"]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"not unique: \['c0_t0'\]"):
+        path.write_text(json.dumps(manifest))
+        message = f"{path}: task ids are not unique: ['c0_t0']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_corpus(tmp_path)
 
     @pytest.mark.parametrize("task_id", ["c0,t0", 'c0"t0', "c0\rt0", "c0\nt0", "c0/t0",

@@ -1360,9 +1360,30 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["hyper"][key] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint entry 'hyper': "
-                                             f".*{key}"):
+        message = f"{path}: checkpoint entry {'hyper.' + key!r}: {key} must be"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load_state(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", 0), ("p", 5.0), ("gamma", 0.0), ("lambda1", -1.0), ("lambda1", "0.5"),
+        ("mu", 10**400), ("phi", "relu"), ("alpha", 3.0)])
+    def test_hyper_refused_as_a_config_refuses_it(self, tmp_path, six_task_checkpoint,
+                                                   key, value):
+        # one reader turns a JSON hyper object into HyperParams, so a
+        # checkpoint whose digest matches its edited hyper is refused with
+        # the text a config's is refused with, after the document's name
+        path = tmp_path / "state.json"
+        copy_checkpoint(six_task_checkpoint[0], path)
+        payload, arrays = read_checkpoint(path)
+        payload["hyper"][key] = value
+        write_checkpoint(path, payload, arrays)
+        with pytest.raises(ValueError) as checkpoint:
+            load_state(path)
+        with pytest.raises(ValueError) as config:
+            ExperimentConfig.from_dict({"hyper": {key: value}})
+        refusal = str(config.value).removeprefix("config ")
+        assert refusal.startswith(f"entry {'hyper.' + key!r}: ")
+        assert str(checkpoint.value) == f"{path}: checkpoint {refusal}"
 
 
 class TestHyperParams:

@@ -326,15 +326,22 @@ class TestCli:
         ('{"hyper": {"alpha": 3.0}}', "config entry 'hyper.alpha': not a setting of HyperParams"),
         ('{"normalize": true}', "config entry 'normalize': not a setting of ExperimentConfig"),
         ("{not json", "{path}: not a JSON document: Expecting property name enclosed in "
-                      "double quotes: line 1 column 2 (char 1)")])
+                      "double quotes: line 1 column 2 (char 1)"),
+        ('{"dataset": {"type": "corpus", "path": "{manifest}"}}',
+         "{manifest}: manifest entry 'tasks': [], expected at least one task")])
     def test_refused_config_writes_nothing(self, tmp_path, capsys, text, named):
         # refused when the config loads, naming the entry or the file,
-        # before the output directory gets INCOMPLETE or any report
+        # before the output directory gets INCOMPLETE or any report; the
+        # manifest's header is read then, its task files only by the run
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"name": "empty", "problem_kind": "regression", "d": 40,
+                                        "tasks": []}))
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(text)
+        cfg_path.write_text(text.replace("{manifest}", str(manifest)))
         out = tmp_path / "cli_out"
         assert main(["--config", str(cfg_path), "--output", str(out)]) == 1
-        assert f"error: {named.format(path=cfg_path)}\n" == capsys.readouterr().err
+        assert (f"error: {named.format(path=cfg_path, manifest=manifest)}\n"
+                == capsys.readouterr().err)
         assert not out.exists()
 
     def test_p_above_corpus_d_writes_nothing(self, tmp_path, capsys):
