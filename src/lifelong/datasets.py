@@ -235,8 +235,9 @@ def read_manifest(path) -> tuple[Path, dict]:
     document.  ValueError, naming the file, refuses a `name`,
     `problem_kind`, `d` or `tasks` entry that is missing or not of its
     JSON type, a problem kind that is not 'regression' or
-    'classification', and an empty task list; `load_corpus` reads the
-    task entries."""
+    'classification', a d below 1, an empty task list, a task entry that
+    is not an object or whose `id` or `file` is missing or not a string,
+    and ids that repeat.  The task files are read by `load_corpus`."""
     path = _manifest_path(path)
     manifest = read_json(path)
     document = f"{path}: manifest"
@@ -245,8 +246,19 @@ def read_manifest(path) -> tuple[Path, dict]:
     if manifest["problem_kind"] not in ("regression", "classification"):
         raise ValueError(f"{document} entry 'problem_kind' must be 'regression' or "
                          f"'classification', got {manifest['problem_kind']!r}")
-    if not manifest["tasks"]:
+    if manifest["d"] < 1:
+        raise ValueError(f"{document} entry 'd': {manifest['d']}, expected at least 1")
+    entries = manifest["tasks"]
+    if not entries:
         raise ValueError(f"{document} entry 'tasks': [], expected at least one task")
+    for i in range(len(entries)):
+        entry = json_entry(entries, i, dict, f"tasks[{i}]", document)
+        for key in ("id", "file"):
+            json_entry(entry, key, str, f"tasks[{i}].{key}", document)
+    counts = Counter(entry["id"] for entry in entries)
+    repeated = sorted(tid for tid, n in counts.items() if n > 1)
+    if repeated:
+        raise ValueError(f"{path}: task ids are not unique: {repeated}")
     return path, manifest
 
 
@@ -254,15 +266,12 @@ def load_corpus(path) -> TaskCorpus:
     """Load a corpus from its manifest (or the directory containing one),
     whose every task file lies inside the manifest's directory."""
     path, manifest = read_manifest(path)
-    document = f"{path}: manifest"
     kind, d, entries = manifest["problem_kind"], manifest["d"], manifest["tasks"]
     loss_kind = "squared" if kind == "regression" else "logistic"
     root = path.parent.resolve()
     tasks = []
-    for i in range(len(entries)):
-        entry = json_entry(entries, i, dict, f"tasks[{i}]", document)
-        tid, file = (json_entry(entry, key, str, f"tasks[{i}].{key}", document)
-                     for key in ("id", "file"))
+    for entry in entries:
+        tid, file = entry["id"], entry["file"]
         fpath = path.parent / file
         if not fpath.resolve().is_relative_to(root):
             raise ValueError(f"{path}: task {tid!r}: file {file!r} lies "

@@ -32,7 +32,8 @@ import numpy as np
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
 from .libraries import (FeatureLibrary, _symmetric_bits, admit_representative,
-                        bump_tasks_seen, init_libraries, update_decoder, update_encoder)
+                        bump_tasks_seen, empty_library, fold_decoder, fold_encoder,
+                        init_libraries, update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, composite_objective, encode_task
 from .tasks import (ConvergenceError, TaskData, fit_single_task, hessian_at, json_entry,
                     read_json, refuse_unknown)
@@ -94,14 +95,22 @@ def activation_pair(name: str) -> tuple[Callable, Callable]:
 
 @dataclass(frozen=True)
 class PerTaskRecord:
-    """A learned task: exactly what its checkpoint entry stores.  `code`
-    is read-only, since a representative's code is its task's; `slot` is
-    the assignment's, the outlier slot being the number of representatives
-    admitted before the task."""
+    """A learned task: exactly what its checkpoint entry stores, the inputs
+    of its library folds.  `slot` is the assignment's, the outlier slot
+    being the number of representatives admitted before the task; `w` and
+    `omega` are the task's single-task fit and half-Hessian, and
+    `rep_omega` is the Hessian of a logistic task at its representative's
+    model, which the decoder fold pairs with that representative when the
+    slot is not the outlier slot; None otherwise, as for squared loss, whose
+    representative term carries `omega` itself.  Every array is read-only,
+    since a representative's code is its task's."""
 
     code: np.ndarray
     slot: int
     loss_kind: str
+    w: np.ndarray
+    omega: np.ndarray
+    rep_omega: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -177,9 +186,15 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
 
     code, assignment, trace, rounds, rep_hessians, dists, d0 = _alternate(
         state, data, w, omega, decoder, enc_image)
-    reps_used = () if assignment.picks_outlier else (
-        (state.per_task[state.mlib[assignment.slot]].code, rep_hessians[assignment.slot], 1.0),)
+    rep_omega = (rep_hessians[assignment.slot]
+                 if data.loss_kind == "logistic" and not assignment.picks_outlier else None)
+    for a in (code, w, omega, rep_omega):
+        if a is not None:
+            a.setflags(write=False)
+    record = PerTaskRecord(code=code, slot=assignment.slot, loss_kind=data.loss_kind,
+                           w=w, omega=omega, rep_omega=rep_omega)
 
+    reps_used = _fold_reps(state.per_task, state.mlib, record)
     flib = update_decoder(flib, code, omega, reps_used, hp.lambda2, w, hp.mu)
     flib = update_encoder(flib, code, w, phi_inv, hp.mu)
     decoder_delta = float(np.linalg.norm(flib.decoder - decoder))
@@ -189,9 +204,7 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     mlib, admitted = admit_representative(state.mlib, code, assignment, data.task_id)
 
     per_task = dict(state.per_task)
-    code.setflags(write=False)
-    per_task[data.task_id] = PerTaskRecord(code=code, slot=assignment.slot,
-                                           loss_kind=data.loss_kind)
+    per_task[data.task_id] = record
     outcome = TaskOutcome(
         task_id=data.task_id,
         objective_trace=tuple(trace),
@@ -207,6 +220,18 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     )
     new_state = dataclasses.replace(state, flib=flib, mlib=mlib, per_task=per_task)
     return new_state, outcome
+
+
+def _fold_reps(per_task: dict, mlib: tuple[str, ...], rec: PerTaskRecord) -> tuple:
+    """The representative terms of the decoder fold of the task `rec`,
+    given the learned tasks and the model library before it: none at the
+    outlier slot, else the representative's code with weight 1 and the
+    task's Hessian at it, `rec.omega` itself for squared loss (the same
+    array, which `libraries._decoder_terms` sums with the task's term)."""
+    if rec.slot == len(mlib):
+        return ()
+    return ((per_task[mlib[rec.slot]].code,
+             rec.omega if rec.rep_omega is None else rec.rep_omega, 1.0),)
 
 
 def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image):
@@ -314,46 +339,55 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
     return ids, cols
 
 
-# checkpoint i/o.  Version 10 is two files: a JSON document of the
-# checkpoint's integers and strings (its d, basis rank r, seed, settings
-# and each task's loss and slot) and, beside it, a data file of every
-# float64 array as raw little-endian bytes, one after another in a fixed
-# order with no header.  `_checked_layout` gives that order, and every
-# shape in it follows from d, hyper.p, r and the number of tasks, so the
-# document stores no layout.  Nor does it store what follows from other
-# entries: the tasks seen are the per-task entries, p is hyper.p, and the
-# model library is replayed from the slots and codes, in stream order, by
-# `admit_representative`, the rule that built it; nor each task's w, which
-# only its arrival reads.  The document's "sha256" is one digest over
-# `json.dumps` of the rest of the document followed by the data, so it
-# covers every stored fact.
-# The Kronecker-symmetric accumulators, sums of kron(W, H) with every W
-# (r x r) and H (d x d) symmetric, store only the (a <= b) triangle, in
-# np.triu_indices order, of each pair block i <= j, in the library's
-# j-major order: acc_A (r = p = 20, d = 40: 172,200 of 640,000 entries),
-# packed straight from `acc_A_pairs`, and acc_C, with r = 1.  Both are
-# symmetric bit for bit by construction (acc_C sums outer(w, w);
-# `update_decoder` takes only Hessians equal to their transposes bit for
-# bit and forms every block entry as its mirror), yet a save refuses a
-# block that differs from its transpose, which packing would change.
-# "acc_A" and "acc_b" are in the coordinates of "basis", the p x r
-# orthonormal Q; a basis that is not orthonormal to round-off is refused.
+# checkpoint i/o.  Version 11 is two files: a JSON document of the
+# checkpoint's integers and strings (its d, seed, settings, each task's
+# loss and slot, and "rep_omegas", a count defined below) and, beside it,
+# a data file of every float64 array as raw little-endian bytes, one after
+# another in a fixed order with no header.  `_checked_layout` gives that
+# order, and every shape in it follows from d, hyper.p, the number of
+# tasks and "rep_omegas", so the document stores no layout.  Nor does it
+# store what follows from other entries: the tasks seen are the per-task
+# entries, p is hyper.p, and the model library is replayed from the slots
+# and codes, in stream order, by `admit_representative`, the rule that
+# built it.  Likewise the library statistics (basis, acc_A, acc_b, acc_M,
+# acc_C) are not stored: each is a sum of per-task folds, so the data file
+# holds each task's fold inputs, its code, w and Hessian omega, and after
+# that replay the load folds them all, in stream order, with one call each
+# of `fold_decoder` and `fold_encoder`, which hold the pair blocks once.
+# Only the decoder and encoder of the last solves are stored, so a load
+# solves nothing.  The rebuilt statistics equal the
+# saved state's bit for bit on the numpy and BLAS that saved it: the
+# folds' products are computed again, not read.
+# A logistic task at a representative's slot also stores the Hessian at
+# the representative's model that its fold used (squared loss uses omega
+# itself).  Which tasks those are is known only from the codes, since a
+# zero code at the outlier slot admits nothing, so the document stores
+# their number, "rep_omegas", which sizes the data file before it is read,
+# and the replay refuses a count other than the one the slots give.  A
+# data file holds 8 (2dp + T (p + d + d(d+1)/2) + R d(d+1)/2) bytes for T
+# tasks and R = "rep_omegas": 224,000 at d = 40, p = 20, T = 30, R = 0.
+# Each Hessian is stored as its (a <= b) triangle, in np.triu_indices
+# order.  Hessians are symmetric bit for bit by construction
+# (`tasks.hessian_at`), yet a save refuses one that differs from its
+# transpose, which packing would change.  The document's "sha256" is one
+# digest over `json.dumps` of the rest of the document followed by the
+# data, so it covers every stored fact.
 
-CHECKPOINT_VERSION = 10
+CHECKPOINT_VERSION = 11
 
 
 def pack_pairs(blocks: np.ndarray) -> np.ndarray:
-    """The (a <= b) triangle of each of the pair blocks `blocks`, one row
-    per block; refuses blocks not symmetric bit for bit, which packing
-    would change."""
+    """The (a <= b) triangle of each of the square matrices `blocks`, one
+    row per matrix; refuses matrices not symmetric bit for bit, which
+    packing would change."""
     if not _symmetric_bits(blocks):
-        raise ValueError("accumulator pair blocks are not symmetric bit for bit")
+        raise ValueError("Hessians are not symmetric bit for bit")
     ia, ja = np.triu_indices(blocks.shape[-1])
     return blocks[:, ia, ja]
 
 
 def unpack_pairs(packed: np.ndarray, d: int) -> np.ndarray:
-    """The d x d pair blocks whose triangles `pack_pairs` returned."""
+    """The d x d matrices whose triangles `pack_pairs` returned."""
     ia, ja = np.triu_indices(d)
     blocks = np.empty((packed.shape[0], d, d))
     blocks[:, ia, ja] = packed
@@ -361,23 +395,19 @@ def unpack_pairs(packed: np.ndarray, d: int) -> np.ndarray:
     return blocks
 
 
-# a saved basis whose Q'Q departs from I by more than this many machine
-# epsilons times p is refused
-_ORTHONORMAL_ROUNDOFF = 64 * np.finfo(float).eps
-
-
 def _checked_layout(payload: dict, p: int) -> list[tuple[str, tuple[int, ...]]]:
     """The names and shapes, in order, of the arrays in the data file of
-    the checkpoint document `payload` at code length `p`: the libraries',
-    then the per-task codes stacked.  Refuses, by name, an entry they
-    depend on that is missing or of the wrong type, a d below 1, an r
-    outside 0..p, and a per-task entry with an unknown loss or a slot that
-    is not a JSON integer."""
-    d, r = (json_entry(payload, key, int, key, "checkpoint") for key in ("d", "r"))
+    the checkpoint document `payload` at code length `p`: the decoder and
+    encoder, then the per-task codes, w and packed omega stacked, then the
+    packed representative Hessians.  Refuses, by name, an entry they
+    depend on that is missing or of the wrong type, a d below 1, a
+    per-task entry with an unknown loss or a slot that is not a JSON
+    integer, and a "rep_omegas" outside 0 to the number of logistic
+    tasks."""
+    d, rep_omegas = (json_entry(payload, key, int, key, "checkpoint")
+                     for key in ("d", "rep_omegas"))
     if d < 1:
         raise ValueError(f"checkpoint entry 'd': {d}, expected at least 1")
-    if not 0 <= r <= p:
-        raise ValueError(f"checkpoint entry 'r': {r}, expected 0 to p = {p}")
     per_task = json_entry(payload, "per_task", dict, "per_task", "checkpoint")
     for tid in per_task:
         key = f"per_task[{tid!r}]"
@@ -386,10 +416,14 @@ def _checked_layout(payload: dict, p: int) -> list[tuple[str, tuple[int, ...]]]:
         if loss not in ("squared", "logistic"):
             raise ValueError(f"checkpoint entry {key + '.loss_kind'!r}: unknown loss {loss!r}")
         json_entry(rec, "slot", int, f"{key}.slot", "checkpoint")
-    tri = d * (d + 1) // 2
-    return [("decoder", (d, p)), ("encoder", (p, d)), ("basis", (p, r)), ("acc_b", (d * r,)),
-            ("acc_M", (p, d)), ("acc_A", (r * (r + 1) // 2, tri)), ("acc_C", (1, tri)),
-            ("per_task.code", (len(per_task), p))]
+    logistic = sum(rec["loss_kind"] == "logistic" for rec in per_task.values())
+    if not 0 <= rep_omegas <= logistic:
+        raise ValueError(f"checkpoint entry 'rep_omegas': {rep_omegas}, expected 0 to the "
+                         f"{logistic} logistic tasks")
+    T, tri = len(per_task), d * (d + 1) // 2
+    return [("decoder", (d, p)), ("encoder", (p, d)), ("per_task.code", (T, p)),
+            ("per_task.w", (T, d)), ("per_task.omega", (T, tri)),
+            ("per_task.rep_omega", (rep_omegas, tri))]
 
 
 def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
@@ -397,10 +431,12 @@ def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
     order, as little-endian float64; the document's "sha256" is the
     `_digest` of the rest of it and the arrays."""
     flib = state.flib
+    records = list(state.per_task.values())
+    rep_omegas = [rec.rep_omega for rec in records if rec.rep_omega is not None]
     payload = {
         "version": CHECKPOINT_VERSION,
         "d": flib.d,
-        "r": flib.basis.shape[1],
+        "rep_omegas": len(rep_omegas),
         "seed": state.seed,
         "hyper": dataclasses.asdict(state.hyper),
         "per_task": {tid: {"loss_kind": rec.loss_kind, "slot": rec.slot}
@@ -409,12 +445,10 @@ def _checkpoint_payload(state: EngineState) -> tuple[dict, list[np.ndarray]]:
     arrays = {
         "decoder": flib.decoder,
         "encoder": flib.encoder,
-        "basis": flib.basis,
-        "acc_b": flib.acc_b_coords,
-        "acc_M": flib.acc_M,
-        "acc_A": pack_pairs(flib.acc_A_pairs),
-        "acc_C": pack_pairs(flib.acc_C[None]),
-        "per_task.code": [rec.code for rec in state.per_task.values()],
+        "per_task.code": [rec.code for rec in records],
+        "per_task.w": [rec.w for rec in records],
+        "per_task.omega": pack_pairs(np.array([rec.omega for rec in records])),
+        "per_task.rep_omega": pack_pairs(np.reshape(rep_omegas, (-1, flib.d, flib.d))),
     }
     pieces = [np.ascontiguousarray(np.reshape(arrays[name], shape), dtype="<f8")
               for name, shape in _checked_layout(payload, state.hyper.p)]
@@ -455,8 +489,9 @@ def _replace(path: Path, pieces) -> None:
 
 
 def save_state(state: EngineState, path) -> None:
-    """Checkpoint: both libraries plus the per-task code/assignment table,
-    in two files (format version 10; see the codec notes above).
+    """Checkpoint: the decoder and encoder plus each task's code, slot
+    and library fold inputs, in two files (format version 11; see the codec
+    notes above).
 
     `path` must end in `.json`, and ValueError, naming it, refuses any
     other: its stem then names one checkpoint, whose data files no save to
@@ -506,7 +541,8 @@ def _read_data(data_path: Path, payload: dict, layout) -> dict:
         size = data_path.stat().st_size
         if size != 8 * sum(sizes):
             raise ValueError(f"data file {str(data_path)!r} holds {size} bytes, expected "
-                             f"{8 * sum(sizes)} from the checkpoint's d, hyper.p, r and tasks")
+                             f"{8 * sum(sizes)} from the checkpoint's d, hyper.p, tasks and "
+                             f"rep_omegas")
         raw = data_path.read_bytes()
     except FileNotFoundError:
         raise ValueError(f"data file {str(data_path)!r} is missing") from None
@@ -525,18 +561,21 @@ def _read_data(data_path: Path, payload: dict, layout) -> dict:
 
 def load_state(path) -> EngineState:
     """The state `save_state` wrote.  ValueError, naming the file, refuses
-    any version but 10 (the README says what versions 1-9 stored); an
+    any version but 11 (the README says what versions 1-10 stored); an
     entry that is missing or of the wrong type (integers must be JSON
-    integers), a `hyper` entry that `HyperParams.from_json` refuses and a
-    per-task entry with an unknown loss.  The data file's name comes from
+    integers), a `hyper` entry that `HyperParams.from_json` refuses, a
+    per-task entry with an unknown loss and a "rep_omegas" outside 0 to
+    the number of logistic tasks.  The data file's name comes from
     `path`'s stem and the stored digest, never from the document.  It is
     refused, by name, when it is missing or when its size is not what the
-    arrays' shapes need (they follow from d, hyper.p, r and the number of
-    tasks), and with the document when their SHA-256 differs from the
-    stored one: an edit to any entry is refused.  So are an array that is
-    not finite, a basis that is not orthonormal to round-off and a slot
-    above the representatives admitted before its task, found as the model
-    library is replayed (see the codec notes above)."""
+    arrays' shapes need (they follow from d, hyper.p, the number of tasks
+    and "rep_omegas"), and with the document when their SHA-256 differs
+    from the stored one: an edit to any entry is refused.  So are an array
+    that is not finite, and, found as the model library is replayed and
+    the library statistics are folded again in stream order (see the codec
+    notes above), a slot above the representatives admitted before its
+    task and a "rep_omegas" other than the number of logistic tasks at a
+    representative's slot."""
     path = Path(path)
     payload = read_json(path)
     try:
@@ -564,33 +603,38 @@ def _load_state(path: Path, payload) -> EngineState:
     if not re.fullmatch("[0-9a-f]{64}", digest):
         raise ValueError(f"checkpoint entry 'sha256': {digest!r} is not 64 hex digits")
     arrays = _read_data(_data_path(path, digest), payload, layout)
-    basis = arrays["basis"]
-    gram = basis.T @ basis
-    gram.flat[::basis.shape[1] + 1] -= 1.0
-    if not np.all(np.abs(gram) <= _ORTHONORMAL_ROUNDOFF * hyper.p):
-        raise ValueError(f"checkpoint array 'basis': columns are not orthonormal (Q'Q "
-                         f"departs from I by {np.abs(gram).max():.3g})")
-    per_task = payload["per_task"]
-    codes = arrays["per_task.code"]
-    codes.setflags(write=False)
-    mlib, records = (), {}
-    for (tid, rec), code in zip(per_task.items(), codes):
+    d = payload["d"]
+    codes, ws = arrays["per_task.code"], arrays["per_task.w"]
+    omegas = unpack_pairs(arrays["per_task.omega"], d)
+    rep_omegas = unpack_pairs(arrays["per_task.rep_omega"], d)
+    for a in (codes, ws, omegas, rep_omegas):
+        a.setflags(write=False)
+    miscount = ValueError(f"checkpoint entry 'rep_omegas': {len(rep_omegas)}, expected one "
+                          f"for each logistic task at a representative's slot")
+    mlib, records, folds, used = (), {}, [], 0
+    for (tid, rec), code, w, omega in zip(payload["per_task"].items(), codes, ws, omegas):
         try:
             assignment = Assignment(slot=rec["slot"], slots=len(mlib) + 1)
         except ValueError as exc:
             raise ValueError(f"checkpoint entry {f'per_task[{tid!r}].slot'!r}: {exc}, one more "
                              f"than the representatives admitted before the task") from None
+        rep_omega = None
+        if rec["loss_kind"] == "logistic" and not assignment.picks_outlier:
+            if used == len(rep_omegas):
+                raise miscount
+            rep_omega, used = rep_omegas[used], used + 1
+        record = PerTaskRecord(code=code, slot=rec["slot"], loss_kind=rec["loss_kind"], w=w,
+                               omega=omega, rep_omega=rep_omega)
+        folds.append((code, omega, _fold_reps(records, mlib, record), w))
         mlib, _ = admit_representative(mlib, code, assignment, tid)
-        records[tid] = PerTaskRecord(code=code, slot=rec["slot"], loss_kind=rec["loss_kind"])
-    d = payload["d"]
-    flib = FeatureLibrary(
-        decoder=arrays["decoder"],
-        encoder=arrays["encoder"],
-        basis=basis,
-        acc_A_pairs=unpack_pairs(arrays["acc_A"], d),
-        acc_b_coords=arrays["acc_b"],
-        acc_M=arrays["acc_M"],
-        acc_C=unpack_pairs(arrays["acc_C"], d)[0],
-        tasks_seen=len(per_task),
-    )
+        records[tid] = record
+    if used != len(rep_omegas):
+        raise miscount
+    # the folds of learning, without the solves: the stored halves are the
+    # last solves' results
+    flib = fold_decoder(empty_library(arrays["decoder"], arrays["encoder"]), folds,
+                        hyper.lambda2)
+    flib = fold_encoder(flib, [(rec.code, rec.w) for rec in records.values()],
+                        activation_pair(hyper.phi)[1])
+    flib = dataclasses.replace(flib, tasks_seen=len(records))
     return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=mlib, per_task=records)

@@ -7,6 +7,14 @@ system accumulated in (acc_A, acc_b), the encoder from per-row least
 squares accumulated in (acc_M, acc_C).  Columns are kept inside the unit
 l2 ball by rescaling after each solve.
 
+Each update is a fold and a solve.  The fold (`fold_decoder`,
+`fold_encoder`) adds tasks' terms to the statistics, reading only each
+task's code, single-task fit w, Hessian omega and representative term;
+the solve refits the half from the statistics.  Learning runs both for
+one task.  The statistics are therefore a function of the per-task inputs
+in stream order: a checkpoint stores those inputs, not the statistics,
+and loading folds the whole stream again in one call (see `engine`).
+
 Every term of the decoder statistics is kron(W, H) with W built from
 codes (s s' and the representative differences), so they live in
 span(codes) (x) R^d, and on the rest of R^(dp) the decoder system is
@@ -31,8 +39,7 @@ admission order; a representative's code is its task's code, which never
 changes after learning, so reverse transfer flows only through the
 decoder refits.
 
-The checkpoint format of the libraries, its validation and its bytes are
-in `engine`.
+The checkpoint format, its validation and its bytes are in `engine`.
 """
 
 from __future__ import annotations
@@ -89,6 +96,13 @@ def init_libraries(d: int, p: int, seed: int) -> FeatureLibrary:
     decoder /= np.linalg.norm(decoder, axis=0, keepdims=True)
     encoder = rng.normal(0.0, 1.0 / np.sqrt(d), size=(p, d))
     encoder /= np.linalg.norm(encoder, axis=0, keepdims=True)
+    return empty_library(decoder, encoder)
+
+
+def empty_library(decoder: np.ndarray, encoder: np.ndarray) -> FeatureLibrary:
+    """The library with this decoder (d x p) and encoder and the statistics
+    of no task: an empty basis and zeroed accumulators."""
+    d, p = decoder.shape
     return FeatureLibrary(
         decoder=decoder,
         encoder=encoder,
@@ -104,7 +118,7 @@ def init_libraries(d: int, p: int, seed: int) -> FeatureLibrary:
 def _symmetric_bits(a: np.ndarray) -> bool:
     """Whether each trailing square matrix of `a` equals its transpose bit
     for bit, so that -0.0 and +0.0 differ; the checkpoint's packing of
-    pair blocks in `engine` relies on it too."""
+    Hessians in `engine` relies on it too."""
     bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
     return np.array_equal(bits, bits.swapaxes(-1, -2))
 
@@ -229,12 +243,28 @@ def _system_buffer(n: int) -> np.ndarray:
     return buf
 
 
+# pairs per chunk in which `_decoder_terms` forms a task's terms before it
+# adds them to the statistics: 205 kB at d = 40
+_TERM_CHUNK = 16
+
+
+def _add_prefix(prior: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
+    """Write `terms` into `out`, plus `prior` on their leading entries:
+    `prior` holds the statistics so far, which may be a prefix of `out`
+    itself, and the entries past it are new directions' that `terms`
+    start.  One pass, with no copy of `prior` first."""
+    n = len(prior)
+    np.add(prior, terms[:n], out=out[:n])
+    out[n:] = terms[n:]
+
+
 def _decoder_terms(s_t: np.ndarray, omega: np.ndarray,
                    reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
-                   lambda2: float) -> np.ndarray:
-    """One task's statistics as the sum of kron(W_k, H_k), returned as the
-    r(r+1)/2 x d x d pair blocks sum_k W_k[i, j] H_k in j-major order, r
-    the length of the codes.
+                   lambda2: float, prior: np.ndarray, out: np.ndarray) -> None:
+    """Write the pair blocks `prior` plus one task's statistics, the sum of
+    kron(W_k, H_k), into the r(r+1)/2 x d x d pair blocks `out` in j-major
+    order, r the length of the codes (`_add_prefix`).  Block (i, j) gains
+    sum_k W_k[i, j] H_k.
 
     Column-major vectorisation throughout: vec(Omega D s s') =
     (s s' (x) Omega) vec(D), so the task adds s s' (x) Omega plus the
@@ -247,8 +277,9 @@ def _decoder_terms(s_t: np.ndarray, omega: np.ndarray,
     is added block by block, elementwise: entry (a, b) of a block and its
     mirror (b, a) come from the same roundings of the same operands, so the
     blocks of Hessians symmetric bit for bit are too (a matrix product of
-    the stacked Hessians can round the two one ulp apart), and no temporary
-    of the blocks' size is made.
+    the stacked Hessians can round the two one ulp apart).  The terms are
+    formed `_TERM_CHUNK` pairs at a time and then added to `prior` into
+    `out`, so no temporary of the blocks' size is made.
     """
     groups = {id(omega): [omega, np.outer(s_t, s_t)]}
     for s_k, omega_k, z_k in reps_used:
@@ -259,11 +290,14 @@ def _decoder_terms(s_t: np.ndarray, omega: np.ndarray,
     jl, il = np.tril_indices(r)
     hessians = np.stack([h for h, _ in groups.values()]).reshape(-1, d * d)
     pair_weights = np.stack([w for _, w in groups.values()])[:, il, jl]
-    blocks = np.einsum("i,j->ij", pair_weights[0], hessians[0])
-    for weights, hessian in zip(pair_weights[1:], hessians[1:]):
-        for k, weight in enumerate(weights):
-            blocks[k] += weight * hessian
-    return blocks.reshape(-1, d, d)
+    flat, prior = out.reshape(-1, d * d), prior.reshape(-1, d * d)
+    for k0 in range(0, len(flat), _TERM_CHUNK):
+        chunk = slice(k0, k0 + _TERM_CHUNK)
+        terms = np.einsum("i,j->ij", pair_weights[0, chunk], hessians[0])
+        for weights, hessian in zip(pair_weights[1:, chunk], hessians[1:]):
+            for k, weight in enumerate(weights):
+                terms[k] += weight * hessian
+        _add_prefix(prior[chunk], terms, flat[chunk])
 
 
 # residuals of at most this many machine epsilons times p times the
@@ -295,52 +329,78 @@ def _grow_basis(basis: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
     return basis
 
 
+def fold_decoder(lib: FeatureLibrary,
+                 tasks: Sequence[tuple[np.ndarray, np.ndarray,
+                                       Sequence[tuple[np.ndarray, np.ndarray, float]],
+                                       np.ndarray]],
+                 lambda2: float) -> FeatureLibrary:
+    """Fold `tasks`, each (s_t, omega, reps_used, w_t) as `update_decoder`
+    takes them, in order into the decoder statistics; the decoder is left
+    as it is.
+
+    `omega` and the representative Hessians whose terms enter must equal
+    their transposes bit for bit, as `tasks.hessian_at` makes them; any
+    other raises ValueError, so that the pair blocks are symmetric.  The
+    basis first grows, task by task, by the task's code and each
+    representative code whose term enters the statistics (lambda2 > 0 and
+    z_k != 0), where they lie outside it.  The statistics are then sized
+    once by the grown basis, and each task writes the statistics so far
+    plus its terms into the prefix that the basis spans once the task's
+    own vectors joined, in that basis's coordinates, which the grown basis
+    extends; the entries of the directions the task added start as its
+    terms alone.  So folding tasks one call at a time or all in one call
+    gives the same bits, and a whole stream's pair blocks are held once.
+    """
+    d, p = lib.d, lib.p
+    basis, steps = lib.basis, []
+    for s_t, omega, reps_used, w_t in tasks:
+        if s_t.shape != (p,) or w_t.shape != (d,):
+            raise ValueError("task quantities do not match the library dimensions")
+        reps_used = [rep for rep in reps_used if lambda2 > 0 and rep[2] != 0.0]
+        if not all(h.shape == (d, d) and _symmetric_bits(h)
+                   for h in [omega] + [omega_k for _, omega_k, _ in reps_used]):
+            raise ValueError("every Hessian must be d x d and symmetric bit for bit")
+        basis = _grow_basis(basis, [s_t] + [s_k for s_k, _, _ in reps_used])
+        steps.append((basis, s_t, omega, reps_used, w_t))
+    if not steps:
+        return lib
+    r = basis.shape[1]
+    acc_A_pairs, acc_b_coords = np.empty((r * (r + 1) // 2, d, d)), np.empty(d * r)
+    prior_A, prior_b = lib.acc_A_pairs, lib.acc_b_coords
+    for q, s_t, omega, reps_used, w_t in steps:
+        k = q.shape[1]
+        c_t = s_t @ q
+        _decoder_terms(c_t, omega, [(s_k @ q, omega_k, z_k) for s_k, omega_k, z_k in reps_used],
+                       lambda2, prior_A, acc_A_pairs[:k * (k + 1) // 2])
+        _add_prefix(prior_b, np.kron(c_t, omega @ w_t), acc_b_coords[:d * k])
+        prior_A, prior_b = acc_A_pairs[:k * (k + 1) // 2], acc_b_coords[:d * k]
+    return dataclasses.replace(lib, basis=basis, acc_A_pairs=acc_A_pairs,
+                               acc_b_coords=acc_b_coords)
+
+
 def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
                    reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
                    lambda2: float, w_t: np.ndarray,
                    ridge_mu: float = 1e-6) -> FeatureLibrary:
-    """Fold one task into the decoder statistics and refit the decoder.
+    """Fold one task into the decoder statistics (`fold_decoder`) and refit
+    the decoder.
 
     Solves (acc_A / T + mu I) vec(D) = acc_b / T with T counting this task,
-    then clips columns to the unit ball.  `omega` and the representative
-    Hessians whose terms enter must equal their transposes bit for bit, as
-    `tasks.hessian_at` makes them; any other raises ValueError, so that the
-    pair blocks are symmetric and the packed checkpoint holds them exactly.
-    The basis first grows by the task's code and each representative code
-    whose term enters the statistics (lambda2 > 0 and z_k != 0), where they
-    lie outside it.  The task's terms over the r(r+1)/2 pairs of the grown
-    basis, in its coordinates, take in the old statistics, their prefix.
-    The upper triangle of the (dr) x (dr) system is written by block
-    columns, scaled by 1/T, into a prefix of this thread's reused
-    (dp) x (dp) buffer and factored there in place; its solution Y (d x r)
-    gives D = Y Q'.  On the complement of the basis the system is mu I
-    with a zero right-hand side, so this is the solution of the full
-    system, and at mu = 0 with r < p the full system is singular.
-    `tasks_seen` is left unchanged; the caller bumps it once per task after
-    both library updates.
+    then clips columns to the unit ball.  The upper triangle of the
+    (dr) x (dr) system is written by block columns, scaled by 1/T, into a
+    prefix of this thread's reused (dp) x (dp) buffer and factored there in
+    place; its solution Y (d x r) gives D = Y Q'.  On the complement of the
+    basis the system is mu I with a zero right-hand side, so this is the
+    solution of the full system, and at mu = 0 with r < p the full system
+    is singular.  `tasks_seen` is left unchanged; the caller bumps it once
+    per task after both library updates.
     """
-    d, p = lib.d, lib.p
-    if s_t.shape != (p,) or w_t.shape != (d,):
-        raise ValueError("task quantities do not match the library dimensions")
-    reps_used = [rep for rep in reps_used if lambda2 > 0 and rep[2] != 0.0]
-    if not all(h.shape == (d, d) and _symmetric_bits(h)
-               for h in [omega] + [omega_k for _, omega_k, _ in reps_used]):
-        raise ValueError("every Hessian must be d x d and symmetric bit for bit")
-    basis = _grow_basis(lib.basis, [s_t] + [s_k for s_k, _, _ in reps_used])
-    r = basis.shape[1]
+    lib = fold_decoder(lib, [(s_t, omega, reps_used, w_t)], lambda2)
+    d, p, r = lib.d, lib.p, lib.basis.shape[1]
     if ridge_mu == 0.0 and r < p:
         raise np.linalg.LinAlgError(
             f"decoder system is singular off the {r}-dimensional span of the codes; "
             f"rerun with ridge_mu > 0")
-
-    c_t = s_t @ basis
-    acc_A_pairs = _decoder_terms(c_t, omega, [(s_k @ basis, omega_k, z_k)
-                                              for s_k, omega_k, z_k in reps_used], lambda2)
-    acc_b_coords = np.kron(c_t, omega @ w_t)
-    # the old statistics are the leading pairs and entries; the rest are the
-    # new directions', which this task's terms start
-    acc_A_pairs[:len(lib.acc_A_pairs)] += lib.acc_A_pairs
-    acc_b_coords[:len(lib.acc_b_coords)] += lib.acc_b_coords
     T = lib.tasks_seen + 1
     n = d * r
     system = _system_buffer(d * p).reshape(-1)[:n * n].reshape(n, n)
@@ -349,18 +409,32 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     rows = system.reshape(r, d, r, d)
     for j in range(r):
         k = j * (j + 1) // 2
-        np.multiply(acc_A_pairs[k:k + j + 1], 1.0 / T, out=rows[:j + 1, :, j, :])
+        np.multiply(lib.acc_A_pairs[k:k + j + 1], 1.0 / T, out=rows[:j + 1, :, j, :])
     system.flat[::n + 1] += ridge_mu
-    y = _solve_spd(system, acc_b_coords / T, "decoder")
-    decoder = _clip_columns(y.reshape(r, d).T @ basis.T)
-    return dataclasses.replace(lib, decoder=decoder, basis=basis, acc_A_pairs=acc_A_pairs,
-                               acc_b_coords=acc_b_coords)
+    y = _solve_spd(system, lib.acc_b_coords / T, "decoder")
+    return dataclasses.replace(lib, decoder=_clip_columns(y.reshape(r, d).T @ lib.basis.T))
+
+
+def fold_encoder(lib: FeatureLibrary, tasks: Sequence[tuple[np.ndarray, np.ndarray]],
+                 phi_inverse: Callable[[np.ndarray], np.ndarray]) -> FeatureLibrary:
+    """Fold `tasks`, each (s_t, w_t), in order into the encoder statistics,
+    adding outer(phi^-1(s_t), w_t) to acc_M and outer(w_t, w_t) to acc_C;
+    the encoder is left as it is."""
+    acc_M, acc_C = lib.acc_M.copy(), lib.acc_C.copy()
+    for s_t, w_t in tasks:
+        target = np.asarray(phi_inverse(s_t), dtype=float)
+        if not np.isfinite(target).all():
+            raise ValueError("phi_inverse(s_t) is not finite")
+        acc_M += np.outer(target, w_t)
+        acc_C += np.outer(w_t, w_t)
+    return dataclasses.replace(lib, acc_M=acc_M, acc_C=acc_C)
 
 
 def update_encoder(lib: FeatureLibrary, s_t: np.ndarray, w_t: np.ndarray,
                    phi_inverse: Callable[[np.ndarray], np.ndarray],
                    ridge_mu: float = 1e-6) -> FeatureLibrary:
-    """Fold one task into the encoder statistics and refit the encoder.
+    """Fold one task into the encoder statistics (`fold_encoder`) and refit
+    the encoder.
 
     Solves L (acc_C / T + mu I) = acc_M / T row-wise with T counting this
     task, then clips columns.  The 1/T normalisation mirrors the decoder
@@ -372,17 +446,12 @@ def update_encoder(lib: FeatureLibrary, s_t: np.ndarray, w_t: np.ndarray,
     scaling is not what makes them shrink (a ridge of mu instead of T mu
     shows the same decay).
     """
-    d, p = lib.d, lib.p
-    target = np.asarray(phi_inverse(s_t), dtype=float)
-    if not np.isfinite(target).all():
-        raise ValueError("phi_inverse(s_t) is not finite")
-    acc_M = lib.acc_M + np.outer(target, w_t)
-    acc_C = lib.acc_C + np.outer(w_t, w_t)
+    lib = fold_encoder(lib, [(s_t, w_t)], phi_inverse)
     T = lib.tasks_seen + 1
-    system = acc_C / T
-    system.flat[::d + 1] += ridge_mu
-    encoder = _clip_columns(_solve_spd(system, acc_M.T / T, "encoder").T)
-    return dataclasses.replace(lib, encoder=encoder, acc_M=acc_M, acc_C=acc_C)
+    system = lib.acc_C / T
+    system.flat[::lib.d + 1] += ridge_mu
+    encoder = _clip_columns(_solve_spd(system, lib.acc_M.T / T, "encoder").T)
+    return dataclasses.replace(lib, encoder=encoder)
 
 
 def bump_tasks_seen(lib: FeatureLibrary) -> FeatureLibrary:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong.datasets import (TaskCorpus, generate_disjoint, load_corpus,
+from lifelong.datasets import (TaskCorpus, generate_disjoint, load_corpus, read_manifest,
                                save_corpus, split_corpus, standardize_targets)
 from lifelong.tasks import TaskData, fit_single_task
 
@@ -245,6 +245,12 @@ class TestCorpusIO:
         message = f"{path}: task ids are not unique: ['c0_t0']"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_corpus(tmp_path)
+        # the ids are in the manifest, so its header reader refuses them
+        # with no task file read
+        for entry in manifest["tasks"]:
+            (tmp_path / entry["file"]).unlink(missing_ok=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_manifest(tmp_path)
 
     @pytest.mark.parametrize("task_id", ["c0,t0", 'c0"t0', "c0\rt0", "c0\nt0", "c0/t0",
                                          "c0\\t0", "", ".", "..", "../escaped"])
@@ -326,7 +332,23 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_corpus(tmp_path)
 
-    @pytest.mark.parametrize("d", [0, -1, 5])
+    @pytest.mark.parametrize("d", [0, -1, -3])
+    def test_d_below_one_refused_by_name(self, tmp_path, d):
+        # no task file can hold fewer than one feature, so the header alone
+        # refuses it, naming the manifest and the entry, before a task file
+        # is read
+        corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=6, n_per_task=5)
+        path = save_corpus(corpus, tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["d"] = d
+        path.write_text(json.dumps(manifest))
+        (tmp_path / "c0_t0.csv").unlink()
+        message = f"{path}: manifest entry 'd': {d}, expected at least 1"
+        for read in (read_manifest, load_corpus):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(tmp_path)
+
+    @pytest.mark.parametrize("d", [5, 7])
     def test_header_disagreeing_with_d_names_the_manifest(self, tmp_path, d):
         # a d that the task files' headers do not hold is refused naming
         # the manifest, the task, its file and the entry

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,20 @@ def assert_same_state(ours, theirs, where="state"):
             assert_same_state(a, b, f"{where}[{i}]")
     else:
         assert type(ours) is type(theirs) and ours == theirs, where
+
+
+def logistic(tasks):
+    """`tasks` as classification tasks: each target's sign, 0 as +1."""
+    return [dataclasses.replace(t, targets=np.where(t.targets >= 0, 1.0, -1.0),
+                                loss_kind="logistic") for t in tasks]
+
+
+def logistic_d50_tasks():
+    """Eight logistic tasks at d = 50 whose representative Hessians differ
+    from the tasks' own; learned under HyperParams(p=20, ridge=1e-2)."""
+    corpus = generate_disjoint(seed=3, clusters=2, tasks_per_cluster=4, d=50, n_per_task=120)
+    return [dataclasses.replace(t, targets=np.sign(t.targets), loss_kind="logistic")
+            for t in corpus.tasks]
 
 
 def stream(state, tasks):
@@ -480,13 +495,33 @@ def copy_checkpoint(src, dst):
 
 
 def data_bytes(state):
-    """8 (r(r+1)/2 d(d+1)/2 + d(d+1)/2 + 3dp + pr + dr + Tp): the data
-    file's size for `state`."""
+    """8 (2dp + T (p + d + d(d+1)/2) + R d(d+1)/2): the data file's size
+    for `state`, with T tasks of which R are logistic tasks at a
+    representative's slot."""
     flib = state.flib
-    d, p, r = flib.d, flib.p, flib.basis.shape[1]
+    d, p = flib.d, flib.p
     tri = d * (d + 1) // 2
-    return 8 * (r * (r + 1) // 2 * tri + tri + 3 * d * p + p * r + d * r
-                + state.n_tasks * p)
+    R = sum(rec.rep_omega is not None for rec in state.per_task.values())
+    return 8 * (2 * d * p + state.n_tasks * (p + d + tri) + R * tri)
+
+
+def version_10_checkpoint(state, path):
+    """The document and data arrays version 10 wrote for `state`, with no
+    digest: "r" in the document, and in the data file the basis, the
+    statistics in its coordinates (acc_A and acc_C as packed pair
+    triangles) and the codes, but no task's w or Hessian.  `state` is also
+    saved at `path`, so that `write_checkpoint` has a data file to
+    replace."""
+    save_state(state, path)
+    payload, arrays = read_checkpoint(path)
+    flib = state.flib
+    payload = {"version": 10, "d": flib.d, "r": flib.basis.shape[1], "seed": state.seed,
+               "hyper": payload["hyper"], "per_task": payload["per_task"]}
+    return payload, {"decoder": flib.decoder, "encoder": flib.encoder, "basis": flib.basis,
+                     "acc_b": flib.acc_b_coords, "acc_M": flib.acc_M,
+                     "acc_A": engine.pack_pairs(flib.acc_A_pairs),
+                     "acc_C": engine.pack_pairs(flib.acc_C[None]),
+                     "per_task.code": arrays["per_task.code"]}
 
 
 def slot_counts(state):
@@ -781,7 +816,7 @@ class TestCheckpoint:
             load_state(path)
         assert data not in read
 
-    @pytest.mark.parametrize("version", [1, 2, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("version", [1, 2, 4, 5, 6, 7, 8, 9, 10])
     def test_retired_version_refused(self, tmp_path, version):
         # version 1 had no version key and stored arrays as nested lists,
         # version 2 stored every array in full, both without a basis,
@@ -792,8 +827,10 @@ class TestCheckpoint:
         # document, version 7 stored p, tasks_seen, each task's slot count
         # and each representative's code, source task and arrival,
         # version 8 the representatives' task ids, with a digest of the
-        # data alone, as versions 6 and 7 had, and version 9 each task's
-        # single-task fit w after the codes; none is read
+        # data alone, as versions 6 and 7 had, version 9 each task's
+        # single-task fit w after the codes, and version 10 the basis and
+        # the library statistics in its coordinates, with no task's w or
+        # Hessian; none is read
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         payload = version_5_document(state)
@@ -805,11 +842,12 @@ class TestCheckpoint:
         acc_b = np.zeros(p * d)
         acc_b[:r * d] = flib.acc_b_coords
         path = tmp_path / "state.json"
-        if version in (6, 7, 8):
-            reps = [{key: rep[key] for key in ("source_task", "admitted_at")}
-                    for rep in payload["representatives"]]
-            save_state(state, path)
-            payload = json.loads(path.read_text())
+        if version >= 6:
+            payload, arrays = version_10_checkpoint(state, path)
+            if version == 9:
+                arrays["per_task.w"] = [fit_single_task(t, state.hyper.ridge).w
+                                        for t in train.tasks[:4]]
+            data = write_checkpoint(path, payload, arrays)
             slots = slot_counts(state)
             for tid, rec in payload["per_task"].items():
                 if version == 6:
@@ -817,20 +855,15 @@ class TestCheckpoint:
                 elif version == 7:
                     rec["slots"] = slots[tid]
             if version == 7:
+                reps = [{key: rep[key] for key in ("source_task", "admitted_at")}
+                        for rep in version_5_document(state)["representatives"]]
                 payload.update(p=p, tasks_seen=flib.tasks_seen, representatives=reps)
             elif version == 8:
                 payload["representatives"] = list(state.mlib)
             payload["version"] = version
-            data = data_file(path)
-            payload["sha256"] = hashlib.sha256(data.read_bytes()).hexdigest()
-            data.rename(engine._data_path(path, payload["sha256"]))
-        elif version == 9:
-            save_state(state, path)
-            payload, arrays = read_checkpoint(path)
-            arrays["per_task.w"] = [fit_single_task(t, state.hyper.ridge).w
-                                    for t in train.tasks[:4]]
-            payload["version"] = 9
-            write_checkpoint(path, payload, arrays)
+            if version in (6, 7, 8):
+                payload["sha256"] = hashlib.sha256(data.read_bytes()).hexdigest()
+                data.rename(engine._data_path(path, payload["sha256"]))
         elif version == 4:
             # pair blocks in np.triu_indices(p) order, each packed
             ia, ja = np.triu_indices(d)
@@ -856,27 +889,29 @@ class TestCheckpoint:
                 payload["version"] = 2
         path.write_text(json.dumps(payload))
         message = (f"{path}: checkpoint version {version} is not readable; "
-                   f"readable versions are [10]")
+                   f"readable versions are [11]")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(path)
-        # read past the version, versions 1-5 have no basis rank to size the
-        # data, version 6 has no slot, the digest of versions 7 and 8 is
-        # not that of the document and data, and version 9's w leaves the
-        # data file larger than the layout
+        # read past the version, no version before 11 has "rep_omegas" to
+        # size the data; given the one this stream needs, versions 1-6 have
+        # no slot, and the data files of versions 7-10, which hold the
+        # library statistics, are a size other than the layout's
         payload["version"] = CHECKPOINT_VERSION
         path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape("checkpoint entry 'rep_omegas' is missing")):
+            load_state(path)
+        payload["rep_omegas"] = 0
+        path.write_text(json.dumps(payload))
         slot = f"per_task[{next(iter(payload['per_task']))!r}].slot"
-        refusal = {6: f"checkpoint entry {slot!r} is missing", 7: "checkpoint entry 'sha256'",
-                   8: "checkpoint entry 'sha256'"}.get(version, "checkpoint entry 'r' is missing")
-        if version == 9:
-            refusal = f"data file {str(data_file(path))!r} holds"
+        refusal = (f"checkpoint entry {slot!r} is missing" if version <= 6
+                   else f"data file {str(data_file(path))!r} holds")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(refusal)}"):
             load_state(path)
 
     def test_acc_C_in_full_refused(self, tmp_path):
-        # symmetric, but stored in full: with a digest that matches, the
-        # data file does not fit the layout; acc_A in full is refused in
-        # test_full_acc_A_with_asymmetric_blocks_refused
+        # the library statistics are folded again on load, not stored: a
+        # data file that also holds acc_C, in full as versions 1 and 2 held
+        # it, with a digest that matches, does not fit the layout
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         path = tmp_path / "state.json"
@@ -887,25 +922,36 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"data file {str(data)!r} holds")):
             load_state(path)
 
-    def test_packed_acc_A_matches_full_matrix_encoding(self, tmp_path):
-        # written straight from the pair blocks, the data file holds the
-        # (a <= b) triangle, in np.triu_indices order, of each block (i <= j)
-        # of the (dr) x (dr) matrix of basis coordinates, in j-major order
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_packed_omega_matches_triangle_encoding(self, tmp_path, loss):
+        # the data file holds each task's code, w and the (a <= b) triangle
+        # of its Hessian, in np.triu_indices order, in stream order, then
+        # the triangle of each representative Hessian a logistic task's
+        # fold used, and "rep_omegas" counts them
         train, _ = small_corpus()
-        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
-        flib = state.flib
-        r, d = flib.basis.shape[1], flib.d
+        tasks, hp = train.tasks, small_hyper()
+        if loss == "logistic":
+            tasks, hp = logistic(tasks), small_hyper(ridge=1e-2)
+        state, _ = stream(init_state(hp, seed=0), tasks)
+        records = list(state.per_task.values())
+        reps = [rec.rep_omega for rec in records if rec.rep_omega is not None]
+        assert len(reps) == (5 if loss == "logistic" else 0)
         path = tmp_path / "state.json"
         save_state(state, path)
-        _, arrays = read_checkpoint(path)
-        coords = full_from_pairs(flib.acc_A_pairs, r).reshape(r, d, r, d)
-        ia, ja = np.triu_indices(d)
-        packed = np.stack([coords[i, ia, j, ja] for i, j in pairs(r)])
-        assert arrays["acc_A"].tobytes() == packed.tobytes()
+        payload, arrays = read_checkpoint(path)
+        assert payload["rep_omegas"] == len(reps)
+        ia, ja = np.triu_indices(state.flib.d)
+        for name, rows in (("per_task.code", [rec.code for rec in records]),
+                           ("per_task.w", [rec.w for rec in records]),
+                           ("per_task.omega", [rec.omega[ia, ja] for rec in records]),
+                           ("per_task.rep_omega", [h[ia, ja] for h in reps])):
+            expected = np.array(rows).reshape(arrays[name].shape)
+            assert arrays[name].tobytes() == expected.tobytes(), name
 
-    def test_mid_stream_checkpoint_stores_only_the_basis_pairs(self, tmp_path):
-        # with r < p basis directions, the data file holds r(r+1)/2 packed
-        # pair blocks and d r entries of acc_b, and loads back bit for bit
+    def test_mid_stream_checkpoint_rebuilds_only_the_basis_pairs(self, tmp_path):
+        # with r < p basis directions, the data file holds no statistics,
+        # and the load folds the tasks into r(r+1)/2 pair blocks and d r
+        # entries of acc_b, bit for bit the saved state's
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
         flib = state.flib
@@ -914,41 +960,43 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         save_state(state, path)
         payload, arrays = read_checkpoint(path)
-        assert payload["r"] == r
-        assert arrays["acc_A"].shape == (r * (r + 1) // 2, d * (d + 1) // 2)
-        assert arrays["acc_b"].shape == (d * r,)
+        assert list(arrays) == ["decoder", "encoder", "per_task.code", "per_task.w",
+                                "per_task.omega", "per_task.rep_omega"]
+        assert "r" not in payload
         assert data_file(path).stat().st_size == data_bytes(state)
-        assert_same_state(load_state(path), state)
+        loaded = load_state(path)
+        assert loaded.flib.acc_A_pairs.shape == (r * (r + 1) // 2, d, d)
+        assert loaded.flib.acc_b_coords.shape == (d * r,)
+        assert_same_state(loaded, state)
 
     def test_version_3_checkpoint_refused(self):
         # written while the statistics were held in the identity basis with
         # no "basis" entry, by saving the first 4 tasks of small_corpus()
-        # under small_hyper() and seed 0; version 10 alone is read
+        # under small_hyper() and seed 0; version 11 alone is read
         old = Path(__file__).parent / "data" / "checkpoint_v3_full_matrix.json"
         assert json.loads(old.read_text())["version"] == 3
-        message = f"{old}: checkpoint version 3 is not readable; readable versions are [10]"
+        message = f"{old}: checkpoint version 3 is not readable; readable versions are [11]"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(old)
 
-    def test_full_acc_A_with_asymmetric_blocks_refused(self, tmp_path):
-        # pair triangles cannot hold an acc_A whose block (j, i) differs
-        # from block (i, j), and a data file that holds it in full, with a
-        # digest that matches, does not fit the layout
+    @pytest.mark.parametrize("where", ["omega", "rep_omega"])
+    def test_asymmetric_omega_refused_on_save(self, tmp_path, where):
+        # a packed triangle cannot hold a Hessian whose entry (1, 0) differs
+        # from (0, 1), here by one ulp: the save refuses it and writes
+        # nothing
         train, _ = small_corpus()
-        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        state, _ = stream(init_state(small_hyper(ridge=1e-2), seed=0),
+                          logistic(train.tasks[:3]))
+        tid = train.tasks[2].task_id
+        rec = state.per_task[tid]
+        broken = getattr(rec, where).copy()
+        broken[0, 1] = np.nextafter(broken[0, 1], np.inf)
+        per_task = dict(state.per_task)
+        per_task[tid] = dataclasses.replace(rec, **{where: broken})
         path = tmp_path / "state.json"
-        save_state(state, path)
-        payload, arrays = read_checkpoint(path)
-        d = state.flib.d
-        r = state.flib.basis.shape[1]
-        assert r >= 2
-        full = full_from_pairs(state.flib.acc_A_pairs, r)
-        row, col = 2, d + 3     # entry (2, 3) of block (0, 1)
-        full[row, col] = np.nextafter(full[row, col], np.inf)
-        arrays["acc_A"] = full
-        data = write_checkpoint(path, payload, arrays)
-        with pytest.raises(ValueError, match=re.escape(f"data file {str(data)!r} holds")):
-            load_state(path)
+        with pytest.raises(ValueError, match="not symmetric bit for bit"):
+            save_state(dataclasses.replace(state, per_task=per_task), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_version_rejected(self, tmp_path):
         train, _ = small_corpus()
@@ -978,11 +1026,11 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load_state(path)
 
-    @pytest.mark.parametrize("key", ["decoder", "acc_b", "acc_A", "per_task.code",
+    @pytest.mark.parametrize("key", ["decoder", "per_task.w", "per_task.omega", "per_task.code",
                                      "per_task.slot", "per_task.loss_kind"])
     def test_shape_disagreeing_with_d_and_p_named(self, tmp_path, key):
-        # every shape follows from d, p, r and the number of tasks: an array
-        # with an entry more or less, or an r one higher, leaves the data
+        # every shape follows from d, p, the number of tasks and
+        # "rep_omegas": an array with an entry more or less leaves the data
         # file with a size other than those shapes need, and a slot or loss
         # that no arrival could have is refused by its entry, even with a
         # digest that matches
@@ -991,71 +1039,77 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         save_state(state, path)
         payload, arrays = read_checkpoint(path)
-        flib = state.flib
         tid = train.tasks[1].task_id
         entry = payload["per_task"][tid]
-        data = data_file(path)
-        if key == "acc_A":
-            assert payload["r"] < flib.p
-            payload["r"] += 1
-            path.write_text(json.dumps(payload))
-        elif key in ("per_task.slot", "per_task.loss_kind"):
+        if key in ("per_task.slot", "per_task.loss_kind"):
             if key == "per_task.slot":
                 entry["slot"] = len(state.mlib) + 1
             else:
                 entry["loss_kind"] = "bogus"
             write_checkpoint(path, payload, arrays)
+            match = repr(f"per_task[{tid!r}]" + key[len("per_task"):])
         else:
             grown = np.append(arrays[key], 0.0)
             arrays[key] = grown[:-2] if key == "per_task.code" else grown
             data = write_checkpoint(path, payload, arrays)
-        if key in ("per_task.slot", "per_task.loss_kind"):
-            match = repr(f"per_task[{tid!r}]" + key[len("per_task"):])
-        else:
             match = f"data file {str(data)!r} holds"
         with pytest.raises(ValueError, match=re.escape(match)):
             load_state(path)
 
-    @pytest.mark.parametrize("key, fault", [("basis", "wider_than_p"),
-                                            ("basis", "rows_not_p"),
-                                            ("basis", "not_orthonormal"),
-                                            ("acc_A", "past_basis"),
-                                            ("acc_b", "past_basis")])
-    def test_basis_disagreeing_with_statistics_named(self, tmp_path, key, fault):
-        # after 2 tasks at p = 5 the basis spans at most 2 directions, and
-        # the statistics are sized by them; a basis or statistics that break
-        # this would corrupt every later refit: an r above p and a basis
-        # that is not orthonormal are refused by name, and a basis or
-        # statistics sized otherwise, even where the extra entries are
-        # zero, leave the data file with the wrong size
+    def test_load_holds_the_pair_blocks_once(self, tmp_path):
+        # a load folds the whole stream in one call, which sizes the pair
+        # blocks once and adds each task's terms in place: its allocations
+        # peak below two sets of blocks, where folding one task per call
+        # holds the old blocks and the new ones at once
+        corpus = generate_disjoint(seed=0, clusters=3, tasks_per_cluster=10, d=40)
+        train, _ = standardize_targets(*split_corpus(corpus, 0.5, seed=0))
+        state, _ = stream(init_state(HyperParams(), seed=0), train.tasks)
+        assert state.flib.basis.shape == (20, 20)
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        tracemalloc.start()
+        try:
+            loaded = load_state(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_state(loaded, state)
+        assert peak < 2 * state.flib.acc_A_pairs.nbytes
+
+    @pytest.mark.parametrize("fault", ["above_the_logistic_tasks", "negative", "one_short",
+                                       "one_extra"])
+    def test_rep_omegas_disagreeing_with_the_slots_named(self, tmp_path, fault):
+        # "rep_omegas" sizes the data file before it is read: a count
+        # outside 0 to the number of logistic tasks is refused by name
+        # unread, and one the replay of the slots does not give, with the
+        # data file sized to match and a digest that matches, is refused
+        # by name once the slots are replayed
         train, _ = small_corpus()
-        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
+        tasks, hp = train.tasks[:4], small_hyper()
+        if fault in ("one_short", "one_extra"):
+            tasks, hp = logistic(tasks), small_hyper(ridge=1e-2)
+        state, _ = stream(init_state(hp, seed=0), tasks)
         path = tmp_path / "state.json"
         save_state(state, path)
         payload, arrays = read_checkpoint(path)
-        flib = state.flib
-        d, p = flib.d, flib.p
-        q = flib.basis
-        r = q.shape[1]
-        assert 1 <= r < p
-        if fault == "wider_than_p":
-            payload["r"] = p + 1
-            path.write_text(json.dumps(payload))
-            match = repr("r")
+        reps = arrays["per_task.rep_omega"]
+        if fault == "above_the_logistic_tasks":
+            payload["rep_omegas"] = 1
+            message = "checkpoint entry 'rep_omegas': 1, expected 0 to the 0 logistic tasks"
+        elif fault == "negative":
+            payload["rep_omegas"] = -1
+            message = "checkpoint entry 'rep_omegas': -1, expected 0 to the 0 logistic tasks"
         else:
-            if fault == "rows_not_p":
-                arrays["basis"] = np.vstack([q, np.zeros((1, r))])
-            elif fault == "not_orthonormal":
-                arrays["basis"] = q * np.r_[1.0 + 1e-10, np.ones(r - 1)]
-            elif key == "acc_A":
-                # the pairs of r + 1 directions, the last r + 1 of them zero
-                tri = d * (d + 1) // 2
-                arrays["acc_A"] = np.concatenate([arrays["acc_A"], np.zeros((r + 1, tri))])
-            else:
-                arrays["acc_b"] = np.concatenate([flib.acc_b_coords, np.zeros(d)])
-            data = write_checkpoint(path, payload, arrays)
-            match = repr("basis") if fault == "not_orthonormal" else f"data file {str(data)!r}"
-        with pytest.raises(ValueError, match=re.escape(match)):
+            # the first task sits at the outlier slot, so there is room for
+            # one more Hessian than the three the slots give
+            assert len(reps) == 3
+            arrays["per_task.rep_omega"] = reps[:2] if fault == "one_short" else np.vstack(
+                [reps, reps[:1]])
+            payload["rep_omegas"] = len(arrays["per_task.rep_omega"])
+            message = (f"checkpoint entry 'rep_omegas': {payload['rep_omegas']}, expected one "
+                       f"for each logistic task at a representative's slot")
+        write_checkpoint(path, payload, arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_state(path)
 
     @pytest.mark.parametrize("save_at", [3, 8])
@@ -1126,14 +1180,11 @@ class TestCheckpoint:
 
     def test_logistic_stream_stays_packed_and_resumes_bit_identical(self, tmp_path):
         # logistic loss: from the second arrival on the representative's
-        # Hessian is not the task's; a matrix product of the two leaves pair
-        # blocks one ulp asymmetric from the fifth arrival on, which the
-        # packed layout (2.9 MB here, against 10.7 MB in full) cannot hold,
-        # and a save refuses
-        corpus = generate_disjoint(seed=3, clusters=2, tasks_per_cluster=4, d=50,
-                                   n_per_task=120)
-        tasks = [dataclasses.replace(t, targets=np.sign(t.targets), loss_kind="logistic")
-                 for t in corpus.tasks]
+        # Hessian is not the task's, and the checkpoint stores it beside the
+        # task's, both as packed triangles; the folds must keep the pair
+        # blocks symmetric bit for bit (a matrix product of the two Hessians
+        # leaves them one ulp asymmetric from the fifth arrival on)
+        tasks = logistic_d50_tasks()
         state = init_state(HyperParams(p=20, ridge=1e-2), seed=0)
         path, resume_path = tmp_path / "state.json", tmp_path / "resume.json"
         resume_at = 5
@@ -1157,7 +1208,49 @@ class TestCheckpoint:
         assert resume_path.read_bytes() == path.read_bytes()
         assert data_file(resume_path).read_bytes() == data_file(path).read_bytes()
 
-    @pytest.mark.parametrize("where", ["acc_A", "per_task"])
+    @pytest.mark.parametrize("case", ["squared_d40", "logistic_d50", "dead_learner"])
+    def test_every_arrival_round_trips_and_continues(self, tmp_path, case):
+        # saved after every arrival: the data file has the size the layout
+        # formula gives, the load folds the statistics back bit for bit
+        # (every field, w, omega, the basis and all four accumulators
+        # included), saves back to the same bytes, and learning the next
+        # task from it gives the uninterrupted stream's next state
+        if case == "squared_d40":
+            corpus = generate_disjoint(seed=0, clusters=3, tasks_per_cluster=10, d=40)
+            tasks = standardize_targets(*split_corpus(corpus, 0.5, seed=0))[0].tasks
+            hp = HyperParams()
+        elif case == "logistic_d50":
+            tasks, hp = logistic_d50_tasks(), HyperParams(p=20, ridge=1e-2)
+        else:
+            train, _ = small_corpus(clusters=3, tasks_per_cluster=3, d=12)
+            first = train.tasks[0]
+            tasks = [dataclasses.replace(first, targets=np.zeros_like(first.targets))]
+            tasks += train.tasks[1:]
+            hp = HyperParams(p=6)
+        states = [init_state(hp, seed=0)]
+        for task in tasks:
+            states.append(learn_task(states[-1], task)[0])
+        flib = states[-1].flib
+        # the basis ends full at p = 20, one direction per logistic task,
+        # and empty
+        assert flib.basis.shape[1] == {"squared_d40": 20, "logistic_d50": 8,
+                                       "dead_learner": 0}[case]
+        if case == "logistic_d50":
+            assert sum(rec.rep_omega is not None for rec in states[-1].per_task.values()) == 7
+        path, again = tmp_path / "state.json", tmp_path / "again.json"
+        for t, state in enumerate(states[1:], start=1):
+            where = f"arrival {t}"
+            save_state(state, path)
+            assert data_file(path).stat().st_size == data_bytes(state), where
+            loaded = load_state(path)
+            assert_same_state(loaded, state, where)
+            save_state(loaded, again)
+            assert again.read_bytes() == path.read_bytes(), where
+            assert data_file(again).read_bytes() == data_file(path).read_bytes(), where
+            if t < len(tasks):
+                assert_same_state(learn_task(loaded, tasks[t])[0], states[t + 1], where)
+
+    @pytest.mark.parametrize("where", ["omega", "per_task"])
     def test_array_of_wrong_size_named(self, tmp_path, where):
         # one float64 short of what the shape needs, with a digest that
         # matches: the data file is refused by its size
@@ -1166,16 +1259,17 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         save_state(state, path)
         payload, arrays = read_checkpoint(path)
-        name = "acc_A" if where == "acc_A" else "per_task.code"
+        name = "per_task.omega" if where == "omega" else "per_task.code"
         arrays[name] = arrays[name].reshape(-1)[:-1]
         data = write_checkpoint(path, payload, arrays)
         with pytest.raises(ValueError, match=re.escape(f"data file {str(data)!r} holds")):
             load_state(path)
 
-    @pytest.mark.parametrize("key, value", [("decoder", np.nan), ("acc_A", np.inf),
-                                            ("per_task.code", -np.inf)])
+    @pytest.mark.parametrize("key, value", [("decoder", np.nan), ("per_task.omega", np.inf),
+                                            ("per_task.code", -np.inf), ("per_task.w", np.nan)])
     def test_non_finite_array_named(self, tmp_path, key, value):
-        # a NaN or infinite entry would reach every prediction or refit
+        # a NaN or infinite entry would reach every prediction or, through
+        # the folds, every refit
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         path = tmp_path / "state.json"
@@ -1191,8 +1285,8 @@ class TestCheckpoint:
     def test_dead_learner_keeps_no_pairs_and_round_trips(self, tmp_path, ablation):
         # the first task's targets set to 0 make its code 0, and with D and
         # E refit from nothing every later code is 0 too: the basis stays
-        # empty, the statistics hold no pairs, and the checkpoint holds
-        # none either
+        # empty and the statistics hold no pairs, in the saved state and in
+        # the one the load folds again
         train, _ = small_corpus(clusters=3, tasks_per_cluster=3, d=12)
         first = train.tasks[0]
         tasks = [dataclasses.replace(first, targets=np.zeros_like(first.targets))]
@@ -1208,18 +1302,19 @@ class TestCheckpoint:
         path, again = tmp_path / "state.json", tmp_path / "again.json"
         save_state(state, path)
         payload, arrays = read_checkpoint(path)
-        assert payload["r"] == 0 and arrays["acc_A"].shape == (0, 78)
+        assert payload["rep_omegas"] == 0 and not arrays["per_task.code"].any()
         assert data_file(path).stat().st_size == data_bytes(state)
         loaded = load_state(path)
+        assert loaded.flib.basis.shape == (6, 0) and loaded.flib.acc_A_pairs.shape == (0, 12, 12)
         assert_same_state(loaded, state)
         save_state(loaded, again)
         assert again.read_bytes() == path.read_bytes()
         assert data_file(again).read_bytes() == data_file(path).read_bytes()
 
     @pytest.mark.parametrize("case", [
-        "seed", "hyper", "per_task", "d", "r", "sha256",
+        "seed", "hyper", "per_task", "d", "rep_omegas", "sha256",
         "hyper.mu", "per_task[tid].loss_kind",
-        "per_task=[]", "per_task[tid]=[]", "hyper=null", "d=8.5", "r='2'",
+        "per_task=[]", "per_task[tid]=[]", "hyper=null", "d=8.5", "rep_omegas='0'",
         "seed=null",
         "per_task[tid].loss_kind=null",
         "per_task[tid].slot", "per_task[tid].slot=1.0", "per_task[tid].slot=true",

@@ -359,6 +359,34 @@ class TestCli:
                                            f"most {manifest}: manifest entry 'd' = 12\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault, named", [
+        ("repeated_id", "{manifest}: task ids are not unique: ['c0_t0']"),
+        ("d_below_one", "{manifest}: manifest entry 'd': -3, expected at least 1")])
+    def test_manifest_fault_refused_at_config_load(self, tmp_path, capsys, fault, named):
+        # a corpus whose second entry repeats the first's id, or whose d is
+        # below 1, is refused when the config loads, from the manifest alone,
+        # before the output directory gets INCOMPLETE; the config's hyper.p
+        # is not blamed for the manifest's d
+        save_corpus(generate_disjoint(seed=0, clusters=2, tasks_per_cluster=3, d=12),
+                    tmp_path / "corpus")
+        manifest = tmp_path / "corpus" / "manifest.json"
+        document = json.loads(manifest.read_text())
+        if fault == "repeated_id":
+            document["tasks"][1]["id"] = document["tasks"][0]["id"]
+        else:
+            document["d"] = -3
+        manifest.write_text(json.dumps(document))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"dataset": {"type": "corpus",
+                                                    "path": str(tmp_path / "corpus")},
+                                        "hyper": {"p": 4}}))
+        with pytest.raises(ValueError, match=f"^{re.escape(named.format(manifest=manifest))}$"):
+            ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
+        out = tmp_path / "cli_out"
+        assert main(["--config", str(cfg_path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {named.format(manifest=manifest)}\n"
+        assert not out.exists()
+
     def test_negative_seed_flag_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "cli_out"
         assert main(["--seed", "0", "--seed", "-2", "--output", str(out)]) == 1

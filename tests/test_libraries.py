@@ -393,7 +393,8 @@ class TestDecoderContribution:
         expected = pair_blocks(np.kron(np.outer(s, s), omega) + sum(
             lambda2 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
             for s_k, omega_k, z_k in reps), d)
-        got = _decoder_terms(s, omega, reps, lambda2)
+        got = np.empty((p * (p + 1) // 2, d, d))
+        _decoder_terms(s, omega, reps, lambda2, np.empty((0, d, d)), got)
         assert got.shape == (p * (p + 1) // 2, d, d)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -405,7 +406,8 @@ class TestDecoderContribution:
         reps = tuple((s_k, omega, z_k) for s_k, _, z_k in reps)
         expected = pair_blocks(np.kron(np.outer(s, s), omega) + sum(
             0.3 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega) for s_k, _, z_k in reps), d)
-        got = _decoder_terms(s, omega, reps, 0.3)
+        got = np.empty((p * (p + 1) // 2, d, d))
+        _decoder_terms(s, omega, reps, 0.3, np.empty((0, d, d)), got)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_distinct_hessians_give_symmetric_blocks(self, rng):
@@ -414,7 +416,8 @@ class TestDecoderContribution:
         # entries one ulp from their mirrors at this size
         d, p = 50, 20
         s, omega, reps, w = random_update_inputs(rng, d, p, n_reps=1)
-        got = _decoder_terms(s, omega, reps, 0.3)
+        got = np.empty((p * (p + 1) // 2, d, d))
+        _decoder_terms(s, omega, reps, 0.3, np.empty((0, d, d)), got)
         bits = got.view(np.uint64)
         assert np.array_equal(bits, bits.transpose(0, 2, 1))
         (s_k, omega_k, z_k), = reps
@@ -515,36 +518,44 @@ class TestAdmission:
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, rng, tmp_path):
+        # a state built from the public updates as learn_task runs them: the
+        # first task admitted, the others at its slot with, as for squared
+        # loss, the task's own Hessian as the representative's.  The load
+        # folds the three tasks again into the same statistics, bit for bit
         d, p = 5, 3
+        hyper = HyperParams(p=p)
         flib = init_libraries(d, p, seed=9)
-        for _ in range(3):
-            s, omega, reps, w = random_update_inputs(rng, d, p)
-            flib = update_decoder(flib, s, omega, reps, lambda2=0.4, w_t=w, ridge_mu=1e-6)
-            flib = update_encoder(flib, s, w, identity, ridge_mu=1e-6)
-            flib = bump_tasks_seen(flib)
-        # one per-task entry for each of the three refits, as learn_task
-        # keeps, the first admitted and the others at its slot
-        per_task = {f"t{i}": PerTaskRecord(code=rng.normal(size=p), slot=0, loss_kind="squared")
-                    for i in range(3)}
-        mlib, _ = admit_representative((), per_task["t0"].code, Assignment(slot=0, slots=1),
-                                       "t0")
+        mlib, per_task = (), {}
+        for i in range(3):
+            s, omega, _, w = random_update_inputs(rng, d, p)
+            reps = ((per_task[mlib[0]].code, omega, 1.0),) if mlib else ()
+            flib = update_decoder(flib, s, omega, reps, hyper.lambda2, w, hyper.mu)
+            flib = bump_tasks_seen(update_encoder(flib, s, w, identity, hyper.mu))
+            mlib, _ = admit_representative(mlib, s, Assignment(slot=0, slots=len(mlib) + 1),
+                                           f"t{i}")
+            per_task[f"t{i}"] = PerTaskRecord(code=s, slot=0, loss_kind="squared", w=w,
+                                              omega=omega)
         path = tmp_path / "state.json"
-        save_state(EngineState(hyper=HyperParams(p=p), seed=9, flib=flib, mlib=mlib,
-                               per_task=per_task), path)
+        save_state(EngineState(hyper=hyper, seed=9, flib=flib, mlib=mlib, per_task=per_task),
+                   path)
         loaded = load_state(path)
-        flib2 = loaded.flib
         for name in ("decoder", "encoder", "basis", "acc_A_pairs", "acc_b_coords", "acc_M",
                      "acc_C"):
-            np.testing.assert_array_equal(getattr(flib, name), getattr(flib2, name))
-        assert flib2.tasks_seen == flib.tasks_seen
+            assert getattr(loaded.flib, name).tobytes() == getattr(flib, name).tobytes(), name
+        assert loaded.flib.tasks_seen == flib.tasks_seen == 3
         assert loaded.mlib == ("t0",)
-        np.testing.assert_array_equal(loaded.per_task["t0"].code, per_task["t0"].code)
+        for tid, rec in per_task.items():
+            for name in ("code", "w", "omega"):
+                assert getattr(loaded.per_task[tid], name).tobytes() == \
+                    getattr(rec, name).tobytes(), (tid, name)
 
 
     @pytest.mark.parametrize("name, fault", [("acc_A", "ulp"), ("acc_C", "negative_zero")])
     def test_asymmetric_block_refused_on_save(self, rng, name, fault):
         # no refit makes a block that differs from its transpose bit for
-        # bit, and the packed layout cannot hold one, so a save refuses it
+        # bit, by one ulp or by the sign of a zero, and a packed triangle
+        # cannot hold one, so the packer a save runs on each Hessian
+        # refuses it
         d, p = 5, 3
         flib = init_libraries(d, p, seed=9)
         s, omega, reps, w = random_update_inputs(rng, d, p)
