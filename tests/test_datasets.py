@@ -332,7 +332,7 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_corpus(tmp_path)
 
-    @pytest.mark.parametrize("d", [0, -1, -3])
+    @pytest.mark.parametrize("d", [-3])
     def test_d_below_one_refused_by_name(self, tmp_path, d):
         # no task file can hold fewer than one feature, so the header alone
         # refuses it, naming the manifest and the entry, before a task file
@@ -348,17 +348,21 @@ class TestCorpusIO:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 read(tmp_path)
 
-    @pytest.mark.parametrize("d", [5, 7])
+    @pytest.mark.parametrize("d", [0, -1, 5, 7])
     def test_header_disagreeing_with_d_names_the_manifest(self, tmp_path, d):
         # a d that the task files' headers do not hold is refused naming
-        # the manifest, the task, its file and the entry
+        # the manifest, the task, its file and the entry; a d below 1,
+        # which no header can hold, naming the manifest and the entry alone
         corpus = generate_disjoint(seed=0, clusters=1, tasks_per_cluster=2, d=6, n_per_task=5)
         path = save_corpus(corpus, tmp_path)
         manifest = json.loads(path.read_text())
         manifest["d"] = d
         path.write_text(json.dumps(manifest))
-        message = (f"{path}: task 'c0_t0': {tmp_path / 'c0_t0.csv'}, line 1: bad header "
-                   f"(expected manifest entry 'd' = {d} features plus target)")
+        if d < 1:
+            message = f"{path}: manifest entry 'd': {d}, expected at least 1"
+        else:
+            message = (f"{path}: task 'c0_t0': {tmp_path / 'c0_t0.csv'}, line 1: bad header "
+                       f"(expected manifest entry 'd' = {d} features plus target)")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_corpus(tmp_path)
 

@@ -922,6 +922,27 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"data file {str(data)!r} holds")):
             load_state(path)
 
+    def test_full_acc_A_with_asymmetric_blocks_refused(self, tmp_path):
+        # acc_A is folded again on load, not stored: a data file that also
+        # holds it in full, with block (0, 1) one ulp off the transpose of
+        # block (1, 0), which no fold gives, and a digest that matches, does
+        # not fit the layout
+        train, _ = small_corpus()
+        state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
+        path = tmp_path / "state.json"
+        save_state(state, path)
+        payload, arrays = read_checkpoint(path)
+        d = state.flib.d
+        r = state.flib.basis.shape[1]
+        assert r >= 2
+        full = full_from_pairs(state.flib.acc_A_pairs, r)
+        row, col = 2, d + 3     # entry (2, 3) of block (0, 1)
+        full[row, col] = np.nextafter(full[row, col], np.inf)
+        arrays["acc_A"] = full
+        data = write_checkpoint(path, payload, arrays)
+        with pytest.raises(ValueError, match=re.escape(f"data file {str(data)!r} holds")):
+            load_state(path)
+
     @pytest.mark.parametrize("loss", ["squared", "logistic"])
     def test_packed_omega_matches_triangle_encoding(self, tmp_path, loss):
         # the data file holds each task's code, w and the (a <= b) triangle
