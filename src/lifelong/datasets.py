@@ -33,6 +33,15 @@ class GroundTruth:
 _ID_FORBIDDEN = frozenset(',"\r\n/\\')
 
 
+def check_task_id(task_id: str) -> None:
+    """Refuse, with ValueError, a task id that is empty, '.' or '..', or
+    holds a character of `_ID_FORBIDDEN`."""
+    if task_id in ("", ".", "..") or not _ID_FORBIDDEN.isdisjoint(task_id):
+        raise ValueError(f"task id {task_id!r}: ids name files and fill CSV fields, so one "
+                         f"may not be empty, '.' or '..', or hold a comma, quote, slash, "
+                         f"backslash, CR or LF")
+
+
 @dataclass(frozen=True)
 class TaskCorpus:
     tasks: tuple[TaskData, ...]
@@ -49,10 +58,7 @@ class TaskCorpus:
         if self.problem_kind not in ("regression", "classification"):
             raise ValueError(f"unknown problem kind {self.problem_kind!r}")
         for t in self.tasks:
-            if t.task_id in ("", ".", "..") or not _ID_FORBIDDEN.isdisjoint(t.task_id):
-                raise ValueError(f"task id {t.task_id!r}: ids name files and fill CSV "
-                                 f"fields, so one may not be empty, '.' or '..', or "
-                                 f"hold a comma, quote, slash, backslash, CR or LF")
+            check_task_id(t.task_id)
         counts = Counter(t.task_id for t in self.tasks)
         repeated = sorted(tid for tid, n in counts.items() if n > 1)
         if repeated:
@@ -237,7 +243,8 @@ def read_manifest(path) -> tuple[Path, dict]:
     JSON type, a problem kind that is not 'regression' or
     'classification', a d below 1, an empty task list, a task entry that
     is not an object or whose `id` or `file` is missing or not a string,
-    and ids that repeat.  The task files are read by `load_corpus`."""
+    an id that `check_task_id` refuses, and ids that repeat.  The task
+    files are read by `load_corpus`."""
     path = _manifest_path(path)
     manifest = read_json(path)
     document = f"{path}: manifest"
@@ -255,6 +262,11 @@ def read_manifest(path) -> tuple[Path, dict]:
         entry = json_entry(entries, i, dict, f"tasks[{i}]", document)
         for key in ("id", "file"):
             json_entry(entry, key, str, f"tasks[{i}].{key}", document)
+    for entry in entries:
+        try:
+            check_task_id(entry["id"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     counts = Counter(entry["id"] for entry in entries)
     repeated = sorted(tid for tid, n in counts.items() if n > 1)
     if repeated:

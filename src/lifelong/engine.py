@@ -227,7 +227,8 @@ def _fold_reps(per_task: dict, mlib: tuple[str, ...], rec: PerTaskRecord) -> tup
     given the learned tasks and the model library before it: none at the
     outlier slot, else the representative's code with weight 1 and the
     task's Hessian at it, `rec.omega` itself for squared loss (the same
-    array, which `libraries._decoder_terms` sums with the task's term)."""
+    array, so that `libraries.fold_decoder` sums its weights into the
+    task's term)."""
     if rec.slot == len(mlib):
         return ()
     return ((per_task[mlib[rec.slot]].code,
@@ -349,15 +350,18 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 # store what follows from other entries: the tasks seen are the per-task
 # entries, p is hyper.p, and the model library is replayed from the slots
 # and codes, in stream order, by `admit_representative`, the rule that
-# built it.  Likewise the library statistics (basis, acc_A, acc_b, acc_M,
-# acc_C) are not stored: each is a sum of per-task folds, so the data file
-# holds each task's fold inputs, its code, w and Hessian omega, and after
-# that replay the load folds them all, in stream order, with one call each
-# of `fold_decoder` and `fold_encoder`, which hold the pair blocks once.
-# Only the decoder and encoder of the last solves are stored, so a load
-# solves nothing.  The rebuilt statistics equal the
-# saved state's bit for bit on the numpy and BLAS that saved it: the
-# folds' products are computed again, not read.
+# built it.  Likewise the library statistics (basis, the decoder terms,
+# acc_b, acc_M, acc_C) are not stored: each follows from per-task folds, so
+# the data file holds each task's fold inputs, its code, w and Hessian
+# omega, and after that replay the load folds them all, in stream order,
+# with one call each of `fold_decoder` and `fold_encoder`.  The decoder
+# terms hold the loaded Hessians themselves, the arrays the records hold,
+# with their pair weights, so the load forms no pair block; what it
+# computes is the basis, the weights and the small sums acc_b, acc_M and
+# acc_C.  Only the decoder and encoder of the last solves are stored, so a
+# load solves nothing.  The rebuilt statistics equal the saved state's bit
+# for bit on the numpy and BLAS that saved it: the folds' products are
+# computed again, not read.
 # A logistic task at a representative's slot also stores the Hessian at
 # the representative's model that its fold used (squared loss uses omega
 # itself).  Which tasks those are is known only from the codes, since a

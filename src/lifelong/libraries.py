@@ -1,11 +1,11 @@
 """The two knowledge libraries and their closed-form online updates.
 
 The feature-learning library is an encoder/decoder pair over task
-parameters.  Both halves are refit from running sufficient statistics
-each time a task arrives: the decoder from a Kronecker-structured normal
-system accumulated in (acc_A, acc_b), the encoder from per-row least
-squares accumulated in (acc_M, acc_C).  Columns are kept inside the unit
-l2 ball by rescaling after each solve.
+parameters.  Both halves are refit from sufficient statistics each time a
+task arrives: the decoder from a Kronecker-structured normal system
+(A, acc_b), the encoder from per-row least squares accumulated in
+(acc_M, acc_C).  Columns are kept inside the unit l2 ball by rescaling
+after each solve.
 
 Each update is a fold and a solve.  The fold (`fold_decoder`,
 `fold_encoder`) adds tasks' terms to the statistics, reading only each
@@ -21,18 +21,24 @@ span(codes) (x) R^d, and on the rest of R^(dp) the decoder system is
 mu I with a zero right-hand side.  The library therefore holds an
 orthonormal basis Q (p x r) of every code that has entered the
 statistics, grown by one Gram-Schmidt direction per new vector, and
-keeps (acc_A, acc_b) in its coordinates, sized by its rank r: a
+keeps the statistics in its coordinates, sized by its rank r: a
 direction's statistics start at exactly zero when it joins.  A refit
 solves the (dr) x (dr) system for Y (d x r) and sets D = Y Q'.
 
-acc_A is a sum of kron(W, H) over symmetric W and d x d Hessians H, so
-its d x d block (j, i) equals block (i, j), and each block is symmetric
-when every H is, as the refit requires bit for bit.  It is held as
-`acc_A_pairs`, the r(r+1)/2 blocks i <= j in j-major order, to which a
-new direction only appends, and each decoder system's upper triangle is
-assembled from them by block columns into a prefix of one (dp) x (dp)
-buffer per thread that is reused from refit to refit.  There it is
-factored in place as U'U by block rows; only the upper triangle is read.
+A, r(r+1)/2 blocks of d x d (2.7 MB at d = 40, r = 20), is never held.
+The library keeps its terms instead, each Hessian array with the weights
+W[i, j] (i <= j) it carries in the coordinates of the basis when its task
+arrived, and each refit sums them, one GEMM per chunk of pairs, straight
+into the block columns of a prefix of one (dp) x (dp) buffer per thread
+that is reused from refit to refit (`decoder_system`).  There the system
+is factored in place as U'U by block rows; only the upper triangle is
+read.  A term holds at most r(r+1)/2 weights (1.7 kB at r = 20) beside a
+Hessian array that the engine's records hold anyway.  The sum costs
+r(r+1)/2 d^2 multiply-adds per term at each refit, linear in the number
+of tasks, where a running sum of A cost O(r^2 d^2) per arrival: at
+d = 40, p = 20 the refit alone takes as long as with the running sum
+near 40 tasks and longer after, but it allocates no new set of blocks
+per arrival.  acc_b, acc_M and acc_C are small and stay running sums.
 
 The model library is an append-only tuple of representative task ids, in
 admission order; a representative's code is its task's code, which never
@@ -56,23 +62,27 @@ from .assignment import Assignment
 
 @dataclass(frozen=True)
 class FeatureLibrary:
-    """Encoder/decoder pair plus the accumulators backing their refits.
+    """Encoder/decoder pair plus the statistics backing their refits.
 
-    The decoder statistics, sums of kron(W, H) and of s (x) (H w), are held
-    only in the coordinates of `basis`, an orthonormal Q (p x r) whose span
-    holds every code that entered them: they are (Q (x) I_d) A (Q (x) I_d)'
-    and (Q (x) I_d) b for the (dr) x (dr) A and the dr-vector b held in
-    `acc_A_pairs` and `acc_b_coords`.  `acc_A_pairs[j (j + 1) / 2 + i]` is
-    the d x d block (i, j) of A for the pair i <= j, the sum of W[i, j] H
-    over the terms kron(W, H) in coordinates, and equals block (j, i),
-    since every W is symmetric; in this j-major order the pairs of the
-    first r' directions are a prefix.
+    The decoder statistics, A, a sum of kron(W, H), and acc_b, of
+    s (x) (H w), are held only in the coordinates of `basis`, an
+    orthonormal Q (p x r) whose span holds every code that entered them.
+    acc_b is `acc_b_coords`, of dr entries.  A is held as its terms:
+    `decoder_terms` has, in stream order, one (H, pair weights) for each
+    Hessian array H of each task whose weights are not all zero, both
+    read-only: H is the caller's array itself when it is read-only, as the
+    engine passes the one its `PerTaskRecord` holds, and a read-only copy
+    otherwise.  The pair weights are W[i, j] for i <= j in
+    j-major order, (0, 0), (0, 1), (1, 1), (0, 2), ..., in the k
+    coordinates the basis had once the task's vectors joined; the first
+    directions' pairs come first, so the weights of the directions that
+    joined later are zero.
     """
 
     decoder: np.ndarray       # d x p
     encoder: np.ndarray       # p x d
     basis: np.ndarray         # p x r, orthonormal columns
-    acc_A_pairs: np.ndarray   # r(r+1)/2 x d x d, in basis coordinates
+    decoder_terms: tuple      # (H, k(k+1)/2 pair weights) per Hessian array, in stream order
     acc_b_coords: np.ndarray  # dr, in basis coordinates
     acc_M: np.ndarray         # p x d
     acc_C: np.ndarray         # d x d
@@ -107,7 +117,7 @@ def empty_library(decoder: np.ndarray, encoder: np.ndarray) -> FeatureLibrary:
         decoder=decoder,
         encoder=encoder,
         basis=np.zeros((p, 0)),
-        acc_A_pairs=np.zeros((0, d, d)),
+        decoder_terms=(),
         acc_b_coords=np.zeros(0),
         acc_M=np.zeros((p, d)),
         acc_C=np.zeros((d, d)),
@@ -243,63 +253,6 @@ def _system_buffer(n: int) -> np.ndarray:
     return buf
 
 
-# pairs per chunk in which `_decoder_terms` forms a task's terms before it
-# adds them to the statistics: 205 kB at d = 40
-_TERM_CHUNK = 16
-
-
-def _add_prefix(prior: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
-    """Write `terms` into `out`, plus `prior` on their leading entries:
-    `prior` holds the statistics so far, which may be a prefix of `out`
-    itself, and the entries past it are new directions' that `terms`
-    start.  One pass, with no copy of `prior` first."""
-    n = len(prior)
-    np.add(prior, terms[:n], out=out[:n])
-    out[n:] = terms[n:]
-
-
-def _decoder_terms(s_t: np.ndarray, omega: np.ndarray,
-                   reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
-                   lambda2: float, prior: np.ndarray, out: np.ndarray) -> None:
-    """Write the pair blocks `prior` plus one task's statistics, the sum of
-    kron(W_k, H_k), into the r(r+1)/2 x d x d pair blocks `out` in j-major
-    order, r the length of the codes (`_add_prefix`).  Block (i, j) gains
-    sum_k W_k[i, j] H_k.
-
-    Column-major vectorisation throughout: vec(Omega D s s') =
-    (s s' (x) Omega) vec(D), so the task adds s s' (x) Omega plus the
-    weighted representative-difference terms
-    lambda2 z_k (s_k - s)(s_k - s)' (x) Omega_k over `reps_used`; the
-    matching acc_b contribution is vec(Omega w s') = s (x) (Omega w).  The
-    weights of the terms that share one Hessian array are summed first, so
-    squared loss, whose representatives all carry the task's Omega, adds
-    one outer product of pair weights and Hessian.  Each Hessian of its own
-    is added block by block, elementwise: entry (a, b) of a block and its
-    mirror (b, a) come from the same roundings of the same operands, so the
-    blocks of Hessians symmetric bit for bit are too (a matrix product of
-    the stacked Hessians can round the two one ulp apart).  The terms are
-    formed `_TERM_CHUNK` pairs at a time and then added to `prior` into
-    `out`, so no temporary of the blocks' size is made.
-    """
-    groups = {id(omega): [omega, np.outer(s_t, s_t)]}
-    for s_k, omega_k, z_k in reps_used:
-        diff = s_k - s_t
-        group = groups.setdefault(id(omega_k), [omega_k, 0.0])
-        group[1] = group[1] + lambda2 * z_k * np.outer(diff, diff)
-    r, d = s_t.shape[0], omega.shape[0]
-    jl, il = np.tril_indices(r)
-    hessians = np.stack([h for h, _ in groups.values()]).reshape(-1, d * d)
-    pair_weights = np.stack([w for _, w in groups.values()])[:, il, jl]
-    flat, prior = out.reshape(-1, d * d), prior.reshape(-1, d * d)
-    for k0 in range(0, len(flat), _TERM_CHUNK):
-        chunk = slice(k0, k0 + _TERM_CHUNK)
-        terms = np.einsum("i,j->ij", pair_weights[0, chunk], hessians[0])
-        for weights, hessian in zip(pair_weights[1:, chunk], hessians[1:]):
-            for k, weight in enumerate(weights):
-                terms[k] += weight * hessian
-        _add_prefix(prior[chunk], terms, flat[chunk])
-
-
 # residuals of at most this many machine epsilons times p times the
 # vector's norm are round-off; about 3.6e-14 relative at p = 20
 _SPAN_ROUNDOFF = 8 * np.finfo(float).eps
@@ -340,19 +293,24 @@ def fold_decoder(lib: FeatureLibrary,
 
     `omega` and the representative Hessians whose terms enter must equal
     their transposes bit for bit, as `tasks.hessian_at` makes them; any
-    other raises ValueError, so that the pair blocks are symmetric.  The
-    basis first grows, task by task, by the task's code and each
-    representative code whose term enters the statistics (lambda2 > 0 and
-    z_k != 0), where they lie outside it.  The statistics are then sized
-    once by the grown basis, and each task writes the statistics so far
-    plus its terms into the prefix that the basis spans once the task's
-    own vectors joined, in that basis's coordinates, which the grown basis
-    extends; the entries of the directions the task added start as its
-    terms alone.  So folding tasks one call at a time or all in one call
-    gives the same bits, and a whole stream's pair blocks are held once.
+    other raises ValueError, since the refit reads only the upper triangle
+    of the system they build.  The basis first grows by the task's code
+    and each representative code whose term enters the statistics
+    (lambda2 > 0 and z_k != 0), where they lie outside it; in the k
+    coordinates of that basis the task adds s s' (x) Omega plus
+    lambda2 z_k (s_k - s)(s_k - s)' (x) Omega_k over `reps_used` to A, and
+    vec(Omega w s') = s (x) (Omega w) to acc_b (column-major
+    vectorisation: vec(Omega D s s') = (s s' (x) Omega) vec(D)).  The
+    weights of the terms that share one Hessian array are summed, so a
+    squared-loss task, whose representative carries its own omega, adds
+    one term to `decoder_terms` and a logistic one at a representative's
+    slot two; a term whose weights are all zero, as every term is while
+    the basis is empty, adds nothing and is left out.  Terms are only
+    appended, so folding tasks one call at a time or all in one call gives
+    the same bits.
     """
     d, p = lib.d, lib.p
-    basis, steps = lib.basis, []
+    basis, terms, acc_b = lib.basis, list(lib.decoder_terms), lib.acc_b_coords
     for s_t, omega, reps_used, w_t in tasks:
         if s_t.shape != (p,) or w_t.shape != (d,):
             raise ValueError("task quantities do not match the library dimensions")
@@ -361,21 +319,99 @@ def fold_decoder(lib: FeatureLibrary,
                    for h in [omega] + [omega_k for _, omega_k, _ in reps_used]):
             raise ValueError("every Hessian must be d x d and symmetric bit for bit")
         basis = _grow_basis(basis, [s_t] + [s_k for s_k, _, _ in reps_used])
-        steps.append((basis, s_t, omega, reps_used, w_t))
-    if not steps:
-        return lib
-    r = basis.shape[1]
-    acc_A_pairs, acc_b_coords = np.empty((r * (r + 1) // 2, d, d)), np.empty(d * r)
-    prior_A, prior_b = lib.acc_A_pairs, lib.acc_b_coords
-    for q, s_t, omega, reps_used, w_t in steps:
-        k = q.shape[1]
-        c_t = s_t @ q
-        _decoder_terms(c_t, omega, [(s_k @ q, omega_k, z_k) for s_k, omega_k, z_k in reps_used],
-                       lambda2, prior_A, acc_A_pairs[:k * (k + 1) // 2])
-        _add_prefix(prior_b, np.kron(c_t, omega @ w_t), acc_b_coords[:d * k])
-        prior_A, prior_b = acc_A_pairs[:k * (k + 1) // 2], acc_b_coords[:d * k]
-    return dataclasses.replace(lib, basis=basis, acc_A_pairs=acc_A_pairs,
-                               acc_b_coords=acc_b_coords)
+        c_t = s_t @ basis
+        groups = {id(omega): [omega, np.outer(c_t, c_t)]}
+        for s_k, omega_k, z_k in reps_used:
+            diff = s_k @ basis - c_t
+            group = groups.setdefault(id(omega_k), [omega_k, 0.0])
+            group[1] = group[1] + lambda2 * z_k * np.outer(diff, diff)
+        jl, il = np.tril_indices(c_t.size)
+        for hessian, weights in groups.values():
+            pair_weights = weights[il, jl]
+            if pair_weights.any():
+                terms.append((_read_only(hessian), _read_only(pair_weights)))
+        acc_b = _add_prefix(acc_b, np.kron(c_t, omega @ w_t))
+    return dataclasses.replace(lib, basis=basis, decoder_terms=tuple(terms),
+                               acc_b_coords=acc_b)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a` itself when it is read-only, as the engine's per-task arrays
+    are, else a read-only copy, so that no later write by a caller reaches
+    a library."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+def _add_prefix(prior: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """`terms` plus `prior` on their leading entries: `prior` holds the
+    statistics so far, and the entries past it are new directions' that
+    `terms` start."""
+    n = len(prior)
+    return np.concatenate([prior + terms[:n], terms[n:]])
+
+
+def _hessian_stack(hessians: Sequence[np.ndarray]) -> np.ndarray:
+    """The G d x d `hessians` as the rows of a G x d^2 matrix, stacked in
+    this thread's reused buffer, which is allocated again at twice G only
+    when G outgrows it: a fresh array for each refit, a little larger each
+    time, would have its pages faulted in afresh."""
+    G, d = len(hessians), hessians[0].shape[0]
+    buf = getattr(_workspace, "hessians", None)
+    if buf is None or buf.shape[1:] != (d, d) or len(buf) < G:
+        buf = _workspace.hessians = np.empty((2 * G, d, d))
+    return np.stack(hessians, out=buf[:G]).reshape(G, d * d)
+
+
+# pairs per GEMM in which `decoder_system` forms the pair blocks: an
+# output of 614 kB at d = 40
+_PAIR_CHUNK = 48
+
+
+def decoder_system(lib: FeatureLibrary, scale: float) -> np.ndarray:
+    """`scale` times the decoder statistics A, the (dr) x (dr) matrix in
+    basis coordinates, as far as a refit reads it: the d x d blocks (i, j)
+    with i <= j, written whole into a prefix of this thread's reused
+    (dp) x (dp) buffer, of which the n x n view is returned; the rest of it
+    is stale, and the next assembly on this thread overwrites it.
+
+    Block (i, j) is the sum over `decoder_terms` of W[i, j] H, with W's
+    entries past a term's k coordinates zero, since a direction that
+    joined later held none of its weight.  With the terms' pair weights
+    zero-padded as the rows of P (G x r(r+1)/2) and their Hessians stacked
+    as the rows of H (G x d^2, `_hessian_stack`), the blocks are the rows
+    of (scale P)' H, formed `_PAIR_CHUNK` pairs at a time, so that no
+    temporary of the blocks' size is made, and copied into place block
+    column by block column; in the j-major order of the pairs, block
+    column j is the j + 1 from j (j + 1) / 2 on.  This costs
+    r(r+1)/2 G d^2 multiply-adds, G about the number of tasks.
+    """
+    d, r = lib.d, lib.basis.shape[1]
+    n = d * r
+    system = _system_buffer(d * lib.p).reshape(-1)[:n * n].reshape(n, n)
+    terms = lib.decoder_terms
+    if not terms:
+        return system
+    jl, il = np.tril_indices(r)
+    weights = np.zeros((len(jl), len(terms)))
+    for g, (_, pair_weights) in enumerate(terms):
+        weights[:pair_weights.size, g] = pair_weights
+    weights *= scale
+    hessians = _hessian_stack([hessian for hessian, _ in terms])
+    blocks = np.empty((min(_PAIR_CHUNK, len(jl)), d * d))
+    rows = system.reshape(r, d, r, d)
+    for k0 in range(0, len(jl), _PAIR_CHUNK):
+        k1 = min(k0 + _PAIR_CHUNK, len(jl))
+        chunk = np.matmul(weights[k0:k1], hessians, out=blocks[:k1 - k0]).reshape(-1, d, d)
+        k = k0
+        while k < k1:
+            i, j = il[k], jl[k]
+            end = min(k1, (j + 1) * (j + 2) // 2)
+            rows[i:i + end - k, :, j, :] = chunk[k - k0:end - k0]
+            k = end
+    return system
 
 
 def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
@@ -385,15 +421,15 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     """Fold one task into the decoder statistics (`fold_decoder`) and refit
     the decoder.
 
-    Solves (acc_A / T + mu I) vec(D) = acc_b / T with T counting this task,
+    Solves (A / T + mu I) vec(D) = acc_b / T with T counting this task,
     then clips columns to the unit ball.  The upper triangle of the
-    (dr) x (dr) system is written by block columns, scaled by 1/T, into a
-    prefix of this thread's reused (dp) x (dp) buffer and factored there in
-    place; its solution Y (d x r) gives D = Y Q'.  On the complement of the
-    basis the system is mu I with a zero right-hand side, so this is the
-    solution of the full system, and at mu = 0 with r < p the full system
-    is singular.  `tasks_seen` is left unchanged; the caller bumps it once
-    per task after both library updates.
+    (dr) x (dr) system is assembled from the terms by `decoder_system` in
+    this thread's reused buffer and factored there in place; its solution
+    Y (d x r) gives D = Y Q'.  On the complement of the basis the system is
+    mu I with a zero right-hand side, so this is the solution of the full
+    system, and at mu = 0 with r < p the full system is singular.
+    `tasks_seen` is left unchanged; the caller bumps it once per task
+    after both library updates.
     """
     lib = fold_decoder(lib, [(s_t, omega, reps_used, w_t)], lambda2)
     d, p, r = lib.d, lib.p, lib.basis.shape[1]
@@ -402,15 +438,8 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
             f"decoder system is singular off the {r}-dimensional span of the codes; "
             f"rerun with ridge_mu > 0")
     T = lib.tasks_seen + 1
-    n = d * r
-    system = _system_buffer(d * p).reshape(-1)[:n * n].reshape(n, n)
-    # block column j holds the pairs (i <= j) above and on the diagonal,
-    # the j + 1 contiguous in j-major order from j (j + 1) / 2 on
-    rows = system.reshape(r, d, r, d)
-    for j in range(r):
-        k = j * (j + 1) // 2
-        np.multiply(lib.acc_A_pairs[k:k + j + 1], 1.0 / T, out=rows[:j + 1, :, j, :])
-    system.flat[::n + 1] += ridge_mu
+    system = decoder_system(lib, 1.0 / T)
+    system.flat[::d * r + 1] += ridge_mu
     y = _solve_spd(system, lib.acc_b_coords / T, "decoder")
     return dataclasses.replace(lib, decoder=_clip_columns(y.reshape(r, d).T @ lib.basis.T))
 

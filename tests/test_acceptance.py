@@ -19,14 +19,14 @@ from lifelong.datasets import generate_disjoint, split_corpus, standardize_targe
 from lifelong.engine import (HyperParams, init_state, learn_task,
                              reconstruct_model, reconstructed_weights)
 from lifelong.experiment import STL_RIDGE, ExperimentConfig, run_experiment, run_seed
-from lifelong.libraries import update_encoder
+from lifelong.libraries import decoder_system, update_encoder
 from lifelong.metrics import model_correlation_matrix, rmse, within_between_gap
 from lifelong.sparse_code import (CodeProblem, composite_objective, encode_task,
                                   smooth_gradient, smooth_objective)
 from lifelong.tasks import fit_single_task, loss_gradient, loss_value
 
 from oracles import (batch_clustered_mtl, decoder_statistics, fd_gradient,
-                     grid_search_assignment, in_basis, subgradient_descent)
+                     grid_search_assignment, in_basis, pair_blocks, subgradient_descent)
 from test_engine import replay_arrival
 from test_sparse_code import random_problem
 from test_tasks import random_task
@@ -358,10 +358,13 @@ class TestCriterion10:
             A, b, M, C = A + A_t, b + b_t, M + np.outer(s, w), C + np.outer(w, w)
             flib = state.flib
             r = flib.basis.shape[1]
-            sized_by_rank &= (flib.acc_A_pairs.shape == (r * (r + 1) // 2, flib.d, flib.d)
+            # the system the refit assembles from the library's terms
+            system = decoder_system(flib, 1.0)
+            sized_by_rank &= (system.shape == (r * flib.d, r * flib.d)
                               and flib.acc_b_coords.shape == (r * flib.d,))
             pairs, b_coords = in_basis(A, b, flib.basis)
-            for batch, inc in ((pairs, flib.acc_A_pairs), (b_coords, flib.acc_b_coords),
+            for batch, inc in ((pairs, pair_blocks(system, flib.d)),
+                               (b_coords, flib.acc_b_coords),
                                (M, flib.acc_M), (C, flib.acc_C)):
                 scale = max(np.abs(batch).max(), 1.0)
                 worst = max(worst, float(np.abs(batch - inc).max() / scale))

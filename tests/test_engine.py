@@ -24,11 +24,11 @@ from lifelong.engine import (CHECKPOINT_VERSION, HyperParams, activation_pair,
                              reconstructed_weights, save_state)
 from lifelong.baselines import ablation_hyper
 from lifelong.experiment import ExperimentConfig
-from lifelong.libraries import init_libraries
+from lifelong.libraries import decoder_system, init_libraries
 from lifelong.sparse_code import CodeProblem, encode_task
 from lifelong.tasks import ConvergenceError, TaskData, fit_single_task, hessian_at, loss_value
 
-from oracles import decoder_statistics, full_from_pairs, in_basis, pairs
+from oracles import decoder_statistics, full_from_pairs, in_basis, pair_blocks, pairs
 
 
 def small_corpus(seed=0, clusters=2, tasks_per_cluster=3, d=10, n=16, noise=0.05):
@@ -79,6 +79,25 @@ def logistic_d50_tasks():
     corpus = generate_disjoint(seed=3, clusters=2, tasks_per_cluster=4, d=50, n_per_task=120)
     return [dataclasses.replace(t, targets=np.sign(t.targets), loss_kind="logistic")
             for t in corpus.tasks]
+
+
+def library_pairs(flib):
+    """The pair blocks (i <= j, in j-major order) of the decoder statistics
+    A that the library's terms assemble."""
+    return pair_blocks(decoder_system(flib, 1.0), flib.d)
+
+
+def terms_bytes(flib):
+    """The bytes of each decoder term's Hessian and pair weights."""
+    return [(h.tobytes(), w.tobytes()) for h, w in flib.decoder_terms]
+
+
+def squared_d40_tasks():
+    """The training tasks of the default stream: 3 clusters of 10 squared
+    tasks at d = 40, standardised; learned under HyperParams(), the basis
+    ends full at r = p = 20."""
+    corpus = generate_disjoint(seed=0, clusters=3, tasks_per_cluster=10, d=40)
+    return standardize_targets(*split_corpus(corpus, 0.5, seed=0))[0].tasks
 
 
 def stream(state, tasks):
@@ -366,14 +385,15 @@ class TestStreamInvariants:
             for columns in (state.flib.decoder, state.flib.encoder):
                 assert np.linalg.norm(columns, axis=0).max() <= 1.0 + 1e-12, where
             flib = state.flib
-            # the statistics are sized by the basis, empty while every code is 0
+            # the statistics are sized by the basis, empty while every code is
+            # 0, and the system the refit assembles from the terms is A's
             r = flib.basis.shape[1]
-            assert flib.acc_A_pairs.shape == (r * (r + 1) // 2, d, d), where
+            assert decoder_system(flib, 1.0).shape == (d * r, d * r), where
             assert flib.acc_b_coords.shape == (d * r,), where
             blocks, b = in_basis(*decoder_statistics(arrivals, hp.lambda2), flib.basis)
             M = sum(np.outer(s, w) for s, w, _, _ in arrivals)
             C = sum(np.outer(w, w) for _, w, _, _ in arrivals)
-            for name, batch, inc in (("acc_A_pairs", blocks, flib.acc_A_pairs),
+            for name, batch, inc in (("A", blocks, library_pairs(flib)),
                                      ("acc_b_coords", b, flib.acc_b_coords),
                                      ("acc_M", M, flib.acc_M), ("acc_C", C, flib.acc_C)):
                 scale = np.abs(batch).max(initial=1.0)
@@ -392,6 +412,24 @@ class TestStreamInvariants:
                 assert rec.slot <= sum(k < n for k in positions), where
             assert flib.tasks_seen == len(state.per_task), where
 
+    def test_arrival_holds_less_than_the_pair_blocks(self):
+        # the refit sums the decoder terms into the thread's system buffer,
+        # a few dozen pair blocks per GEMM, and the library keeps the terms
+        # instead of their sum: the last arrival of the default stream, at
+        # r = p = 20, peaks below one set of the r(r+1)/2 blocks of d x d,
+        # where a running sum of them allocates a new set on each arrival
+        tasks = squared_d40_tasks()
+        state, _ = stream(init_state(HyperParams(), seed=0), tasks[:-1])
+        tracemalloc.start()
+        try:
+            state, _ = learn_task(state, tasks[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d, r = state.flib.d, state.flib.basis.shape[1]
+        assert r == 20
+        assert peak < 8 * r * (r + 1) // 2 * d * d
+
 
 class TestRelearn:
     # each task arrives once; the one refusal reads the same for a state
@@ -402,12 +440,14 @@ class TestRelearn:
         task = train.tasks[0]
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         before = {name: getattr(state.flib, name).tobytes()
-                  for name in ("decoder", "encoder", "acc_A_pairs", "acc_b_coords")}
+                  for name in ("decoder", "encoder", "acc_b_coords")}
+        terms = terms_bytes(state.flib)
         with pytest.raises(ValueError, match=f"^task '{task.task_id}': already learned"):
             learn_task(state, task)
         assert list(state.per_task) == [t.task_id for t in train.tasks[:2]]
         assert state.flib.tasks_seen == len(state.per_task) == 2
         assert {name: getattr(state.flib, name).tobytes() for name in before} == before
+        assert terms_bytes(state.flib) == terms
 
     def test_incompatible_relearn_rejected(self):
         # refused by its id before its data is read
@@ -515,11 +555,12 @@ def version_10_checkpoint(state, path):
     save_state(state, path)
     payload, arrays = read_checkpoint(path)
     flib = state.flib
+    ia, ja = np.triu_indices(flib.d)
     payload = {"version": 10, "d": flib.d, "r": flib.basis.shape[1], "seed": state.seed,
                "hyper": payload["hyper"], "per_task": payload["per_task"]}
     return payload, {"decoder": flib.decoder, "encoder": flib.encoder, "basis": flib.basis,
                      "acc_b": flib.acc_b_coords, "acc_M": flib.acc_M,
-                     "acc_A": engine.pack_pairs(flib.acc_A_pairs),
+                     "acc_A": library_pairs(flib)[:, ia, ja],
                      "acc_C": engine.pack_pairs(flib.acc_C[None]),
                      "per_task.code": arrays["per_task.code"]}
 
@@ -553,7 +594,7 @@ def version_5_document(state):
     return {
         "version": 5, "d": d, "p": flib.p, "tasks_seen": flib.tasks_seen,
         "decoder": array(flib.decoder), "encoder": array(flib.encoder),
-        "basis": array(flib.basis), "acc_A": packed(flib.acc_A_pairs, flib.basis.shape[1]),
+        "basis": array(flib.basis), "acc_A": packed(library_pairs(flib), flib.basis.shape[1]),
         "acc_b": array(flib.acc_b_coords), "acc_M": array(flib.acc_M),
         "acc_C": packed(flib.acc_C[None], 1),
         "representatives": [{"code": array(state.per_task[tid].code), "source_task": tid,
@@ -760,9 +801,7 @@ class TestCheckpoint:
 
     def test_final_d40_data_file_size(self, tmp_path):
         # the final state of the default d = 40, p = 20 stream, at r = p
-        corpus = generate_disjoint(seed=0, clusters=3, tasks_per_cluster=10, d=40)
-        train, _ = standardize_targets(*split_corpus(corpus, 0.5, seed=0))
-        state, _ = stream(init_state(HyperParams(), seed=0), train.tasks)
+        state, _ = stream(init_state(HyperParams(), seed=0), squared_d40_tasks())
         assert state.flib.basis.shape == (20, 20) and state.n_tasks == 30
         path = tmp_path / "state.json"
         save_state(state, path)
@@ -838,7 +877,7 @@ class TestCheckpoint:
         d, p, r = flib.d, flib.p, flib.basis.shape[1]
         assert r < p
         acc_A = np.zeros((p * d, p * d))
-        acc_A[:r * d, :r * d] = full_from_pairs(flib.acc_A_pairs, r)
+        acc_A[:r * d, :r * d] = full_from_pairs(library_pairs(flib), r)
         acc_b = np.zeros(p * d)
         acc_b[:r * d] = flib.acc_b_coords
         path = tmp_path / "state.json"
@@ -923,10 +962,10 @@ class TestCheckpoint:
             load_state(path)
 
     def test_full_acc_A_with_asymmetric_blocks_refused(self, tmp_path):
-        # acc_A is folded again on load, not stored: a data file that also
-        # holds it in full, with block (0, 1) one ulp off the transpose of
-        # block (1, 0), which no fold gives, and a digest that matches, does
-        # not fit the layout
+        # acc_A is neither stored nor held: a data file that also holds it
+        # in full, as versions 1 and 2 held it, with one entry of block
+        # (0, 1) one ulp off its mirror in block (1, 0), and a digest that
+        # matches, does not fit the layout
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:4])
         path = tmp_path / "state.json"
@@ -935,7 +974,7 @@ class TestCheckpoint:
         d = state.flib.d
         r = state.flib.basis.shape[1]
         assert r >= 2
-        full = full_from_pairs(state.flib.acc_A_pairs, r)
+        full = full_from_pairs(library_pairs(state.flib), r)
         row, col = 2, d + 3     # entry (2, 3) of block (0, 1)
         full[row, col] = np.nextafter(full[row, col], np.inf)
         arrays["acc_A"] = full
@@ -971,8 +1010,10 @@ class TestCheckpoint:
 
     def test_mid_stream_checkpoint_rebuilds_only_the_basis_pairs(self, tmp_path):
         # with r < p basis directions, the data file holds no statistics,
-        # and the load folds the tasks into r(r+1)/2 pair blocks and d r
-        # entries of acc_b, bit for bit the saved state's
+        # and the load folds the tasks into one term each, holding the
+        # loaded Hessian itself, and d r entries of acc_b, from which the
+        # refit assembles r(r+1)/2 pair blocks, bit for bit the saved
+        # state's
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
         flib = state.flib
@@ -986,7 +1027,9 @@ class TestCheckpoint:
         assert "r" not in payload
         assert data_file(path).stat().st_size == data_bytes(state)
         loaded = load_state(path)
-        assert loaded.flib.acc_A_pairs.shape == (r * (r + 1) // 2, d, d)
+        assert all(h is rec.omega for (h, _), rec in zip(loaded.flib.decoder_terms,
+                                                            loaded.per_task.values(), strict=True))
+        assert library_pairs(loaded.flib).shape == (r * (r + 1) // 2, d, d)
         assert loaded.flib.acc_b_coords.shape == (d * r,)
         assert_same_state(loaded, state)
 
@@ -1078,14 +1121,13 @@ class TestCheckpoint:
             load_state(path)
 
     def test_load_holds_the_pair_blocks_once(self, tmp_path):
-        # a load folds the whole stream in one call, which sizes the pair
-        # blocks once and adds each task's terms in place: its allocations
-        # peak below two sets of blocks, where folding one task per call
-        # holds the old blocks and the new ones at once
-        corpus = generate_disjoint(seed=0, clusters=3, tasks_per_cluster=10, d=40)
-        train, _ = standardize_targets(*split_corpus(corpus, 0.5, seed=0))
-        state, _ = stream(init_state(HyperParams(), seed=0), train.tasks)
-        assert state.flib.basis.shape == (20, 20)
+        # a load folds the whole stream into terms that hold the loaded
+        # Hessians themselves, and forms no pair block: its allocations
+        # peak below one set of the r(r+1)/2 blocks of d x d, where a fold
+        # into running sums of the blocks holds at least that
+        state, _ = stream(init_state(HyperParams(), seed=0), squared_d40_tasks())
+        d, r = state.flib.d, state.flib.basis.shape[1]
+        assert r == 20
         path = tmp_path / "state.json"
         save_state(state, path)
         tracemalloc.start()
@@ -1095,7 +1137,7 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert_same_state(loaded, state)
-        assert peak < 2 * state.flib.acc_A_pairs.nbytes
+        assert peak < 8 * r * (r + 1) // 2 * d * d
 
     @pytest.mark.parametrize("fault", ["above_the_logistic_tasks", "negative", "one_short",
                                        "one_extra"])
@@ -1151,8 +1193,9 @@ class TestCheckpoint:
             assert ours.code.tobytes() == theirs.code.tobytes()
             assert ours.assignment == theirs.assignment
             assert ours.admitted == theirs.admitted
-        for name in ("decoder", "encoder", "basis", "acc_A_pairs", "acc_b_coords"):
+        for name in ("decoder", "encoder", "basis", "acc_b_coords"):
             assert getattr(resumed.flib, name).tobytes() == getattr(whole.flib, name).tobytes()
+        assert terms_bytes(resumed.flib) == terms_bytes(whole.flib)
         X = rng.normal(size=(10, 6))
         for task in tasks:
             assert (predict(resumed, task.task_id, X).tobytes()
@@ -1237,9 +1280,7 @@ class TestCheckpoint:
         # included), saves back to the same bytes, and learning the next
         # task from it gives the uninterrupted stream's next state
         if case == "squared_d40":
-            corpus = generate_disjoint(seed=0, clusters=3, tasks_per_cluster=10, d=40)
-            tasks = standardize_targets(*split_corpus(corpus, 0.5, seed=0))[0].tasks
-            hp = HyperParams()
+            tasks, hp = squared_d40_tasks(), HyperParams()
         elif case == "logistic_d50":
             tasks, hp = logistic_d50_tasks(), HyperParams(p=20, ridge=1e-2)
         else:
@@ -1306,7 +1347,7 @@ class TestCheckpoint:
     def test_dead_learner_keeps_no_pairs_and_round_trips(self, tmp_path, ablation):
         # the first task's targets set to 0 make its code 0, and with D and
         # E refit from nothing every later code is 0 too: the basis stays
-        # empty and the statistics hold no pairs, in the saved state and in
+        # empty and the statistics hold no terms, in the saved state and in
         # the one the load folds again
         train, _ = small_corpus(clusters=3, tasks_per_cluster=3, d=12)
         first = train.tasks[0]
@@ -1318,7 +1359,7 @@ class TestCheckpoint:
             state, out = learn_task(state, task)
             assert not out.code.any() and not out.admitted, task.task_id
             assert state.flib.basis.shape == (6, 0)
-            assert state.flib.acc_A_pairs.shape == (0, 12, 12)
+            assert state.flib.decoder_terms == ()
             assert state.flib.acc_b_coords.shape == (0,)
         path, again = tmp_path / "state.json", tmp_path / "again.json"
         save_state(state, path)
@@ -1326,7 +1367,7 @@ class TestCheckpoint:
         assert payload["rep_omegas"] == 0 and not arrays["per_task.code"].any()
         assert data_file(path).stat().st_size == data_bytes(state)
         loaded = load_state(path)
-        assert loaded.flib.basis.shape == (6, 0) and loaded.flib.acc_A_pairs.shape == (0, 12, 12)
+        assert loaded.flib.basis.shape == (6, 0) and loaded.flib.decoder_terms == ()
         assert_same_state(loaded, state)
         save_state(loaded, again)
         assert again.read_bytes() == path.read_bytes()

@@ -361,18 +361,23 @@ class TestCli:
 
     @pytest.mark.parametrize("fault, named", [
         ("repeated_id", "{manifest}: task ids are not unique: ['c0_t0']"),
-        ("d_below_one", "{manifest}: manifest entry 'd': -3, expected at least 1")])
+        ("d_below_one", "{manifest}: manifest entry 'd': -3, expected at least 1"),
+        ("unsafe_id", "{manifest}: task id 'a,b': ids name files and fill CSV fields, so one "
+                      "may not be empty, '.' or '..', or hold a comma, quote, slash, "
+                      "backslash, CR or LF")])
     def test_manifest_fault_refused_at_config_load(self, tmp_path, capsys, fault, named):
-        # a corpus whose second entry repeats the first's id, or whose d is
-        # below 1, is refused when the config loads, from the manifest alone,
-        # before the output directory gets INCOMPLETE; the config's hyper.p
-        # is not blamed for the manifest's d
+        # a corpus whose second entry repeats the first's id or holds a
+        # comma, or whose d is below 1, is refused when the config loads,
+        # from the manifest alone, before the output directory gets
+        # INCOMPLETE; the config's hyper.p is not blamed for the manifest's d
         save_corpus(generate_disjoint(seed=0, clusters=2, tasks_per_cluster=3, d=12),
                     tmp_path / "corpus")
         manifest = tmp_path / "corpus" / "manifest.json"
         document = json.loads(manifest.read_text())
         if fault == "repeated_id":
             document["tasks"][1]["id"] = document["tasks"][0]["id"]
+        elif fault == "unsafe_id":
+            document["tasks"][1]["id"] = "a,b"
         else:
             document["d"] = -3
         manifest.write_text(json.dumps(document))

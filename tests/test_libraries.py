@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -12,10 +11,10 @@ from lifelong.assignment import Assignment, solve_assignment
 from lifelong.engine import (EngineState, HyperParams, PerTaskRecord, init_state,
                              learn_task, load_state, pack_pairs, save_state, unpack_pairs)
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary,
-                                _cholesky_in_place, _decoder_terms,
-                                _lower_inverse, _substitute, _system_buffer,
-                                admit_representative, bump_tasks_seen,
-                                init_libraries, update_decoder, update_encoder)
+                                _cholesky_in_place, _lower_inverse, _substitute,
+                                _system_buffer, admit_representative, bump_tasks_seen,
+                                decoder_system, fold_decoder, init_libraries,
+                                update_decoder, update_encoder)
 from lifelong.tasks import TaskData
 
 from oracles import decoder_statistics, full_from_pairs, in_basis, pair_blocks
@@ -51,7 +50,8 @@ class TestInit:
         # first code
         lib = init_libraries(40, 10, seed=0)
         assert lib.basis.shape == (10, 0)
-        assert lib.acc_A_pairs.shape == (0, 40, 40)
+        assert lib.decoder_terms == ()
+        assert decoder_system(lib, 1.0).shape == (0, 0)
         assert lib.acc_b_coords.shape == (0,)
         assert lib.acc_M.shape == (10, 40)
         assert lib.acc_C.shape == (40, 40)
@@ -68,7 +68,8 @@ class TestDecoderUpdate:
                              reps_used=(), lambda2=0.7, w_t=np.array([2.0]),
                              ridge_mu=0.0)
         assert new.basis.tolist() == [[1.0]]
-        assert new.acc_A_pairs.tolist() == [[[0.5]]]
+        assert [(h.tolist(), w.tolist()) for h, w in new.decoder_terms] == [([[0.5]], [1.0])]
+        assert decoder_system(new, 1.0).tolist() == [[0.5]]
         assert new.acc_b_coords.tolist() == [1.0]
         # raw solve gives 2, clipped back to the unit column
         assert new.decoder[0, 0] == pytest.approx(1.0)
@@ -84,7 +85,7 @@ class TestDecoderUpdate:
             arrivals.append((s, w, omega, reps))
             pairs, b = in_basis(*decoder_statistics(arrivals, 0.4), lib.basis)
             scale = max(np.abs(pairs).max(), 1.0)
-            assert np.abs(lib.acc_A_pairs - pairs).max() <= 1e-9 * scale
+            assert np.abs(pair_blocks(decoder_system(lib, 1.0), d) - pairs).max() <= 1e-9 * scale
             assert np.abs(lib.acc_b_coords - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
 
     def test_single_task_minimizes_weighted_residual(self, rng):
@@ -330,9 +331,9 @@ class TestCholeskyInPlace:
                            w_t=rng.normal(size=d), ridge_mu=0.0)
 
     def test_warm_refit_holds_two_system_sized_arrays(self, rng):
-        # the new acc_A and the system factored in place, plus the 48 x (dp)
-        # strips of the blocked factorisation; a factorisation into a fresh
-        # array holds a third
+        # the system factored in place and at most a system's size of
+        # temporaries, plus the 48 x (dp) strips of the blocked
+        # factorisation; a factorisation into a fresh array holds a third
         d, p = 40, 20
         dp = d * p
         lib = init_libraries(d, p, seed=0)
@@ -351,11 +352,11 @@ class TestCholeskyInPlace:
 
 
     def test_warm_refit_allocates_no_system_sized_array(self, rng):
-        # the one new acc_A_pairs plus the 48 x (dp) strips of the blocked
-        # factorisation; the system is assembled and factored in a prefix
-        # of the thread's buffer, which the first refit allocated, while
-        # the basis spans 12 of the 20 code directions and once it spans
-        # all of them
+        # at most one set of pair blocks plus the 48 x (dp) strips of the
+        # blocked factorisation; the system is assembled and factored in a
+        # prefix of the thread's buffer, which the first refit allocated,
+        # while the basis spans 12 of the 20 code directions and once it
+        # spans all of them
         d, p = 40, 20
         dp = d * p
         lib = init_libraries(d, p, seed=0)
@@ -384,49 +385,64 @@ class TestCholeskyInPlace:
 
 
 class TestDecoderContribution:
+    # one task folded into an empty library: the system its terms assemble,
+    # in the coordinates of the basis its codes span, against the literal
+    # Kronecker sum projected onto that basis
+
+    @staticmethod
+    def assembled_and_expected(s, omega, reps, lambda2, w):
+        lib = fold_decoder(init_libraries(omega.shape[0], s.size, seed=0),
+                           [(s, omega, reps, w)], lambda2)
+        A = np.kron(np.outer(s, s), omega) + sum(
+            lambda2 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
+            for s_k, omega_k, z_k in reps)
+        expected, _ = in_basis(A, np.zeros(A.shape[0]), lib.basis)
+        return lib, pair_blocks(decoder_system(lib, 1.0), omega.shape[0]), expected
+
     @pytest.mark.parametrize("lambda2", [0.3, 0.0])
     def test_matches_kron_sum(self, rng, lambda2):
         d, p = 40, 20
-        s, omega, reps, _ = random_update_inputs(rng, d, p, n_reps=3)
+        s, omega, reps, w = random_update_inputs(rng, d, p, n_reps=3)
         # distinct Hessian per representative, one of them switched off
         reps = reps[:1] + ((reps[1][0], reps[1][1], 0.0),) + reps[2:]
-        expected = pair_blocks(np.kron(np.outer(s, s), omega) + sum(
-            lambda2 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
-            for s_k, omega_k, z_k in reps), d)
-        got = np.empty((p * (p + 1) // 2, d, d))
-        _decoder_terms(s, omega, reps, lambda2, np.empty((0, d, d)), got)
-        assert got.shape == (p * (p + 1) // 2, d, d)
+        lib, got, expected = self.assembled_and_expected(s, omega, reps, lambda2, w)
+        # the task's term and, with lambda2 > 0, each representative's that
+        # enters, whose codes the basis spans
+        r = 3 if lambda2 else 1
+        assert len(lib.decoder_terms) == r and lib.basis.shape == (p, r)
+        assert got.shape == (r * (r + 1) // 2, d, d)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_shared_hessian_matches_kron_sum(self, rng):
         # squared loss: every representative carries the task's own Omega
-        # array, so the weights are summed into one outer product
+        # array, so the weights are summed into one term
         d, p = 40, 20
-        s, omega, reps, _ = random_update_inputs(rng, d, p, n_reps=3)
+        s, omega, reps, w = random_update_inputs(rng, d, p, n_reps=3)
         reps = tuple((s_k, omega, z_k) for s_k, _, z_k in reps)
-        expected = pair_blocks(np.kron(np.outer(s, s), omega) + sum(
-            0.3 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega) for s_k, _, z_k in reps), d)
-        got = np.empty((p * (p + 1) // 2, d, d))
-        _decoder_terms(s, omega, reps, 0.3, np.empty((0, d, d)), got)
+        lib, got, expected = self.assembled_and_expected(s, omega, reps, 0.3, w)
+        assert len(lib.decoder_terms) == 1
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_distinct_hessians_give_symmetric_blocks(self, rng):
-        # logistic loss: the representative's Hessian is not the task's; a
-        # matrix product of the two stacked Hessians rounds some block
-        # entries one ulp from their mirrors at this size
+        # logistic loss: the representative's Hessian is not the task's.  The
+        # library holds both arrays themselves, read-only as the engine's
+        # records hold them, each symmetric bit for bit, so that the upper
+        # triangle the refit reads is that of a symmetric A, and packable as
+        # a checkpoint stores them
         d, p = 50, 20
         s, omega, reps, w = random_update_inputs(rng, d, p, n_reps=1)
-        got = np.empty((p * (p + 1) // 2, d, d))
-        _decoder_terms(s, omega, reps, 0.3, np.empty((0, d, d)), got)
-        bits = got.view(np.uint64)
-        assert np.array_equal(bits, bits.transpose(0, 2, 1))
         (s_k, omega_k, z_k), = reps
-        expected = pair_blocks(np.kron(np.outer(s, s), omega) + 0.3 * z_k * np.kron(
-            np.outer(s_k - s, s_k - s), omega_k), d)
+        for h in (omega, omega_k):
+            h.setflags(write=False)
+        lib, got, expected = self.assembled_and_expected(s, omega, reps, 0.3, w)
+        assert len(lib.decoder_terms) == 2
+        assert all(h is ref for (h, _), ref in zip(lib.decoder_terms, (omega, omega_k)))
+        assert pack_pairs(np.array([h for h, _ in lib.decoder_terms])).shape == (
+            2, d * (d + 1) // 2)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-        lib = update_decoder(init_libraries(d, p, seed=0), s, omega, reps, lambda2=0.3, w_t=w)
-        r = lib.basis.shape[1]
-        assert pack_pairs(lib.acc_A_pairs).shape == (r * (r + 1) // 2, d * (d + 1) // 2)
+        # a blockwise sum: each block's lower triangle matches its upper one
+        # to round-off
+        assert np.abs(got - got.transpose(0, 2, 1)).max() <= 1e-15 * np.abs(got).max()
 
 
 class TestEncoderUpdate:
@@ -539,9 +555,10 @@ class TestCheckpoint:
         save_state(EngineState(hyper=hyper, seed=9, flib=flib, mlib=mlib, per_task=per_task),
                    path)
         loaded = load_state(path)
-        for name in ("decoder", "encoder", "basis", "acc_A_pairs", "acc_b_coords", "acc_M",
-                     "acc_C"):
+        for name in ("decoder", "encoder", "basis", "acc_b_coords", "acc_M", "acc_C"):
             assert getattr(loaded.flib, name).tobytes() == getattr(flib, name).tobytes(), name
+        assert ([(h.tobytes(), w.tobytes()) for h, w in loaded.flib.decoder_terms]
+                == [(h.tobytes(), w.tobytes()) for h, w in flib.decoder_terms])
         assert loaded.flib.tasks_seen == flib.tasks_seen == 3
         assert loaded.mlib == ("t0",)
         for tid, rec in per_task.items():
@@ -552,24 +569,22 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("name, fault", [("acc_A", "ulp"), ("acc_C", "negative_zero")])
     def test_asymmetric_block_refused_on_save(self, rng, name, fault):
-        # no refit makes a block that differs from its transpose bit for
-        # bit, by one ulp or by the sign of a zero, and a packed triangle
-        # cannot hold one, so the packer a save runs on each Hessian
-        # refuses it
+        # no fold holds a Hessian of a term of A, and no refit makes an
+        # acc_C, that differs from its transpose bit for bit, by one ulp or
+        # by the sign of a zero, and a packed triangle cannot hold one, so
+        # the packer a save runs on each Hessian refuses it
         d, p = 5, 3
         flib = init_libraries(d, p, seed=9)
         s, omega, reps, w = random_update_inputs(rng, d, p)
         flib = bump_tasks_seen(update_decoder(flib, s, omega, reps, lambda2=0.4, w_t=w))
         if name == "acc_A":
-            broken = flib.acc_A_pairs.copy()
-            broken[1, 0, 1] = np.nextafter(broken[1, 0, 1], np.inf)
-            flib = dataclasses.replace(flib, acc_A_pairs=broken)
+            broken = flib.decoder_terms[0][0].copy()
+            broken[0, 1] = np.nextafter(broken[0, 1], np.inf)
         else:
             broken = np.zeros((d, d))
             broken[0, 1] = -0.0
-            flib = dataclasses.replace(flib, acc_C=broken)
         with pytest.raises(ValueError, match="not symmetric bit for bit"):
-            pack_pairs(flib.acc_A_pairs if name == "acc_A" else flib.acc_C[None])
+            pack_pairs(broken[None])
 
 
 def kron_pairs(rng, p, d, terms=3):
@@ -604,6 +619,7 @@ class TestAccumulatorShape:
             lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-6)
             lib = update_encoder(lib, s, w, identity, ridge_mu=1e-6)
             lib = bump_tasks_seen(lib)
-            for mat in (full_from_pairs(lib.acc_A_pairs, lib.basis.shape[1]), lib.acc_C):
+            pairs = pair_blocks(decoder_system(lib, 1.0), d)
+            for mat in (full_from_pairs(pairs, lib.basis.shape[1]), lib.acc_C):
                 assert np.abs(mat - mat.T).max() <= 1e-9 * max(1, np.abs(mat).max())
                 assert np.linalg.eigvalsh(mat)[0] >= -1e-8 * max(1, np.abs(mat).max())
