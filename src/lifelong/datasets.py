@@ -33,13 +33,18 @@ class GroundTruth:
 _ID_FORBIDDEN = frozenset(',"\r\n/\\')
 
 
-def check_task_id(task_id: str) -> None:
-    """Refuse, with ValueError, a task id that is empty, '.' or '..', or
-    holds a character of `_ID_FORBIDDEN`."""
-    if task_id in ("", ".", "..") or not _ID_FORBIDDEN.isdisjoint(task_id):
-        raise ValueError(f"task id {task_id!r}: ids name files and fill CSV fields, so one "
-                         f"may not be empty, '.' or '..', or hold a comma, quote, slash, "
-                         f"backslash, CR or LF")
+def check_task_ids(task_ids: list[str]) -> None:
+    """Refuse, with ValueError, the first of `task_ids` that is empty, '.'
+    or '..', or holds a character of `_ID_FORBIDDEN`, and then ids that
+    repeat."""
+    for task_id in task_ids:
+        if task_id in ("", ".", "..") or not _ID_FORBIDDEN.isdisjoint(task_id):
+            raise ValueError(f"task id {task_id!r}: ids name files and fill CSV fields, so "
+                             f"one may not be empty, '.' or '..', or hold a comma, quote, "
+                             f"slash, backslash, CR or LF")
+    repeated = sorted(tid for tid, n in Counter(task_ids).items() if n > 1)
+    if repeated:
+        raise ValueError(f"task ids are not unique: {repeated}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,7 @@ class TaskCorpus:
             raise ValueError(f"tasks disagree on feature dimension: {sorted(dims)}")
         if self.problem_kind not in ("regression", "classification"):
             raise ValueError(f"unknown problem kind {self.problem_kind!r}")
-        for t in self.tasks:
-            check_task_id(t.task_id)
-        counts = Counter(t.task_id for t in self.tasks)
-        repeated = sorted(tid for tid, n in counts.items() if n > 1)
-        if repeated:
-            raise ValueError(f"task ids are not unique: {repeated}")
+        check_task_ids([t.task_id for t in self.tasks])
 
     @property
     def d(self) -> int:
@@ -243,8 +243,8 @@ def read_manifest(path) -> tuple[Path, dict]:
     JSON type, a problem kind that is not 'regression' or
     'classification', a d below 1, an empty task list, a task entry that
     is not an object or whose `id` or `file` is missing or not a string,
-    an id that `check_task_id` refuses, and ids that repeat.  The task
-    files are read by `load_corpus`."""
+    and ids that `check_task_ids` refuses.  The task files are read by
+    `load_corpus`."""
     path = _manifest_path(path)
     manifest = read_json(path)
     document = f"{path}: manifest"
@@ -262,15 +262,10 @@ def read_manifest(path) -> tuple[Path, dict]:
         entry = json_entry(entries, i, dict, f"tasks[{i}]", document)
         for key in ("id", "file"):
             json_entry(entry, key, str, f"tasks[{i}].{key}", document)
-    for entry in entries:
-        try:
-            check_task_id(entry["id"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    counts = Counter(entry["id"] for entry in entries)
-    repeated = sorted(tid for tid, n in counts.items() if n > 1)
-    if repeated:
-        raise ValueError(f"{path}: task ids are not unique: {repeated}")
+    try:
+        check_task_ids([entry["id"] for entry in entries])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return path, manifest
 
 

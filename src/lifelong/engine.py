@@ -32,8 +32,8 @@ import numpy as np
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
 from .libraries import (FeatureLibrary, _symmetric_bits, admit_representative,
-                        bump_tasks_seen, empty_library, fold_decoder, fold_encoder,
-                        init_libraries, update_decoder, update_encoder)
+                        empty_library, fold_decoder, fold_encoder, init_libraries,
+                        update_decoder, update_encoder)
 from .sparse_code import CodeProblem, Representative, composite_objective, encode_task
 from .tasks import (ConvergenceError, TaskData, fit_single_task, hessian_at, json_entry,
                     read_json, refuse_unknown)
@@ -48,7 +48,7 @@ class HyperParams:
     lambda1: float = 0.001    # l1 weight on codes
     lambda2: float = 0.05     # representative coupling weight
     gamma: float = 0.25       # outlier-weight scale
-    mu: float = 1e-3          # ridge on both library refits
+    mu: float = 1e-3          # ridge on both library refits, on their statistics' average
     ridge: float = 1e-4       # ridge on single-task fits
     p: int = 20               # code length
     phi: str = "identity"     # "identity" | "tanh"
@@ -184,7 +184,7 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     decoder = flib.decoder
     enc_image = np.asarray(phi(flib.encoder @ w), dtype=float)
 
-    code, assignment, trace, rounds, rep_hessians, dists, d0 = _alternate(
+    code, assignment, trace, rep_hessians, dists, d0 = _alternate(
         state, data, w, omega, decoder, enc_image)
     rep_omega = (rep_hessians[assignment.slot]
                  if data.loss_kind == "logistic" and not assignment.picks_outlier else None)
@@ -195,11 +195,17 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
                            w=w, omega=omega, rep_omega=rep_omega)
 
     reps_used = _fold_reps(state.per_task, state.mlib, record)
-    flib = update_decoder(flib, code, omega, reps_used, hp.lambda2, w, hp.mu)
-    flib = update_encoder(flib, code, w, phi_inv, hp.mu)
+    # the library's statistics are sums over the T tasks with this one, so
+    # mu T is a ridge of mu on their average, ELLA's (A / T + mu I).  Each
+    # task adds only the rank-one outer(w, w) to acc_C, so the encoder's
+    # steps follow the code scale until the task vectors span R^d and
+    # shrink once acc_C is full rank; the ridge's scaling is not what makes
+    # them shrink (a ridge of mu instead of mu T shows the same decay)
+    ridge_mu = hp.mu * (len(state.per_task) + 1)
+    flib = update_decoder(flib, code, omega, reps_used, hp.lambda2, w, ridge_mu)
+    flib = update_encoder(flib, code, w, phi_inv, ridge_mu)
     decoder_delta = float(np.linalg.norm(flib.decoder - decoder))
     encoder_delta = float(np.linalg.norm(flib.encoder - prev_encoder))
-    flib = bump_tasks_seen(flib)
 
     mlib, admitted = admit_representative(state.mlib, code, assignment, data.task_id)
 
@@ -208,7 +214,7 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
     outcome = TaskOutcome(
         task_id=data.task_id,
         objective_trace=tuple(trace),
-        rounds=rounds,
+        rounds=len(trace),
         admitted=admitted,
         assignment=assignment,
         code=code,
@@ -298,7 +304,7 @@ def _alternate(state: EngineState, data: TaskData, w, omega, decoder, enc_image)
                 f"the alternation returned to slot {slot} after leaving it "
                 f"(slots by round: {slots + [slot]})")
         slots.append(slot)
-    return code, assignment, trace, len(trace), rep_hessians, dists, d0
+    return code, assignment, trace, rep_hessians, dists, d0
 
 
 def _record(state: EngineState, task_id: str) -> PerTaskRecord:
@@ -358,10 +364,11 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 # terms hold the loaded Hessians themselves, the arrays the records hold,
 # with their pair weights, so the load forms no pair block; what it
 # computes is the basis, the weights and the small sums acc_b, acc_M and
-# acc_C.  Only the decoder and encoder of the last solves are stored, so a
-# load solves nothing.  The rebuilt statistics equal the saved state's bit
-# for bit on the numpy and BLAS that saved it: the folds' products are
-# computed again, not read.
+# acc_C, none of which counts tasks: the next refit's ridge follows from
+# the number of per-task entries.  Only the decoder and encoder of the
+# last solves are stored, so a load solves nothing.  The rebuilt
+# statistics equal the saved state's bit for bit on the numpy and BLAS
+# that saved it: the folds' products are computed again, not read.
 # A logistic task at a representative's slot also stores the Hessian at
 # the representative's model that its fold used (squared loss uses omega
 # itself).  Which tasks those are is known only from the codes, since a
@@ -565,7 +572,7 @@ def _read_data(data_path: Path, payload: dict, layout) -> dict:
 
 def load_state(path) -> EngineState:
     """The state `save_state` wrote.  ValueError, naming the file, refuses
-    any version but 11 (the README says what versions 1-10 stored); an
+    any version but 11 (CHANGES.md records what versions 1-10 stored); an
     entry that is missing or of the wrong type (integers must be JSON
     integers), a `hyper` entry that `HyperParams.from_json` refuses, a
     per-task entry with an unknown loss and a "rep_omegas" outside 0 to
@@ -640,5 +647,4 @@ def _load_state(path: Path, payload) -> EngineState:
                         hyper.lambda2)
     flib = fold_encoder(flib, [(rec.code, rec.w) for rec in records.values()],
                         activation_pair(hyper.phi)[1])
-    flib = dataclasses.replace(flib, tasks_seen=len(records))
     return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=mlib, per_task=records)

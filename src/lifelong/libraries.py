@@ -4,8 +4,10 @@ The feature-learning library is an encoder/decoder pair over task
 parameters.  Both halves are refit from sufficient statistics each time a
 task arrives: the decoder from a Kronecker-structured normal system
 (A, acc_b), the encoder from per-row least squares accumulated in
-(acc_M, acc_C).  Columns are kept inside the unit l2 ball by rescaling
-after each solve.
+(acc_M, acc_C).  The statistics are plain sums over the tasks and carry
+no task count: the caller's ridge sets their scale (the engine passes mu
+times the number of tasks, ELLA's (A / T + mu I) scaled by T).  Columns
+are kept inside the unit l2 ball by rescaling after each solve.
 
 Each update is a fold and a solve.  The fold (`fold_decoder`,
 `fold_encoder`) adds tasks' terms to the statistics, reading only each
@@ -18,12 +20,14 @@ and loading folds the whole stream again in one call (see `engine`).
 Every term of the decoder statistics is kron(W, H) with W built from
 codes (s s' and the representative differences), so they live in
 span(codes) (x) R^d, and on the rest of R^(dp) the decoder system is
-mu I with a zero right-hand side.  The library therefore holds an
-orthonormal basis Q (p x r) of every code that has entered the
+the ridge times I with a zero right-hand side.  The library therefore
+holds an orthonormal basis Q (p x r) of every code that has entered the
 statistics, grown by one Gram-Schmidt direction per new vector, and
-keeps the statistics in its coordinates, sized by its rank r: a
-direction's statistics start at exactly zero when it joins.  A refit
-solves the (dr) x (dr) system for Y (d x r) and sets D = Y Q'.
+keeps A in its coordinates, sized by its rank r: a direction's
+statistics start at exactly zero when it joins.  acc_b, the d x p sum of
+(Omega w) s', is kept in code coordinates like acc_M.  A refit solves
+the (dr) x (dr) system for Y (d x r), with right-hand side vec(acc_b Q),
+and sets D = Y Q'.
 
 A, r(r+1)/2 blocks of d x d (2.7 MB at d = 40, r = 20), is never held.
 The library keeps its terms instead, each Hessian array with the weights
@@ -38,7 +42,7 @@ r(r+1)/2 d^2 multiply-adds per term at each refit, linear in the number
 of tasks, where a running sum of A cost O(r^2 d^2) per arrival: at
 d = 40, p = 20 the refit alone takes as long as with the running sum
 near 40 tasks and longer after, but it allocates no new set of blocks
-per arrival.  acc_b, acc_M and acc_C are small and stay running sums.
+per arrival.  acc_b, acc_M and acc_C are small running sums.
 
 The model library is an append-only tuple of representative task ids, in
 admission order; a representative's code is its task's code, which never
@@ -64,10 +68,11 @@ from .assignment import Assignment
 class FeatureLibrary:
     """Encoder/decoder pair plus the statistics backing their refits.
 
-    The decoder statistics, A, a sum of kron(W, H), and acc_b, of
-    s (x) (H w), are held only in the coordinates of `basis`, an
-    orthonormal Q (p x r) whose span holds every code that entered them.
-    acc_b is `acc_b_coords`, of dr entries.  A is held as its terms:
+    The statistics are sums over the tasks folded in, with no count of
+    them.  The decoder statistics A, a sum of kron(W, H), are held only
+    in the coordinates of `basis`, an orthonormal Q (p x r) whose span
+    holds every code that entered them, and acc_b, the sum of
+    (Omega w) s', in code coordinates.  A is held as its terms:
     `decoder_terms` has, in stream order, one (H, pair weights) for each
     Hessian array H of each task whose weights are not all zero, both
     read-only: H is the caller's array itself when it is read-only, as the
@@ -83,10 +88,9 @@ class FeatureLibrary:
     encoder: np.ndarray       # p x d
     basis: np.ndarray         # p x r, orthonormal columns
     decoder_terms: tuple      # (H, k(k+1)/2 pair weights) per Hessian array, in stream order
-    acc_b_coords: np.ndarray  # dr, in basis coordinates
+    acc_b: np.ndarray         # d x p
     acc_M: np.ndarray         # p x d
     acc_C: np.ndarray         # d x d
-    tasks_seen: int
 
     @property
     def d(self) -> int:
@@ -118,10 +122,9 @@ def empty_library(decoder: np.ndarray, encoder: np.ndarray) -> FeatureLibrary:
         encoder=encoder,
         basis=np.zeros((p, 0)),
         decoder_terms=(),
-        acc_b_coords=np.zeros(0),
+        acc_b=np.zeros((d, p)),
         acc_M=np.zeros((p, d)),
         acc_C=np.zeros((d, d)),
-        tasks_seen=0,
     )
 
 
@@ -223,7 +226,7 @@ def _substitute(factor: np.ndarray, inverses: Sequence[np.ndarray], rhs: np.ndar
 def _solve_spd(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve the symmetric PSD library system with one Cholesky factorisation
     U' U and two blocked triangular substitutions; a failed factorisation
-    is the singularity signal for the mu = 0 case.  Only the upper triangle
+    is the singularity signal for the ridge_mu = 0 case.  Only the upper triangle
     of `system` is read, and `system` is a temporary the caller owns: it is
     factored in place and left holding U."""
     try:
@@ -299,7 +302,7 @@ def fold_decoder(lib: FeatureLibrary,
     (lambda2 > 0 and z_k != 0), where they lie outside it; in the k
     coordinates of that basis the task adds s s' (x) Omega plus
     lambda2 z_k (s_k - s)(s_k - s)' (x) Omega_k over `reps_used` to A, and
-    vec(Omega w s') = s (x) (Omega w) to acc_b (column-major
+    (Omega w) s' to acc_b, in code coordinates (column-major
     vectorisation: vec(Omega D s s') = (s s' (x) Omega) vec(D)).  The
     weights of the terms that share one Hessian array are summed, so a
     squared-loss task, whose representative carries its own omega, adds
@@ -310,7 +313,7 @@ def fold_decoder(lib: FeatureLibrary,
     the same bits.
     """
     d, p = lib.d, lib.p
-    basis, terms, acc_b = lib.basis, list(lib.decoder_terms), lib.acc_b_coords
+    basis, terms, acc_b = lib.basis, list(lib.decoder_terms), lib.acc_b.copy()
     for s_t, omega, reps_used, w_t in tasks:
         if s_t.shape != (p,) or w_t.shape != (d,):
             raise ValueError("task quantities do not match the library dimensions")
@@ -330,9 +333,8 @@ def fold_decoder(lib: FeatureLibrary,
             pair_weights = weights[il, jl]
             if pair_weights.any():
                 terms.append((_read_only(hessian), _read_only(pair_weights)))
-        acc_b = _add_prefix(acc_b, np.kron(c_t, omega @ w_t))
-    return dataclasses.replace(lib, basis=basis, decoder_terms=tuple(terms),
-                               acc_b_coords=acc_b)
+        acc_b += np.outer(omega @ w_t, s_t)
+    return dataclasses.replace(lib, basis=basis, decoder_terms=tuple(terms), acc_b=acc_b)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -343,14 +345,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
         a = a.copy()
         a.setflags(write=False)
     return a
-
-
-def _add_prefix(prior: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """`terms` plus `prior` on their leading entries: `prior` holds the
-    statistics so far, and the entries past it are new directions' that
-    `terms` start."""
-    n = len(prior)
-    return np.concatenate([prior + terms[:n], terms[n:]])
 
 
 def _hessian_stack(hessians: Sequence[np.ndarray]) -> np.ndarray:
@@ -370,9 +364,9 @@ def _hessian_stack(hessians: Sequence[np.ndarray]) -> np.ndarray:
 _PAIR_CHUNK = 48
 
 
-def decoder_system(lib: FeatureLibrary, scale: float) -> np.ndarray:
-    """`scale` times the decoder statistics A, the (dr) x (dr) matrix in
-    basis coordinates, as far as a refit reads it: the d x d blocks (i, j)
+def decoder_system(lib: FeatureLibrary) -> np.ndarray:
+    """The decoder statistics A, the (dr) x (dr) matrix in basis
+    coordinates, as far as a refit reads it: the d x d blocks (i, j)
     with i <= j, written whole into a prefix of this thread's reused
     (dp) x (dp) buffer, of which the n x n view is returned; the rest of it
     is stale, and the next assembly on this thread overwrites it.
@@ -382,7 +376,7 @@ def decoder_system(lib: FeatureLibrary, scale: float) -> np.ndarray:
     joined later held none of its weight.  With the terms' pair weights
     zero-padded as the rows of P (G x r(r+1)/2) and their Hessians stacked
     as the rows of H (G x d^2, `_hessian_stack`), the blocks are the rows
-    of (scale P)' H, formed `_PAIR_CHUNK` pairs at a time, so that no
+    of P' H, formed `_PAIR_CHUNK` pairs at a time, so that no
     temporary of the blocks' size is made, and copied into place block
     column by block column; in the j-major order of the pairs, block
     column j is the j + 1 from j (j + 1) / 2 on.  This costs
@@ -398,7 +392,6 @@ def decoder_system(lib: FeatureLibrary, scale: float) -> np.ndarray:
     weights = np.zeros((len(jl), len(terms)))
     for g, (_, pair_weights) in enumerate(terms):
         weights[:pair_weights.size, g] = pair_weights
-    weights *= scale
     hessians = _hessian_stack([hessian for hessian, _ in terms])
     blocks = np.empty((min(_PAIR_CHUNK, len(jl)), d * d))
     rows = system.reshape(r, d, r, d)
@@ -421,15 +414,14 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     """Fold one task into the decoder statistics (`fold_decoder`) and refit
     the decoder.
 
-    Solves (A / T + mu I) vec(D) = acc_b / T with T counting this task,
-    then clips columns to the unit ball.  The upper triangle of the
-    (dr) x (dr) system is assembled from the terms by `decoder_system` in
-    this thread's reused buffer and factored there in place; its solution
+    Solves (A + ridge_mu I) vec(Y) = vec(acc_b Q) on the sums, then
+    clips columns to the unit ball.  The upper triangle of the (dr) x (dr)
+    system is assembled from the terms by `decoder_system` in this
+    thread's reused buffer and factored there in place; its solution
     Y (d x r) gives D = Y Q'.  On the complement of the basis the system is
-    mu I with a zero right-hand side, so this is the solution of the full
-    system, and at mu = 0 with r < p the full system is singular.
-    `tasks_seen` is left unchanged; the caller bumps it once per task
-    after both library updates.
+    ridge_mu I with a zero right-hand side, so this is the solution of the
+    full system, and at ridge_mu = 0 with r < p the full system is
+    singular.
     """
     lib = fold_decoder(lib, [(s_t, omega, reps_used, w_t)], lambda2)
     d, p, r = lib.d, lib.p, lib.basis.shape[1]
@@ -437,10 +429,9 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
         raise np.linalg.LinAlgError(
             f"decoder system is singular off the {r}-dimensional span of the codes; "
             f"rerun with ridge_mu > 0")
-    T = lib.tasks_seen + 1
-    system = decoder_system(lib, 1.0 / T)
+    system = decoder_system(lib)
     system.flat[::d * r + 1] += ridge_mu
-    y = _solve_spd(system, lib.acc_b_coords / T, "decoder")
+    y = _solve_spd(system, (lib.acc_b @ lib.basis).T.reshape(-1), "decoder")
     return dataclasses.replace(lib, decoder=_clip_columns(y.reshape(r, d).T @ lib.basis.T))
 
 
@@ -465,26 +456,15 @@ def update_encoder(lib: FeatureLibrary, s_t: np.ndarray, w_t: np.ndarray,
     """Fold one task into the encoder statistics (`fold_encoder`) and refit
     the encoder.
 
-    Solves L (acc_C / T + mu I) = acc_M / T row-wise with T counting this
-    task, then clips columns.  The 1/T normalisation mirrors the decoder
-    refit and keeps the ridge weight constant relative to the data term.
-    Each task adds only the rank-one term outer(w_t, w_t) to acc_C, so
-    until the task vectors span R^d every arrival brings a fresh direction
-    that the ridge barely damps, and the steps follow the code scale.  The
-    per-task steps shrink once acc_C accumulates to full rank; the ridge's
-    scaling is not what makes them shrink (a ridge of mu instead of T mu
-    shows the same decay).
+    Solves L (acc_C + ridge_mu I) = acc_M row-wise on the sums, then clips
+    columns.  The system is a copy of acc_C, since `_solve_spd` factors it
+    in place.
     """
     lib = fold_encoder(lib, [(s_t, w_t)], phi_inverse)
-    T = lib.tasks_seen + 1
-    system = lib.acc_C / T
+    system = lib.acc_C.copy()
     system.flat[::lib.d + 1] += ridge_mu
-    encoder = _clip_columns(_solve_spd(system, lib.acc_M.T / T, "encoder").T)
+    encoder = _clip_columns(_solve_spd(system, lib.acc_M.T, "encoder").T)
     return dataclasses.replace(lib, encoder=encoder)
-
-
-def bump_tasks_seen(lib: FeatureLibrary) -> FeatureLibrary:
-    return dataclasses.replace(lib, tasks_seen=lib.tasks_seen + 1)
 
 
 def admit_representative(mlib: tuple[str, ...], s_t: np.ndarray, assignment: Assignment,

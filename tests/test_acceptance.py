@@ -212,11 +212,12 @@ class TestCriterion5:
 
     def test_encoder_check_rejects_current_task_encoder(self, monkeypatch):
         # negative control: an encoder refit from the current task alone
-        # keeps a roughly constant step, which the trend half rejects
-        def current_task_only(lib, *args):
+        # keeps a roughly constant step, which the trend half rejects; its
+        # statistics are one task's, so its ridge is one task's, mu
+        def current_task_only(lib, s_t, w_t, phi_inverse, ridge_mu):
             alone = dataclasses.replace(lib, acc_M=np.zeros_like(lib.acc_M),
-                                        acc_C=np.zeros_like(lib.acc_C), tasks_seen=0)
-            return dataclasses.replace(update_encoder(alone, *args), tasks_seen=lib.tasks_seen)
+                                        acc_C=np.zeros_like(lib.acc_C))
+            return update_encoder(alone, s_t, w_t, phi_inverse, HyperParams().mu)
 
         monkeypatch.setattr(engine, "update_encoder", current_task_only)
         ok, detail = self._encoder_check(run_long_streams())
@@ -341,9 +342,10 @@ class TestCriterion9:
 
 class TestCriterion10:
     def test_accumulator_equivalence(self):
-        # each arrival is replayed from its task and the state before it,
-        # re-summed with literal Kronecker products and projected onto the
-        # library's code basis, whose rank r sizes the statistics
+        # each arrival is replayed from its task and the state before it and
+        # re-summed with literal Kronecker products; A is projected onto the
+        # library's code basis, whose rank r sizes the system, and acc_b is
+        # the literal sum itself, vec(acc_b) = b
         corpus = generate_disjoint(seed=0)
         hp = HyperParams()
         state = init_state(hp, seed=0)
@@ -359,18 +361,17 @@ class TestCriterion10:
             flib = state.flib
             r = flib.basis.shape[1]
             # the system the refit assembles from the library's terms
-            system = decoder_system(flib, 1.0)
-            sized_by_rank &= (system.shape == (r * flib.d, r * flib.d)
-                              and flib.acc_b_coords.shape == (r * flib.d,))
-            pairs, b_coords = in_basis(A, b, flib.basis)
+            system = decoder_system(flib)
+            sized_by_rank &= system.shape == (r * flib.d, r * flib.d)
+            pairs, _ = in_basis(A, b, flib.basis)
             for batch, inc in ((pairs, pair_blocks(system, flib.d)),
-                               (b_coords, flib.acc_b_coords),
+                               (b, flib.acc_b.reshape(-1, order="F")),
                                (M, flib.acc_M), (C, flib.acc_C)):
                 scale = max(np.abs(batch).max(), 1.0)
                 worst = max(worst, float(np.abs(batch - inc).max() / scale))
         _report("criterion 10", worst <= 1e-9 and sized_by_rank,
                 f"30 prefixes: max relative accumulator deviation {worst:.2e}, "
-                f"statistics sized by the basis rank: {sized_by_rank}")
+                f"system sized by the basis rank: {sized_by_rank}")
 
 
 class TestCriterion11:

@@ -84,7 +84,13 @@ def logistic_d50_tasks():
 def library_pairs(flib):
     """The pair blocks (i <= j, in j-major order) of the decoder statistics
     A that the library's terms assemble."""
-    return pair_blocks(decoder_system(flib, 1.0), flib.d)
+    return pair_blocks(decoder_system(flib), flib.d)
+
+
+def acc_b_in_basis(flib):
+    """acc_b in the coordinates of the library's basis, vec(acc_b Q) of
+    d r entries, as versions 4 to 10 stored it."""
+    return (flib.acc_b @ flib.basis).reshape(-1, order="F")
 
 
 def terms_bytes(flib):
@@ -385,16 +391,17 @@ class TestStreamInvariants:
             for columns in (state.flib.decoder, state.flib.encoder):
                 assert np.linalg.norm(columns, axis=0).max() <= 1.0 + 1e-12, where
             flib = state.flib
-            # the statistics are sized by the basis, empty while every code is
-            # 0, and the system the refit assembles from the terms is A's
+            # the system is sized by the basis, empty while every code is 0,
+            # and the one the refit assembles from the terms is A's; acc_b is
+            # the plain sum in code coordinates, vec(acc_b) = b
             r = flib.basis.shape[1]
-            assert decoder_system(flib, 1.0).shape == (d * r, d * r), where
-            assert flib.acc_b_coords.shape == (d * r,), where
-            blocks, b = in_basis(*decoder_statistics(arrivals, hp.lambda2), flib.basis)
+            assert decoder_system(flib).shape == (d * r, d * r), where
+            A, b = decoder_statistics(arrivals, hp.lambda2)
+            blocks, _ = in_basis(A, b, flib.basis)
             M = sum(np.outer(s, w) for s, w, _, _ in arrivals)
             C = sum(np.outer(w, w) for _, w, _, _ in arrivals)
             for name, batch, inc in (("A", blocks, library_pairs(flib)),
-                                     ("acc_b_coords", b, flib.acc_b_coords),
+                                     ("acc_b", b, flib.acc_b.reshape(-1, order="F")),
                                      ("acc_M", M, flib.acc_M), ("acc_C", C, flib.acc_C)):
                 scale = np.abs(batch).max(initial=1.0)
                 assert np.abs(batch - inc).max(initial=0.0) <= 1e-9 * scale, f"{where}: {name}"
@@ -410,7 +417,6 @@ class TestStreamInvariants:
                 assert rec.slot == i and not rec.code.flags.writeable and rec.code.any(), where
             for n, rec in enumerate(state.per_task.values()):
                 assert rec.slot <= sum(k < n for k in positions), where
-            assert flib.tasks_seen == len(state.per_task), where
 
     def test_arrival_holds_less_than_the_pair_blocks(self):
         # the refit sums the decoder terms into the thread's system buffer,
@@ -440,12 +446,11 @@ class TestRelearn:
         task = train.tasks[0]
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:2])
         before = {name: getattr(state.flib, name).tobytes()
-                  for name in ("decoder", "encoder", "acc_b_coords")}
+                  for name in ("decoder", "encoder", "acc_b")}
         terms = terms_bytes(state.flib)
         with pytest.raises(ValueError, match=f"^task '{task.task_id}': already learned"):
             learn_task(state, task)
         assert list(state.per_task) == [t.task_id for t in train.tasks[:2]]
-        assert state.flib.tasks_seen == len(state.per_task) == 2
         assert {name: getattr(state.flib, name).tobytes() for name in before} == before
         assert terms_bytes(state.flib) == terms
 
@@ -474,7 +479,6 @@ class TestRelearn:
         new = train.tasks[3]
         resumed, out = learn_task(loaded, new)
         assert list(resumed.per_task) == [t.task_id for t in train.tasks[:4]]
-        assert resumed.flib.tasks_seen == len(resumed.per_task) == 4
         learned, _ = learn_task(state, new)
         assert_same_state(resumed, learned)
 
@@ -559,7 +563,7 @@ def version_10_checkpoint(state, path):
     payload = {"version": 10, "d": flib.d, "r": flib.basis.shape[1], "seed": state.seed,
                "hyper": payload["hyper"], "per_task": payload["per_task"]}
     return payload, {"decoder": flib.decoder, "encoder": flib.encoder, "basis": flib.basis,
-                     "acc_b": flib.acc_b_coords, "acc_M": flib.acc_M,
+                     "acc_b": acc_b_in_basis(flib), "acc_M": flib.acc_M,
                      "acc_A": library_pairs(flib)[:, ia, ja],
                      "acc_C": engine.pack_pairs(flib.acc_C[None]),
                      "per_task.code": arrays["per_task.code"]}
@@ -592,10 +596,10 @@ def version_5_document(state):
         return {**array(blocks[:, ia, ja]), "shape": [r * d, r * d], "kron": [r, d]}
 
     return {
-        "version": 5, "d": d, "p": flib.p, "tasks_seen": flib.tasks_seen,
+        "version": 5, "d": d, "p": flib.p, "tasks_seen": state.n_tasks,
         "decoder": array(flib.decoder), "encoder": array(flib.encoder),
         "basis": array(flib.basis), "acc_A": packed(library_pairs(flib), flib.basis.shape[1]),
-        "acc_b": array(flib.acc_b_coords), "acc_M": array(flib.acc_M),
+        "acc_b": array(acc_b_in_basis(flib)), "acc_M": array(flib.acc_M),
         "acc_C": packed(flib.acc_C[None], 1),
         "representatives": [{"code": array(state.per_task[tid].code), "source_task": tid,
                              "admitted_at": list(state.per_task).index(tid) + 1}
@@ -879,7 +883,7 @@ class TestCheckpoint:
         acc_A = np.zeros((p * d, p * d))
         acc_A[:r * d, :r * d] = full_from_pairs(library_pairs(flib), r)
         acc_b = np.zeros(p * d)
-        acc_b[:r * d] = flib.acc_b_coords
+        acc_b[:r * d] = acc_b_in_basis(flib)
         path = tmp_path / "state.json"
         if version >= 6:
             payload, arrays = version_10_checkpoint(state, path)
@@ -896,7 +900,7 @@ class TestCheckpoint:
             if version == 7:
                 reps = [{key: rep[key] for key in ("source_task", "admitted_at")}
                         for rep in version_5_document(state)["representatives"]]
-                payload.update(p=p, tasks_seen=flib.tasks_seen, representatives=reps)
+                payload.update(p=p, tasks_seen=state.n_tasks, representatives=reps)
             elif version == 8:
                 payload["representatives"] = list(state.mlib)
             payload["version"] = version
@@ -910,9 +914,8 @@ class TestCheckpoint:
                                for i, j in zip(*np.triu_indices(p))])
             payload["acc_A"] = {"dtype": "<f8", "shape": [p * d, p * d], "kron": [p, d],
                                 "data": base64.b64encode(packed.tobytes()).decode("ascii")}
-            payload["acc_b"] = version_5_document(
-                dataclasses.replace(state, flib=dataclasses.replace(flib, acc_b_coords=acc_b))
-            )["acc_b"]
+            payload["acc_b"] = {"dtype": "<f8", "shape": [p * d],
+                                "data": base64.b64encode(acc_b.tobytes()).decode("ascii")}
             payload["version"] = 4
         elif version < 4:
             del payload["basis"]
@@ -1011,8 +1014,8 @@ class TestCheckpoint:
     def test_mid_stream_checkpoint_rebuilds_only_the_basis_pairs(self, tmp_path):
         # with r < p basis directions, the data file holds no statistics,
         # and the load folds the tasks into one term each, holding the
-        # loaded Hessian itself, and d r entries of acc_b, from which the
-        # refit assembles r(r+1)/2 pair blocks, bit for bit the saved
+        # loaded Hessian itself, from which the refit assembles r(r+1)/2
+        # pair blocks, and acc_b in code coordinates, bit for bit the saved
         # state's
         train, _ = small_corpus()
         state, _ = stream(init_state(small_hyper(), seed=0), train.tasks[:3])
@@ -1030,7 +1033,7 @@ class TestCheckpoint:
         assert all(h is rec.omega for (h, _), rec in zip(loaded.flib.decoder_terms,
                                                             loaded.per_task.values(), strict=True))
         assert library_pairs(loaded.flib).shape == (r * (r + 1) // 2, d, d)
-        assert loaded.flib.acc_b_coords.shape == (d * r,)
+        assert loaded.flib.acc_b.shape == (d, p)
         assert_same_state(loaded, state)
 
     def test_version_3_checkpoint_refused(self):
@@ -1042,6 +1045,25 @@ class TestCheckpoint:
         message = f"{old}: checkpoint version 3 is not readable; readable versions are [11]"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_state(old)
+
+    def test_checkpoint_of_an_earlier_build_loads_and_saves_back(self, tmp_path):
+        # written by `lifelong-run --seed 0 --no-baselines` with hyper.p = 6
+        # on the corpus of `scripts/make_disjoint_corpus.py --clusters 2
+        # --tasks-per-cluster 3 --dim 12`, while acc_b was still kept in
+        # basis coordinates: the load folds the statistics in the current
+        # form, each task predicts with the stored decoder and its code, and
+        # a save writes both files back byte for byte
+        old = Path(__file__).parent / "data" / "checkpoint_v11_corpus.json"
+        payload, arrays = read_checkpoint(old)
+        state = load_state(old)
+        assert list(state.per_task) == list(payload["per_task"])
+        unit = np.eye(payload["d"])
+        for tid, code in zip(payload["per_task"], arrays["per_task.code"], strict=True):
+            assert np.array_equal(predict(state, tid, unit), arrays["decoder"] @ code), tid
+        new = tmp_path / old.name
+        save_state(state, new)
+        assert new.read_bytes() == old.read_bytes()
+        assert data_file(new).read_bytes() == data_file(old).read_bytes()
 
     @pytest.mark.parametrize("where", ["omega", "rep_omega"])
     def test_asymmetric_omega_refused_on_save(self, tmp_path, where):
@@ -1193,7 +1215,7 @@ class TestCheckpoint:
             assert ours.code.tobytes() == theirs.code.tobytes()
             assert ours.assignment == theirs.assignment
             assert ours.admitted == theirs.admitted
-        for name in ("decoder", "encoder", "basis", "acc_b_coords"):
+        for name in ("decoder", "encoder", "basis", "acc_b"):
             assert getattr(resumed.flib, name).tobytes() == getattr(whole.flib, name).tobytes()
         assert terms_bytes(resumed.flib) == terms_bytes(whole.flib)
         X = rng.normal(size=(10, 6))
@@ -1223,7 +1245,6 @@ class TestCheckpoint:
         outcomes = []
         for task in tasks:
             state, out = learn_task(state, task)
-            assert state.flib.tasks_seen == len(state.per_task)
             outcomes.append(out)
             if len(outcomes) == cut:
                 head = state
@@ -1360,7 +1381,7 @@ class TestCheckpoint:
             assert not out.code.any() and not out.admitted, task.task_id
             assert state.flib.basis.shape == (6, 0)
             assert state.flib.decoder_terms == ()
-            assert state.flib.acc_b_coords.shape == (0,)
+            assert not state.flib.acc_b.any()
         path, again = tmp_path / "state.json", tmp_path / "again.json"
         save_state(state, path)
         payload, arrays = read_checkpoint(path)

@@ -12,9 +12,9 @@ from lifelong.engine import (EngineState, HyperParams, PerTaskRecord, init_state
                              learn_task, load_state, pack_pairs, save_state, unpack_pairs)
 from lifelong.libraries import (_SUBST_BLOCK, FeatureLibrary,
                                 _cholesky_in_place, _lower_inverse, _substitute,
-                                _system_buffer, admit_representative, bump_tasks_seen,
-                                decoder_system, fold_decoder, init_libraries,
-                                update_decoder, update_encoder)
+                                _system_buffer, admit_representative, decoder_system,
+                                fold_decoder, init_libraries, update_decoder,
+                                update_encoder)
 from lifelong.tasks import TaskData
 
 from oracles import decoder_statistics, full_from_pairs, in_basis, pair_blocks
@@ -46,13 +46,13 @@ class TestInit:
         np.testing.assert_allclose(np.linalg.norm(lib.encoder, axis=0), 1.0, atol=1e-12)
 
     def test_accumulator_shapes(self):
-        # the decoder statistics are sized by the basis, empty before the
-        # first code
+        # the decoder system is sized by the basis, empty before the first
+        # code; acc_b is in code coordinates
         lib = init_libraries(40, 10, seed=0)
         assert lib.basis.shape == (10, 0)
         assert lib.decoder_terms == ()
-        assert decoder_system(lib, 1.0).shape == (0, 0)
-        assert lib.acc_b_coords.shape == (0,)
+        assert decoder_system(lib).shape == (0, 0)
+        assert lib.acc_b.shape == (40, 10)
         assert lib.acc_M.shape == (10, 40)
         assert lib.acc_C.shape == (40, 40)
 
@@ -69,8 +69,8 @@ class TestDecoderUpdate:
                              ridge_mu=0.0)
         assert new.basis.tolist() == [[1.0]]
         assert [(h.tolist(), w.tolist()) for h, w in new.decoder_terms] == [([[0.5]], [1.0])]
-        assert decoder_system(new, 1.0).tolist() == [[0.5]]
-        assert new.acc_b_coords.tolist() == [1.0]
+        assert decoder_system(new).tolist() == [[0.5]]
+        assert new.acc_b.tolist() == [[1.0]]
         # raw solve gives 2, clipped back to the unit column
         assert new.decoder[0, 0] == pytest.approx(1.0)
 
@@ -81,12 +81,14 @@ class TestDecoderUpdate:
         for _ in range(12):
             s, omega, reps, w = random_update_inputs(rng, d, p)
             lib = update_decoder(lib, s, omega, reps, lambda2=0.4, w_t=w, ridge_mu=1e-8)
-            lib = bump_tasks_seen(lib)
             arrivals.append((s, w, omega, reps))
-            pairs, b = in_basis(*decoder_statistics(arrivals, 0.4), lib.basis)
+            A, b = decoder_statistics(arrivals, 0.4)
+            pairs, _ = in_basis(A, b, lib.basis)
             scale = max(np.abs(pairs).max(), 1.0)
-            assert np.abs(pair_blocks(decoder_system(lib, 1.0), d) - pairs).max() <= 1e-9 * scale
-            assert np.abs(lib.acc_b_coords - b).max() <= 1e-9 * max(np.abs(b).max(), 1.0)
+            assert np.abs(pair_blocks(decoder_system(lib), d) - pairs).max() <= 1e-9 * scale
+            # acc_b is the plain sum in code coordinates, vec(acc_b) = b
+            assert (np.abs(lib.acc_b.reshape(-1, order="F") - b).max()
+                    <= 1e-9 * max(np.abs(b).max(), 1.0))
 
     def test_single_task_minimizes_weighted_residual(self, rng):
         # p = 1 keeps the system nonsingular at mu = 0; compare against a
@@ -117,8 +119,7 @@ class TestDecoderUpdate:
         b = np.zeros(d * p)
         for T in range(1, 4):
             s, omega, reps, w = random_update_inputs(rng, d, p)
-            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=lam, w_t=w,
-                                                 ridge_mu=mu))
+            lib = update_decoder(lib, s, omega, reps, lambda2=lam, w_t=w, ridge_mu=T * mu)
             A += np.kron(np.outer(s, s), omega)
             for s_k, omega_k, z_k in reps:
                 A += lam * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
@@ -149,8 +150,7 @@ class TestDecoderUpdate:
                                  float(rng.choice([0.0, rng.random()])))
                                 for _ in range(shared))
             reps = shared_reps + own_reps
-            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=lam, w_t=w,
-                                                 ridge_mu=mu))
+            lib = update_decoder(lib, s, omega, reps, lambda2=lam, w_t=w, ridge_mu=T * mu)
             A += np.kron(np.outer(s, s), omega)
             for s_k, omega_k, z_k in reps:
                 A += lam * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
@@ -188,8 +188,7 @@ class TestDecoderUpdate:
                           float(rng.choice([0.0, rng.random()])))
                          for c in codes if rng.random() < 0.6)
             codes.append(s)
-            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=lam, w_t=w,
-                                                 ridge_mu=mu))
+            lib = update_decoder(lib, s, omega, reps, lambda2=lam, w_t=w, ridge_mu=T * mu)
             A += np.kron(np.outer(s, s), omega)
             for s_k, omega_k, z_k in reps:
                 A += lam * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
@@ -214,8 +213,7 @@ class TestDecoderUpdate:
             lib = init_libraries(d, p, seed=0)
             out = []
             for s, omega, reps, w in stream:
-                lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
-                                                     w_t=w, ridge_mu=1e-3))
+                lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-3)
                 out.append(lib.decoder.tobytes())
             return out
 
@@ -267,7 +265,6 @@ class TestDecoderUpdate:
             s, omega, reps, w = random_update_inputs(rng, d, p)
             lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w * 10,
                                  ridge_mu=1e-8)
-            lib = bump_tasks_seen(lib)
             assert np.linalg.norm(lib.decoder, axis=0).max() <= 1 + 1e-8
 
 
@@ -339,8 +336,7 @@ class TestCholeskyInPlace:
         lib = init_libraries(d, p, seed=0)
         for _ in range(3):
             s, omega, reps, w = random_update_inputs(rng, d, p)
-            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
-                                                 w_t=w, ridge_mu=1e-3))
+            lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-3)
         s, omega, reps, w = random_update_inputs(rng, d, p)
         tracemalloc.start()
         try:
@@ -362,19 +358,16 @@ class TestCholeskyInPlace:
         lib = init_libraries(d, p, seed=0)
         for _ in range(3):
             s, omega, reps, w = random_update_inputs(rng, d, p)
-            lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
-                                                 w_t=w, ridge_mu=1e-3))
+            lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-3)
         buffer = _system_buffer(dp)
         for r in (12, p):
             while lib.basis.shape[1] + 3 < r:
                 s, omega, reps, w = random_update_inputs(rng, d, p)
-                lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
-                                                     w_t=w, ridge_mu=1e-3))
+                lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-3)
             s, omega, reps, w = random_update_inputs(rng, d, p)
             tracemalloc.start()
             try:
-                lib = bump_tasks_seen(update_decoder(lib, s, omega, reps, lambda2=0.3,
-                                                     w_t=w, ridge_mu=1e-3))
+                lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-3)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -397,7 +390,7 @@ class TestDecoderContribution:
             lambda2 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
             for s_k, omega_k, z_k in reps)
         expected, _ = in_basis(A, np.zeros(A.shape[0]), lib.basis)
-        return lib, pair_blocks(decoder_system(lib, 1.0), omega.shape[0]), expected
+        return lib, pair_blocks(decoder_system(lib), omega.shape[0]), expected
 
     @pytest.mark.parametrize("lambda2", [0.3, 0.0])
     def test_matches_kron_sum(self, rng, lambda2):
@@ -545,8 +538,9 @@ class TestCheckpoint:
         for i in range(3):
             s, omega, _, w = random_update_inputs(rng, d, p)
             reps = ((per_task[mlib[0]].code, omega, 1.0),) if mlib else ()
-            flib = update_decoder(flib, s, omega, reps, hyper.lambda2, w, hyper.mu)
-            flib = bump_tasks_seen(update_encoder(flib, s, w, identity, hyper.mu))
+            ridge_mu = hyper.mu * (i + 1)
+            flib = update_decoder(flib, s, omega, reps, hyper.lambda2, w, ridge_mu)
+            flib = update_encoder(flib, s, w, identity, ridge_mu)
             mlib, _ = admit_representative(mlib, s, Assignment(slot=0, slots=len(mlib) + 1),
                                            f"t{i}")
             per_task[f"t{i}"] = PerTaskRecord(code=s, slot=0, loss_kind="squared", w=w,
@@ -555,11 +549,10 @@ class TestCheckpoint:
         save_state(EngineState(hyper=hyper, seed=9, flib=flib, mlib=mlib, per_task=per_task),
                    path)
         loaded = load_state(path)
-        for name in ("decoder", "encoder", "basis", "acc_b_coords", "acc_M", "acc_C"):
+        for name in ("decoder", "encoder", "basis", "acc_b", "acc_M", "acc_C"):
             assert getattr(loaded.flib, name).tobytes() == getattr(flib, name).tobytes(), name
         assert ([(h.tobytes(), w.tobytes()) for h, w in loaded.flib.decoder_terms]
                 == [(h.tobytes(), w.tobytes()) for h, w in flib.decoder_terms])
-        assert loaded.flib.tasks_seen == flib.tasks_seen == 3
         assert loaded.mlib == ("t0",)
         for tid, rec in per_task.items():
             for name in ("code", "w", "omega"):
@@ -576,7 +569,7 @@ class TestCheckpoint:
         d, p = 5, 3
         flib = init_libraries(d, p, seed=9)
         s, omega, reps, w = random_update_inputs(rng, d, p)
-        flib = bump_tasks_seen(update_decoder(flib, s, omega, reps, lambda2=0.4, w_t=w))
+        flib = update_decoder(flib, s, omega, reps, lambda2=0.4, w_t=w)
         if name == "acc_A":
             broken = flib.decoder_terms[0][0].copy()
             broken[0, 1] = np.nextafter(broken[0, 1], np.inf)
@@ -618,8 +611,7 @@ class TestAccumulatorShape:
             s, omega, reps, w = random_update_inputs(rng, d, p)
             lib = update_decoder(lib, s, omega, reps, lambda2=0.3, w_t=w, ridge_mu=1e-6)
             lib = update_encoder(lib, s, w, identity, ridge_mu=1e-6)
-            lib = bump_tasks_seen(lib)
-            pairs = pair_blocks(decoder_system(lib, 1.0), d)
+            pairs = pair_blocks(decoder_system(lib), d)
             for mat in (full_from_pairs(pairs, lib.basis.shape[1]), lib.acc_C):
                 assert np.abs(mat - mat.T).max() <= 1e-9 * max(1, np.abs(mat).max())
                 assert np.linalg.eigvalsh(mat)[0] >= -1e-8 * max(1, np.abs(mat).max())
