@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .metrics import csv_text
 from .tasks import TaskData, json_entry, read_json
 
 
@@ -297,14 +298,10 @@ def load_corpus(path) -> TaskCorpus:
 
 
 def _write_task_csv(path: Path, task: TaskData) -> None:
-    d = task.dim
-    header = ",".join([f"f{j}" for j in range(d)] + ["target"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(task.n_samples):
-            row = [repr(float(v)) for v in task.features[:, i]]
-            row.append(repr(float(task.targets[i])))
-            fh.write(",".join(row) + "\n")
+    # Python floats, whose str is their shortest round-trip repr
+    rows = [[f"f{j}" for j in range(task.dim)] + ["target"]]
+    rows += [x + [y] for x, y in zip(task.features.T.tolist(), task.targets.tolist())]
+    path.write_text(csv_text(rows), encoding="utf-8", newline="\n")
 
 
 def _read_task_csv(path: Path, d: int):

@@ -29,6 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import metrics
 from .assignment import (Assignment, outlier_weight, representative_distances,
                          solve_assignment)
 from .libraries import (FeatureLibrary, _symmetric_bits, admit_representative,
@@ -102,8 +103,10 @@ class PerTaskRecord:
     `rep_omega` is the Hessian of a logistic task at its representative's
     model, which the decoder fold pairs with that representative when the
     slot is not the outlier slot; None otherwise, as for squared loss, whose
-    representative term carries `omega` itself.  Every array is read-only,
-    since a representative's code is its task's."""
+    representative term carries `omega` itself.  The record makes the
+    arrays it is given read-only, in place, since a representative's code
+    is its task's and the library's decoder terms hold its Hessians
+    themselves."""
 
     code: np.ndarray
     slot: int
@@ -111,6 +114,11 @@ class PerTaskRecord:
     w: np.ndarray
     omega: np.ndarray
     rep_omega: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for a in (self.code, self.w, self.omega, self.rep_omega):
+            if a is not None:
+                a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -188,9 +196,6 @@ def _learn_task(state: EngineState, data: TaskData) -> tuple[EngineState, TaskOu
         state, data, w, omega, decoder, enc_image)
     rep_omega = (rep_hessians[assignment.slot]
                  if data.loss_kind == "logistic" and not assignment.picks_outlier else None)
-    for a in (code, w, omega, rep_omega):
-        if a is not None:
-            a.setflags(write=False)
     record = PerTaskRecord(code=code, slot=assignment.slot, loss_kind=data.loss_kind,
                            w=w, omega=omega, rep_omega=rep_omega)
 
@@ -329,12 +334,11 @@ def predict(state: EngineState, task_id: str, X: np.ndarray) -> np.ndarray:
 
 
 def predict_labels(state: EngineState, task_id: str, X: np.ndarray) -> np.ndarray:
-    """Sign predictions at threshold 0 (ties go to +1); classification tasks only."""
+    """The `metrics.sign_labels` of the task's scores; classification tasks only."""
     rec = _record(state, task_id)
     if rec.loss_kind != "logistic":
         raise ValueError(f"task {task_id!r} is not a classification task")
-    scores = predict(state, task_id, X)
-    return np.where(scores >= 0.0, 1.0, -1.0)
+    return metrics.sign_labels(predict(state, task_id, X))
 
 
 def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
@@ -359,8 +363,8 @@ def reconstructed_weights(state: EngineState) -> tuple[list[str], np.ndarray]:
 # built it.  Likewise the library statistics (basis, the decoder terms,
 # acc_b, acc_M, acc_C) are not stored: each follows from per-task folds, so
 # the data file holds each task's fold inputs, its code, w and Hessian
-# omega, and after that replay the load folds them all, in stream order,
-# with one call each of `fold_decoder` and `fold_encoder`.  The decoder
+# omega, and the load folds each task with `fold_decoder` and
+# `fold_encoder` in the pass that replays the model library.  The decoder
 # terms hold the loaded Hessians themselves, the arrays the records hold,
 # with their pair weights, so the load forms no pair block; what it
 # computes is the basis, the weights and the small sums acc_b, acc_M and
@@ -618,11 +622,13 @@ def _load_state(path: Path, payload) -> EngineState:
     codes, ws = arrays["per_task.code"], arrays["per_task.w"]
     omegas = unpack_pairs(arrays["per_task.omega"], d)
     rep_omegas = unpack_pairs(arrays["per_task.rep_omega"], d)
-    for a in (codes, ws, omegas, rep_omegas):
-        a.setflags(write=False)
     miscount = ValueError(f"checkpoint entry 'rep_omegas': {len(rep_omegas)}, expected one "
                           f"for each logistic task at a representative's slot")
-    mlib, records, folds, used = (), {}, [], 0
+    # the folds of learning, without the solves: the stored halves are the
+    # last solves' results
+    flib = empty_library(arrays["decoder"], arrays["encoder"])
+    phi_inverse = activation_pair(hyper.phi)[1]
+    mlib, records, used = (), {}, 0
     for (tid, rec), code, w, omega in zip(payload["per_task"].items(), codes, ws, omegas):
         try:
             assignment = Assignment(slot=rec["slot"], slots=len(mlib) + 1)
@@ -636,15 +642,11 @@ def _load_state(path: Path, payload) -> EngineState:
             rep_omega, used = rep_omegas[used], used + 1
         record = PerTaskRecord(code=code, slot=rec["slot"], loss_kind=rec["loss_kind"], w=w,
                                omega=omega, rep_omega=rep_omega)
-        folds.append((code, omega, _fold_reps(records, mlib, record), w))
+        reps_used = _fold_reps(records, mlib, record)
+        flib = fold_decoder(flib, code, omega, reps_used, hyper.lambda2, w)
+        flib = fold_encoder(flib, code, w, phi_inverse)
         mlib, _ = admit_representative(mlib, code, assignment, tid)
         records[tid] = record
     if used != len(rep_omegas):
         raise miscount
-    # the folds of learning, without the solves: the stored halves are the
-    # last solves' results
-    flib = fold_decoder(empty_library(arrays["decoder"], arrays["encoder"]), folds,
-                        hyper.lambda2)
-    flib = fold_encoder(flib, [(rec.code, rec.w) for rec in records.values()],
-                        activation_pair(hyper.phi)[1])
     return EngineState(hyper=hyper, seed=seed, flib=flib, mlib=mlib, per_task=records)

@@ -125,15 +125,17 @@ def _order_tasks(corpus: TaskCorpus, order: str, seed: int) -> list[int]:
 
 
 def _evaluate(score_fn, test_tasks, kind: str) -> dict[str, metrics.MetricReport]:
-    """Per-task held-out metrics; `score_fn(task)` returns raw scores, whose
-    sign, ties to +1, is a classification task's label."""
+    """Per-task held-out metrics, each task scored once; `score_fn(task)`
+    returns raw scores, whose `metrics.sign_labels` are a classification
+    task's labels."""
     out: dict[str, dict] = {}
     if kind == "regression":
         out["rmse"] = {t.task_id: metrics.rmse(score_fn(t), t.targets) for t in test_tasks}
     else:
-        out["auc"] = {t.task_id: metrics.auc(score_fn(t), t.targets) for t in test_tasks}
-        out["accuracy"] = {t.task_id: metrics.accuracy(np.where(score_fn(t) >= 0.0, 1.0, -1.0),
-                                                       t.targets) for t in test_tasks}
+        scored = [(t.task_id, score_fn(t), t.targets) for t in test_tasks]
+        out["auc"] = {tid: metrics.auc(scores, y) for tid, scores, y in scored}
+        out["accuracy"] = {tid: metrics.accuracy(metrics.sign_labels(scores), y)
+                           for tid, scores, y in scored}
     return {k: metrics.MetricReport(per_task=v, metric_kind=k) for k, v in out.items()}
 
 
@@ -205,13 +207,10 @@ def run_experiment(config: ExperimentConfig) -> Path:
     marker = out / "INCOMPLETE"
     marker.write_text("run in progress or aborted; outputs may be partial\n")
 
-    results = []
-    for seed in config.seeds:
-        result = run_seed(config, seed)
-        results.append(result)
-        _write_seed_files(config, out, result)
-
-    _write_summary(out, results[0].dataset_name, results)
+    # each seed's learner is released once its files are written, before
+    # the next seed starts
+    _write_summary(out, [_write_seed_files(config, out, run_seed(config, seed))
+                         for seed in config.seeds])
     with open(out / "run_metadata.json", "w", encoding="utf-8") as fh:
         json.dump({
             "config": config.to_dict(),
@@ -222,7 +221,10 @@ def run_experiment(config: ExperimentConfig) -> Path:
     return out
 
 
-def _write_seed_files(config: ExperimentConfig, out: Path, result: SeedResult) -> None:
+def _write_seed_files(config: ExperimentConfig, out: Path,
+                      result: SeedResult) -> tuple[str, dict, int]:
+    """Write the seed's files; returns what the summary reads of the seed,
+    its dataset name, reports and number of representatives."""
     seed = result.seed
     rows = [("model", "task_id", "metric", "value")]
     for model, by_metric in sorted(result.reports.items()):
@@ -238,15 +240,19 @@ def _write_seed_files(config: ExperimentConfig, out: Path, result: SeedResult) -
         (out / f"curve_{seed}.csv").write_text(metrics.csv_text(
             [("model", "learned_tasks", "metric", "value")] + result.curve_rows))
     save_state(result.state, out / f"checkpoint_{seed}.json")
+    return result.dataset_name, result.reports, len(result.state.mlib)
 
 
-def _write_summary(out: Path, dataset_name: str, results: list[SeedResult]) -> None:
+def _write_summary(out: Path, seeds: list[tuple[str, dict, int]]) -> None:
+    """summary.csv from each seed's (dataset name, reports, representatives)."""
+    dataset_name = seeds[0][0]
+    reports = [seed_reports for _, seed_reports, _ in seeds]
     rows = [("model", "dataset", "metric", "mean", "std")]
-    for model in sorted({m for r in results for m in r.reports}):
-        for mk in sorted({mk for r in results for mk in r.reports.get(model, {})}):
-            means = [r.reports[model][mk].mean for r in results if mk in r.reports.get(model, {})]
+    for model in sorted({m for r in reports for m in r}):
+        for mk in sorted({mk for r in reports for mk in r.get(model, {})}):
+            means = [r[model][mk].mean for r in reports if mk in r.get(model, {})]
             rows.append((model, dataset_name, mk, float(np.mean(means)), float(np.std(means))))
-    rep_counts = [float(len(r.state.mlib)) for r in results]
+    rep_counts = [float(reps) for _, _, reps in seeds]
     rows.append(("engine", dataset_name, "representatives", float(np.mean(rep_counts)),
                  float(np.std(rep_counts))))
     (out / "summary.csv").write_text(metrics.csv_text(rows))

@@ -10,12 +10,13 @@ times the number of tasks, ELLA's (A / T + mu I) scaled by T).  Columns
 are kept inside the unit l2 ball by rescaling after each solve.
 
 Each update is a fold and a solve.  The fold (`fold_decoder`,
-`fold_encoder`) adds tasks' terms to the statistics, reading only each
-task's code, single-task fit w, Hessian omega and representative term;
-the solve refits the half from the statistics.  Learning runs both for
-one task.  The statistics are therefore a function of the per-task inputs
-in stream order: a checkpoint stores those inputs, not the statistics,
-and loading folds the whole stream again in one call (see `engine`).
+`fold_encoder`) adds one task's terms to the statistics, reading only its
+code, single-task fit w, Hessian omega and representative term; the solve
+refits the half from the statistics.  Learning runs both for each
+arriving task.  The statistics are therefore a function of the per-task
+inputs in stream order: a checkpoint stores those inputs, not the
+statistics, and loading folds each task again, without the solves, as it
+replays the stream (see `engine`).
 
 Every term of the decoder statistics is kron(W, H) with W built from
 codes (s s' and the representative differences), so they live in
@@ -68,7 +69,7 @@ from .assignment import Assignment
 class FeatureLibrary:
     """Encoder/decoder pair plus the statistics backing their refits.
 
-    The statistics are sums over the tasks folded in, with no count of
+    The statistics are sums over the tasks, one fold each, with no count of
     them.  The decoder statistics A, a sum of kron(W, H), are held only
     in the coordinates of `basis`, an orthonormal Q (p x r) whose span
     holds every code that entered them, and acc_b, the sum of
@@ -285,14 +286,11 @@ def _grow_basis(basis: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
     return basis
 
 
-def fold_decoder(lib: FeatureLibrary,
-                 tasks: Sequence[tuple[np.ndarray, np.ndarray,
-                                       Sequence[tuple[np.ndarray, np.ndarray, float]],
-                                       np.ndarray]],
-                 lambda2: float) -> FeatureLibrary:
-    """Fold `tasks`, each (s_t, omega, reps_used, w_t) as `update_decoder`
-    takes them, in order into the decoder statistics; the decoder is left
-    as it is.
+def fold_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
+                 reps_used: Sequence[tuple[np.ndarray, np.ndarray, float]],
+                 lambda2: float, w_t: np.ndarray) -> FeatureLibrary:
+    """Fold one task, with the arguments `update_decoder` takes but the
+    ridge, into the decoder statistics; the decoder is left as it is.
 
     `omega` and the representative Hessians whose terms enter must equal
     their transposes bit for bit, as `tasks.hessian_at` makes them; any
@@ -308,33 +306,30 @@ def fold_decoder(lib: FeatureLibrary,
     squared-loss task, whose representative carries its own omega, adds
     one term to `decoder_terms` and a logistic one at a representative's
     slot two; a term whose weights are all zero, as every term is while
-    the basis is empty, adds nothing and is left out.  Terms are only
-    appended, so folding tasks one call at a time or all in one call gives
-    the same bits.
+    the basis is empty, adds nothing and is left out.
     """
     d, p = lib.d, lib.p
-    basis, terms, acc_b = lib.basis, list(lib.decoder_terms), lib.acc_b.copy()
-    for s_t, omega, reps_used, w_t in tasks:
-        if s_t.shape != (p,) or w_t.shape != (d,):
-            raise ValueError("task quantities do not match the library dimensions")
-        reps_used = [rep for rep in reps_used if lambda2 > 0 and rep[2] != 0.0]
-        if not all(h.shape == (d, d) and _symmetric_bits(h)
-                   for h in [omega] + [omega_k for _, omega_k, _ in reps_used]):
-            raise ValueError("every Hessian must be d x d and symmetric bit for bit")
-        basis = _grow_basis(basis, [s_t] + [s_k for s_k, _, _ in reps_used])
-        c_t = s_t @ basis
-        groups = {id(omega): [omega, np.outer(c_t, c_t)]}
-        for s_k, omega_k, z_k in reps_used:
-            diff = s_k @ basis - c_t
-            group = groups.setdefault(id(omega_k), [omega_k, 0.0])
-            group[1] = group[1] + lambda2 * z_k * np.outer(diff, diff)
-        jl, il = np.tril_indices(c_t.size)
-        for hessian, weights in groups.values():
-            pair_weights = weights[il, jl]
-            if pair_weights.any():
-                terms.append((_read_only(hessian), _read_only(pair_weights)))
-        acc_b += np.outer(omega @ w_t, s_t)
-    return dataclasses.replace(lib, basis=basis, decoder_terms=tuple(terms), acc_b=acc_b)
+    if s_t.shape != (p,) or w_t.shape != (d,):
+        raise ValueError("task quantities do not match the library dimensions")
+    reps_used = [rep for rep in reps_used if lambda2 > 0 and rep[2] != 0.0]
+    if not all(h.shape == (d, d) and _symmetric_bits(h)
+               for h in [omega] + [omega_k for _, omega_k, _ in reps_used]):
+        raise ValueError("every Hessian must be d x d and symmetric bit for bit")
+    basis = _grow_basis(lib.basis, [s_t] + [s_k for s_k, _, _ in reps_used])
+    c_t = s_t @ basis
+    groups = {id(omega): [omega, np.outer(c_t, c_t)]}
+    for s_k, omega_k, z_k in reps_used:
+        diff = s_k @ basis - c_t
+        group = groups.setdefault(id(omega_k), [omega_k, 0.0])
+        group[1] = group[1] + lambda2 * z_k * np.outer(diff, diff)
+    jl, il = np.tril_indices(c_t.size)
+    terms = list(lib.decoder_terms)
+    for hessian, weights in groups.values():
+        pair_weights = weights[il, jl]
+        if pair_weights.any():
+            terms.append((_read_only(hessian), _read_only(pair_weights)))
+    return dataclasses.replace(lib, basis=basis, decoder_terms=tuple(terms),
+                               acc_b=lib.acc_b + np.outer(omega @ w_t, s_t))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -377,9 +372,8 @@ def decoder_system(lib: FeatureLibrary) -> np.ndarray:
     zero-padded as the rows of P (G x r(r+1)/2) and their Hessians stacked
     as the rows of H (G x d^2, `_hessian_stack`), the blocks are the rows
     of P' H, formed `_PAIR_CHUNK` pairs at a time, so that no
-    temporary of the blocks' size is made, and copied into place block
-    column by block column; in the j-major order of the pairs, block
-    column j is the j + 1 from j (j + 1) / 2 on.  This costs
+    temporary of the blocks' size is made, and each chunk is written into
+    its blocks with one indexed assignment.  This costs
     r(r+1)/2 G d^2 multiply-adds, G about the number of tasks.
     """
     d, r = lib.d, lib.basis.shape[1]
@@ -397,13 +391,8 @@ def decoder_system(lib: FeatureLibrary) -> np.ndarray:
     rows = system.reshape(r, d, r, d)
     for k0 in range(0, len(jl), _PAIR_CHUNK):
         k1 = min(k0 + _PAIR_CHUNK, len(jl))
-        chunk = np.matmul(weights[k0:k1], hessians, out=blocks[:k1 - k0]).reshape(-1, d, d)
-        k = k0
-        while k < k1:
-            i, j = il[k], jl[k]
-            end = min(k1, (j + 1) * (j + 2) // 2)
-            rows[i:i + end - k, :, j, :] = chunk[k - k0:end - k0]
-            k = end
+        chunk = np.matmul(weights[k0:k1], hessians, out=blocks[:k1 - k0])
+        rows[il[k0:k1], :, jl[k0:k1], :] = chunk.reshape(-1, d, d)
     return system
 
 
@@ -423,7 +412,7 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     full system, and at ridge_mu = 0 with r < p the full system is
     singular.
     """
-    lib = fold_decoder(lib, [(s_t, omega, reps_used, w_t)], lambda2)
+    lib = fold_decoder(lib, s_t, omega, reps_used, lambda2, w_t)
     d, p, r = lib.d, lib.p, lib.basis.shape[1]
     if ridge_mu == 0.0 and r < p:
         raise np.linalg.LinAlgError(
@@ -435,19 +424,16 @@ def update_decoder(lib: FeatureLibrary, s_t: np.ndarray, omega: np.ndarray,
     return dataclasses.replace(lib, decoder=_clip_columns(y.reshape(r, d).T @ lib.basis.T))
 
 
-def fold_encoder(lib: FeatureLibrary, tasks: Sequence[tuple[np.ndarray, np.ndarray]],
+def fold_encoder(lib: FeatureLibrary, s_t: np.ndarray, w_t: np.ndarray,
                  phi_inverse: Callable[[np.ndarray], np.ndarray]) -> FeatureLibrary:
-    """Fold `tasks`, each (s_t, w_t), in order into the encoder statistics,
-    adding outer(phi^-1(s_t), w_t) to acc_M and outer(w_t, w_t) to acc_C;
-    the encoder is left as it is."""
-    acc_M, acc_C = lib.acc_M.copy(), lib.acc_C.copy()
-    for s_t, w_t in tasks:
-        target = np.asarray(phi_inverse(s_t), dtype=float)
-        if not np.isfinite(target).all():
-            raise ValueError("phi_inverse(s_t) is not finite")
-        acc_M += np.outer(target, w_t)
-        acc_C += np.outer(w_t, w_t)
-    return dataclasses.replace(lib, acc_M=acc_M, acc_C=acc_C)
+    """Fold one task, with the arguments `update_encoder` takes but the
+    ridge, into the encoder statistics, adding outer(phi^-1(s_t), w_t) to
+    acc_M and outer(w_t, w_t) to acc_C; the encoder is left as it is."""
+    target = np.asarray(phi_inverse(s_t), dtype=float)
+    if not np.isfinite(target).all():
+        raise ValueError("phi_inverse(s_t) is not finite")
+    return dataclasses.replace(lib, acc_M=lib.acc_M + np.outer(target, w_t),
+                               acc_C=lib.acc_C + np.outer(w_t, w_t))
 
 
 def update_encoder(lib: FeatureLibrary, s_t: np.ndarray, w_t: np.ndarray,
@@ -460,7 +446,7 @@ def update_encoder(lib: FeatureLibrary, s_t: np.ndarray, w_t: np.ndarray,
     columns.  The system is a copy of acc_C, since `_solve_spd` factors it
     in place.
     """
-    lib = fold_encoder(lib, [(s_t, w_t)], phi_inverse)
+    lib = fold_encoder(lib, s_t, w_t, phi_inverse)
     system = lib.acc_C.copy()
     system.flat[::lib.d + 1] += ridge_mu
     encoder = _clip_columns(_solve_spd(system, lib.acc_M.T, "encoder").T)

@@ -72,6 +72,12 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def sign_labels(scores: np.ndarray) -> np.ndarray:
+    """Classification labels from raw scores: +1 at or above threshold 0,
+    ties included, and -1 below."""
+    return np.where(scores >= 0.0, 1.0, -1.0)
+
+
 def accuracy(pred_labels: np.ndarray, truth: np.ndarray) -> float:
     pred_labels = np.asarray(pred_labels)
     truth = np.asarray(truth)

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from lifelong import engine
 from lifelong.assignment import OUTLIER_WEIGHT_CAP
 from lifelong.datasets import generate_disjoint, split_corpus, standardize_targets
-from lifelong.engine import (CHECKPOINT_VERSION, HyperParams, activation_pair,
-                             init_state, learn_task, load_state, predict,
+from lifelong.engine import (CHECKPOINT_VERSION, HyperParams, PerTaskRecord,
+                             activation_pair, init_state, learn_task, load_state, predict,
                              predict_labels, reconstruct_model,
                              reconstructed_weights, save_state)
 from lifelong.baselines import ablation_hyper
@@ -435,6 +435,20 @@ class TestStreamInvariants:
         d, r = state.flib.d, state.flib.basis.shape[1]
         assert r == 20
         assert peak < 8 * r * (r + 1) // 2 * d * d
+
+
+class TestPerTaskRecord:
+    @pytest.mark.parametrize("rep_omega", [None, np.eye(3)], ids=["squared", "logistic_at_rep"])
+    def test_arrays_given_writable_are_held_read_only(self, rep_omega):
+        # a representative's code is its task's, and the library's decoder
+        # terms hold the record's Hessians themselves: no caller may write them
+        arrays = {"code": np.ones(2), "w": np.ones(3), "omega": np.eye(3)}
+        rec = PerTaskRecord(slot=0, loss_kind="logistic", rep_omega=rep_omega, **arrays)
+        for name, a in dict(arrays, rep_omega=rep_omega).items():
+            if a is not None:
+                assert getattr(rec, name) is a and not a.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
 
 
 class TestRelearn:

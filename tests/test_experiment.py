@@ -1,6 +1,7 @@
 import json
 import re
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,24 @@ class TestClassificationPipeline:
         # than chance on held-out halves
         assert rows[("engine", "auc")][0] > 0.7
 
+    def test_each_task_is_scored_once(self, tmp_path, monkeypatch):
+        # AUC and accuracy read one set of scores per task
+        calls = Counter()
+        predict = experiment.predict
+
+        def counted(state, task_id, X):
+            calls[task_id] += 1
+            return predict(state, task_id, X)
+
+        monkeypatch.setattr(experiment, "predict", counted)
+        config = ExperimentConfig(
+            dataset={"type": "corpus", "path": str(make_classification_corpus(tmp_path))},
+            seeds=(0,), hyper=HyperParams(p=4, ridge=0.5), with_stl=False,
+            output_dir=str(tmp_path / "out"))
+        experiment.run_seed(config, 0)
+        # once by the ablation and once by the engine
+        assert calls == {f"cls{i}": 2 for i in range(4)}
+
 
 class TestRepresentativeSnapshots:
     def test_codes_never_mutate_during_run(self, tmp_path):
@@ -499,3 +518,19 @@ class TestResidency:
         result = experiment.run_seed(ExperimentConfig(), 0)
         assert len(latest) == 2 and result.state.hyper == ExperimentConfig().hyper
         assert overlaps == []
+
+    def test_finished_seed_is_released_before_the_next_starts(self, tmp_path, monkeypatch):
+        # the summary keeps each seed's reports and representative count,
+        # not its learner
+        states, alive = [], []
+        run_seed = experiment.run_seed
+
+        def tracked(config, seed):
+            alive.append([ref() is not None for ref in states])
+            result = run_seed(config, seed)
+            states.append(weakref.ref(result.state))
+            return result
+
+        monkeypatch.setattr(experiment, "run_seed", tracked)
+        run_experiment(tiny_config(tmp_path, seeds=(0, 1, 2)))
+        assert alive == [[], [False], [False, False]]

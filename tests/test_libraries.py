@@ -384,8 +384,8 @@ class TestDecoderContribution:
 
     @staticmethod
     def assembled_and_expected(s, omega, reps, lambda2, w):
-        lib = fold_decoder(init_libraries(omega.shape[0], s.size, seed=0),
-                           [(s, omega, reps, w)], lambda2)
+        lib = fold_decoder(init_libraries(omega.shape[0], s.size, seed=0), s, omega, reps,
+                           lambda2, w)
         A = np.kron(np.outer(s, s), omega) + sum(
             lambda2 * z_k * np.kron(np.outer(s_k - s, s_k - s), omega_k)
             for s_k, omega_k, z_k in reps)

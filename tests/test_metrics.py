@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from lifelong.assignment import Assignment, solve_assignment
 from lifelong.datasets import generate_disjoint
 from lifelong.metrics import (ABSENT, MetricReport, accuracy, auc,
-                              model_correlation_matrix, rmse, timeline_to_csv,
-                              within_between_gap)
+                              model_correlation_matrix, rmse, sign_labels,
+                              timeline_to_csv, within_between_gap)
 
 
 class TestRmse:
@@ -83,6 +83,10 @@ class TestAccuracy:
         assert accuracy(a, a) == 1.0
         assert accuracy(a, -a) == 0.0
         assert accuracy(a, np.array([1.0, -1.0, -1.0, 1.0])) == 0.5
+
+    def test_sign_labels_send_ties_to_plus_one(self):
+        labels = sign_labels(np.array([-2.0, -1e-300, -0.0, 0.0, 3.0]))
+        np.testing.assert_array_equal(labels, [-1.0, -1.0, 1.0, 1.0, 1.0])
 
 
 class TestCorrelationMatrix:
